@@ -99,14 +99,14 @@ func TestBackendOptionsChargeAndPreserveAnswers(t *testing.T) {
 }
 
 // TestShardedStackCachePersistsAcrossQueries checks the engine-handle
-// path: a NewShardedStack engine's caches survive across queries, so a
+// path: a NewFaultyStack engine's caches survive across queries, so a
 // repeated query is billed (almost) nothing and the hit rate climbs.
 func TestShardedStackCachePersistsAcrossQueries(t *testing.T) {
 	db, err := workload.IndependentUniform(workload.Spec{N: 400, M: 3, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := repro.NewShardedStack(db, 4, &repro.BackendSpec{SortedCost: 3, RandomCost: 3}, &repro.CacheSpec{})
+	eng, err := repro.NewFaultyStack(db, 4, &repro.BackendSpec{SortedCost: 3, RandomCost: 3}, nil, &repro.CacheSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +184,8 @@ func TestBackendSpecValidation(t *testing.T) {
 				t.Errorf("spec %d shards=%d: err = %v, want ErrBadQuery", i, shards, err)
 			}
 		}
-		if _, err := repro.NewShardedStack(db, 2, spec, nil); !errors.Is(err, repro.ErrBadQuery) {
-			t.Errorf("spec %d: NewShardedStack err = %v, want ErrBadQuery", i, err)
+		if _, err := repro.NewFaultyStack(db, 2, spec, nil, nil); !errors.Is(err, repro.ErrBadQuery) {
+			t.Errorf("spec %d: NewFaultyStack err = %v, want ErrBadQuery", i, err)
 		}
 	}
 }

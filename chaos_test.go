@@ -211,24 +211,91 @@ func TestChaosFaultSpecValidation(t *testing.T) {
 		{Fault: &repro.FaultSpec{}, Algorithm: repro.AlgoFA},    // infallible scan
 		{Fault: &repro.FaultSpec{}, Algorithm: repro.AlgoNaive}, // infallible scan
 		{MinTheta: 1.5}, // sequential path cannot degrade
-		{Hedge: true},   // hedging needs the sharded serialized schedule
 		{Shards: 2, MinTheta: 0.5},
-		{Shards: 2, Hedge: true},
 	}
 	for i, opts := range bad {
 		if _, err := repro.Query(db, tf, 2, opts); !errors.Is(err, repro.ErrBadQuery) {
 			t.Fatalf("case %d (%+v): want ErrBadQuery, got %v", i, opts, err)
 		}
 	}
-	// Hedge is accepted exactly on the sharded serialized NRA schedule.
-	res, err := repro.Query(db, tf, 2, repro.Options{
-		Shards: 2, NoRandomAccess: true, Schedule: repro.ScheduleCostAware, Hedge: true,
-	})
+}
+
+// TestChaosNonFiniteOptionsRejected: NaN and ±Inf in any float option fail
+// with ErrBadQuery on every path that accepts the option — sequential,
+// sharded, batch and a NewFaultyStack engine — instead of silently reading
+// everything, certifying θ = 1 or charging a NaN cost.
+func TestChaosNonFiniteOptionsRejected(t *testing.T) {
+	db, err := workload.IndependentUniform(workload.Spec{N: 2000, M: 3, Seed: 7})
 	if err != nil {
-		t.Fatalf("hedged sharded query: %v", err)
+		t.Fatal(err)
 	}
-	if res.Stats.DeadShards != 0 || res.Theta != 1 {
-		t.Fatalf("fault-free hedged run degraded: %+v", res.Stats)
+	tf := repro.Avg(3)
+	nan, inf := math.NaN(), math.Inf(1)
+	// Per-query options: checked on the sequential, sharded and batch paths.
+	query := map[string]repro.Options{
+		"Theta NaN":      {Theta: nan},
+		"Theta +Inf":     {Theta: inf},
+		"Theta -Inf":     {Theta: -inf},
+		"MinTheta NaN":   {MinTheta: nan},
+		"MinTheta +Inf":  {MinTheta: inf},
+		"Costs NaN":      {Costs: repro.CostModel{CS: nan, CR: nan}},
+		"Costs cS +Inf":  {Costs: repro.CostModel{CS: inf, CR: 1}},
+		"Costs cR +Inf":  {Costs: repro.CostModel{CS: 1, CR: inf}},
+		"CA Costs NaN":   {Algorithm: repro.AlgoCA, Costs: repro.CostModel{CS: nan, CR: nan}},
+		"NRA Theta +Inf": {NoRandomAccess: true, Theta: inf},
+	}
+	for name, opts := range query {
+		for _, shards := range []int{0, 2} {
+			o := opts
+			o.Shards = shards
+			if _, err := repro.Query(db, tf, 5, o); !errors.Is(err, repro.ErrBadQuery) {
+				t.Errorf("%s shards=%d: want ErrBadQuery, got %v", name, shards, err)
+			}
+		}
+		br := repro.BatchQuery(db, []repro.QuerySpec{{Agg: tf, K: 5, Opts: opts}}, 1)
+		if err := br.Outcomes[0].Err; !errors.Is(err, repro.ErrBadQuery) {
+			t.Errorf("%s batch: want ErrBadQuery, got %v", name, err)
+		}
+	}
+	// Access-stack specs: checked on the sequential and sharded paths and
+	// by NewFaultyStack.
+	stacks := map[string]repro.Options{
+		"SortedCost NaN":       {Backend: &repro.BackendSpec{SortedCost: nan, RandomCost: 1}},
+		"RandomCost +Inf":      {Backend: &repro.BackendSpec{SortedCost: 1, RandomCost: inf}},
+		"Jitter NaN":           {Backend: &repro.BackendSpec{Jitter: nan}},
+		"StragglerFactor NaN":  {Backend: &repro.BackendSpec{StragglerShards: 1, StragglerFactor: nan}},
+		"StragglerFactor +Inf": {Backend: &repro.BackendSpec{StragglerShards: 1, StragglerFactor: inf}},
+		"BatchMarginal NaN":    {Backend: &repro.BackendSpec{BatchRTT: true, BatchMarginal: nan}},
+		"Fault Rate NaN":       {Fault: &repro.FaultSpec{Rate: nan}},
+		"ColdHitCost NaN":      {Cache: &repro.CacheSpec{ColdHitCost: nan}},
+		"ColdHitCost -Inf":     {Cache: &repro.CacheSpec{ColdHitCost: -inf}},
+	}
+	for name, opts := range stacks {
+		for _, shards := range []int{0, 2} {
+			o := opts
+			o.Shards = shards
+			if _, err := repro.Query(db, tf, 5, o); !errors.Is(err, repro.ErrBadQuery) {
+				t.Errorf("%s shards=%d: want ErrBadQuery, got %v", name, shards, err)
+			}
+		}
+		if _, err := repro.NewFaultyStack(db, 2, opts.Backend, opts.Fault, opts.Cache); !errors.Is(err, repro.ErrBadQuery) {
+			t.Errorf("%s NewFaultyStack: want ErrBadQuery, got %v", name, err)
+		}
+	}
+	// Engine-level options on a NewFaultyStack engine.
+	eng, err := repro.NewFaultyStack(db, 2, nil, &repro.FaultSpec{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, so := range map[string]repro.ShardOptions{
+		"MinTheta NaN":  {MinTheta: nan},
+		"MinTheta +Inf": {MinTheta: inf, NoRandomAccess: true},
+		"Costs NaN":     {Costs: repro.CostModel{CS: nan, CR: nan}},
+		"Costs +Inf":    {Costs: repro.CostModel{CS: 1, CR: inf}, CostAwareTA: true},
+	} {
+		if _, err := eng.Query(tf, 5, so); !errors.Is(err, repro.ErrBadQuery) {
+			t.Errorf("%s engine: want ErrBadQuery, got %v", name, err)
+		}
 	}
 }
 

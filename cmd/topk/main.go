@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -50,8 +51,6 @@ func main() {
 		costTA   = flag.Bool("cost-aware-ta", false, "cost-adaptive TA: allocate sorted accesses cheapest-first and spend random access at the CA cadence h≈cR/cS (exact answers, lower charged cost when cR≫cS)")
 		shards   = flag.Int("shards", 0, "partition the database into this many shards and query them concurrently (TA workers, or resumable NRA workers with -no-random; 0 = no sharding, -1 = pick automatically from N, k and GOMAXPROCS)")
 		workers  = flag.Int("shard-workers", 0, "max concurrent shard workers (0 = one per shard)")
-		publish  = flag.String("publish", "", "sharded NRA publish policy: per-round|every-r|bound-crossing (default: per-round at P=1, bound-crossing otherwise)")
-		publishR = flag.Int("publish-every", 0, "publish interval in rounds for every-r (default 16) or the bound-crossing safety valve (default 64)")
 
 		remote     = flag.Bool("remote", false, "simulate remote backends: every access is charged -cs/-cr and delayed per -backend-latency")
 		latency    = flag.Duration("backend-latency", 0, "base simulated latency per backend access (with -remote)")
@@ -73,7 +72,6 @@ func main() {
 		faultDead  = flag.Int("fault-dead-list", -1, "kill this list (0-based) permanently — on the highest-index shard when sharded — to exercise θ-degradation (-1 = none)")
 		faultSeed  = flag.Uint64("fault-seed", 0, "seed for the deterministic fault schedules")
 		retryMax   = flag.Int("retry-budget", 0, "max attempts per access for transient backend failures (0 = default policy: 4 attempts, 256 retries/query)")
-		hedge      = flag.Bool("hedge", false, "hedge straggling shard resumes (sharded NRA with -schedule cost-aware or adaptive)")
 		minTheta   = flag.Float64("min-theta", 0, "weakest accepted θ guarantee when shards are lost (0 = accept any finite θ; requires -shards)")
 
 		traceOut       = flag.String("trace-out", "", "write a traffic trace to this file: generated from the traffic flags, or re-recorded from -trace-in for a round-trip diff")
@@ -176,22 +174,22 @@ func main() {
 		CostAwareTA:    *costTA,
 		Shards:         p,
 		ShardWorkers:   *workers,
-		Publish:        repro.PublishPolicy(*publish),
-		PublishEvery:   *publishR,
 		Backend:        backendSpec,
 		Cache:          cacheSpec,
 		Schedule:       repro.Schedule(*schedule),
 		Fault:          faultSpec,
 		Retry:          retry,
 		MinTheta:       *minTheta,
-		Hedge:          *hedge,
 	}
 	var res *repro.Result
 	var eng *repro.Sharded
 	if cacheSpec != nil && p != 0 {
 		// Build the engine by hand so the per-shard cache statistics can
 		// be reported after the query — enforcing the same option rules
-		// the repro.Query path applies.
+		// the repro.Query path applies: the engine and NewFaultyStack check
+		// the cost model, specs and robustness options themselves; the
+		// algorithm and θ rules, which ShardOptions does not carry, are
+		// checked here exactly as repro.Query checks them.
 		engineAlgo := normalizeAlgo(*algo)
 		switch engineAlgo {
 		case "", string(repro.AlgoTA), string(repro.AlgoNRA):
@@ -201,8 +199,11 @@ func main() {
 		if engineAlgo == string(repro.AlgoTA) && *noRandom {
 			fatal(fmt.Errorf("%w: TA needs random access; drop -no-random or use -algo NRA", repro.ErrBadQuery))
 		}
-		if *theta != 0 {
-			fatal(fmt.Errorf("%w: sharding computes exact answers; -theta is not supported", repro.ErrBadQuery))
+		if math.IsNaN(*theta) || math.IsInf(*theta, 0) || (*theta != 0 && *theta < 1) {
+			fatal(fmt.Errorf("%w: θ must be a finite value of at least 1, got %g", repro.ErrBadQuery, *theta))
+		}
+		if *theta > 1 {
+			fatal(fmt.Errorf("%w: sharding computes exact answers; θ-approximation is not supported", repro.ErrBadQuery))
 		}
 		eng, err = repro.NewFaultyStack(db, p, backendSpec, faultSpec, cacheSpec)
 		if err != nil {
@@ -213,12 +214,9 @@ func main() {
 			CostAwareTA:    *costTA,
 			Costs:          repro.CostModel{CS: *cs, CR: *cr},
 			NoRandomAccess: *noRandom || engineAlgo == string(repro.AlgoNRA),
-			Publish:        repro.PublishPolicy(*publish),
-			PublishEvery:   *publishR,
 			Schedule:       repro.Schedule(*schedule),
 			Retry:          retry,
 			MinTheta:       *minTheta,
-			Hedge:          *hedge,
 		})
 	} else {
 		res, err = repro.Query(db, t, *k, opts)
@@ -287,9 +285,9 @@ func main() {
 				agg.HotEvictions, agg.AdmissionRejects, agg.ColdEvictions, agg.Evictions)
 		}
 	}
-	if st := res.Stats; st.Faults > 0 || st.Retries > 0 || st.Hedges > 0 || st.DeadShards > 0 {
-		fmt.Printf("robustness: %d faults, %d retries, %d hedged resumes, %d dead shards\n",
-			st.Faults, st.Retries, st.Hedges, st.DeadShards)
+	if st := res.Stats; st.Faults > 0 || st.Retries > 0 || st.DeadShards > 0 {
+		fmt.Printf("robustness: %d faults, %d retries, %d dead shards\n",
+			st.Faults, st.Retries, st.DeadShards)
 	}
 	if res.Stats.DeadShards > 0 {
 		fmt.Printf("degraded answer: θ = %.4g certified by the surviving shards\n", res.Theta)

@@ -1,0 +1,85 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/model"
+	"repro/internal/workload"
+)
+
+// TestMain lets the test binary stand in for the topk command: with
+// TOPK_RUN_MAIN=1 in its environment it runs main on its own arguments and
+// exits, so a test can run the CLI as a subprocess and observe its exit
+// status.
+func TestMain(m *testing.M) {
+	if os.Getenv("TOPK_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runTopK runs the CLI with args and returns its exit status and output.
+func runTopK(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "TOPK_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, string(out)
+	case errors.As(err, &ee):
+		return ee.ExitCode(), string(out)
+	}
+	t.Fatalf("topk %s: %v", strings.Join(args, " "), err)
+	return -1, ""
+}
+
+// TestCachedShardedPathMatchesQuery: with -cache and -shards the CLI builds
+// the engine by hand so it can report per-shard cache statistics. That path
+// must accept and reject exactly the flag sets the repro.Query path does,
+// so adding -cache never changes whether a query runs.
+func TestCachedShardedPathMatchesQuery(t *testing.T) {
+	db, err := workload.IndependentUniform(workload.Spec{N: 200, M: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "db.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := model.WriteCSV(f, db); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		flags string
+		want  int
+	}{
+		{"-shards 2 -theta 1", 0},
+		{"-shards 2 -cs 0 -cr 5 -cost-aware-ta", 1},
+		{"-shards 2 -theta 1.5", 1},
+		{"-shards 2 -theta NaN", 1},
+		{"-shards 2 -no-random -cs NaN -cr 1", 1},
+		{"-shards 2 -algo NRA -schedule cost-aware", 0},
+	} {
+		args := append([]string{"-data", path, "-agg", "avg", "-k", "5"}, strings.Fields(tc.flags)...)
+		plain, out := runTopK(t, args...)
+		if plain != tc.want {
+			t.Errorf("%s: exit %d, want %d\n%s", tc.flags, plain, tc.want, out)
+		}
+		cached, out := runTopK(t, append(args, "-cache")...)
+		if cached != plain {
+			t.Errorf("%s -cache: exit %d, but %d without -cache\n%s", tc.flags, cached, plain, out)
+		}
+	}
+}

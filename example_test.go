@@ -19,14 +19,14 @@ func exampleDB() *repro.Database {
 	return b.MustBuild()
 }
 
-// ExampleNewShardedStack builds a persistent sharded engine whose lists
+// ExampleNewFaultyStack builds a persistent sharded engine whose lists
 // sit behind simulated remote backends (declared costs cS=1, cR=4) and a
-// per-shard cache shared across queries: the repeated query is served
-// from cache and charged less than the first.
-func ExampleNewShardedStack() {
+// per-shard cache shared across queries, with no fault injector: the
+// repeated query is served from cache and charged less than the first.
+func ExampleNewFaultyStack() {
 	db := exampleDB()
-	eng, err := repro.NewShardedStack(db, 2,
-		&repro.BackendSpec{SortedCost: 1, RandomCost: 4},
+	eng, err := repro.NewFaultyStack(db, 2,
+		&repro.BackendSpec{SortedCost: 1, RandomCost: 4}, nil,
 		&repro.CacheSpec{})
 	if err != nil {
 		panic(err)

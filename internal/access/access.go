@@ -79,11 +79,10 @@ type Stats struct {
 
 	// Robustness counters. Faults and Retries are counted by the Source
 	// (one Fault per failed access attempt, one Retry per attempt granted
-	// by the retry policy); Hedges and DeadShards are coordinator-level and
-	// folded in by the sharded engine.
+	// by the retry policy); DeadShards is coordinator-level and folded in
+	// by the sharded engine.
 	Faults     int64 // failed access attempts observed
 	Retries    int64 // retries the policy granted
-	Hedges     int64 // hedged shard resumes issued by the scheduler
 	DeadShards int64 // shards lost permanently and degraded around
 }
 

@@ -22,6 +22,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/access"
 	"repro/internal/agg"
@@ -69,6 +70,20 @@ func ValidateQueryShape(m, n int, t agg.Func, k int) error {
 		return fmt.Errorf("%w: k=%d exceeds database size N=%d", ErrBadQuery, k, n)
 	}
 	return nil
+}
+
+// NormalizeCosts applies the zero-value default (unit costs) and rejects
+// cost models no execution path can price: cS must be positive, cR
+// non-negative, and both finite. Shared by the sequential and sharded
+// paths, so both accept exactly the same cost models.
+func NormalizeCosts(c access.CostModel) (access.CostModel, error) {
+	if c.CS == 0 && c.CR == 0 {
+		return access.UnitCosts, nil
+	}
+	if !(c.CS > 0) || !(c.CR >= 0) || math.IsInf(c.CS, 1) || math.IsInf(c.CR, 1) {
+		return c, fmt.Errorf("%w: invalid cost model %+v", ErrBadQuery, c)
+	}
+	return c, nil
 }
 
 // validate performs the shared query checks against a live source.

@@ -17,21 +17,11 @@ import (
 	"repro/internal/model"
 )
 
-// validateRobustness checks the failure-policy knobs shared by both query
-// modes.
+// validateRobustness checks the failure-policy knob shared by both query
+// modes: MinTheta is 0 or a finite θ of at least 1 (NaN fails both tests).
 func validateRobustness(opts Options) error {
-	if opts.MinTheta < 0 || (opts.MinTheta > 0 && opts.MinTheta < 1) {
-		return fmt.Errorf("%w: MinTheta must be 0 (accept any certified θ) or at least 1, got %g", core.ErrBadQuery, opts.MinTheta)
-	}
-	if opts.Hedge {
-		if !opts.NoRandomAccess {
-			return fmt.Errorf("%w: Hedge applies to the no-random-access resume loop; TA workers run once and have no resumes to hedge", core.ErrBadQuery)
-		}
-		switch opts.Schedule {
-		case ScheduleCostAware, ScheduleAdaptive:
-		default:
-			return fmt.Errorf("%w: Hedge requires a serialized schedule (cost-aware or adaptive); the wave schedule already resumes every shard", core.ErrBadQuery)
-		}
+	if !(opts.MinTheta == 0 || opts.MinTheta >= 1) || math.IsInf(opts.MinTheta, 1) {
+		return fmt.Errorf("%w: MinTheta must be 0 (accept any certified θ) or a finite value of at least 1, got %g", core.ErrBadQuery, opts.MinTheta)
 	}
 	return nil
 }

@@ -34,14 +34,16 @@
 // a core.OrderedCands — an incrementally maintained canonical order with
 // O(log n) upserts, O(k) top-k extraction and lazily recomputed per-shard
 // ceilings — instead of a table fully re-sorted under the mutex on every
-// publish. And workers need not publish every round: the publish policies
-// (Options.Publish) batch publishes every R rounds or defer them until the
-// worker's local bounds actually cross the published global M_k, which a
-// worker checks against an atomic without taking the coordinator lock.
-// Batching never changes the answer — a worker can only overshoot in depth,
-// never pause early, because pausing itself requires a publish and the
-// coordinator's directive — and PublishPerRound (the P=1 default) preserves
-// the exact sequential-NRA depth equivalence.
+// publish. And workers need not publish every round: the publish rule is
+// derived from the shard count. With more than one shard a worker defers
+// its publish until its local bounds actually cross the published global
+// M_k, which it checks against an atomic without taking the coordinator
+// lock, plus a safety valve every publishValveRounds rounds. Deferring never
+// changes the answer — a worker can only overshoot in depth, never pause
+// early, because pausing itself requires a publish and the coordinator's
+// directive. A lone shard has no sibling whose evidence could move M_k, so
+// it publishes every round, which preserves the exact sequential-NRA depth
+// equivalence.
 package shard
 
 import (
@@ -228,32 +230,19 @@ func (c *nraCoordinator) unresolved() []int {
 	return out
 }
 
-// hedgeFactor is the straggler threshold of hedged resumes: when the picked
-// shard's expected per-round cost is at least this many times the
-// runner-up's, Options.Hedge resumes the runner-up concurrently. Under the
-// adaptive schedule the costs are the EWMA observed estimates, so a backend
-// that *became* slow (degraded, not merely declared expensive) trips the
-// hedge within a few probes.
-const hedgeFactor = 4
-
 // pickCostAware returns the unresolved shard with the best bound-tightening
 // value per unit of expected cost: argmax over shards of
-// (ceiling − M_k) / stepCost. A shard that has never published has ceiling
-// +Inf, so the priorities of untouched shards tie at +Inf and resolve
-// toward the cheapest backend — expensive shards run last, against an M_k
-// their cheap siblings have already raised, and pause shallower than a
-// concurrent wave would let them.
-//
-// With hedge set, a pick whose expected per-round cost is hedgeFactor times
-// the runner-up's or more returns both: the straggler's resume is hedged by
-// the next-most-valuable shard, so one slow backend cannot serialize the
-// whole scheduling loop behind it.
-func (c *nraCoordinator) pickCostAware(stepCost []float64, hedge bool) []int {
+// (ceiling − M_k) / stepCost, or -1 when every shard is resolved. A shard
+// that has never published has ceiling +Inf, so the priorities of untouched
+// shards tie at +Inf and resolve toward the cheapest backend — expensive
+// shards run last, against an M_k their cheap siblings have already raised,
+// and pause shallower than a concurrent wave would let them.
+func (c *nraCoordinator) pickCostAware(stepCost []float64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	mk := float64(c.tbl.Mk())
-	best, runner := -1, -1
-	var bestPrio, runnerPrio float64
+	best := -1
+	var bestPrio float64
 	for s := range c.exhausted {
 		if c.exhausted[s] || c.dead[s] {
 			continue
@@ -264,21 +253,11 @@ func (c *nraCoordinator) pickCostAware(stepCost []float64, hedge bool) []int {
 		}
 		// ceil > mk rules out Inf−Inf, so prio is +Inf or finite, never NaN.
 		prio := (ceil - mk) / stepCost[s]
-		switch {
-		case best == -1 || prio > bestPrio || (prio == bestPrio && stepCost[s] < stepCost[best]):
-			runner, runnerPrio = best, bestPrio
+		if best == -1 || prio > bestPrio || (prio == bestPrio && stepCost[s] < stepCost[best]) {
 			best, bestPrio = s, prio
-		case runner == -1 || prio > runnerPrio || (prio == runnerPrio && stepCost[s] < stepCost[runner]):
-			runner, runnerPrio = s, prio
 		}
 	}
-	if best == -1 {
-		return nil
-	}
-	if hedge && runner != -1 && stepCost[best] >= hedgeFactor*stepCost[runner] {
-		return []int{best, runner}
-	}
-	return []int{best}
+	return best
 }
 
 // topK returns the final global answer: the table's best k by
@@ -297,64 +276,43 @@ func (c *nraCoordinator) topK() (items []core.Scored, exact bool) {
 	return items, exact
 }
 
-// nraBatchRounds is the per-resume step budget of bound-crossing workers:
+// nraBatchRounds is the per-resume step budget of multi-shard wave workers:
 // the cursor advances up to this many rounds per StepN call, so the publish
 // predicate (and the coordinator's pause directive) is evaluated once per
 // batch instead of once per round. Deferring a publish is always sound —
-// the worker merely overshoots by at most the batch — and the safety-valve
-// interval (plan.every, default 64) is a multiple of the batch, so the
-// valve still fires exactly on time.
+// the worker merely overshoots by at most the batch — and the safety valve
+// (publishValveRounds) is a multiple of the batch, so the valve still fires
+// exactly on time.
 const nraBatchRounds = 16
 
-// stepBudget returns the rounds a worker hands StepN per iteration under
-// the given plan: per-round publishing steps singly (preserving the strict
-// P=1 sequential-depth equivalence), every-R steps a full publish interval
-// at once (publishes land on exactly the rounds they always did), and
-// bound-crossing steps nraBatchRounds between predicate checks. The cap
-// bounds the cursor's prefetch buffer when a user asks for a huge publish
-// interval; publishes then land on the first multiple of the budget past
-// each interval, which only defers them (never unsound).
-func stepBudget(plan publishPlan) int {
-	switch plan.policy {
-	case PublishEveryR:
-		if plan.every > 1024 {
-			return 1024
-		}
-		return plan.every
-	case PublishBoundCrossing:
-		return nraBatchRounds
-	default: // PublishPerRound
-		return 1
-	}
-}
+// publishValveRounds bounds how long a multi-shard worker may go without
+// publishing, so the coordinator's view of it never goes stale.
+const publishValveRounds = 64
 
-// shouldPublish evaluates the publish policy after one completed round.
-// since counts rounds since the last publish; gmk is the atomically
-// published global M_k. Skipping a publish is always sound: pausing
-// requires the coordinator's directive, which requires publishing, so an
-// unpublished worker merely keeps scanning (bounded by the safety valve
-// and, ultimately, exhaustion — which always publishes).
-func shouldPublish(plan publishPlan, since int, cur *core.NRACursor, gmk float64) bool {
-	switch plan.policy {
-	case PublishPerRound:
+// shouldPublish is the multi-shard publish rule, evaluated after a step:
+// publish when the worker's local evidence can change the global decision
+// — its local k-th W rose above the published global M_k (it can raise the
+// bar), or its local ceiling max(τ, outside-B) fell to M_k or below (it may
+// be pausable) — or when the safety valve is due. since counts rounds since
+// the last publish; gmk is the atomically published global M_k. Skipping a
+// publish is always sound: pausing requires the coordinator's directive,
+// which requires publishing, so an unpublished worker merely keeps scanning
+// (bounded by the safety valve and, ultimately, exhaustion — which always
+// publishes).
+func shouldPublish(since int, cur *core.NRACursor, gmk float64) bool {
+	if since >= publishValveRounds {
 		return true
-	case PublishEveryR:
-		return since >= plan.every
-	default: // PublishBoundCrossing
-		if since >= plan.every {
-			return true
-		}
-		if float64(cur.LocalKthW()) > gmk {
-			return true // local evidence can raise the global M_k
-		}
-		if cur.SeenAll() || float64(cur.Threshold()) <= gmk {
-			// The unseen-object bound no longer exceeds M_k; if the
-			// outside-B ceiling agrees the shard may be pausable, which
-			// only a publish can decide.
-			return float64(cur.OutsideB()) <= gmk
-		}
-		return false
 	}
+	if float64(cur.LocalKthW()) > gmk {
+		return true // local evidence can raise the global M_k
+	}
+	if cur.SeenAll() || float64(cur.Threshold()) <= gmk {
+		// The unseen-object bound no longer exceeds M_k; if the outside-B
+		// ceiling agrees the shard may be pausable, which only a publish
+		// can decide.
+		return float64(cur.OutsideB()) <= gmk
+	}
+	return false
 }
 
 // queryNRA answers a top-k query with one resumable NRA worker per shard —
@@ -366,10 +324,6 @@ func shouldPublish(plan publishPlan, since int, cur *core.NRACursor, gmk float64
 // and sequential MaxBuffered are comparable.
 func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) (*core.Result, error) {
 	p := len(e.shards)
-	plan, err := resolvePublish(opts, p)
-	if err != nil {
-		return nil, err
-	}
 	sched := opts.Schedule
 	switch sched {
 	case ScheduleAuto:
@@ -418,16 +372,14 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 	}
 	deg := newDegraded(p)
 	errs := make([]error, p)
-	var hedges int64
 	next := func() []int {
-		if serialized {
-			picks := coord.pickCostAware(stepCost, opts.Hedge)
-			if len(picks) == 2 {
-				hedges++
-			}
-			return picks
+		if !serialized {
+			return coord.unresolved()
 		}
-		return coord.unresolved()
+		if s := coord.pickCostAware(stepCost); s >= 0 {
+			return []int{s}
+		}
+		return nil
 	}
 	var pending []int
 	if serialized {
@@ -437,6 +389,26 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 		for s := range pending {
 			pending[s] = s
 		}
+	}
+	// A lone shard under the wave scheduler is sequential NRA with
+	// publish overhead: there is no sibling shard whose evidence could
+	// change its pause depth, so the worker can evaluate the halting rule
+	// locally — the exact step-then-check loop of core.NRA.Run — and
+	// publish only its final view. The coordinator's pause condition
+	// (B-ceiling ≤ M_k) is implied by the halting rule at P = 1, so the
+	// scheduling loop still terminates on the published view alone;
+	// depth and Stats match sequential NRA access for access, now without
+	// a View build and table merge per round.
+	soloSequential := p == 1 && sched == ScheduleWave
+	// A lone shard publishes after every round. Multi-shard wave workers
+	// step nraBatchRounds between publish-rule checks; the serialized
+	// schedulers spend charged cost precisely — always the best
+	// ceiling-drop per unit cost, pausing the moment the evidence says
+	// so — and batch overshoot would erode exactly the margin they exist
+	// to win, so they keep stepping singly.
+	budget := 1
+	if p > 1 && !serialized {
+		budget = nraBatchRounds
 	}
 	ran := make([]bool, p)
 	resumes := make([]int, p)
@@ -448,26 +420,6 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 				resumes[s]++
 			}
 			ran[s] = true
-		}
-		// A lone per-round-publishing shard under the wave scheduler is
-		// sequential NRA with publish overhead: there is no sibling shard
-		// whose evidence could change its pause depth, so the worker can
-		// evaluate the halting rule locally — the exact step-then-check loop
-		// of core.NRA.Run — and publish only its final view. The
-		// coordinator's pause condition (B-ceiling ≤ M_k) is implied by the
-		// halting rule at P = 1, so the scheduling loop still terminates on
-		// the published view alone; depth and Stats match sequential NRA
-		// access for access, now without a View build and table merge per
-		// round.
-		soloSequential := p == 1 && plan.policy == PublishPerRound &&
-			sched == ScheduleWave && probe == 0
-		budget := stepBudget(plan)
-		if serialized {
-			// The serialized schedulers spend charged cost precisely —
-			// always the best ceiling-drop per unit cost, pausing the moment
-			// the evidence says so. Batch overshoot would erode exactly the
-			// margin they exist to win, so they keep stepping singly.
-			budget = 1
 		}
 		weight := func(i int) float64 {
 			// Estimated remaining work: rounds to full exhaustion at the
@@ -579,7 +531,7 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 					coord.publish(s, cur.View())
 					return
 				}
-				if !shouldPublish(plan, since, cur, coord.globalMk()) {
+				if p > 1 && !shouldPublish(since, cur, coord.globalMk()) {
 					continue
 				}
 				since = 0
@@ -597,8 +549,8 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 			}
 		}
 		if est != nil {
-			// Observed serially after the pool joins: hedged batches run two
-			// workers concurrently, and the estimator is not safe for that.
+			// Observed serially after the pool joins: the estimator is not
+			// safe for concurrent use.
 			for i, s := range batch {
 				est.Observe(s, stepped[i], took[i])
 			}
@@ -630,7 +582,6 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 		e.recycle(s, srcs[s])
 	}
 	stats.MaxBuffered += coord.peak
-	stats.Hedges = hedges
 	res := &core.Result{
 		Items:       items,
 		GradesExact: exact,

@@ -1,7 +1,6 @@
 package shard_test
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -12,21 +11,15 @@ import (
 	"repro/internal/workload"
 )
 
-// TestPublishPoliciesMatchSequentialNRA is the batched-publish property
-// test: every publish policy, at every shard count, must return the same
-// top-k object-set evidence as sequential NRA — a valid top-k set whose
-// tie-safe true-grade multiset equals the sequential answer's — because
-// batching only changes when coordination happens, never what is decided.
+// TestPublishPoliciesMatchSequentialNRA is the publish-rule property test:
+// the engine publishes every round at P = 1 and on bound crossings above
+// it, and at every shard count and under every schedule it must return the
+// same top-k object-set evidence as sequential NRA — a valid top-k set
+// whose tie-safe true-grade multiset equals the sequential answer's —
+// because deferring a publish only changes when coordination happens,
+// never what is decided.
 func TestPublishPoliciesMatchSequentialNRA(t *testing.T) {
 	const m, k = 3, 8
-	policies := []shard.Options{
-		{NoRandomAccess: true, Publish: shard.PublishPerRound},
-		{NoRandomAccess: true, Publish: shard.PublishEveryR},
-		{NoRandomAccess: true, Publish: shard.PublishEveryR, PublishEvery: 3},
-		{NoRandomAccess: true, Publish: shard.PublishBoundCrossing},
-		{NoRandomAccess: true, Publish: shard.PublishBoundCrossing, PublishEvery: 7},
-		{NoRandomAccess: true}, // auto
-	}
 	for name, db := range workloadsUnderTest(t, m) {
 		for _, tf := range []agg.Func{agg.Min(m), agg.Avg(m)} {
 			kk := k
@@ -43,9 +36,9 @@ func TestPublishPoliciesMatchSequentialNRA(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, opts := range policies {
-					label := fmt.Sprintf("%s/%s/P=%d/policy=%q/R=%d", name, tf.Name(), p, opts.Publish, opts.PublishEvery)
-					res, err := eng.Query(tf, kk, opts)
+				for _, sched := range schedules {
+					label := fmt.Sprintf("%s/%s/P=%d/%s", name, tf.Name(), p, sched)
+					res, err := eng.Query(tf, kk, shard.Options{NoRandomAccess: true, Schedule: sched})
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -65,15 +58,17 @@ func TestPublishPoliciesMatchSequentialNRA(t *testing.T) {
 	}
 }
 
-// TestPublishStrictP1MatchesSequentialDepth pins the strict mode the P=1
-// tests rely on: with one shard and per-round publishes (explicit or via
-// PublishAuto), the engine's pause rule coincides with sequential NRA's
-// halting rule access for access, so the sorted-access count — and the
-// answer items with their intervals — are identical. Batched policies at
-// P=1 may legitimately overshoot, but never below the sequential depth.
+// schedules lists every no-random-access schedule the engine runs.
+var schedules = []shard.Schedule{shard.ScheduleWave, shard.ScheduleCostAware, shard.ScheduleAdaptive}
+
+// TestPublishStrictP1MatchesSequentialDepth pins the derived P = 1 rule the
+// single-shard tests rely on: a lone shard publishes after every round, so
+// under every schedule the engine's pause rule coincides with sequential
+// NRA's halting rule access for access, and the sorted-access count — and
+// the answer items with their intervals — are identical.
 func TestPublishStrictP1MatchesSequentialDepth(t *testing.T) {
 	const m, k = 3, 8
-	for _, seed := range []int64{61, 62} {
+	for _, seed := range []int64{61, 62, 63, 64} {
 		db, err := workload.IndependentUniform(workload.Spec{N: 600, M: m, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
@@ -87,68 +82,16 @@ func TestPublishStrictP1MatchesSequentialDepth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range []shard.Options{
-			{NoRandomAccess: true},
-			{NoRandomAccess: true, Publish: shard.PublishPerRound},
-		} {
-			res, err := eng.Query(tf, k, opts)
+		for _, sched := range schedules {
+			res, err := eng.Query(tf, k, shard.Options{NoRandomAccess: true, Schedule: sched})
 			if err != nil {
 				t.Fatal(err)
 			}
-			label := fmt.Sprintf("seed=%d/policy=%q", seed, opts.Publish)
+			label := fmt.Sprintf("seed=%d/%s", seed, sched)
 			assertItemsEqual(t, label, res.Items, seq.Items)
 			if res.Stats.Sorted != seq.Stats.Sorted {
 				t.Fatalf("%s: %d sorted accesses, sequential NRA used %d", label, res.Stats.Sorted, seq.Stats.Sorted)
 			}
 		}
-		// Batched policies may overshoot but never undershoot sequential.
-		for _, opts := range []shard.Options{
-			{NoRandomAccess: true, Publish: shard.PublishEveryR, PublishEvery: 5},
-			{NoRandomAccess: true, Publish: shard.PublishBoundCrossing},
-		} {
-			res, err := eng.Query(tf, k, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Stats.Sorted < seq.Stats.Sorted {
-				t.Fatalf("seed=%d policy=%q: %d sorted accesses undershoots sequential %d",
-					seed, opts.Publish, res.Stats.Sorted, seq.Stats.Sorted)
-			}
-		}
 	}
-}
-
-// TestPublishOptionValidation checks every publish-knob rejection wraps
-// core.ErrBadQuery: unknown policies, negative intervals, intervals that
-// conflict with per-round, and publish knobs on the TA mode.
-func TestPublishOptionValidation(t *testing.T) {
-	db, err := workload.IndependentUniform(workload.Spec{N: 64, M: 2, Seed: 63})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := shard.New(db, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tf := agg.Avg(2)
-	for _, tc := range []struct {
-		name string
-		opts shard.Options
-	}{
-		{"unknown policy", shard.Options{NoRandomAccess: true, Publish: "sometimes"}},
-		{"negative interval", shard.Options{NoRandomAccess: true, PublishEvery: -1}},
-		{"per-round with interval", shard.Options{NoRandomAccess: true, Publish: shard.PublishPerRound, PublishEvery: 4}},
-		{"TA mode with policy", shard.Options{Publish: shard.PublishEveryR}},
-		{"TA mode with interval", shard.Options{PublishEvery: 8}},
-	} {
-		if _, err := eng.Query(tf, 5, tc.opts); !errors.Is(err, core.ErrBadQuery) {
-			t.Fatalf("%s: got %v, want ErrBadQuery", tc.name, err)
-		}
-	}
-	// PublishEvery alone selects the every-R policy and is accepted.
-	res, err := eng.Query(tf, 5, shard.Options{NoRandomAccess: true, PublishEvery: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertValidTopKSet(t, "every-4 via interval", db, tf, 5, res.Items)
 }

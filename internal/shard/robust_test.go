@@ -248,7 +248,9 @@ func TestAllShardsDeadFails(t *testing.T) {
 	}
 }
 
-// TestRobustnessOptionValidation covers the MinTheta and Hedge option rules.
+// TestRobustnessOptionValidation covers the MinTheta and cost-model
+// option rules: MinTheta is 0 or a finite θ ≥ 1, and Costs is validated in
+// every mode, as on the sequential path.
 func TestRobustnessOptionValidation(t *testing.T) {
 	db, err := workload.IndependentUniform(workload.Spec{N: 120, M: 2, Seed: 14})
 	if err != nil {
@@ -262,25 +264,22 @@ func TestRobustnessOptionValidation(t *testing.T) {
 	bad := []shard.Options{
 		{MinTheta: 0.5},
 		{MinTheta: -1},
-		{Hedge: true},                       // TA mode has no resume loop
-		{Hedge: true, NoRandomAccess: true}, // wave schedule resumes everything already
+		{MinTheta: math.NaN()},
+		{MinTheta: math.Inf(1), NoRandomAccess: true},
+		{Costs: access.CostModel{CS: 0, CR: 5}},
+		{Costs: access.CostModel{CS: math.NaN(), CR: 1}, NoRandomAccess: true},
+		{Costs: access.CostModel{CS: 1, CR: math.Inf(1)}, CostAwareTA: true},
 	}
 	for i, opts := range bad {
 		if _, err := eng.Query(tf, 5, opts); !errors.Is(err, core.ErrBadQuery) {
 			t.Fatalf("case %d (%+v): want ErrBadQuery, got %v", i, opts, err)
 		}
 	}
-	// Hedge under a serialized schedule is accepted and the answer stays
-	// exact and fault-free.
-	res, err := eng.Query(tf, 5, shard.Options{
-		NoRandomAccess: true,
-		Schedule:       shard.ScheduleCostAware,
-		Hedge:          true,
-	})
+	res, err := eng.Query(tf, 5, shard.Options{MinTheta: 2, Costs: access.CostModel{CS: 1, CR: 4}, CostAwareTA: true})
 	if err != nil {
-		t.Fatalf("hedged cost-aware query: %v", err)
+		t.Fatalf("valid options rejected: %v", err)
 	}
 	if res.Theta != 1 || res.Stats.DeadShards != 0 {
-		t.Fatalf("fault-free hedged query degraded: θ=%g dead=%d", res.Theta, res.Stats.DeadShards)
+		t.Fatalf("fault-free query degraded: θ=%g dead=%d", res.Theta, res.Stats.DeadShards)
 	}
 }

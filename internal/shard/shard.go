@@ -37,34 +37,6 @@ import (
 	"repro/internal/model"
 )
 
-// PublishPolicy selects when a no-random-access shard worker publishes its
-// [W, B] interval view to the coordinator. Publishing is pure coordination
-// overhead — the answer is identical under every policy; only the publish
-// (and therefore merge) frequency and the workers' overshoot depth change.
-type PublishPolicy string
-
-const (
-	// PublishAuto (the zero value) resolves to PublishPerRound for a
-	// single shard — preserving the exact sequential-NRA depth equivalence
-	// — and PublishBoundCrossing otherwise.
-	PublishAuto PublishPolicy = ""
-	// PublishPerRound publishes after every sorted-access round, the
-	// strict mode: at P = 1 the worker's pause rule then coincides with
-	// sequential NRA's halting rule access for access.
-	PublishPerRound PublishPolicy = "per-round"
-	// PublishEveryR publishes every PublishEvery rounds (default 16).
-	// Workers overshoot the minimal depth by at most R-1 rounds per wave
-	// in exchange for 1/R as many coordinator merges.
-	PublishEveryR PublishPolicy = "every-r"
-	// PublishBoundCrossing publishes only when the worker's local evidence
-	// can change the global decision: its local k-th W rose above the
-	// published global M_k (it can raise the bar), or its local ceiling
-	// max(τ, outside-B) fell to M_k or below (it may be pausable) — plus a
-	// safety-valve publish every PublishEvery rounds (default 64) so the
-	// coordinator's view never goes stale.
-	PublishBoundCrossing PublishPolicy = "bound-crossing"
-)
-
 // Schedule selects how the no-random-access coordinator schedules shard
 // work (see nra.go). TA-mode queries have no resume loop to schedule, so
 // any explicit Schedule there is rejected with ErrBadQuery.
@@ -141,7 +113,8 @@ type Options struct {
 	// Costs is the cost model cost-aware TA workers derive their phase
 	// period h from when a shard's backends declare no costs of their own
 	// (declared backend costs always win). Zero means unit costs. Ignored
-	// without CostAwareTA.
+	// without CostAwareTA, but validated in every mode exactly as the
+	// sequential path validates its cost model (core.NormalizeCosts).
 	Costs access.CostModel
 	// NoRandomAccess answers the query with one resumable NRA worker per
 	// shard instead of TA workers — sorted access only, the search-engine
@@ -149,17 +122,6 @@ type Options struct {
 	// *object set* with [W, B] grade intervals; Result.Stats.Random is
 	// always zero.
 	NoRandomAccess bool
-	// Publish selects the no-random-access publish policy; the zero value
-	// is PublishAuto. Setting it without NoRandomAccess is rejected with
-	// ErrBadQuery (TA workers publish through their progress hook, which
-	// has no batching to configure).
-	Publish PublishPolicy
-	// PublishEvery tunes the selected policy's round interval: the R of
-	// PublishEveryR (default 16) or the safety-valve interval of
-	// PublishBoundCrossing (default 64). With PublishAuto a positive value
-	// selects PublishEveryR. Negative values, and values above 1 combined
-	// with PublishPerRound, are rejected with ErrBadQuery.
-	PublishEvery int
 	// Schedule selects the no-random-access scheduling policy; the zero
 	// value is ScheduleAuto (wave). ScheduleCostAware optimizes charged
 	// middleware cost on heterogeneous backends at the expense of
@@ -177,67 +139,14 @@ type Options struct {
 	// caller accepts when shards are lost permanently and the answer
 	// degrades: 0 accepts any finite certified θ, a value ≥ 1 fails the
 	// query (with the underlying backend error) when the surviving shards
-	// certify only θ > MinTheta. Values in (0, 1) are rejected with
-	// ErrBadQuery — θ is by definition at least 1. Fault-free answers
-	// (θ = 1) always pass.
+	// certify only θ > MinTheta. Values in (0, 1), negative and non-finite
+	// values are rejected with ErrBadQuery — θ is by definition a finite
+	// value of at least 1. Fault-free answers (θ = 1) always pass.
 	MinTheta float64
-	// Hedge lets the serialized no-random-access schedulers (cost-aware,
-	// adaptive) hedge a straggling resume: when the picked shard's expected
-	// per-round cost is hedgeFactor times the runner-up's or more, the
-	// runner-up is resumed concurrently as a hedge — a little extra charged
-	// cost buys wall-clock robustness against a slow or degraded backend.
-	// Stats.Hedges counts hedged resumes. Rejected with ErrBadQuery outside
-	// those schedules: the wave schedule already resumes every unresolved
-	// shard, and TA workers have no resume loop to hedge.
-	Hedge bool
 	// OnShardStats, when non-nil, is invoked once just before the query
 	// returns successfully with every shard's per-worker accounting,
 	// observed wall-clock, resume count and death flag, indexed by shard.
 	OnShardStats func([]ShardStat)
-}
-
-// publishPlan is a resolved publish policy for a P-shard run.
-type publishPlan struct {
-	policy PublishPolicy
-	every  int // PublishEveryR period or PublishBoundCrossing safety valve
-}
-
-// resolvePublish validates the publish knobs and resolves PublishAuto
-// against the shard count.
-func resolvePublish(opts Options, p int) (publishPlan, error) {
-	if opts.PublishEvery < 0 {
-		return publishPlan{}, fmt.Errorf("%w: PublishEvery must be non-negative, got %d", core.ErrBadQuery, opts.PublishEvery)
-	}
-	pol := opts.Publish
-	if pol == PublishAuto {
-		switch {
-		case opts.PublishEvery > 0:
-			pol = PublishEveryR
-		case p == 1:
-			pol = PublishPerRound
-		default:
-			pol = PublishBoundCrossing
-		}
-	}
-	plan := publishPlan{policy: pol, every: opts.PublishEvery}
-	switch pol {
-	case PublishPerRound:
-		if opts.PublishEvery > 1 {
-			return publishPlan{}, fmt.Errorf("%w: PublishEvery %d conflicts with the per-round publish policy", core.ErrBadQuery, opts.PublishEvery)
-		}
-		plan.every = 1
-	case PublishEveryR:
-		if plan.every == 0 {
-			plan.every = 16
-		}
-	case PublishBoundCrossing:
-		if plan.every == 0 {
-			plan.every = 64
-		}
-	default:
-		return publishPlan{}, fmt.Errorf("%w: unknown publish policy %q", core.ErrBadQuery, pol)
-	}
-	return plan, nil
 }
 
 // Engine is a database partitioned for sharded querying. Partitioning
@@ -272,18 +181,9 @@ func New(db *model.Database, p int) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return FromShards(shards)
-}
-
-// FromShards assembles an engine from pre-partitioned shards — the
-// multi-backend scenario where each shard already lives behind its own
-// subsystem. Shards must be non-nil, agree on the number of lists, and be
-// object-disjoint. Queries read the shard databases' lists directly; use
-// FromBackends to put a remote-backend or cache stack in front of them.
-func FromShards(shards []*model.Database) (*Engine, error) {
 	bs := make([]ShardBackend, len(shards))
-	for i, db := range shards {
-		bs[i] = ShardBackend{DB: db}
+	for i, sdb := range shards {
+		bs[i] = ShardBackend{DB: sdb}
 	}
 	return FromBackends(bs)
 }
@@ -463,7 +363,6 @@ func addStats(dst *access.Stats, src access.Stats) {
 	dst.MaxBuffered += src.MaxBuffered
 	dst.Faults += src.Faults
 	dst.Retries += src.Retries
-	dst.Hedges += src.Hedges
 	dst.DeadShards += src.DeadShards
 	for i, d := range src.PerList {
 		dst.PerList[i] += d
@@ -505,14 +404,14 @@ func (e *Engine) QueryContext(ctx context.Context, t agg.Func, k int, opts Optio
 	if err := validateRobustness(opts); err != nil {
 		return nil, err
 	}
+	if _, err := core.NormalizeCosts(opts.Costs); err != nil {
+		return nil, err
+	}
 	if opts.CostAwareTA && opts.NoRandomAccess {
 		return nil, fmt.Errorf("%w: cost-aware TA needs random access; the no-random-access mode plans costs through Options.Schedule instead", core.ErrBadQuery)
 	}
 	if opts.NoRandomAccess {
 		return e.queryNRA(ctx, t, k, opts)
-	}
-	if opts.Publish != PublishAuto || opts.PublishEvery != 0 {
-		return nil, fmt.Errorf("%w: publish batching applies to the no-random-access mode; TA workers have no publish schedule to configure", core.ErrBadQuery)
 	}
 	if opts.Schedule != ScheduleAuto {
 		return nil, fmt.Errorf("%w: scheduling policies apply to the no-random-access mode; TA workers run once under threshold cancellation and have no resume loop to schedule", core.ErrBadQuery)

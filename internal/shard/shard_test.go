@@ -300,7 +300,8 @@ func TestShardedValidation(t *testing.T) {
 	}
 }
 
-// TestFromShards covers assembling an engine from pre-built shards.
+// TestFromShards covers assembling an engine from pre-built shards: backends
+// that carry only a database and read its lists directly.
 func TestFromShards(t *testing.T) {
 	db, err := workload.IndependentUniform(workload.Spec{N: 30, M: 2, Seed: 26})
 	if err != nil {
@@ -310,27 +311,34 @@ func TestFromShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := shard.FromShards(shards)
+	bare := func(dbs ...*model.Database) []shard.ShardBackend {
+		out := make([]shard.ShardBackend, len(dbs))
+		for i, sdb := range dbs {
+			out[i] = shard.ShardBackend{DB: sdb}
+		}
+		return out
+	}
+	eng, err := shard.FromBackends(bare(shards...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if eng.Shards() != 3 || eng.N() != 30 || eng.M() != 2 {
 		t.Fatalf("engine shape: shards=%d n=%d m=%d", eng.Shards(), eng.N(), eng.M())
 	}
-	if _, err := shard.FromShards(nil); err == nil {
+	if _, err := shard.FromBackends(bare()); err == nil {
 		t.Error("empty shard set accepted")
 	}
-	if _, err := shard.FromShards([]*model.Database{shards[0], nil}); err == nil {
+	if _, err := shard.FromBackends(bare(shards[0], nil)); err == nil {
 		t.Error("nil shard accepted")
 	}
-	if _, err := shard.FromShards([]*model.Database{shards[0], shards[0]}); err == nil {
+	if _, err := shard.FromBackends(bare(shards[0], shards[0])); err == nil {
 		t.Error("overlapping shards accepted")
 	}
 	other, err := workload.IndependentUniform(workload.Spec{N: 30, M: 3, Seed: 27})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shard.FromShards([]*model.Database{shards[0], other}); err == nil {
+	if _, err := shard.FromBackends(bare(shards[0], other)); err == nil {
 		t.Error("mismatched list counts accepted")
 	}
 }

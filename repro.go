@@ -24,6 +24,7 @@ package repro
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -133,7 +134,8 @@ type Options struct {
 	Algorithm AlgorithmName
 	// Costs is the middleware cost model; zero means cS = cR = 1.
 	Costs CostModel
-	// Theta > 1 asks TA for a θ-approximation (Section 6.2).
+	// Theta > 1 asks TA for a θ-approximation (Section 6.2). Like every
+	// float option, NaN and ±Inf are rejected with ErrBadQuery.
 	Theta float64
 	// NoRandomAccess forbids random access (search-engine scenario);
 	// with the default algorithm this selects NRA. It composes with
@@ -189,22 +191,6 @@ type Options struct {
 	// ShardWorkers bounds how many shard workers run concurrently when
 	// Shards > 1; 0 means one goroutine per shard.
 	ShardWorkers int
-	// Publish selects when sharded no-random-access workers publish their
-	// [W, B] interval views to the coordinator: PublishPerRound (strict;
-	// the single-shard default, preserving sequential NRA's exact access
-	// depth), PublishEveryR (every PublishEvery rounds), or
-	// PublishBoundCrossing (the multi-shard default: publish only when
-	// the worker's local bounds cross the published global M_k). The
-	// answer is identical under every policy — batching trades bounded
-	// per-worker overshoot for far fewer coordinator merges. Setting it
-	// without the no-random-access mode is rejected with ErrBadQuery.
-	Publish PublishPolicy
-	// PublishEvery tunes the selected publish policy's round interval
-	// (the R of PublishEveryR, default 16, or PublishBoundCrossing's
-	// safety valve, default 64); with the default policy a positive value
-	// selects PublishEveryR. Negative values are rejected with
-	// ErrBadQuery.
-	PublishEvery int
 	// Backend, when non-nil, wraps every list as a simulated remote
 	// backend with the given per-access costs and latency distribution
 	// before the query runs — the paper's middleware scenario with the
@@ -219,7 +205,7 @@ type Options struct {
 	// set): sharded queries get one cache per shard, sequential queries
 	// one cache in total. A cache configured through Options lives for a
 	// single Query call — within it, repeated probes and re-read prefixes
-	// are served from cache; use NewShardedStack for a persistent engine
+	// are served from cache; use NewFaultyStack for a persistent engine
 	// whose caches are shared across queries.
 	Cache *CacheSpec
 	// Schedule selects the sharded no-random-access scheduling policy:
@@ -253,10 +239,6 @@ type Options struct {
 	// rejected with ErrBadQuery. Requires Shards — the sequential path has
 	// no surviving shards to degrade over.
 	MinTheta float64
-	// Hedge lets the serialized sharded no-random-access schedulers
-	// (cost-aware, adaptive) hedge a straggling shard resume; see
-	// shard.Options.Hedge. Rejected with ErrBadQuery elsewhere.
-	Hedge bool
 }
 
 // FaultSpec configures the deterministic fault injector; see Options.Fault.
@@ -278,23 +260,6 @@ type FaultSpec struct {
 	Hang time.Duration
 	// Seed drives the per-list failure schedules deterministically.
 	Seed uint64
-}
-
-// validate rejects malformed fault specs.
-func (f *FaultSpec) validate() error {
-	if f.Rate < 0 || f.Rate > 1 {
-		return fmt.Errorf("%w: fault rate must be in [0, 1], got %g", ErrBadQuery, f.Rate)
-	}
-	if f.BurstEvery < 0 || f.BurstLen < 0 {
-		return fmt.Errorf("%w: fault burst configuration must be non-negative, got every=%d len=%d", ErrBadQuery, f.BurstEvery, f.BurstLen)
-	}
-	if f.DeadList < 0 {
-		return fmt.Errorf("%w: DeadList must be non-negative (1-based; 0 kills nothing), got %d", ErrBadQuery, f.DeadList)
-	}
-	if f.Hang < 0 {
-		return fmt.Errorf("%w: fault hang must be non-negative, got %v", ErrBadQuery, f.Hang)
-	}
-	return nil
 }
 
 // plan resolves the spec into list i's fault plan. Each list gets a
@@ -391,24 +356,6 @@ const (
 	ScheduleAdaptive = shard.ScheduleAdaptive
 )
 
-// PublishPolicy selects when sharded no-random-access workers publish to
-// the coordinator; see Options.Publish.
-type PublishPolicy = shard.PublishPolicy
-
-// Available publish policies.
-const (
-	// PublishAuto resolves to PublishPerRound for one shard and
-	// PublishBoundCrossing otherwise.
-	PublishAuto = shard.PublishAuto
-	// PublishPerRound publishes after every sorted-access round.
-	PublishPerRound = shard.PublishPerRound
-	// PublishEveryR publishes every Options.PublishEvery rounds.
-	PublishEveryR = shard.PublishEveryR
-	// PublishBoundCrossing publishes on local-bound crossings of the
-	// global M_k.
-	PublishBoundCrossing = shard.PublishBoundCrossing
-)
-
 // TopK returns the top k objects of db under t using TA with unit costs.
 func TopK(db *Database, t AggFunc, k int) (*Result, error) {
 	return Query(db, t, k, Options{})
@@ -467,8 +414,8 @@ func querySharded(db *Database, t AggFunc, k int, opts Options) (*Result, error)
 	if opts.CostAwareTA && noRandom {
 		return nil, fmt.Errorf("%w: CostAwareTA needs random access; the sharded sorted-only mode is scheduled cost-aware via Options.Schedule instead", ErrBadQuery)
 	}
-	if opts.Theta != 0 && opts.Theta < 1 {
-		return nil, fmt.Errorf("%w: θ must be at least 1, got %g", ErrBadQuery, opts.Theta)
+	if !finite(opts.Theta) || (opts.Theta != 0 && opts.Theta < 1) {
+		return nil, fmt.Errorf("%w: θ must be a finite value of at least 1, got %g", ErrBadQuery, opts.Theta)
 	}
 	if opts.Theta > 1 {
 		return nil, fmt.Errorf("%w: sharding computes exact answers; θ-approximation is not supported", ErrBadQuery)
@@ -479,16 +426,11 @@ func querySharded(db *Database, t AggFunc, k int, opts Options) (*Result, error)
 	if opts.OnProgress != nil {
 		return nil, fmt.Errorf("%w: sharding does not support the OnProgress callback", ErrBadQuery)
 	}
-	costs, err := normalizeCosts(opts.Costs)
+	costs, err := core.NormalizeCosts(opts.Costs)
 	if err != nil {
 		return nil, err
 	}
-	var eng *Sharded
-	if opts.Backend == nil && opts.Cache == nil && opts.Fault == nil {
-		eng, err = shard.New(db, opts.Shards)
-	} else {
-		eng, err = newShardedStack(db, opts.Shards, opts.Backend, opts.Fault, opts.Cache, costs)
-	}
+	eng, err := newShardedStack(db, opts.Shards, opts.Backend, opts.Fault, opts.Cache, costs)
 	if err != nil {
 		return nil, err
 	}
@@ -498,39 +440,29 @@ func querySharded(db *Database, t AggFunc, k int, opts Options) (*Result, error)
 		CostAwareTA:    opts.CostAwareTA,
 		Costs:          costs,
 		NoRandomAccess: noRandom,
-		Publish:        opts.Publish,
-		PublishEvery:   opts.PublishEvery,
 		Schedule:       opts.Schedule,
 		Retry:          opts.Retry,
 		MinTheta:       opts.MinTheta,
-		Hedge:          opts.Hedge,
 	})
 }
 
-// NewShardedStack partitions db into p shards and fronts each with the
-// configured backend stack, bottom to top: the shard's sorted lists, the
-// simulated remote backends (when backend is non-nil), and a per-shard
-// cache shared across every query on the returned engine (when cache is
-// non-nil). Use it instead of NewSharded when queries should run against
-// heterogeneous backend costs, simulated latency, or a persistent cache;
-// Engine.CacheStats reports the per-shard hit rates.
-func NewShardedStack(db *Database, p int, backend *BackendSpec, cache *CacheSpec) (*Sharded, error) {
-	return newShardedStack(db, p, backend, nil, cache, access.UnitCosts)
-}
-
-// NewFaultyStack is NewShardedStack with a fault injector in the stack:
-// bottom to top, each shard's lists, the simulated remote backends (when
-// backend is non-nil), the deterministic fault injector, and the per-shard
-// cache (when cache is non-nil) — so faults hit cache misses exactly like a
-// flaky remote subsystem would, and cached entries keep serving reads while
-// the backend misbehaves. Queries on the returned engine should set
-// ShardOptions.Retry (zero resolves to DefaultRetry) and may bound
-// degradation with ShardOptions.MinTheta.
+// NewFaultyStack partitions db into p shards and fronts each with the
+// configured access stack, bottom to top: the shard's sorted lists, the
+// simulated remote backends (when backend is non-nil), the deterministic
+// fault injector (when fault is non-nil), and a per-shard cache shared
+// across every query on the returned engine (when cache is non-nil) — so
+// faults hit cache misses exactly like a flaky remote subsystem would, and
+// cached entries keep serving reads while the backend misbehaves. Use it
+// instead of NewSharded when queries should run against heterogeneous
+// backend costs, simulated latency, injected faults or a persistent cache;
+// Engine.CacheStats reports the per-shard hit rates. Queries on a faulty
+// engine should set ShardOptions.Retry (zero resolves to DefaultRetry) and
+// may bound degradation with ShardOptions.MinTheta.
 func NewFaultyStack(db *Database, p int, backend *BackendSpec, fault *FaultSpec, cache *CacheSpec) (*Sharded, error) {
 	return newShardedStack(db, p, backend, fault, cache, access.UnitCosts)
 }
 
-// newShardedStack is NewShardedStack with the cost model backends inherit
+// newShardedStack is NewFaultyStack with the cost model backends inherit
 // when the spec declares none (querySharded passes Options.Costs).
 func newShardedStack(db *Database, p int, backend *BackendSpec, fault *FaultSpec, cache *CacheSpec, base CostModel) (*Sharded, error) {
 	if db == nil {
@@ -539,18 +471,8 @@ func newShardedStack(db *Database, p int, backend *BackendSpec, fault *FaultSpec
 	if p < 1 {
 		return nil, fmt.Errorf("%w: shard count must be at least 1, got %d", ErrBadQuery, p)
 	}
-	if backend != nil {
-		if err := backend.validate(); err != nil {
-			return nil, err
-		}
-	}
-	if fault != nil {
-		if err := fault.validate(); err != nil {
-			return nil, err
-		}
-		if fault.DeadList > db.M() {
-			return nil, fmt.Errorf("%w: DeadList %d exceeds the %d lists", ErrBadQuery, fault.DeadList, db.M())
-		}
+	if err := validateSpecs(db.M(), backend, fault, cache); err != nil {
+		return nil, err
 	}
 	dbs, err := db.Partition(p)
 	if err != nil {
@@ -558,68 +480,103 @@ func newShardedStack(db *Database, p int, backend *BackendSpec, fault *FaultSpec
 	}
 	shards := make([]shard.ShardBackend, len(dbs))
 	for s, sdb := range dbs {
-		sb := shard.ShardBackend{DB: sdb}
-		if backend != nil || cache != nil || fault != nil {
-			lists := make([]access.ListSource, sdb.M())
-			for i := range lists {
-				lists[i] = sdb.List(i)
-			}
-			if backend != nil {
-				cm, lat := backend.forShard(s, len(dbs), base)
-				for i := range lists {
-					lists[i] = access.NewRemote(lists[i], cm, lat)
-				}
-			}
-			if fault != nil {
-				for i := range lists {
-					dead := fault.DeadList > 0 && s == len(dbs)-1 && i == fault.DeadList-1
-					lists[i] = access.NewFaulty(lists[i], fault.plan(uint64(s*sdb.M()+i), dead))
-				}
-			}
-			if cache != nil {
-				c := access.NewCache(access.CacheConfig{
-					PageSize:    cache.PageSize,
-					Pages:       cache.Pages,
-					ColdPages:   cache.ColdPages,
-					ColdHitCost: cache.ColdHitCost,
-					Memo:        cache.Memo,
-				})
-				lists = access.WrapLists(c, lists)
-				sb.Cache = c
-			}
-			sb.Lists = lists
-		}
-		shards[s] = sb
+		shards[s] = buildShard(sdb, s, len(dbs), backend, fault, cache, base)
 	}
 	return shard.FromBackends(shards)
 }
 
-// validate rejects backend specs whose charges or distributions are
-// malformed, mirroring normalizeCosts' rules for the cost half: declared
-// costs must be a valid cost model (or both zero, meaning "inherit"), and
-// negative costs are refused outright — they would flip the cost-aware
-// scheduler's priorities and produce negative charged totals.
-func (b *BackendSpec) validate() error {
-	if b.SortedCost < 0 || b.RandomCost < 0 {
-		return fmt.Errorf("%w: backend costs must be non-negative, got cS=%g cR=%g", ErrBadQuery, b.SortedCost, b.RandomCost)
+// buildShard fronts shard s of p with the access stack the specs configure
+// — the one builder behind both the sequential path (shard 0 of 1) and the
+// sharded engine. Bottom to top: the shard's lists, the simulated remote
+// backends, the fault injector and the cache; base is the cost model
+// backends inherit when the spec declares none. With no layer configured
+// the shard reads its database directly (nil Lists). The specs must have
+// passed validateSpecs.
+func buildShard(sdb *Database, s, p int, backend *BackendSpec, fault *FaultSpec, cache *CacheSpec, base CostModel) shard.ShardBackend {
+	sb := shard.ShardBackend{DB: sdb}
+	if backend == nil && fault == nil && cache == nil {
+		return sb
 	}
-	if b.SortedCost == 0 && b.RandomCost > 0 {
-		return fmt.Errorf("%w: backend sorted-access cost must be positive when a random cost is declared", ErrBadQuery)
+	m := sdb.M()
+	lists := make([]access.ListSource, m)
+	for i := range lists {
+		lists[i] = sdb.List(i)
 	}
-	if b.Latency < 0 {
-		return fmt.Errorf("%w: backend latency must be non-negative, got %v", ErrBadQuery, b.Latency)
+	if backend != nil {
+		cm, lat := backend.forShard(s, p, base)
+		for i := range lists {
+			lists[i] = access.NewRemote(lists[i], cm, lat)
+		}
 	}
-	if b.Jitter < 0 || b.Jitter > 1 {
-		return fmt.Errorf("%w: backend jitter must be in [0, 1], got %g", ErrBadQuery, b.Jitter)
+	if fault != nil {
+		for i := range lists {
+			dead := fault.DeadList > 0 && s == p-1 && i == fault.DeadList-1
+			lists[i] = access.NewFaulty(lists[i], fault.plan(uint64(s*m+i), dead))
+		}
 	}
-	if b.StragglerShards < 0 || b.StragglerFactor < 0 {
-		return fmt.Errorf("%w: straggler configuration must be non-negative, got shards=%d factor=%g", ErrBadQuery, b.StragglerShards, b.StragglerFactor)
+	if cache != nil {
+		sb.Cache = access.NewCache(access.CacheConfig{
+			PageSize:    cache.PageSize,
+			Pages:       cache.Pages,
+			ColdPages:   cache.ColdPages,
+			ColdHitCost: cache.ColdHitCost,
+			Memo:        cache.Memo,
+		})
+		lists = access.WrapLists(sb.Cache, lists)
 	}
-	if b.BatchMarginal < 0 || b.BatchMarginal > 1 {
-		return fmt.Errorf("%w: backend batch marginal must be in [0, 1], got %g", ErrBadQuery, b.BatchMarginal)
+	sb.Lists = lists
+	return sb
+}
+
+// validateSpecs rejects malformed access-stack specs over m lists; every
+// path that builds a stack runs it. Every float must be finite (the range
+// checks are written so NaN fails them). Declared backend costs must be a
+// valid cost model, or both zero, meaning "inherit"; negative costs are
+// refused outright — they would flip the cost-aware scheduler's priorities
+// and produce negative charged totals.
+func validateSpecs(m int, b *BackendSpec, f *FaultSpec, c *CacheSpec) error {
+	if b != nil {
+		if !(b.SortedCost >= 0 && b.RandomCost >= 0) || !finite(b.SortedCost) || !finite(b.RandomCost) {
+			return fmt.Errorf("%w: backend costs must be finite and non-negative, got cS=%g cR=%g", ErrBadQuery, b.SortedCost, b.RandomCost)
+		}
+		if b.SortedCost == 0 && b.RandomCost > 0 {
+			return fmt.Errorf("%w: backend sorted-access cost must be positive when a random cost is declared", ErrBadQuery)
+		}
+		if b.Latency < 0 {
+			return fmt.Errorf("%w: backend latency must be non-negative, got %v", ErrBadQuery, b.Latency)
+		}
+		if !(b.Jitter >= 0 && b.Jitter <= 1) {
+			return fmt.Errorf("%w: backend jitter must be in [0, 1], got %g", ErrBadQuery, b.Jitter)
+		}
+		if b.StragglerShards < 0 || !(b.StragglerFactor >= 0) || !finite(b.StragglerFactor) {
+			return fmt.Errorf("%w: straggler configuration must be finite and non-negative, got shards=%d factor=%g", ErrBadQuery, b.StragglerShards, b.StragglerFactor)
+		}
+		if !(b.BatchMarginal >= 0 && b.BatchMarginal <= 1) {
+			return fmt.Errorf("%w: backend batch marginal must be in [0, 1], got %g", ErrBadQuery, b.BatchMarginal)
+		}
+	}
+	if f != nil {
+		if !(f.Rate >= 0 && f.Rate <= 1) {
+			return fmt.Errorf("%w: fault rate must be in [0, 1], got %g", ErrBadQuery, f.Rate)
+		}
+		if f.BurstEvery < 0 || f.BurstLen < 0 {
+			return fmt.Errorf("%w: fault burst configuration must be non-negative, got every=%d len=%d", ErrBadQuery, f.BurstEvery, f.BurstLen)
+		}
+		if f.DeadList < 0 || f.DeadList > m {
+			return fmt.Errorf("%w: DeadList must be in [0, %d] (1-based; 0 kills nothing), got %d", ErrBadQuery, m, f.DeadList)
+		}
+		if f.Hang < 0 {
+			return fmt.Errorf("%w: fault hang must be non-negative, got %v", ErrBadQuery, f.Hang)
+		}
+	}
+	if c != nil && !finite(c.ColdHitCost) {
+		return fmt.Errorf("%w: cache cold-hit cost must be finite, got %g", ErrBadQuery, c.ColdHitCost)
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // forShard resolves the spec into shard s's cost model and latency
 // distribution: the declared (or inherited) base costs, stretched by
@@ -650,18 +607,6 @@ func (b *BackendSpec) forShard(s, p int, base CostModel) (access.CostModel, acce
 	return cm, lat
 }
 
-// normalizeCosts applies the zero-value default (unit costs) and rejects
-// invalid cost models; shared by the sequential and sharded paths.
-func normalizeCosts(c CostModel) (CostModel, error) {
-	if c.CS == 0 && c.CR == 0 {
-		c = access.UnitCosts
-	}
-	if c.CS <= 0 || c.CR < 0 {
-		return c, fmt.Errorf("%w: invalid cost model %+v", ErrBadQuery, c)
-	}
-	return c, nil
-}
-
 // prepare resolves Options into an algorithm and a fresh accounting Source
 // over the configured access stack (plain lists by default; simulated
 // remote backends and/or a query-lifetime cache when Options.Backend /
@@ -671,47 +616,26 @@ func prepare(db *Database, opts Options) (core.Algorithm, *access.Source, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	if opts.Backend == nil && opts.Cache == nil && opts.Fault == nil {
-		return al, access.New(db, policy), nil
+	if err := validateSpecs(db.M(), opts.Backend, opts.Fault, opts.Cache); err != nil {
+		return nil, nil, err
 	}
-	costs, err := normalizeCosts(opts.Costs)
+	costs, err := core.NormalizeCosts(opts.Costs)
 	if err != nil {
 		return nil, nil, err
 	}
-	lists := make([]access.ListSource, db.M())
-	for i := range lists {
-		lists[i] = db.List(i)
-	}
-	if opts.Backend != nil {
-		if err := opts.Backend.validate(); err != nil {
-			return nil, nil, err
-		}
+	backend := opts.Backend
+	if backend != nil && backend.StragglerShards != 0 {
 		// One logical backend set: straggler marking is per shard and does
 		// not apply here.
-		spec := *opts.Backend
+		spec := *backend
 		spec.StragglerShards = 0
-		cm, lat := spec.forShard(0, 1, costs)
-		for i := range lists {
-			lists[i] = access.NewRemote(lists[i], cm, lat)
-		}
+		backend = &spec
 	}
-	if opts.Fault != nil {
-		// resolve already validated the spec and the algorithm choice.
-		for i := range lists {
-			lists[i] = access.NewFaulty(lists[i], opts.Fault.plan(uint64(i), opts.Fault.DeadList == i+1))
-		}
+	sb := buildShard(db, 0, 1, backend, opts.Fault, opts.Cache, costs)
+	if sb.Lists == nil {
+		return al, access.New(db, policy), nil
 	}
-	if opts.Cache != nil {
-		c := access.NewCache(access.CacheConfig{
-			PageSize:    opts.Cache.PageSize,
-			Pages:       opts.Cache.Pages,
-			ColdPages:   opts.Cache.ColdPages,
-			ColdHitCost: opts.Cache.ColdHitCost,
-			Memo:        opts.Cache.Memo,
-		})
-		lists = access.WrapLists(c, lists)
-	}
-	src := access.FromLists(lists, policy)
+	src := access.FromLists(sb.Lists, policy)
 	src.SetRetry(opts.Retry.Resolve())
 	return al, src, nil
 }
@@ -724,19 +648,16 @@ func resolve(db *Database, opts Options) (core.Algorithm, access.Policy, error) 
 	if db == nil {
 		return nil, access.Policy{}, fmt.Errorf("%w: nil database", ErrBadQuery)
 	}
-	if opts.Publish != PublishAuto || opts.PublishEvery != 0 {
-		return nil, access.Policy{}, fmt.Errorf("%w: publish batching applies only to sharded no-random-access queries", ErrBadQuery)
-	}
 	if opts.Schedule != ScheduleAuto {
 		return nil, access.Policy{}, fmt.Errorf("%w: scheduling policies apply only to sharded no-random-access queries", ErrBadQuery)
 	}
 	if opts.MinTheta != 0 {
 		return nil, access.Policy{}, fmt.Errorf("%w: MinTheta applies to sharded queries; the sequential path has no surviving shards to degrade over", ErrBadQuery)
 	}
-	if opts.Hedge {
-		return nil, access.Policy{}, fmt.Errorf("%w: Hedge applies to sharded no-random-access queries under a serialized schedule", ErrBadQuery)
+	if !finite(opts.Theta) {
+		return nil, access.Policy{}, fmt.Errorf("%w: θ must be finite, got %g", ErrBadQuery, opts.Theta)
 	}
-	costs, err := normalizeCosts(opts.Costs)
+	costs, err := core.NormalizeCosts(opts.Costs)
 	if err != nil {
 		return nil, access.Policy{}, err
 	}
@@ -770,12 +691,6 @@ func resolve(db *Database, opts Options) (core.Algorithm, access.Policy, error) 
 		}
 	}
 	if opts.Fault != nil {
-		if err := opts.Fault.validate(); err != nil {
-			return nil, access.Policy{}, err
-		}
-		if opts.Fault.DeadList > db.M() {
-			return nil, access.Policy{}, fmt.Errorf("%w: DeadList %d exceeds the %d lists", ErrBadQuery, opts.Fault.DeadList, db.M())
-		}
 		switch name {
 		case AlgoTA, AlgoNRA, AlgoCA:
 		default:

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/core"
 	"repro/internal/traffic"
 )
 
@@ -43,8 +44,8 @@ func SpecFromTraffic(db *Database, q traffic.QuerySpec, base Options) (QuerySpec
 type ReplayOptions struct {
 	// Shards selects the execution engine. Zero replays through the
 	// sequential shared-scan executor (BatchQuery); a positive value builds
-	// one persistent sharded stack (NewShardedStack / NewFaultyStack,
-	// depending on Fault) and replays every request through it. θ-requests
+	// one persistent sharded stack (as NewFaultyStack does) and replays
+	// every request through it. θ-requests
 	// on the sharded path run exact — an exact answer certifies any
 	// requested θ ≥ 1 — and the served certificate is the engine's.
 	Shards int
@@ -261,7 +262,7 @@ func replayBatched(db *Database, reqs []traffic.Request, specs []QuerySpec, opts
 // request through it, measuring per-request service time and simulating a
 // Workers-server queue at the trace's arrival times.
 func replaySharded(db *Database, reqs []traffic.Request, specs []QuerySpec, opts ReplayOptions, rep *ReplayReport) error {
-	costs, err := normalizeCosts(opts.Costs)
+	costs, err := core.NormalizeCosts(opts.Costs)
 	if err != nil {
 		return err
 	}
