@@ -299,6 +299,85 @@ func TestChaosNonFiniteOptionsRejected(t *testing.T) {
 	}
 }
 
+// TestChaosNegativeOptionsRejected: a negative count, size or retry bound
+// fails with ErrBadQuery on every path that accepts it — sequential,
+// sharded, batch, NewFaultyStack, a sharded engine's Query and
+// ReplayTrace — instead of silently running with the default.
+func TestChaosNegativeOptionsRejected(t *testing.T) {
+	db, err := workload.IndependentUniform(workload.Spec{N: 2000, M: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf := repro.Avg(3)
+	// Per-query options: checked on the sequential, sharded and batch paths.
+	query := map[string]repro.Options{
+		"Retry MaxAttempts -1": {Retry: repro.Retry{MaxAttempts: -1}},
+		"Retry Budget -1":      {Retry: repro.Retry{MaxAttempts: 2, Budget: -1}},
+		"Retry Base -1ns":      {Retry: repro.Retry{Base: -1}},
+		"ShardWorkers -3":      {ShardWorkers: -3},
+	}
+	for name, opts := range query {
+		for _, shards := range []int{0, 2} {
+			o := opts
+			o.Shards = shards
+			if _, err := repro.Query(db, tf, 5, o); !errors.Is(err, repro.ErrBadQuery) {
+				t.Errorf("%s shards=%d: want ErrBadQuery, got %v", name, shards, err)
+			}
+		}
+		br := repro.BatchQuery(db, []repro.QuerySpec{{Agg: tf, K: 5, Opts: opts}}, 1)
+		if err := br.Outcomes[0].Err; !errors.Is(err, repro.ErrBadQuery) {
+			t.Errorf("%s batch: want ErrBadQuery, got %v", name, err)
+		}
+	}
+	// Cache specs: checked on the sequential and sharded paths and by
+	// NewFaultyStack. Negative ColdPages (flat LRU) and ColdHitCost (free
+	// cold hits) keep their documented meanings.
+	for name, cache := range map[string]*repro.CacheSpec{
+		"Pages -5":    {Pages: -5},
+		"PageSize -1": {PageSize: -1},
+		"Memo -3":     {Memo: -3},
+	} {
+		for _, shards := range []int{0, 2} {
+			if _, err := repro.Query(db, tf, 5, repro.Options{Shards: shards, Cache: cache}); !errors.Is(err, repro.ErrBadQuery) {
+				t.Errorf("%s shards=%d: want ErrBadQuery, got %v", name, shards, err)
+			}
+		}
+		if _, err := repro.NewFaultyStack(db, 2, nil, nil, cache); !errors.Is(err, repro.ErrBadQuery) {
+			t.Errorf("%s NewFaultyStack: want ErrBadQuery, got %v", name, err)
+		}
+	}
+	if _, err := repro.Query(db, tf, 5, repro.Options{Cache: &repro.CacheSpec{ColdPages: -1, ColdHitCost: -1}}); err != nil {
+		t.Errorf("negative ColdPages and ColdHitCost: %v", err)
+	}
+	// Engine-level options on a NewFaultyStack engine.
+	eng, err := repro.NewFaultyStack(db, 2, nil, &repro.FaultSpec{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, so := range map[string]repro.ShardOptions{
+		"Workers -3":           {Workers: -3},
+		"Retry MaxAttempts -1": {Retry: repro.Retry{MaxAttempts: -1}},
+		"NRA Retry Budget -1":  {Retry: repro.Retry{MaxAttempts: 2, Budget: -1}, NoRandomAccess: true},
+	} {
+		if _, err := eng.Query(tf, 5, so); !errors.Is(err, repro.ErrBadQuery) {
+			t.Errorf("%s engine: want ErrBadQuery, got %v", name, err)
+		}
+	}
+	// Replay options, on both executors.
+	reqs := algoTrace(t, "TA", 4)
+	for name, ro := range map[string]repro.ReplayOptions{
+		"Workers -1":                   {Workers: -1},
+		"Retry MaxAttempts -1":         {Retry: repro.Retry{MaxAttempts: -1}},
+		"sharded Workers -1":           {Shards: 2, Workers: -1},
+		"sharded Retry MaxAttempts -1": {Shards: 2, Retry: repro.Retry{MaxAttempts: -1}},
+		"sharded Cache Pages -5":       {Shards: 2, Cache: &repro.CacheSpec{Pages: -5}},
+	} {
+		if _, err := repro.ReplayTrace(db, reqs, ro); !errors.Is(err, repro.ErrBadQuery) {
+			t.Errorf("replay %s: want ErrBadQuery, got %v", name, err)
+		}
+	}
+}
+
 // TestChaosBatchRejectsFault: the batch executor shares one scan across
 // queries, which a per-query fault plan cannot compose with — the spec is
 // rejected up front as a bad query, and ParallelQueries (per-query

@@ -71,6 +71,8 @@ func TestCachedShardedPathMatchesQuery(t *testing.T) {
 		{"-shards 2 -theta NaN", 1},
 		{"-shards 2 -no-random -cs NaN -cr 1", 1},
 		{"-shards 2 -algo NRA -schedule cost-aware", 0},
+		{"-shards 2 -shard-workers -3", 1},
+		{"-shards 2 -retry-budget -1 -fault-rate 0.1", 1},
 	} {
 		args := append([]string{"-data", path, "-agg", "avg", "-k", "5"}, strings.Fields(tc.flags)...)
 		plain, out := runTopK(t, args...)

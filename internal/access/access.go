@@ -168,38 +168,97 @@ func (v Violation) Error() string {
 // Source is a live, accounting view over a database: cursors for sorted
 // access, keyed probes for random access, and capability flags. Every
 // algorithm in internal/core runs against a Source and nothing else.
+//
+// A Source has one sorted read (SortedNextN; SortedNext is a batch of one)
+// and one probe (Random), each implemented once with the failure contract:
+// a context bound with BindContext is checked at access granularity,
+// transient backend failures are retried per the Retry policy, and what
+// the policy cannot absorb surfaces as an error wrapping ErrBackend. On a
+// fault-free stack the error is always nil.
 type Source struct {
-	lists       []ListSource
-	costed      []CostedList      // non-nil where lists[i] reports per-access costs
-	batch       []BatchList       // non-nil where lists[i] serves batched reads
-	costedBatch []CostedBatchList // non-nil where lists[i] serves costed batched reads
-	costs       []CostModel       // per-list declared cost model (UnitCosts default)
-	pos         []int             // next unread sorted position per list
-	policy      Policy
-	stats       Stats
+	paths  []path      // per-list read and probe, resolved once by FromLists
+	costs  []CostModel // per-list declared cost model (UnitCosts default)
+	pos    []int       // next unread sorted position per list
+	n      int         // entries per list (the paper's N)
+	policy Policy
+	stats  Stats
 
-	seen    seenSet   // objects returned by sorted access (wild-guess detection)
-	costBuf []float64 // scratch for batched per-entry costs
-	trace   *Trace    // optional access recorder
+	seen    seenSet        // objects returned by sorted access (wild-guess detection)
+	costBuf []float64      // scratch for per-entry charged costs
+	one     [1]model.Entry // SortedNext's one-entry buffer
+	trace   *Trace         // optional access recorder
 
-	// Fallible-path state. The fallible* slices are non-nil only where
-	// IsFallible reports the list can actually fail, so the Err accessors
-	// keep the infallible fast path for fault-free stacks. ctx, when bound,
-	// is checked at access granularity; retry is the normalized per-query
-	// retry policy with retryLeft its remaining budget.
-	fallible            []FallibleList
-	fallibleBatch       []FallibleBatchList
-	fallibleCosted      []FallibleCostedList
-	fallibleCostedBatch []FallibleCostedBatchList
-	ctx                 context.Context
-	retry               Retry
-	retryLeft           int
-	retrySeq            uint64
+	// ctx, when bound, is checked at access granularity; retry is the
+	// normalized per-query retry policy with retryLeft its remaining
+	// budget.
+	ctx       context.Context
+	retry     Retry
+	retryLeft int
+	retrySeq  uint64
 
 	// unitOnly marks a source whose every list bills exactly UnitCosts
-	// (no costed or costed-batch backends), so the invariants build can
-	// assert the middleware-cost identity Charged == Accesses at halt.
+	// (no cost-reporting backends), so the invariants build can assert the
+	// middleware-cost identity Charged == Accesses at halt.
 	unitOnly bool
+}
+
+// path is one list's access path, resolved once when the Source is built:
+// read fills dst from sorted position pos and returns how many entries it
+// delivered (the prefix is valid even with an error); when priced, it also
+// writes each delivered entry's charged cost to costs, otherwise every
+// entry bills the list's declared cS. probe answers one random access with
+// its charged cost.
+type path struct {
+	read   func(pos int, dst []model.Entry, costs []float64) (int, error)
+	probe  func(obj model.ObjectID) (model.Grade, bool, float64, error)
+	priced bool
+}
+
+// resolvePath picks l's read and probe: the error-aware methods when l can
+// actually fail (IsFallible), the plain ones otherwise; the costed batch
+// read when l prices its accesses and the plain batch read when it does
+// not.
+func resolvePath(l ListSource, cm CostModel) path {
+	if fl, ok := l.(FallibleList); ok && IsFallible(l) {
+		p := path{
+			read: func(pos int, dst []model.Entry, _ []float64) (int, error) {
+				return fetchIntoErr(l, pos, dst)
+			},
+			probe: func(obj model.ObjectID) (model.Grade, bool, float64, error) {
+				g, ok, err := fl.GradeOfErr(obj)
+				return g, ok, cm.CR, err
+			},
+		}
+		if fcb, ok := l.(FallibleCostedBatchList); ok {
+			p.read, p.probe, p.priced = fcb.AtCostNErr, fcb.GradeOfCostErr, true
+		}
+		return p
+	}
+	p := path{
+		read: func(pos int, dst []model.Entry, _ []float64) (int, error) {
+			return fetchInto(l, pos, dst), nil
+		},
+		probe: func(obj model.ObjectID) (model.Grade, bool, float64, error) {
+			g, ok := l.GradeOf(obj)
+			return g, ok, cm.CR, nil
+		},
+	}
+	if bl, ok := l.(BatchList); ok {
+		p.read = func(pos int, dst []model.Entry, _ []float64) (int, error) {
+			return bl.AtN(pos, dst), nil
+		}
+	}
+	if cb, ok := l.(CostedBatchList); ok {
+		p.read = func(pos int, dst []model.Entry, costs []float64) (int, error) {
+			return cb.AtCostN(pos, dst, costs), nil
+		}
+		p.probe = func(obj model.ObjectID) (model.Grade, bool, float64, error) {
+			g, ok, cost := cb.GradeOfCost(obj)
+			return g, ok, cost, nil
+		}
+		p.priced = true
+	}
+	return p
 }
 
 // New creates a Source over db with the given policy.
@@ -224,58 +283,30 @@ func FromLists(lists []ListSource, policy Policy) *Source {
 		}
 	}
 	s := &Source{
-		lists:               lists,
-		costed:              make([]CostedList, len(lists)),
-		batch:               make([]BatchList, len(lists)),
-		costedBatch:         make([]CostedBatchList, len(lists)),
-		fallible:            make([]FallibleList, len(lists)),
-		fallibleBatch:       make([]FallibleBatchList, len(lists)),
-		fallibleCosted:      make([]FallibleCostedList, len(lists)),
-		fallibleCostedBatch: make([]FallibleCostedBatchList, len(lists)),
-		costs:               make([]CostModel, len(lists)),
-		pos:                 make([]int, len(lists)),
-		policy:              policy,
-		stats:               Stats{PerList: make([]int64, len(lists))},
-		retry:               Retry{}.normalized(),
+		paths:    make([]path, len(lists)),
+		costs:    make([]CostModel, len(lists)),
+		pos:      make([]int, len(lists)),
+		n:        n,
+		policy:   policy,
+		stats:    Stats{PerList: make([]int64, len(lists))},
+		retry:    Retry{}.normalized(),
+		unitOnly: true,
 	}
-	s.unitOnly = true
 	for i, l := range lists {
 		s.costs[i] = BackendCosts(l)
-		if cl, ok := l.(CostedList); ok {
-			s.costed[i] = cl
-		}
-		if bl, ok := l.(BatchList); ok {
-			s.batch[i] = bl
-		}
-		if cbl, ok := l.(CostedBatchList); ok {
-			s.costedBatch[i] = cbl
-		}
-		if s.costs[i] != UnitCosts || s.costed[i] != nil || s.costedBatch[i] != nil {
+		s.paths[i] = resolvePath(l, s.costs[i])
+		if _, costed := l.(CostedList); costed || s.costs[i] != UnitCosts {
 			s.unitOnly = false
-		}
-		if IsFallible(l) {
-			if fl, ok := l.(FallibleList); ok {
-				s.fallible[i] = fl
-			}
-			if fb, ok := l.(FallibleBatchList); ok {
-				s.fallibleBatch[i] = fb
-			}
-			if fcl, ok := l.(FallibleCostedList); ok {
-				s.fallibleCosted[i] = fcl
-			}
-			if fcb, ok := l.(FallibleCostedBatchList); ok {
-				s.fallibleCostedBatch[i] = fcb
-			}
 		}
 	}
 	return s
 }
 
 // M returns the number of lists.
-func (s *Source) M() int { return len(s.lists) }
+func (s *Source) M() int { return len(s.paths) }
 
 // N returns the number of objects (each list has one entry per object).
-func (s *Source) N() int { return s.lists[0].Len() }
+func (s *Source) N() int { return s.n }
 
 // CanSorted reports whether the policy permits sorted access on list i.
 func (s *Source) CanSorted(i int) bool { return s.policy.CanSorted(i) }
@@ -285,142 +316,131 @@ func (s *Source) CanRandom(i int) bool { return s.policy.CanRandom(i) }
 
 // Exhausted reports whether sorted access on list i has consumed every
 // entry.
-func (s *Source) Exhausted(i int) bool { return s.pos[i] >= s.lists[i].Len() }
+func (s *Source) Exhausted(i int) bool { return s.pos[i] >= s.n }
 
-// SortedNext performs one sorted access on list i, returning the next entry
-// from the top. ok is false when the list is exhausted (no cost charged).
-// It panics with Violation if the policy forbids sorted access on i.
-func (s *Source) SortedNext(i int) (e model.Entry, ok bool) {
-	if !s.policy.CanSorted(i) {
-		panic(Violation{Op: "sorted", List: i})
+// SortedNext performs one sorted access on list i: SortedNextN with a
+// one-entry buffer. ok is false when the list is exhausted (no cost
+// charged); the entry and ok are meaningful only when err is nil.
+func (s *Source) SortedNext(i int) (model.Entry, bool, error) {
+	if n, err := s.SortedNextN(i, s.one[:]); n == 0 || err != nil {
+		return model.Entry{}, false, err
 	}
-	if s.pos[i] >= s.lists[i].Len() {
-		if s.trace != nil {
-			s.trace.Entries = append(s.trace.Entries, TraceEntry{Sorted: true, List: i})
-		}
-		return model.Entry{}, false
-	}
-	if cl := s.costed[i]; cl != nil {
-		var cost float64
-		e, cost = cl.AtCost(s.pos[i])
-		s.stats.ChargedSorted += cost
-	} else {
-		e = s.lists[i].At(s.pos[i])
-		s.stats.ChargedSorted += s.costs[i].CS
-	}
-	s.pos[i]++
-	s.stats.Sorted++
-	s.stats.PerList[i]++
-	s.seen.add(e.Object)
-	if s.trace != nil {
-		s.trace.Entries = append(s.trace.Entries, TraceEntry{
-			Sorted: true, List: i, Object: e.Object, Grade: e.Grade, OK: true,
-		})
-	}
-	return e, true
+	return s.one[0], true, nil
 }
 
 // SortedNextN performs up to len(buf) consecutive sorted accesses on list i
 // in one call, filling buf from the front and returning how many entries it
-// produced (0 when the list is exhausted, recorded like a failed
-// SortedNext). The entries, per-entry charged costs, Stats deltas, seen-set
-// updates and trace records are exactly those of the equivalent run of
-// SortedNext calls — batching amortizes call and bookkeeping overhead, not
-// the paper's access accounting. It panics with Violation if the policy
-// forbids sorted access on i.
-func (s *Source) SortedNextN(i int, buf []model.Entry) int {
+// produced (0 when the list is exhausted, recorded in the trace as one
+// failed access). The entries, per-entry charged costs, Stats deltas,
+// seen-set updates and trace records are exactly those of the equivalent
+// run of single accesses — batching amortizes call and bookkeeping
+// overhead, not the paper's access accounting.
+//
+// The n returned entries are valid and fully accounted even when err is
+// non-nil, so a caller processes the delivered prefix and then decides
+// about the error. A transient mid-batch failure is retried in place and
+// the fill resumes, so a successful call is indistinguishable from a
+// fault-free one. It panics with Violation if the policy forbids sorted
+// access on i.
+func (s *Source) SortedNextN(i int, buf []model.Entry) (int, error) {
+	if err := s.ctxErr(); err != nil {
+		return 0, err
+	}
 	if !s.policy.CanSorted(i) {
 		panic(Violation{Op: "sorted", List: i})
 	}
 	if len(buf) == 0 {
-		return 0
+		return 0, nil
 	}
-	if s.pos[i] >= s.lists[i].Len() {
+	if s.pos[i] >= s.n {
 		if s.trace != nil {
 			s.trace.Entries = append(s.trace.Entries, TraceEntry{Sorted: true, List: i})
 		}
-		return 0
+		return 0, nil
 	}
-	var n int
-	if cbl := s.costedBatch[i]; cbl != nil {
-		if cap(s.costBuf) < len(buf) {
-			s.costBuf = make([]float64, len(buf))
-		}
-		costs := s.costBuf[:len(buf)]
-		n = cbl.AtCostN(s.pos[i], buf, costs)
-		for t := 0; t < n; t++ {
-			s.stats.ChargedSorted += costs[t]
-		}
-	} else if cl := s.costed[i]; cl != nil {
-		n = s.lists[i].Len() - s.pos[i]
-		if n > len(buf) {
-			n = len(buf)
-		}
-		for t := 0; t < n; t++ {
-			var cost float64
-			buf[t], cost = cl.AtCost(s.pos[i] + t)
-			s.stats.ChargedSorted += cost
-		}
-	} else if bl := s.batch[i]; bl != nil {
-		n = bl.AtN(s.pos[i], buf)
-		s.stats.ChargedSorted += float64(n) * s.costs[i].CS
-	} else {
-		n = s.lists[i].Len() - s.pos[i]
-		if n > len(buf) {
-			n = len(buf)
-		}
-		for t := 0; t < n; t++ {
-			buf[t] = s.lists[i].At(s.pos[i] + t)
-		}
-		s.stats.ChargedSorted += float64(n) * s.costs[i].CS
+	if cap(s.costBuf) < len(buf) {
+		s.costBuf = make([]float64, len(buf))
 	}
-	s.pos[i] += n
-	s.stats.Sorted += int64(n)
-	s.stats.PerList[i] += int64(n)
-	for t := 0; t < n; t++ {
-		s.seen.add(buf[t].Object)
-	}
-	if s.trace != nil {
-		for t := 0; t < n; t++ {
-			s.trace.Entries = append(s.trace.Entries, TraceEntry{
-				Sorted: true, List: i, Object: buf[t].Object, Grade: buf[t].Grade, OK: true,
-			})
+	p := &s.paths[i]
+	filled, attempt := 0, 1
+	for {
+		n, err := p.read(s.pos[i], buf[filled:], s.costBuf[filled:len(buf)])
+		if p.priced {
+			for _, c := range s.costBuf[filled : filled+n] {
+				s.stats.ChargedSorted += c
+			}
+		} else {
+			s.stats.ChargedSorted += float64(n) * s.costs[i].CS
+		}
+		s.pos[i] += n
+		s.stats.Sorted += int64(n)
+		s.stats.PerList[i] += int64(n)
+		for _, e := range buf[filled : filled+n] {
+			s.seen.add(e.Object)
+		}
+		if s.trace != nil {
+			for _, e := range buf[filled : filled+n] {
+				s.trace.Entries = append(s.trace.Entries, TraceEntry{
+					Sorted: true, List: i, Object: e.Object, Grade: e.Grade, OK: true,
+				})
+			}
+		}
+		filled += n
+		if err == nil {
+			// A read that does not fail delivers the whole request, or
+			// everything down to the list's end.
+			return filled, nil
+		}
+		if n > 0 {
+			attempt = 1 // progress: the next failure starts a fresh attempt run
+		}
+		if rerr := s.noteFault(err, attempt); rerr != nil {
+			return filled, rerr
+		}
+		attempt++
+		if filled == len(buf) || s.pos[i] >= s.n {
+			return filled, nil
 		}
 	}
-	return n
 }
 
 // Random performs one random access: obj's grade in list i. ok is false if
-// obj is absent (never the case for well-formed databases). It panics with
-// Violation if the policy forbids random access on i.
-func (s *Source) Random(i int, obj model.ObjectID) (g model.Grade, ok bool) {
+// obj is absent (never the case for well-formed databases); the grade and
+// ok are meaningful only when err is nil. A transient failure is retried
+// per the Retry policy. It panics with Violation if the policy forbids
+// random access on i.
+func (s *Source) Random(i int, obj model.ObjectID) (model.Grade, bool, error) {
+	if err := s.ctxErr(); err != nil {
+		return 0, false, err
+	}
 	if !s.policy.CanRandom(i) {
 		panic(Violation{Op: "random", List: i})
 	}
-	var cost float64
-	if cl := s.costed[i]; cl != nil {
-		g, ok, cost = cl.GradeOfCost(obj)
-	} else {
-		g, ok = s.lists[i].GradeOf(obj)
-		cost = s.costs[i].CR
-	}
-	if !ok {
-		if s.trace != nil {
-			s.trace.Entries = append(s.trace.Entries, TraceEntry{List: i, Object: obj})
+	for attempt := 1; ; attempt++ {
+		g, ok, cost, err := s.paths[i].probe(obj)
+		if err == nil {
+			if !ok {
+				if s.trace != nil {
+					s.trace.Entries = append(s.trace.Entries, TraceEntry{List: i, Object: obj})
+				}
+				return 0, false, nil
+			}
+			s.stats.Random++
+			s.stats.ChargedRandom += cost
+			if !s.seen.has(obj) {
+				s.stats.WildGuesses++
+			}
+			if s.trace != nil {
+				s.trace.Entries = append(s.trace.Entries, TraceEntry{
+					List: i, Object: obj, Grade: g, OK: true,
+				})
+			}
+			return g, true, nil
 		}
-		return 0, false
+		if rerr := s.noteFault(err, attempt); rerr != nil {
+			return 0, false, rerr
+		}
 	}
-	s.stats.Random++
-	s.stats.ChargedRandom += cost
-	if !s.seen.has(obj) {
-		s.stats.WildGuesses++
-	}
-	if s.trace != nil {
-		s.trace.Entries = append(s.trace.Entries, TraceEntry{
-			List: i, Object: obj, Grade: g, OK: true,
-		})
-	}
-	return g, true
 }
 
 // ReportBuffer lets an algorithm report its current buffered-object count;
@@ -457,7 +477,7 @@ func (s *Source) AccessCost(i int) CostModel { return s.costs[i] }
 // cache above a backend may bill less, never more.
 func (s *Source) SortedRoundCost() float64 {
 	var c float64
-	for i := range s.lists {
+	for i := range s.costs {
 		if s.policy.CanSorted(i) {
 			c += s.costs[i].CS
 		}

@@ -19,7 +19,7 @@ func TestSortedAccessWalksDescending(t *testing.T) {
 	src := New(testDB(t), AllowAll)
 	var prev model.Grade = 2
 	for i := 0; i < 3; i++ {
-		e, ok := src.SortedNext(0)
+		e, ok, _ := src.SortedNext(0)
 		if !ok {
 			t.Fatalf("list exhausted early at %d", i)
 		}
@@ -28,7 +28,7 @@ func TestSortedAccessWalksDescending(t *testing.T) {
 		}
 		prev = e.Grade
 	}
-	if _, ok := src.SortedNext(0); ok {
+	if _, ok, _ := src.SortedNext(0); ok {
 		t.Fatal("expected exhaustion after N accesses")
 	}
 	if !src.Exhausted(0) || src.Exhausted(1) {
@@ -43,21 +43,21 @@ func TestSortedAccessWalksDescending(t *testing.T) {
 func TestRandomAccessAndWildGuessTracking(t *testing.T) {
 	src := New(testDB(t), AllowAll)
 	// A random access before any sorted sighting is a wild guess.
-	if g, ok := src.Random(1, 2); !ok || g != 0.5 {
+	if g, ok, _ := src.Random(1, 2); !ok || g != 0.5 {
 		t.Fatalf("Random(1,2) = %v,%v", g, ok)
 	}
 	// Seeing object 1 under sorted access makes later probes tame.
-	if e, _ := src.SortedNext(0); e.Object != 1 {
+	if e, _, _ := src.SortedNext(0); e.Object != 1 {
 		t.Fatalf("expected object 1 on top of list 0, got %d", e.Object)
 	}
-	if _, ok := src.Random(1, 1); !ok {
+	if _, ok, _ := src.Random(1, 1); !ok {
 		t.Fatal("Random(1,1) failed")
 	}
 	st := src.Stats()
 	if st.Random != 2 || st.WildGuesses != 1 {
 		t.Fatalf("stats = %+v, want 2 random / 1 wild guess", st)
 	}
-	if _, ok := src.Random(0, model.ObjectID(99)); ok {
+	if _, ok, _ := src.Random(0, model.ObjectID(99)); ok {
 		t.Fatal("Random on absent object should report !ok")
 	}
 }
@@ -81,13 +81,13 @@ func TestPolicyViolationsPanic(t *testing.T) {
 	zOnly := New(testDB(t), OnlySorted(0))
 	check("sorted outside Z", func() { zOnly.SortedNext(1) })
 	// Allowed directions still work.
-	if _, ok := zOnly.SortedNext(0); !ok {
+	if _, ok, _ := zOnly.SortedNext(0); !ok {
 		t.Error("sorted inside Z failed")
 	}
-	if _, ok := zOnly.Random(1, 1); !ok {
+	if _, ok, _ := zOnly.Random(1, 1); !ok {
 		t.Error("random under Z policy failed")
 	}
-	if _, ok := noRandom.SortedNext(1); !ok {
+	if _, ok, _ := noRandom.SortedNext(1); !ok {
 		t.Error("sorted under NoRandom failed")
 	}
 }
@@ -133,7 +133,7 @@ func TestReset(t *testing.T) {
 	if st.Sorted != 0 || st.Random != 0 || st.MaxBuffered != 0 || st.BoundRecomputes != 0 {
 		t.Fatalf("Reset left stats %+v", st)
 	}
-	if e, ok := src.SortedNext(0); !ok || e.Object != 1 {
+	if e, ok, _ := src.SortedNext(0); !ok || e.Object != 1 {
 		t.Fatal("Reset did not rewind cursors")
 	}
 }
@@ -154,7 +154,7 @@ func TestGradedSubsystemBatching(t *testing.T) {
 	if sub.BatchesSent() != 2 {
 		t.Fatalf("after 3 items, batches = %d, want 2", sub.BatchesSent())
 	}
-	if _, ok := src.Random(0, 2); !ok {
+	if _, ok, _ := src.Random(0, 2); !ok {
 		t.Fatal("probe failed")
 	}
 	if sub.ProbesServed() != 1 {

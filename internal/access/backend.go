@@ -32,9 +32,11 @@ func BackendCosts(l ListSource) CostModel {
 // CostedList is a ListSource whose accesses carry an individual charged
 // cost instead of a flat per-backend one. A cache layer implements it: a
 // hit costs the middleware nothing, a miss costs the wrapped backend's
-// declared access cost. Sources prefer these methods over At/GradeOf when
-// available, so per-query Stats charge exactly what the backends behind
-// any middleware layers actually billed.
+// declared access cost. A Source reads a list that prices its accesses
+// through CostedBatchList — AtCostN for sorted reads, GradeOfCost for
+// probes — so per-query Stats charge exactly what the backends behind any
+// middleware layers actually billed; a pricing list implements the batch
+// form too.
 type CostedList interface {
 	ListSource
 	// AtCost is At plus the charged cost of this particular access.
@@ -347,27 +349,19 @@ func (m *Misdeclared) GradeOf(obj model.ObjectID) (model.Grade, bool) {
 // AccessCosts implements Backend: the lie.
 func (m *Misdeclared) AccessCosts() CostModel { return m.declared }
 
-// AtCost implements CostedList: the access bills the wrapped backend's true
-// sorted cost, whatever was declared.
-func (m *Misdeclared) AtCost(pos int) (model.Entry, float64) {
-	return m.backend.At(pos), m.backend.AccessCosts().CS
-}
-
-// GradeOfCost implements CostedList: the true random-access cost.
-func (m *Misdeclared) GradeOfCost(obj model.ObjectID) (model.Grade, bool, float64) {
-	g, ok := m.backend.GradeOf(obj)
-	return g, ok, m.backend.AccessCosts().CR
-}
-
-// AtCostN implements CostedBatchList: every entry in the batch bills the
+// AtCost implements CostedList through AtCostErr: the access bills the
 // wrapped backend's true sorted cost, whatever was declared.
+func (m *Misdeclared) AtCost(pos int) (model.Entry, float64) { return must2(m.AtCostErr(pos)) }
+
+// GradeOfCost implements CostedList through GradeOfCostErr: the true
+// random-access cost.
+func (m *Misdeclared) GradeOfCost(obj model.ObjectID) (model.Grade, bool, float64) {
+	return must3(m.GradeOfCostErr(obj))
+}
+
+// AtCostN implements CostedBatchList through AtCostNErr.
 func (m *Misdeclared) AtCostN(pos int, dst []model.Entry, costs []float64) int {
-	n := fetchInto(m.backend, pos, dst)
-	cs := m.backend.AccessCosts().CS
-	for i := 0; i < n; i++ {
-		costs[i] = cs
-	}
-	return n
+	return must(m.AtCostNErr(pos, dst, costs))
 }
 
 // Fallible reports whether the wrapped backend can fail; lying about costs
@@ -382,8 +376,9 @@ func (m *Misdeclared) GradeOfErr(obj model.ObjectID) (model.Grade, bool, error) 
 	return gradeOfErr(m.backend, obj)
 }
 
-// AtCostErr implements FallibleCostedList: the true sorted cost is billed
-// only for a delivered entry.
+// AtCostErr implements FallibleCostedList: a delivered entry bills the
+// wrapped backend's true sorted cost, whatever was declared; a failed one
+// bills nothing.
 func (m *Misdeclared) AtCostErr(pos int) (model.Entry, float64, error) {
 	e, err := atErr(m.backend, pos)
 	if err != nil {
@@ -392,7 +387,8 @@ func (m *Misdeclared) AtCostErr(pos int) (model.Entry, float64, error) {
 	return e, m.backend.AccessCosts().CS, nil
 }
 
-// GradeOfCostErr implements FallibleCostedList.
+// GradeOfCostErr implements FallibleCostedList: the true random-access
+// cost.
 func (m *Misdeclared) GradeOfCostErr(obj model.ObjectID) (model.Grade, bool, float64, error) {
 	g, ok, err := gradeOfErr(m.backend, obj)
 	if err != nil {
@@ -401,8 +397,8 @@ func (m *Misdeclared) GradeOfCostErr(obj model.ObjectID) (model.Grade, bool, flo
 	return g, ok, m.backend.AccessCosts().CR, nil
 }
 
-// AtCostNErr implements FallibleCostedBatchList: the delivered prefix bills
-// the true per-entry sorted cost.
+// AtCostNErr implements FallibleCostedBatchList: every delivered entry of
+// the batch bills the wrapped backend's true sorted cost.
 func (m *Misdeclared) AtCostNErr(pos int, dst []model.Entry, costs []float64) (int, error) {
 	n, err := fetchIntoErr(m.backend, pos, dst)
 	cs := m.backend.AccessCosts().CS

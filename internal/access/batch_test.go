@@ -101,8 +101,9 @@ func batchScript(n, m int) []batchOp {
 	return ops
 }
 
-// runSingleStep executes the script with one SortedNext per entry — the
-// reference semantics SortedNextN must reproduce. It mirrors SortedNextN's
+// runSingleStep executes the script with one SortedNext — a batch of one —
+// per entry: the reference semantics SortedNextN must reproduce for every
+// batch size. It mirrors SortedNextN's
 // contract exactly: a read that starts exhausted makes one failed probe; a
 // read that exhausts mid-way stops without a failed probe.
 func runSingleStep(src *Source, ops []batchOp) [][]model.Entry {
@@ -112,7 +113,7 @@ func runSingleStep(src *Source, ops []batchOp) [][]model.Entry {
 			src.SortedNext(op.list)
 		} else {
 			for got := 0; got < op.want && !src.Exhausted(op.list); got++ {
-				e, ok := src.SortedNext(op.list)
+				e, ok, _ := src.SortedNext(op.list)
 				if !ok {
 					break
 				}
@@ -131,7 +132,7 @@ func runBatched(src *Source, ops []batchOp) [][]model.Entry {
 	perList := make([][]model.Entry, src.M())
 	buf := make([]model.Entry, 64)
 	for _, op := range ops {
-		n := src.SortedNextN(op.list, buf[:op.want])
+		n, _ := src.SortedNextN(op.list, buf[:op.want])
 		perList[op.list] = append(perList[op.list], buf[:n]...)
 		if op.probe != 0 {
 			src.Random(op.probeList, op.probe)
@@ -196,7 +197,7 @@ func TestSortedNextNBatchSizeInvariance(t *testing.T) {
 		buf := make([]model.Entry, size)
 		var got []model.Entry
 		for {
-			c := src.SortedNextN(0, buf)
+			c, _ := src.SortedNextN(0, buf)
 			got = append(got, buf[:c]...)
 			if c < size {
 				break

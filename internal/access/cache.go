@@ -214,7 +214,7 @@ func (c *Cache) Stats() CacheStats {
 // charge misses the wrapped backend's declared cost, cold-tier hits the
 // ColdHitCost fraction of it, and hot hits nothing.
 func (c *Cache) Wrap(listIdx int, src ListSource) Backend {
-	return &cachedList{c: c, list: listIdx, src: src, costs: BackendCosts(src)}
+	return &cachedList{c: c, list: listIdx, src: src, n: src.Len(), costs: BackendCosts(src)}
 }
 
 // WrapLists wraps each list of one shard with the shared cache c,
@@ -360,16 +360,18 @@ type cachedList struct {
 	c     *Cache
 	list  int
 	src   ListSource
+	n     int // src.Len(), fixed: lists are immutable
 	costs CostModel
 }
 
-func (l *cachedList) Len() int { return l.src.Len() }
+func (l *cachedList) Len() int { return l.n }
 
 // AccessCosts implements Backend: the cached view declares the wrapped
 // backend's costs (what a miss bills); hit discounts are reported through
 // the CostedList methods.
 func (l *cachedList) AccessCosts() CostModel { return l.costs }
 
+// At implements ListSource through AtCost.
 func (l *cachedList) At(pos int) model.Entry {
 	e, _ := l.AtCost(pos)
 	return e
@@ -391,118 +393,24 @@ func (l *cachedList) hitCostLocked(fromCold bool) float64 {
 	return 0
 }
 
-// AtCost implements CostedList: a hot hit costs 0, a cold hit costs
-// ColdHitCost × CS (and promotes the page), a miss fetches exactly one
-// entry from the backend, caches it in its (list, page) slot and costs CS.
-func (l *cachedList) AtCost(pos int) (model.Entry, float64) {
-	c := l.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := pageKey{list: l.list, page: pos / c.cfg.PageSize}
-	off := pos % c.cfg.PageSize
-	pg, fromCold := c.pageForLocked(key)
-	if pg.have[off] {
-		return pg.entries[off], l.hitCostLocked(fromCold)
-	}
-	//lint:lockheld single-flight: concurrent readers of a missing entry must not fetch it twice
-	e := l.src.At(pos)
-	pg.entries[off] = e
-	pg.have[off] = true
-	c.stats.Misses++
-	return e, l.costs.CS
-}
+// AtCost implements CostedList through AtCostErr; a backend failure
+// panics with the error.
+func (l *cachedList) AtCost(pos int) (model.Entry, float64) { return must2(l.AtCostErr(pos)) }
 
-// AtCostN implements CostedBatchList: one lock acquisition per batch
-// instead of per entry. Within each page the request touches, hits are
-// copied out (hot free, the cold-finding entry at the cold fraction) and
-// contiguous miss runs are filled with a single backend batch read
-// directly into the page's slots — whole stretches of the page populate
-// per miss, not entry-by-entry. The fill never extends past the requested
-// range, so the cached run's physical accesses still never exceed an
-// uncached run's, and the per-entry hit/miss charging, stats, sketch and
-// LRU state are exactly what len(dst) AtCost calls would leave.
+// AtCostN implements CostedBatchList through AtCostNErr.
 func (l *cachedList) AtCostN(pos int, dst []model.Entry, costs []float64) int {
-	n := l.src.Len() - pos
-	if n <= 0 {
-		return 0
-	}
-	if n > len(dst) {
-		n = len(dst)
-	}
-	c := l.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := 0; i < n; {
-		key := pageKey{list: l.list, page: (pos + i) / c.cfg.PageSize}
-		off := (pos + i) % c.cfg.PageSize
-		span := c.cfg.PageSize - off // request entries landing in this page
-		if span > n-i {
-			span = n - i
-		}
-		pg, fromCold := c.pageForLocked(key)
-		for j := 0; j < span; {
-			if j > 0 {
-				// Per-entry single-step calls would touch the sketch once
-				// per entry; keep the batched frequency signal identical.
-				c.touchLocked(key)
-			}
-			if pg.have[off+j] {
-				dst[i+j] = pg.entries[off+j]
-				costs[i+j] = l.hitCostLocked(j == 0 && fromCold)
-				j++
-				continue
-			}
-			run := 1
-			for j+run < span && !pg.have[off+j+run] {
-				// The touches the skipped single-step calls would record.
-				c.touchLocked(key)
-				run++
-			}
-			//lint:lockheld single-flight: the miss run fills page slots other readers are waiting on
-			fetchInto(l.src, pos+i+j, pg.entries[off+j:off+j+run])
-			for t := 0; t < run; t++ {
-				pg.have[off+j+t] = true
-				dst[i+j+t] = pg.entries[off+j+t]
-				costs[i+j+t] = l.costs.CS
-				c.stats.Misses++
-			}
-			j += run
-		}
-		i += span
-	}
-	return n
+	return must(l.AtCostNErr(pos, dst, costs))
 }
 
+// GradeOf implements ListSource through GradeOfCost.
 func (l *cachedList) GradeOf(obj model.ObjectID) (model.Grade, bool) {
 	g, ok, _ := l.GradeOfCost(obj)
 	return g, ok
 }
 
-// GradeOfCost implements CostedList: a memo hit costs 0, a miss probes the
-// backend once, memoizes the answer (absence included) and costs CR.
+// GradeOfCost implements CostedList through GradeOfCostErr.
 func (l *cachedList) GradeOfCost(obj model.ObjectID) (model.Grade, bool, float64) {
-	c := l.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := memoKey{list: l.list, obj: obj}
-	if el, ok := c.memo[key]; ok {
-		c.mlru.MoveToFront(el)
-		me := el.Value.(*memoEntry)
-		c.stats.ProbeHits++
-		c.stats.ChargedSaved += l.costs.CR
-		return me.grade, me.ok, 0
-	}
-	//lint:lockheld single-flight: the memo must admit exactly one probe per missing object
-	g, ok := l.src.GradeOf(obj)
-	el := c.mlru.PushFront(&memoEntry{key: key, grade: g, ok: ok})
-	c.memo[key] = el
-	for len(c.memo) > c.cfg.Memo {
-		last := c.mlru.Back()
-		c.mlru.Remove(last)
-		delete(c.memo, last.Value.(*memoEntry).key)
-	}
-	c.stats.ProbeMisses++
-	return g, ok, l.costs.CR
+	return must3(l.GradeOfCostErr(obj))
 }
 
 // Fallible reports whether the wrapped backend can fail; the cache itself
@@ -527,11 +435,13 @@ func (l *cachedList) AtNErr(pos int, dst []model.Entry) (int, error) {
 	return l.AtCostNErr(pos, dst, make([]float64, len(dst)))
 }
 
-// AtCostErr implements FallibleCostedList. A failed backend fetch leaves
-// the page slot unfilled and the hit/miss accounting untouched — the next
-// read retries the fetch, and a fault can never poison a page or the tier
-// bookkeeping (the page's tier placement stands; only the slot stays
-// empty).
+// AtCostErr implements FallibleCostedList: a hot hit costs 0, a cold hit
+// costs ColdHitCost × CS (and promotes the page), a miss fetches exactly
+// one entry from the backend, caches it in its (list, page) slot and costs
+// CS. A failed backend fetch leaves the page slot unfilled and the
+// hit/miss accounting untouched — the next read retries the fetch, and a
+// fault can never poison a page or the tier bookkeeping (the page's tier
+// placement stands; only the slot stays empty).
 func (l *cachedList) AtCostErr(pos int) (model.Entry, float64, error) {
 	c := l.c
 	c.mu.Lock()
@@ -553,12 +463,20 @@ func (l *cachedList) AtCostErr(pos int) (model.Entry, float64, error) {
 	return e, l.costs.CS, nil
 }
 
-// AtCostNErr implements FallibleCostedBatchList: AtCostN with the failure
-// contract. A miss run that fails mid-fetch caches and accounts only the
-// entries the backend actually delivered; the delivered prefix of dst is
-// valid and the error is returned for the caller's retry policy.
+// AtCostNErr implements FallibleCostedBatchList: one lock acquisition per
+// batch instead of per entry. Within each page the request touches, hits
+// are copied out (hot free, the cold-finding entry at the cold fraction)
+// and contiguous miss runs are filled with a single backend batch read
+// directly into the page's slots — whole stretches of the page populate
+// per miss, not entry-by-entry. The fill never extends past the requested
+// range, so the cached run's physical accesses still never exceed an
+// uncached run's, and the per-entry hit/miss charging, stats, sketch and
+// LRU state are exactly what len(dst) AtCostErr calls would leave. A miss
+// run that fails mid-fetch caches and accounts only the entries the
+// backend actually delivered; the delivered prefix of dst is valid and the
+// error is returned for the caller's retry policy.
 func (l *cachedList) AtCostNErr(pos int, dst []model.Entry, costs []float64) (int, error) {
-	n := l.src.Len() - pos
+	n := l.n - pos
 	if n <= 0 {
 		return 0, nil
 	}
@@ -619,8 +537,9 @@ func (l *cachedList) AtCostNErr(pos int, dst []model.Entry, costs []float64) (in
 	return n, nil
 }
 
-// GradeOfCostErr implements FallibleCostedList. A failed probe memoizes
-// nothing and counts no miss.
+// GradeOfCostErr implements FallibleCostedList: a memo hit costs 0, a miss
+// probes the backend once, memoizes the answer (absence included) and
+// costs CR. A failed probe memoizes nothing and counts no miss.
 func (l *cachedList) GradeOfCostErr(obj model.ObjectID) (model.Grade, bool, float64, error) {
 	c := l.c
 	c.mu.Lock()

@@ -30,8 +30,8 @@ func TestCacheServesIdenticalEntries(t *testing.T) {
 		cached := FromLists(lists, AllowAll)
 		for i := 0; i < db.M(); i++ {
 			for {
-				pe, pok := plain.SortedNext(i)
-				ce, cok := cached.SortedNext(i)
+				pe, pok, _ := plain.SortedNext(i)
+				ce, cok, _ := cached.SortedNext(i)
 				if pok != cok || pe != ce {
 					t.Fatalf("pass %d list %d: cached (%v, %v) diverged from plain (%v, %v)", pass, i, ce, cok, pe, pok)
 				}
@@ -40,8 +40,8 @@ func TestCacheServesIdenticalEntries(t *testing.T) {
 				}
 			}
 			for _, obj := range db.Objects() {
-				pg, pok := plain.Random(i, obj)
-				cg, cok := cached.Random(i, obj)
+				pg, pok, _ := plain.Random(i, obj)
+				cg, cok, _ := cached.Random(i, obj)
 				if pok != cok || pg != cg {
 					t.Fatalf("pass %d probe (%d, %d): cached (%v, %v) vs plain (%v, %v)", pass, i, obj, cg, cok, pg, pok)
 				}
@@ -95,7 +95,7 @@ func TestCacheNeverExceedsUncachedPhysical(t *testing.T) {
 			cached := FromLists(lists, AllowAll)
 			for i := 0; i < db.M(); i++ {
 				for {
-					if _, ok := cached.SortedNext(i); !ok {
+					if _, ok, _ := cached.SortedNext(i); !ok {
 						break
 					}
 					uncachedPhysical++
@@ -137,7 +137,7 @@ func TestCacheChargesMissesOnly(t *testing.T) {
 		src := FromLists(lists, AllowAll)
 		for i := 0; i < db.M(); i++ {
 			for {
-				if _, ok := src.SortedNext(i); !ok {
+				if _, ok, _ := src.SortedNext(i); !ok {
 					break
 				}
 			}
@@ -170,7 +170,7 @@ func TestCacheMemoBound(t *testing.T) {
 	src := FromLists(lists, AllowAll)
 	for _, obj := range db.Objects() {
 		want, _ := db.List(0).GradeOf(obj)
-		if g, ok := src.Random(0, obj); !ok || g != want {
+		if g, ok, _ := src.Random(0, obj); !ok || g != want {
 			t.Fatalf("probe %d = (%v, %v), want (%v, true)", obj, g, ok, want)
 		}
 	}

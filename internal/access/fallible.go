@@ -1,23 +1,17 @@
-// The error-aware half of Source: SortedNextErr / SortedNextNErr /
-// RandomErr mirror their infallible counterparts entry for entry — same
-// policy checks, accounting, seen-set updates and trace records — and add
-// the failure contract: a context bound with BindContext is honored at
-// access granularity, transient backend failures are retried per the
-// Retry policy, and whatever the policy cannot absorb surfaces as an error
-// wrapping ErrBackend. Fault-free lists take the infallible fast path, so
-// callers can use the Err accessors unconditionally.
+// The failure contract of Source's accessors: a context bound with
+// BindContext is honored at access granularity, transient backend failures
+// are retried per the Retry policy, and whatever the policy cannot absorb
+// surfaces as an error wrapping ErrBackend.
 package access
 
 import (
 	"context"
 	"errors"
 	"time"
-
-	"repro/internal/model"
 )
 
 // BindContext attaches ctx to the source for the current query: every
-// subsequent Err accessor checks it before touching a backend, and retry
+// subsequent access checks it before touching a backend, and retry
 // backoff sleeps abort when it fires. Contexts that can never be cancelled
 // are not bound, keeping the fault-free hot path free of per-access checks.
 // Reset drops the binding.
@@ -76,227 +70,5 @@ func (s *Source) noteFault(err error, attempt int) error {
 		return s.ctx.Err()
 	case <-t.C:
 		return nil
-	}
-}
-
-// SortedNextErr is SortedNext with the failure contract. The entry and ok
-// are meaningful only when err is nil; ok false still means exhaustion,
-// never a fault.
-func (s *Source) SortedNextErr(i int) (model.Entry, bool, error) {
-	if err := s.ctxErr(); err != nil {
-		return model.Entry{}, false, err
-	}
-	if s.fallible[i] == nil {
-		e, ok := s.SortedNext(i)
-		return e, ok, nil
-	}
-	if !s.policy.CanSorted(i) {
-		panic(Violation{Op: "sorted", List: i})
-	}
-	if s.pos[i] >= s.lists[i].Len() {
-		if s.trace != nil {
-			s.trace.Entries = append(s.trace.Entries, TraceEntry{Sorted: true, List: i})
-		}
-		return model.Entry{}, false, nil
-	}
-	for attempt := 1; ; attempt++ {
-		var (
-			e    model.Entry
-			cost float64
-			err  error
-		)
-		if fcl := s.fallibleCosted[i]; fcl != nil {
-			e, cost, err = fcl.AtCostErr(s.pos[i])
-		} else {
-			e, err = s.fallible[i].AtErr(s.pos[i])
-			cost = s.costs[i].CS
-		}
-		if err == nil {
-			s.stats.ChargedSorted += cost
-			s.pos[i]++
-			s.stats.Sorted++
-			s.stats.PerList[i]++
-			s.seen.add(e.Object)
-			if s.trace != nil {
-				s.trace.Entries = append(s.trace.Entries, TraceEntry{
-					Sorted: true, List: i, Object: e.Object, Grade: e.Grade, OK: true,
-				})
-			}
-			return e, true, nil
-		}
-		if rerr := s.noteFault(err, attempt); rerr != nil {
-			return model.Entry{}, false, rerr
-		}
-	}
-}
-
-// fetchFallible reads up to len(dst) entries from fallible list i starting
-// at the cursor, choosing the richest interface the list offers, and
-// returns the delivered prefix length, the per-entry charged costs (aliasing
-// s.costBuf) and the error that stopped the fill. The prefix is valid and
-// unaccounted — the caller books it.
-func (s *Source) fetchFallible(i int, dst []model.Entry) (int, []float64, error) {
-	if cap(s.costBuf) < len(dst) {
-		s.costBuf = make([]float64, len(dst))
-	}
-	costs := s.costBuf[:len(dst)]
-	if fcb := s.fallibleCostedBatch[i]; fcb != nil {
-		n, err := fcb.AtCostNErr(s.pos[i], dst, costs)
-		return n, costs, err
-	}
-	if fcl := s.fallibleCosted[i]; fcl != nil {
-		limit := s.lists[i].Len() - s.pos[i]
-		if limit > len(dst) {
-			limit = len(dst)
-		}
-		for t := 0; t < limit; t++ {
-			e, c, err := fcl.AtCostErr(s.pos[i] + t)
-			if err != nil {
-				return t, costs, err
-			}
-			dst[t], costs[t] = e, c
-		}
-		return limit, costs, nil
-	}
-	cs := s.costs[i].CS
-	if fb := s.fallibleBatch[i]; fb != nil {
-		n, err := fb.AtNErr(s.pos[i], dst)
-		for t := 0; t < n; t++ {
-			costs[t] = cs
-		}
-		return n, costs, err
-	}
-	fl := s.fallible[i]
-	limit := s.lists[i].Len() - s.pos[i]
-	if limit > len(dst) {
-		limit = len(dst)
-	}
-	for t := 0; t < limit; t++ {
-		e, err := fl.AtErr(s.pos[i] + t)
-		if err != nil {
-			return t, costs, err
-		}
-		dst[t], costs[t] = e, cs
-	}
-	return limit, costs, nil
-}
-
-// bookSorted accounts n freshly delivered sorted entries on list i.
-func (s *Source) bookSorted(i, n int, buf []model.Entry, costs []float64) {
-	for t := 0; t < n; t++ {
-		s.stats.ChargedSorted += costs[t]
-	}
-	s.pos[i] += n
-	s.stats.Sorted += int64(n)
-	s.stats.PerList[i] += int64(n)
-	for t := 0; t < n; t++ {
-		s.seen.add(buf[t].Object)
-	}
-	if s.trace != nil {
-		for t := 0; t < n; t++ {
-			s.trace.Entries = append(s.trace.Entries, TraceEntry{
-				Sorted: true, List: i, Object: buf[t].Object, Grade: buf[t].Grade, OK: true,
-			})
-		}
-	}
-}
-
-// SortedNextNErr is SortedNextN with the failure contract: the n returned
-// entries are valid and fully accounted even when err is non-nil, so a
-// caller processes the delivered prefix and then decides about the error.
-// A transient mid-batch failure is retried in place and the fill resumes,
-// so a successful call is indistinguishable from the fault-free one.
-func (s *Source) SortedNextNErr(i int, buf []model.Entry) (int, error) {
-	if err := s.ctxErr(); err != nil {
-		return 0, err
-	}
-	if s.fallible[i] == nil {
-		return s.SortedNextN(i, buf), nil
-	}
-	if !s.policy.CanSorted(i) {
-		panic(Violation{Op: "sorted", List: i})
-	}
-	if len(buf) == 0 {
-		return 0, nil
-	}
-	if s.pos[i] >= s.lists[i].Len() {
-		if s.trace != nil {
-			s.trace.Entries = append(s.trace.Entries, TraceEntry{Sorted: true, List: i})
-		}
-		return 0, nil
-	}
-	filled := 0
-	attempt := 1
-	for {
-		if filled == len(buf) || s.pos[i] >= s.lists[i].Len() {
-			return filled, nil
-		}
-		n, costs, err := s.fetchFallible(i, buf[filled:])
-		s.bookSorted(i, n, buf[filled:], costs)
-		filled += n
-		if err == nil {
-			if n == 0 {
-				return filled, nil
-			}
-			continue
-		}
-		if n > 0 {
-			attempt = 1 // progress: the next failure starts a fresh attempt run
-		}
-		if rerr := s.noteFault(err, attempt); rerr != nil {
-			return filled, rerr
-		}
-		attempt++
-	}
-}
-
-// RandomErr is Random with the failure contract. The grade and ok are
-// meaningful only when err is nil.
-func (s *Source) RandomErr(i int, obj model.ObjectID) (model.Grade, bool, error) {
-	if err := s.ctxErr(); err != nil {
-		return 0, false, err
-	}
-	if s.fallible[i] == nil {
-		g, ok := s.Random(i, obj)
-		return g, ok, nil
-	}
-	if !s.policy.CanRandom(i) {
-		panic(Violation{Op: "random", List: i})
-	}
-	for attempt := 1; ; attempt++ {
-		var (
-			g    model.Grade
-			ok   bool
-			cost float64
-			err  error
-		)
-		if fcl := s.fallibleCosted[i]; fcl != nil {
-			g, ok, cost, err = fcl.GradeOfCostErr(obj)
-		} else {
-			g, ok, err = s.fallible[i].GradeOfErr(obj)
-			cost = s.costs[i].CR
-		}
-		if err == nil {
-			if !ok {
-				if s.trace != nil {
-					s.trace.Entries = append(s.trace.Entries, TraceEntry{List: i, Object: obj})
-				}
-				return 0, false, nil
-			}
-			s.stats.Random++
-			s.stats.ChargedRandom += cost
-			if !s.seen.has(obj) {
-				s.stats.WildGuesses++
-			}
-			if s.trace != nil {
-				s.trace.Entries = append(s.trace.Entries, TraceEntry{
-					List: i, Object: obj, Grade: g, OK: true,
-				})
-			}
-			return g, true, nil
-		}
-		if rerr := s.noteFault(err, attempt); rerr != nil {
-			return 0, false, rerr
-		}
 	}
 }

@@ -100,6 +100,31 @@ func gradeOfErr(l ListSource, obj model.ObjectID) (model.Grade, bool, error) {
 	return g, ok, nil
 }
 
+// must, must2 and must3 are how the infallible access methods of a layer
+// that can fail surface a fault: they return the error-aware twin's values
+// and panic with its error, so a fault can never masquerade as an exhausted
+// list or a fabricated entry.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+func must2[T, U any](v T, w U, err error) (T, U) {
+	if err != nil {
+		panic(err)
+	}
+	return v, w
+}
+
+func must3[T, U, V any](v T, w U, x V, err error) (T, U, V) {
+	if err != nil {
+		panic(err)
+	}
+	return v, w, x
+}
+
 // fetchIntoErr is fetchInto with an error path: it reads up to len(dst)
 // consecutive entries from l starting at pos and returns the count written
 // before the error (the delivered prefix is valid).
@@ -217,31 +242,13 @@ func (f *Faulty) Len() int { return f.src.Len() }
 
 // At implements ListSource for fault-free callers; an injected fault panics
 // with the error rather than returning a fabricated entry.
-func (f *Faulty) At(pos int) model.Entry {
-	e, err := f.AtErr(pos)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
+func (f *Faulty) At(pos int) model.Entry { return must(f.AtErr(pos)) }
 
 // GradeOf implements ListSource; an injected fault panics with the error.
-func (f *Faulty) GradeOf(obj model.ObjectID) (model.Grade, bool) {
-	g, ok, err := f.GradeOfErr(obj)
-	if err != nil {
-		panic(err)
-	}
-	return g, ok
-}
+func (f *Faulty) GradeOf(obj model.ObjectID) (model.Grade, bool) { return must2(f.GradeOfErr(obj)) }
 
 // AtN implements BatchList; an injected fault panics with the error.
-func (f *Faulty) AtN(pos int, dst []model.Entry) int {
-	n, err := f.AtNErr(pos, dst)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
+func (f *Faulty) AtN(pos int, dst []model.Entry) int { return must(f.AtNErr(pos, dst)) }
 
 // AccessCosts implements Backend, passing through the wrapped declaration.
 func (f *Faulty) AccessCosts() CostModel { return f.costs }

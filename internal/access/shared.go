@@ -52,7 +52,7 @@ func NewSharedScan(lists []ListSource) *SharedScan {
 		if l.Len() != n {
 			panic(fmt.Sprintf("access: list %d has %d entries, want %d", i, l.Len(), n))
 		}
-		ss.shared[i] = &sharedList{src: l, consumers: make(map[int]int)}
+		ss.shared[i] = &sharedList{src: l, n: n, consumers: make(map[int]int)}
 	}
 	return ss
 }
@@ -124,6 +124,7 @@ func (ss *SharedScan) PeakWindow() int {
 type sharedList struct {
 	mu        sync.Mutex
 	src       ListSource
+	n         int           // src.Len(), fixed: lists are immutable
 	base      int           // absolute position of buf[0]
 	buf       []model.Entry // the window: absolute positions [base, base+len(buf))
 	consumers map[int]int   // live consumer id → next unread position
@@ -143,59 +144,6 @@ func (l *sharedList) detach(id int) {
 	delete(l.consumers, id)
 	l.trimLocked()
 	l.mu.Unlock()
-}
-
-// at serves consumer id's read of absolute position pos, extending the
-// window as needed and sliding it past the slowest live consumer.
-func (l *sharedList) at(id, pos int) model.Entry {
-	l.mu.Lock()
-	e := l.atLocked(id, pos)
-	l.mu.Unlock()
-	return e
-}
-
-// atLocked is one consumer read with l.mu held; batch reads loop it under a
-// single lock acquisition, so the per-entry window advance/trim — and with
-// it the fetched/peak accounting — is identical batch or not.
-func (l *sharedList) atLocked(id, pos int) model.Entry {
-	if pos < l.base {
-		// The window already slid past pos (this consumer attached after
-		// trimming): serve straight from the source, one extra physical
-		// access.
-		e := l.src.At(pos)
-		l.fetched++
-		l.advanceLocked(id, pos)
-		return e
-	}
-	for pos >= l.base+len(l.buf) {
-		l.buf = append(l.buf, l.src.At(l.base+len(l.buf)))
-		l.fetched++
-	}
-	if len(l.buf) > l.peak {
-		l.peak = len(l.buf)
-	}
-	e := l.buf[pos-l.base]
-	l.advanceLocked(id, pos)
-	l.trimLocked()
-	return e
-}
-
-// atN serves consumer id's reads of positions pos, pos+1, … under one lock
-// acquisition, returning how many entries it wrote.
-func (l *sharedList) atN(id, pos int, dst []model.Entry) int {
-	n := l.src.Len() - pos
-	if n <= 0 {
-		return 0
-	}
-	if n > len(dst) {
-		n = len(dst)
-	}
-	l.mu.Lock()
-	for i := 0; i < n; i++ {
-		dst[i] = l.atLocked(id, pos+i)
-	}
-	l.mu.Unlock()
-	return n
 }
 
 // advanceLocked records that consumer id has consumed position pos.
@@ -230,11 +178,18 @@ func (l *sharedList) trimLocked() {
 	l.base += drop
 }
 
-// atLockedErr is atLocked with the failure contract: a failed source read
-// leaves the window exactly as far as it successfully extended, so a later
-// retry resumes the fill without re-fetching delivered entries.
-func (l *sharedList) atLockedErr(id, pos int) (model.Entry, error) {
+// atLocked serves consumer id's read of absolute position pos with l.mu
+// held, extending the window as needed and sliding it past the slowest
+// live consumer; batch reads loop it under a single lock acquisition, so
+// the per-entry window advance/trim — and with it the fetched/peak
+// accounting — is identical batch or not. A failed source read leaves the
+// window exactly as far as it successfully extended, so a later retry
+// resumes the fill without re-fetching delivered entries.
+func (l *sharedList) atLocked(id, pos int) (model.Entry, error) {
 	if pos < l.base {
+		// The window already slid past pos (this consumer attached after
+		// trimming): serve straight from the source, one extra physical
+		// access.
 		e, err := atErr(l.src, pos)
 		if err != nil {
 			return model.Entry{}, err
@@ -263,13 +218,13 @@ func (l *sharedList) atLockedErr(id, pos int) (model.Entry, error) {
 func (l *sharedList) atErr(id, pos int) (model.Entry, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.atLockedErr(id, pos)
+	return l.atLocked(id, pos)
 }
 
 // atNErr serves the batch under one lock acquisition; the delivered prefix
 // is valid when an entry mid-batch fails.
 func (l *sharedList) atNErr(id, pos int, dst []model.Entry) (int, error) {
-	n := l.src.Len() - pos
+	n := l.n - pos
 	if n <= 0 {
 		return 0, nil
 	}
@@ -279,7 +234,7 @@ func (l *sharedList) atNErr(id, pos int, dst []model.Entry) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for i := 0; i < n; i++ {
-		e, err := l.atLockedErr(id, pos+i)
+		e, err := l.atLocked(id, pos+i)
 		if err != nil {
 			return i, err
 		}
@@ -301,16 +256,6 @@ func (l *sharedList) gradeOfErr(obj model.ObjectID) (model.Grade, bool, error) {
 	return g, ok, nil
 }
 
-func (l *sharedList) gradeOf(obj model.ObjectID) (model.Grade, bool) {
-	g, ok := l.src.GradeOf(obj)
-	if ok {
-		l.mu.Lock()
-		l.random++
-		l.mu.Unlock()
-	}
-	return g, ok
-}
-
 func (l *sharedList) counts() (fetched, random int64, peak int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -325,16 +270,18 @@ type consumerView struct {
 	id int
 }
 
-func (v *consumerView) Len() int               { return v.l.src.Len() }
-func (v *consumerView) At(pos int) model.Entry { return v.l.at(v.id, pos) }
+func (v *consumerView) Len() int { return v.l.n }
 
-// AtN implements BatchList: the batch is served through the shared window
-// under one lock acquisition.
-func (v *consumerView) AtN(pos int, dst []model.Entry) int {
-	return v.l.atN(v.id, pos, dst)
-}
+// At implements ListSource through AtErr; a backend failure panics with
+// the error.
+func (v *consumerView) At(pos int) model.Entry { return must(v.AtErr(pos)) }
+
+// AtN implements BatchList through AtNErr.
+func (v *consumerView) AtN(pos int, dst []model.Entry) int { return must(v.AtNErr(pos, dst)) }
+
+// GradeOf implements ListSource through GradeOfErr.
 func (v *consumerView) GradeOf(obj model.ObjectID) (model.Grade, bool) {
-	return v.l.gradeOf(obj)
+	return must2(v.GradeOfErr(obj))
 }
 
 // AccessCosts implements Backend when the underlying list declares costs,
@@ -350,7 +297,8 @@ func (v *consumerView) AtErr(pos int) (model.Entry, error) {
 	return v.l.atErr(v.id, pos)
 }
 
-// AtNErr implements FallibleBatchList through the shared window.
+// AtNErr implements FallibleBatchList: the batch is served through the
+// shared window under one lock acquisition.
 func (v *consumerView) AtNErr(pos int, dst []model.Entry) (int, error) {
 	return v.l.atNErr(v.id, pos, dst)
 }

@@ -23,8 +23,8 @@ func TestSharedScanServesIdenticalEntries(t *testing.T) {
 	defer release()
 	for i := 0; i < db.M(); i++ {
 		for {
-			pe, pok := plain.SortedNext(i)
-			se, sok := shared.SortedNext(i)
+			pe, pok, _ := plain.SortedNext(i)
+			se, sok, _ := shared.SortedNext(i)
 			if pok != sok || pe != se {
 				t.Fatalf("list %d: shared (%v, %v) diverged from plain (%v, %v)", i, se, sok, pe, pok)
 			}
@@ -33,7 +33,7 @@ func TestSharedScanServesIdenticalEntries(t *testing.T) {
 			}
 		}
 	}
-	if g, ok := shared.Random(0, 2); !ok || g != 0.5 {
+	if g, ok, _ := shared.Random(0, 2); !ok || g != 0.5 {
 		t.Fatalf("random probe: got (%v, %v)", g, ok)
 	}
 	ps, sh := plain.Stats(), shared.Stats()
@@ -69,7 +69,7 @@ func TestSharedScanScansOncePerList(t *testing.T) {
 		src := srcs[j]
 		for i := 0; i < db.M(); i++ {
 			for r := 0; r < d; r++ {
-				if _, ok := src.SortedNext(i); !ok {
+				if _, ok, _ := src.SortedNext(i); !ok {
 					t.Fatalf("unexpected exhaustion at depth %d", r)
 				}
 			}
@@ -103,7 +103,7 @@ func TestSharedScanConcurrentConsumers(t *testing.T) {
 	want := New(db, AllowAll)
 	var wantEntries []model.Entry
 	for {
-		e, ok := want.SortedNext(0)
+		e, ok, _ := want.SortedNext(0)
 		if !ok {
 			break
 		}
@@ -123,7 +123,7 @@ func TestSharedScanConcurrentConsumers(t *testing.T) {
 			defer releases[g]()
 			src := srcs[g]
 			for j := 0; ; j++ {
-				e, ok := src.SortedNext(0)
+				e, ok, _ := src.SortedNext(0)
 				if !ok {
 					if j != len(wantEntries) {
 						t.Errorf("consumer saw %d entries, want %d", j, len(wantEntries))
@@ -164,7 +164,7 @@ func TestSharedScanWindowSlides(t *testing.T) {
 	ss := NewSharedScan([]ListSource{db.List(0)})
 	src, release := ss.Attach(AllowAll)
 	for i := 0; i < n; i++ {
-		if _, ok := src.SortedNext(0); !ok {
+		if _, ok, _ := src.SortedNext(0); !ok {
 			t.Fatalf("unexpected exhaustion at %d", i)
 		}
 	}
@@ -212,7 +212,7 @@ func TestSharedScanLateAttachRefetches(t *testing.T) {
 	first, release := ss.Attach(AllowAll)
 	var want []model.Entry
 	for {
-		e, ok := first.SortedNext(0)
+		e, ok, _ := first.SortedNext(0)
 		if !ok {
 			break
 		}
@@ -222,7 +222,7 @@ func TestSharedScanLateAttachRefetches(t *testing.T) {
 	late, lateRelease := ss.Attach(AllowAll)
 	defer lateRelease()
 	for j := 0; ; j++ {
-		e, ok := late.SortedNext(0)
+		e, ok, _ := late.SortedNext(0)
 		if !ok {
 			if j != len(want) {
 				t.Fatalf("late consumer saw %d entries, want %d", j, len(want))

@@ -18,10 +18,10 @@ import (
 // The analysis is intra-procedural: a critical section opened by X.Lock()
 // extends to the matching X.Unlock() in the same statement list, or to the
 // function's end when the unlock is deferred. Calls to access-shaped
-// methods (At, AtN, AtCost, AtCostN, GradeOf, GradeOfCost, SortedNext,
-// SortedNextN, Random) and to fetchInto are flagged, except on
-// internal/model values — an in-memory column read is a bounds-checked
-// array access, not a potentially-blocking backend call.
+// methods (accessMethodNames) and to the access package's fetch helpers
+// (fetchHelperNames) are flagged, except on internal/model values — an
+// in-memory column read is a bounds-checked array access, not a
+// potentially-blocking backend call.
 var LockBlock = &Analyzer{
 	Name: "lockblock",
 	Key:  "lockheld",
@@ -32,13 +32,21 @@ var LockBlock = &Analyzer{
 	Run:   runLockBlock,
 }
 
-// accessMethodNames are the method names of the backend access surface
-// (ListSource, Backend, CostedList, BatchList, CostedBatchList and the
-// Source entry points).
+// accessMethodNames are the method names of the backend access surface:
+// ListSource, BatchList, CostedList and CostedBatchList, their error-aware
+// Fallible* twins, and the Source entry points.
 var accessMethodNames = map[string]bool{
 	"At": true, "AtN": true, "AtCost": true, "AtCostN": true,
 	"GradeOf": true, "GradeOfCost": true,
+	"AtErr": true, "AtNErr": true, "AtCostErr": true, "AtCostNErr": true,
+	"GradeOfErr": true, "GradeOfCostErr": true,
 	"SortedNext": true, "SortedNextN": true, "Random": true,
+}
+
+// fetchHelperNames are the access package's helpers that read a wrapped
+// list on the caller's behalf.
+var fetchHelperNames = map[string]bool{
+	"fetchInto": true, "fetchIntoErr": true, "atErr": true, "gradeOfErr": true,
 }
 
 func runLockBlock(pass *Pass) error {
@@ -229,8 +237,8 @@ func checkHeldNode(pass *Pass, n ast.Node, held map[string]bool) {
 				return true
 			}
 			if id, ok := ast.Unparen(c.Fun).(*ast.Ident); ok {
-				if fn, isFn := pass.TypesInfo.ObjectOf(id).(*types.Func); isFn && fn.Name() == "fetchInto" {
-					pass.Reportf(c.Pos(), "backend fetch (fetchInto) while holding %s (//lint:lockheld <reason>)", heldName())
+				if fn, isFn := pass.TypesInfo.ObjectOf(id).(*types.Func); isFn && fetchHelperNames[fn.Name()] {
+					pass.Reportf(c.Pos(), "backend fetch (%s) while holding %s (//lint:lockheld <reason>)", fn.Name(), heldName())
 				}
 				return true
 			}

@@ -10,11 +10,12 @@ import (
 )
 
 // syncCursors advances the single-step cursor by the number of rounds the
-// batched cursor just completed, so both sit at the same depth.
+// batched cursor just completed, one StepN(1) round at a time, so both sit
+// at the same depth.
 func syncCursors(t *testing.T, single *NRACursor, rounds int) {
 	t.Helper()
 	for j := 0; j < rounds; j++ {
-		if !single.Step() {
+		if single.StepN(1) != 1 {
 			t.Fatalf("single-step cursor exhausted %d rounds early", rounds-j)
 		}
 	}
@@ -29,7 +30,7 @@ func cursorViewSnapshot(v CursorView) CursorView {
 
 // TestStepNMatchesStep is the batched-cursor equivalence property: for any
 // budget, StepN(budget) must leave the cursor in exactly the state budget
-// Step calls produce — same views (intervals, threshold, OutsideB), same
+// single-round StepN(1) calls produce — same views (intervals, threshold, OutsideB), same
 // depth, same halting answers, same exhaustion point and same access
 // statistics. The batched engine's correctness argument reduces to this.
 func TestStepNMatchesStep(t *testing.T) {
@@ -67,7 +68,7 @@ func TestStepNMatchesStep(t *testing.T) {
 				t.Fatalf("budget %d depth %d: views diverged:\nsingle: %+v\nbatch:  %+v", budget, single.Depth(), sv, bv)
 			}
 		}
-		if single.Step() {
+		if single.StepN(1) != 0 {
 			t.Fatalf("budget %d: single-step cursor not exhausted when batched one is", budget)
 		}
 		if !reflect.DeepEqual(srcA.Stats(), srcB.Stats()) {

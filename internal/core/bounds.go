@@ -305,7 +305,7 @@ func (tb *table) resolveAll(p *partial) error {
 		if p.known&(uint64(1)<<uint(j)) != 0 {
 			continue
 		}
-		g, ok, err := tb.src.RandomErr(j, p.obj)
+		g, ok, err := tb.src.Random(j, p.obj)
 		if err != nil {
 			return err
 		}

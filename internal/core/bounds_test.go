@@ -93,7 +93,7 @@ func TestDrainTopRetiresNonViable(t *testing.T) {
 	for d := 0; d < 5; d++ {
 		tb.depth++
 		for i := 0; i < 2; i++ {
-			if e, ok := src.SortedNext(i); ok {
+			if e, ok, _ := src.SortedNext(i); ok {
 				tb.observeSorted(i, e)
 			}
 		}
@@ -120,7 +120,7 @@ func TestMkNonDecreasing(t *testing.T) {
 	for d := 0; d < 5; d++ {
 		tb.depth++
 		for i := 0; i < 2; i++ {
-			if e, ok := src.SortedNext(i); ok {
+			if e, ok, _ := src.SortedNext(i); ok {
 				tb.observeSorted(i, e)
 			}
 		}
@@ -137,9 +137,9 @@ func TestMkNonDecreasing(t *testing.T) {
 func TestThresholdMatchesUnseenBound(t *testing.T) {
 	tb, src := tableFor(t, 1, true)
 	tb.depth = 1
-	e0, _ := src.SortedNext(0)
+	e0, _, _ := src.SortedNext(0)
 	tb.observeSorted(0, e0)
-	e1, _ := src.SortedNext(1)
+	e1, _, _ := src.SortedNext(1)
 	tb.observeSorted(1, e1)
 	want := agg.Avg(2).Apply([]model.Grade{e0.Grade, e1.Grade})
 	if got := tb.threshold(); got != want {
@@ -152,7 +152,7 @@ func TestResultFromTableOrdersBestFirst(t *testing.T) {
 	for d := 0; d < 5; d++ {
 		tb.depth++
 		for i := 0; i < 2; i++ {
-			if e, ok := src.SortedNext(i); ok {
+			if e, ok, _ := src.SortedNext(i); ok {
 				tb.observeSorted(i, e)
 			}
 		}

@@ -60,7 +60,7 @@ func (a *CA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 		return nil, err
 	}
 	for {
-		if !c.Step() {
+		if c.StepN(1) == 0 {
 			if err := c.Err(); err != nil {
 				return nil, err
 			}

@@ -157,25 +157,19 @@ func (a *CostAwareTA) Run(src *access.Source, t agg.Func, k int) (*Result, error
 			// pinned, and the top-k is exact as it stands.
 			return a.finish(tb, view)
 		}
-		e, ok, err := src.SortedNextErr(i)
+		e, ok, err := src.SortedNext(i)
 		if err != nil {
 			return a.die(tb, view, err)
 		}
+		view.Exhausted[i] = !ok || src.Exhausted(i)
 		if !ok {
-			view.Exhausted[i] = true
 			continue
 		}
 		// Bounds age per access here (not per parallel round): any access
 		// lowers a bottom, so cached B values must refresh against it.
 		tb.depth++
-		view.PrevBottom[i] = view.Bottom[i]
-		view.Bottom[i] = e.Grade
-		view.Depth[i]++
-		view.Exhausted[i] = src.Exhausted(i)
-		for j := 0; j < m; j++ {
-			view.SinceAccess[j]++
-		}
-		view.SinceAccess[i] = 0
+		view.age(i, i+1)
+		view.observe(i, e.Grade)
 		tb.observeSorted(i, e)
 		src.ReportBuffer(len(tb.parts))
 

@@ -11,19 +11,19 @@ import (
 
 // NRACursor is a resumable, step-based handle on the sorted-access loop and
 // the W/B bound bookkeeping shared by NRA, CA and Intermittent (Section 8).
-// Each Step performs one parallel sorted-access round; Halted evaluates the
+// StepN(1) performs one parallel sorted-access round; Halted evaluates the
 // Section 8.1 stopping rule at the current depth; View exposes the interval
 // evidence the run has accumulated.
 //
 // The crucial property — the reason this exists as a cursor rather than a
 // closed Run loop — is that Halted is advisory, not terminal: a caller may
-// keep calling Step *past the local halting point*, which keeps performing
+// keep calling StepN *past the local halting point*, which keeps performing
 // sorted access and therefore keeps tightening every [W, B] interval. The
 // sharded no-random-access engine depends on this: a shard's local top-k can
 // separate (local halt) while the global intervals across shards have not
 // yet separated at rank k, and the coordinator must then push the shard
-// deeper until they do. Once every list is exhausted Step becomes a no-op
-// returning false, and every bound is pinned (B = W for all seen objects).
+// deeper until they do. Once every list is exhausted StepN becomes a no-op
+// returning 0, and every bound is pinned (B = W for all seen objects).
 type NRACursor struct {
 	src *access.Source
 	t   agg.Func
@@ -31,8 +31,8 @@ type NRACursor struct {
 	tb  *table
 
 	exhausted   bool
-	err         error            // sticky backend failure; Step/StepN return false/0 once set
-	encountered []model.ObjectID // objects seen during the latest Step round
+	err         error            // sticky backend failure; StepN returns 0 once set
+	encountered []model.ObjectID // objects seen during the latest StepN call
 	viewItems   []Scored         // reusable backing for View().TopK
 
 	stepBuf    []model.Entry // reusable batch buffer (m × budget entries)
@@ -67,7 +67,7 @@ type CursorView struct {
 
 // NewNRACursor validates the query and opens a cursor at depth 0. The
 // source must permit sorted access on every list (random access is never
-// used by Step; CA and Intermittent layer their random phases on top).
+// used by StepN; CA and Intermittent layer their random phases on top).
 func NewNRACursor(src *access.Source, t agg.Func, k int, engine Engine) (*NRACursor, error) {
 	if err := validate(src, t, k); err != nil {
 		return nil, err
@@ -80,64 +80,22 @@ func NewNRACursor(src *access.Source, t agg.Func, k int, engine Engine) (*NRACur
 	return &NRACursor{src: src, t: t, k: k, tb: newTable(src, t, k, engine == LazyEngine)}, nil
 }
 
-// Step performs one parallel sorted-access round (one entry from every
-// non-exhausted list) and reports whether any access succeeded. It returns
-// false — without consuming anything — once every list is exhausted, at
-// which point all grades are known and every interval is pinned.
-func (c *NRACursor) Step() bool {
-	if c.exhausted || c.err != nil {
-		return false
-	}
-	c.tb.depth++
-	c.encountered = c.encountered[:0]
-	progress := false
-	for i := 0; i < c.tb.m; i++ {
-		e, ok, err := c.src.SortedNextErr(i)
-		if err != nil {
-			// Keep the entries this round already delivered (bounds only
-			// tightened) and go sticky-dead: the cursor's view stays
-			// consistent and callers read the failure from Err.
-			c.err = err
-			break
-		}
-		if !ok {
-			continue
-		}
-		progress = true
-		c.tb.observeSorted(i, e)
-		c.encountered = append(c.encountered, e.Object)
-	}
-	if !progress {
-		// Undo the depth bump: nothing was read, so bound freshness at
-		// the previous depth still holds and Depth stays meaningful.
-		c.tb.depth--
-		if c.err == nil {
-			c.exhausted = true
-		}
-		return false
-	}
-	c.src.ReportBuffer(len(c.tb.parts))
-	return c.err == nil
-}
-
 // StepN performs up to budget parallel sorted-access rounds in one call and
-// returns the number of rounds completed (0 once every list is exhausted).
-// Each list's next entries are prefetched with a single batched sorted
-// access, then applied to the bound table round by round in (round, list)
-// order — exactly the observation sequence budget Step calls would produce,
-// so every interval, threshold and Halted answer is identical; only the
-// per-round call and accounting overhead is amortized. A return below
-// budget means the lists ran out mid-call. Buffer occupancy is reported
-// once per call; encounteredObjects accumulates across all completed
-// rounds.
+// returns the number of rounds it applied; StepN(1) is one round, one entry
+// from every non-exhausted list. Each list's next entries are fetched with
+// a single batched sorted access, then applied to the bound table round by
+// round in (round, list) order — exactly the observation sequence budget
+// single rounds would produce, so every interval, threshold and Halted
+// answer is identical; only the per-round call and accounting overhead is
+// amortized. A return below budget means the lists ran out mid-call; 0
+// means every list is exhausted (nothing was consumed; all grades are
+// known and every interval is pinned) or the cursor failed. A backend
+// failure stops the fill: no further list is read, the entries already
+// delivered are still applied (bounds only tighten), the call returns 0
+// and Err reports the failure. Buffer occupancy is reported once per call;
+// encounteredObjects accumulates across all applied rounds.
 func (c *NRACursor) StepN(budget int) int {
 	if c.exhausted || c.err != nil || budget <= 0 {
-		return 0
-	}
-	if budget == 1 {
-		if c.Step() {
-			return 1
-		}
 		return 0
 	}
 	m := c.tb.m
@@ -148,16 +106,20 @@ func (c *NRACursor) StepN(budget int) int {
 		c.stepCounts = make([]int, m)
 	}
 	counts := c.stepCounts[:m]
+	clear(counts)
 	rounds := 0
 	for i := 0; i < m; i++ {
-		n, err := c.src.SortedNextNErr(i, c.stepBuf[i*budget:(i+1)*budget])
+		n, err := c.src.SortedNextN(i, c.stepBuf[i*budget:(i+1)*budget])
 		counts[i] = n
-		if err != nil && c.err == nil {
-			// Apply the delivered prefixes below, then go sticky-dead.
-			c.err = err
-		}
 		if n > rounds {
 			rounds = n
+		}
+		if err != nil {
+			// Apply the delivered prefixes below, then go sticky-dead: the
+			// cursor's view stays consistent and callers read the failure
+			// from Err.
+			c.err = err
+			break
 		}
 	}
 	if rounds == 0 {
@@ -178,22 +140,25 @@ func (c *NRACursor) StepN(budget int) int {
 			c.encountered = append(c.encountered, e.Object)
 		}
 	}
-	if rounds < budget && c.err == nil {
+	c.src.ReportBuffer(len(c.tb.parts))
+	if c.err != nil {
+		return 0
+	}
+	if rounds < budget {
 		c.exhausted = true
 	}
-	c.src.ReportBuffer(len(c.tb.parts))
 	return rounds
 }
 
 // Err returns the sticky backend failure that stopped the cursor, if any.
 // A cursor with a non-nil Err is not exhausted — its view and bounds remain
-// valid as of the failure — but Step and StepN refuse to advance it.
+// valid as of the failure — but StepN refuses to advance it.
 func (c *NRACursor) Err() error { return c.err }
 
 // Halted evaluates the Section 8.1 stopping rule at the current depth: at
 // least k objects seen and no viable object — seen or unseen — outside the
-// current top-k. A true result does not close the cursor; Step may still be
-// called to tighten intervals further.
+// current top-k. A true result does not close the cursor; StepN may still
+// be called to tighten intervals further.
 func (c *NRACursor) Halted() bool { return c.tb.halted() }
 
 // Exhausted reports whether every list has been fully consumed.
@@ -202,7 +167,7 @@ func (c *NRACursor) Exhausted() bool { return c.exhausted }
 // Depth returns the number of completed sorted-access rounds.
 func (c *NRACursor) Depth() int { return c.tb.depth }
 
-// StepCost returns the declared middleware cost of one more Step — the sum
+// StepCost returns the declared middleware cost of one more round — the sum
 // of the source's per-backend sorted-access costs over all lists. A
 // latency-aware scheduler weighs a shard's resume against this: with
 // heterogeneous backends, pushing a cheap shard one round deeper can buy
@@ -250,7 +215,7 @@ func (c *NRACursor) View() CursorView {
 	c.viewItems = items
 	outside := c.OutsideB()
 	return CursorView{
-		//lint:sharedslice documented contract: the view buffer is reused; callers copy before the next Step
+		//lint:sharedslice documented contract: the view buffer is reused; callers copy before the next StepN
 		TopK:      items,
 		Threshold: tb.threshold(),
 		OutsideB:  outside,
@@ -263,13 +228,13 @@ func (c *NRACursor) View() CursorView {
 // Halted reports true, or when a caller stops a run early).
 func (c *NRACursor) Result() *Result { return c.tb.result(c.tb.depth) }
 
-// encounteredObjects returns the objects seen during the latest Step round
-// in list order (Intermittent queues these for its delayed random phase).
-// The slice is reused by the next Step.
+// encounteredObjects returns the objects seen during the latest StepN call
+// in (round, list) order (Intermittent queues these for its delayed random
+// phase). The slice is reused by the next StepN.
 func (c *NRACursor) encounteredObjects() []model.ObjectID { return c.encountered }
 
 // randomPhase performs one CA Step-2 phase (Section 8.2); see
-// table.randomPhase. A backend failure goes sticky, like a failed Step.
+// table.randomPhase. A backend failure goes sticky, like a failed StepN.
 func (c *NRACursor) randomPhase() error {
 	if c.err != nil {
 		return c.err

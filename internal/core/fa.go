@@ -50,7 +50,10 @@ func (FA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 	for matched < k && !allExhausted(src) {
 		rounds++
 		for i := 0; i < m; i++ {
-			e, ok := src.SortedNext(i)
+			e, ok, err := src.SortedNext(i)
+			if err != nil {
+				return nil, err
+			}
 			if !ok {
 				continue
 			}
@@ -81,7 +84,10 @@ func (FA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 			if st.known&bit != 0 {
 				continue
 			}
-			g, ok := src.Random(i, obj)
+			g, ok, err := src.Random(i, obj)
+			if err != nil {
+				return nil, err
+			}
 			if !ok {
 				return nil, fmt.Errorf("core: object %d missing from list %d", obj, i)
 			}

@@ -58,7 +58,7 @@ func (a *Intermittent) Run(src *access.Source, t agg.Func, k int) (*Result, erro
 	}
 	var queue []model.ObjectID // encounters in TA time order
 	for {
-		if !c.Step() {
+		if c.StepN(1) == 0 {
 			if err := c.Err(); err != nil {
 				return nil, err
 			}

@@ -32,7 +32,10 @@ func (Naive) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 	grades := make(map[model.ObjectID][]model.Grade, src.N())
 	for i := 0; i < m; i++ {
 		for {
-			e, ok := src.SortedNext(i)
+			e, ok, err := src.SortedNext(i)
+			if err != nil {
+				return nil, err
+			}
 			if !ok {
 				break
 			}
@@ -92,7 +95,10 @@ func (MaxTopK) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 	best := make(map[model.ObjectID]model.Grade)
 	for round := 0; round < k; round++ {
 		for i := 0; i < m; i++ {
-			e, ok := src.SortedNext(i)
+			e, ok, err := src.SortedNext(i)
+			if err != nil {
+				return nil, err
+			}
 			if !ok {
 				continue
 			}

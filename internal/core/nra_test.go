@@ -27,7 +27,7 @@ func TestNRABoundsInvariant(t *testing.T) {
 		for round := 0; round < 50; round++ {
 			tb.depth++
 			for i := 0; i < 3; i++ {
-				e, ok := src.SortedNext(i)
+				e, ok, _ := src.SortedNext(i)
 				if !ok {
 					continue
 				}
@@ -159,7 +159,7 @@ func TestNRARetirementIsPermanent(t *testing.T) {
 		tb.depth++
 		progress := false
 		for i := 0; i < 3; i++ {
-			if e, ok := src.SortedNext(i); ok {
+			if e, ok, _ := src.SortedNext(i); ok {
 				progress = true
 				tb.observeSorted(i, e)
 			}

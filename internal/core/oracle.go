@@ -69,10 +69,14 @@ func (s *Scripted) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 		if st.List < 0 || st.List >= src.M() {
 			return nil, fmt.Errorf("%w: script references list %d of %d", ErrBadQuery, st.List, src.M())
 		}
+		var err error
 		if st.Sorted {
-			src.SortedNext(st.List)
+			_, _, err = src.SortedNext(st.List)
 		} else {
-			src.Random(st.List, st.Object)
+			_, _, err = src.Random(st.List, st.Object)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	items := make([]Scored, len(s.Answer))

@@ -63,6 +63,27 @@ func newSchedView(src *access.Source) *SchedView {
 	return v
 }
 
+// observe records one sorted access on list i that returned grade g — the
+// per-entry half of the view update.
+func (v *SchedView) observe(i int, g model.Grade) {
+	v.PrevBottom[i] = v.Bottom[i]
+	v.Bottom[i] = g
+	v.Depth[i]++
+}
+
+// age closes one fetch group that read lists lo..hi-1 — the per-group half
+// of the view update: those lists restart their SinceAccess count, every
+// other list's grows by one scheduling step. For a group of one access
+// this is exactly the per-access update.
+func (v *SchedView) age(lo, hi int) {
+	for i := range v.SinceAccess {
+		v.SinceAccess[i]++
+	}
+	for i := lo; i < hi; i++ {
+		v.SinceAccess[i] = 0
+	}
+}
+
 // Scheduler chooses which sorted list TA accesses next. The paper's
 // algorithms do "sorted access in parallel"; footnote 6 notes correctness
 // and instance optimality survive any schedule whose per-list rates stay

@@ -15,6 +15,10 @@ import (
 // current θ = τ/β certifying the view as a θ-approximation (math.Inf(1)
 // until k objects with positive grades are held; 1 when the view is already
 // provably exact).
+//
+// TopK may be backed by a buffer the run reuses for its next callback (TA
+// and cost-aware TA reuse one): read or copy it inside the callback, do not
+// retain it.
 type Progress struct {
 	TopK      []Scored
 	Threshold model.Grade
@@ -68,8 +72,8 @@ type TA struct {
 	// and one buffer report per batch instead of per access, and up to
 	// Batch-1 prefetched-but-unprocessed accesses charged to Stats when the
 	// run stops mid-batch. Requires the default lockstep schedule (Sched
-	// must be nil); sources whose policy restricts sorted access fall back
-	// to the single-step loop.
+	// must be nil); sources whose policy restricts sorted access read one
+	// entry at a time.
 	Batch int
 }
 
@@ -111,19 +115,29 @@ func (a *TA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 	if m > 1 && !src.CanRandom(0) {
 		return nil, fmt.Errorf("%w: TA needs random access; use NRA when random access is impossible", ErrBadQuery)
 	}
+	// The run reads in fetch groups: the single list the scheduler picks,
+	// or — with Batch — Batch lockstep rounds from every list in one
+	// batched access per list. Entries are processed in (round, list)
+	// order with the threshold and stopping rule evaluated after every
+	// entry, so a group of any size stops on the same access a single-step
+	// run would. The buffer report and OnProgress fire once per group,
+	// after its last entry and before that entry's stop check; a stop
+	// mid-group discards the remaining prefetched entries, which is sound
+	// (each sits at or below its list's current bottom, so its overall
+	// grade is at most τ, which the stop rule just bounded by the kth
+	// grade) and visible only as up to Batch-1 extra charged sorted
+	// accesses per list in Stats.
+	batch := 1
 	if a.Batch > 1 {
 		if a.Sched != nil {
 			return nil, fmt.Errorf("%w: Batch requires the default lockstep schedule", ErrBadQuery)
 		}
-		allSorted := true
+		batch = a.Batch
 		for i := 0; i < m; i++ {
 			if !src.CanSorted(i) {
-				allSorted = false
+				batch = 1
 				break
 			}
-		}
-		if allSorted {
-			return a.runBatched(src, t, k, theta)
 		}
 	}
 	sched := a.Sched
@@ -140,6 +154,9 @@ func (a *TA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 	}
 	grades := make([]model.Grade, m)
 	threshold := func() model.Grade { return t.Apply(view.Bottom) }
+	bufs := make([]model.Entry, m*batch)
+	counts := make([]int, m)
+	var progressBuf []Scored
 
 	// Invariants build: τ must never increase once every sorted-capable
 	// list has reported its first (largest) grade — before that, unseeded
@@ -169,205 +186,36 @@ func (a *TA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 				guarantee = math.Inf(1)
 			}
 		}
-		maxDepth := 0
-		for _, d := range view.Depth {
-			if d > maxDepth {
-				maxDepth = d
-			}
-		}
 		return &Result{
 			Items:       items,
 			GradesExact: true,
 			Theta:       guarantee,
-			Rounds:      maxDepth,
+			Rounds:      maxInt(view.Depth),
 			Stats:       src.Stats(),
 		}
 	}
 
 	for {
-		i := sched.Next(view)
-		if i == -1 {
+		next := sched.Next(view)
+		if next == -1 {
 			// Every list in Z is exhausted: the grade of every
 			// object is known, so the current top-k is exact
 			// (footnote 14's TAz halting case).
 			return finish(true, threshold()), nil
 		}
-		e, ok, err := src.SortedNextErr(i)
-		if err != nil {
-			// Death under sorted access: the final heap (merged upward by
-			// the sharded coordinator) plus τ bound everything this run
-			// did not return — unseen objects sit at or below τ, and every
-			// object evicted from the heap is below its kth grade.
-			tau := threshold()
-			return finish(false, tau), &AccessError{Ceiling: tau, Err: err}
+		lo, hi := next, next+1
+		if batch > 1 {
+			lo, hi = 0, m
 		}
-		if !ok {
-			view.Exhausted[i] = true
-			continue
-		}
-		view.PrevBottom[i] = view.Bottom[i]
-		view.Bottom[i] = e.Grade
-		view.Depth[i]++
-		view.Exhausted[i] = src.Exhausted(i)
-		for j := 0; j < m; j++ {
-			view.SinceAccess[j]++
-		}
-		view.SinceAccess[i] = 0
-
-		var overall model.Grade
-		if g, hit := lookupMemo(memo, e.Object); hit {
-			overall = g
-		} else {
-			grades[i] = e.Grade
-			for j := 0; j < m; j++ {
-				if j == i {
-					continue
-				}
-				g, ok, err := src.RandomErr(j, e.Object)
-				if err != nil {
-					// Death mid-resolution: e.Object is not in the heap yet,
-					// so the ceiling must also cover it — its grade is at
-					// most t(grades seen so far, 1 everywhere unresolved).
-					tau := threshold()
-					return finish(false, tau), &AccessError{
-						Ceiling: maxGrade(tau, halfResolvedBound(t, grades, i, j, m)),
-						Err:     err,
-					}
-				}
-				if !ok {
-					return nil, fmt.Errorf("core: object %d missing from list %d", e.Object, j)
-				}
-				grades[j] = g
-			}
-			overall = t.Apply(grades)
-			if memo != nil {
-				memo[e.Object] = overall
-			}
-		}
-		heap.Offer(Scored{Object: e.Object, Grade: overall})
-		// Report the objects actually retained, not the heap's capacity:
-		// the heap holds ≤ k items (fewer while filling, or forever when
-		// k > N), and under memoization every heap member is also in the
-		// memo, so the memo size alone counts each retained object once.
-		retained := heap.Len()
-		if memo != nil {
-			retained = len(memo)
-		}
-		src.ReportBuffer(retained)
-
-		tau := threshold()
-		if invariantsEnabled {
-			checkTau(tau)
-		}
-		if a.OnProgress != nil {
-			p := Progress{
-				TopK:      heap.Snapshot(),
-				Threshold: tau,
-				Guarantee: math.Inf(1),
-				Depth:     maxInt(view.Depth),
-			}
-			p.Sorted, p.Random = src.Counts()
-			if heap.Full() && heap.Kth() > 0 {
-				p.Guarantee = math.Max(1, float64(tau)/float64(heap.Kth()))
-			}
-			if !a.OnProgress(p) {
-				return finish(false, tau), nil
-			}
-		}
-		// Stopping rule: at least k objects seen with grade ≥ τ/θ
-		// (strictly above τ under StrictStop, so ties at the kth grade
-		// are fully resolved before halting).
-		if heap.Full() {
-			stop := float64(heap.Kth())*theta >= float64(tau)
-			if a.StrictStop {
-				stop = heap.Kth() > tau
-			}
-			if stop {
-				res := finish(true, tau)
-				if theta > 1 {
-					res.Theta = theta
-				}
-				return res, nil
-			}
-		}
-	}
-}
-
-// runBatched is TA's lockstep loop over batched sorted access. Each outer
-// iteration prefetches up to Batch rounds from every list with one
-// SortedNextN call per list, then processes the entries in (round, list)
-// order with the threshold and stopping rule evaluated after every entry —
-// the same per-access decision sequence as the single-step loop, so the run
-// stops on the same access and returns the same answer. OnProgress and
-// ReportBuffer fire once per batch; a stop mid-batch discards the remaining
-// prefetched entries, which is sound (each sits at or below its list's
-// current bottom, so its overall grade is at most τ, which the stop rule
-// just bounded by the kth grade) and visible only as up to Batch-1 extra
-// charged sorted accesses per list in Stats.
-func (a *TA) runBatched(src *access.Source, t agg.Func, k int, theta float64) (*Result, error) {
-	m := src.M()
-	heap := NewTopKBuffer(k)
-	var memo map[model.ObjectID]model.Grade
-	if a.Memoize {
-		memo = make(map[model.ObjectID]model.Grade)
-	}
-	grades := make([]model.Grade, m)
-	bottoms := make([]model.Grade, m)
-	for i := range bottoms {
-		bottoms[i] = 1
-	}
-	depth := make([]int, m)
-	exh := make([]bool, m)
-	bufs := make([]model.Entry, m*a.Batch)
-	counts := make([]int, m)
-	var progressScratch []Scored
-
-	// Invariants build: τ must never increase once every list has reported
-	// its first (largest) grade; see the single-step loop's checkTau.
-	prevTau := model.Grade(math.Inf(1))
-	checkTau := func(tau model.Grade) {
-		for j := 0; j < m; j++ {
-			if depth[j] == 0 && !exh[j] {
-				return
-			}
-		}
-		assertInvariant(tau <= prevTau, "TA threshold increased from %v to %v at depth %v", prevTau, tau, depth)
-		prevTau = tau
-	}
-
-	finish := func(exact bool, tau model.Grade) *Result {
-		items := heap.Snapshot()
-		for i := range items {
-			items[i].Lower = items[i].Grade
-			items[i].Upper = items[i].Grade
-		}
-		guarantee := 1.0
-		if !exact {
-			if len(items) == k && items[k-1].Grade > 0 {
-				guarantee = math.Max(1, float64(tau)/float64(items[k-1].Grade))
-			} else if len(items) < k || items[k-1].Grade <= 0 {
-				guarantee = math.Inf(1)
-			}
-		}
-		return &Result{
-			Items:       items,
-			GradesExact: true,
-			Theta:       guarantee,
-			Rounds:      maxInt(depth),
-			Stats:       src.Stats(),
-		}
-	}
-
-	for {
-		rounds := 0
+		rounds, last := 0, -1
 		var fillErr error
-		for i := 0; i < m; i++ {
-			if exh[i] {
-				counts[i] = 0
+		for j := lo; j < hi; j++ {
+			counts[j] = 0
+			if view.Exhausted[j] {
 				continue
 			}
-			n, err := src.SortedNextNErr(i, bufs[i*a.Batch:(i+1)*a.Batch])
-			counts[i] = n
+			n, err := src.SortedNextN(j, bufs[j*batch:(j+1)*batch])
+			counts[j] = n
 			if err != nil {
 				// The n delivered entries are valid: process them below so
 				// their evidence tightens τ and the heap before the run
@@ -375,30 +223,23 @@ func (a *TA) runBatched(src *access.Source, t agg.Func, k int, theta float64) (*
 				if fillErr == nil {
 					fillErr = err
 				}
-			} else if src.Exhausted(i) || n == 0 {
-				exh[i] = true
+			} else {
+				view.Exhausted[j] = n == 0 || src.Exhausted(j)
 			}
-			if n > rounds {
-				rounds = n
+			if n >= rounds && n > 0 {
+				rounds, last = n, j
 			}
 		}
-		if rounds == 0 {
-			if fillErr != nil {
-				tau := t.Apply(bottoms)
-				return finish(false, tau), &AccessError{Ceiling: tau, Err: fillErr}
-			}
-			// Every list is exhausted: the grade of every object is known,
-			// so the current top-k is exact.
-			return finish(true, t.Apply(bottoms)), nil
+		if rounds > 0 {
+			view.age(lo, hi)
 		}
 		for r := 0; r < rounds; r++ {
-			for i := 0; i < m; i++ {
+			for i := lo; i < hi; i++ {
 				if r >= counts[i] {
 					continue
 				}
-				e := bufs[i*a.Batch+r]
-				bottoms[i] = e.Grade
-				depth[i]++
+				e := bufs[i*batch+r]
+				view.observe(i, e.Grade)
 				var overall model.Grade
 				if g, hit := lookupMemo(memo, e.Object); hit {
 					overall = g
@@ -408,9 +249,13 @@ func (a *TA) runBatched(src *access.Source, t agg.Func, k int, theta float64) (*
 						if j == i {
 							continue
 						}
-						g, ok, err := src.RandomErr(j, e.Object)
+						g, ok, err := src.Random(j, e.Object)
 						if err != nil {
-							tau := t.Apply(bottoms)
+							// Death mid-resolution: e.Object is not in the heap
+							// yet, so the ceiling must also cover it — its grade
+							// is at most t(grades seen so far, 1 everywhere
+							// unresolved).
+							tau := threshold()
 							return finish(false, tau), &AccessError{
 								Ceiling: maxGrade(tau, halfResolvedBound(t, grades, i, j, m)),
 								Err:     err,
@@ -427,11 +272,46 @@ func (a *TA) runBatched(src *access.Source, t agg.Func, k int, theta float64) (*
 					}
 				}
 				heap.Offer(Scored{Object: e.Object, Grade: overall})
-				if heap.Full() {
-					tau := t.Apply(bottoms)
-					if invariantsEnabled {
-						checkTau(tau)
+				groupEnd := r == rounds-1 && i == last
+				if !groupEnd && !heap.Full() {
+					continue
+				}
+				tau := threshold()
+				if invariantsEnabled {
+					checkTau(tau)
+				}
+				if groupEnd {
+					// Report the objects actually retained, not the heap's
+					// capacity: the heap holds ≤ k items (fewer while
+					// filling, or forever when k > N), and under memoization
+					// every heap member is also in the memo, so the memo
+					// size alone counts each retained object once.
+					retained := heap.Len()
+					if memo != nil {
+						retained = len(memo)
 					}
+					src.ReportBuffer(retained)
+					if a.OnProgress != nil {
+						progressBuf = heap.AppendSnapshot(progressBuf[:0])
+						p := Progress{
+							TopK:      progressBuf,
+							Threshold: tau,
+							Guarantee: math.Inf(1),
+							Depth:     maxInt(view.Depth),
+						}
+						p.Sorted, p.Random = src.Counts()
+						if heap.Full() && heap.Kth() > 0 {
+							p.Guarantee = math.Max(1, float64(tau)/float64(heap.Kth()))
+						}
+						if !a.OnProgress(p) {
+							return finish(false, tau), nil
+						}
+					}
+				}
+				// Stopping rule: at least k objects seen with grade ≥ τ/θ
+				// (strictly above τ under StrictStop, so ties at the kth
+				// grade are fully resolved before halting).
+				if heap.Full() {
 					stop := float64(heap.Kth())*theta >= float64(tau)
 					if a.StrictStop {
 						stop = heap.Kth() > tau
@@ -446,36 +326,14 @@ func (a *TA) runBatched(src *access.Source, t agg.Func, k int, theta float64) (*
 				}
 			}
 		}
-		retained := heap.Len()
-		if memo != nil {
-			retained = len(memo)
-		}
-		src.ReportBuffer(retained)
-		if a.OnProgress != nil {
-			tau := t.Apply(bottoms)
-			if invariantsEnabled {
-				checkTau(tau)
-			}
-			progressScratch = heap.AppendSnapshot(progressScratch[:0])
-			p := Progress{
-				TopK:      progressScratch,
-				Threshold: tau,
-				Guarantee: math.Inf(1),
-				Depth:     maxInt(depth),
-			}
-			p.Sorted, p.Random = src.Counts()
-			if heap.Full() && heap.Kth() > 0 {
-				p.Guarantee = math.Max(1, float64(tau)/float64(heap.Kth()))
-			}
-			if !a.OnProgress(p) {
-				return finish(false, tau), nil
-			}
-		}
 		if fillErr != nil {
-			// Every delivered entry was processed and the stopping rule did
-			// not fire, so the failure is fatal for this run: report the
-			// final view with τ as the death ceiling.
-			tau := t.Apply(bottoms)
+			// Death under sorted access. Every delivered entry was processed
+			// and the stopping rule did not fire, so the failure is fatal
+			// for this run: the final heap (merged upward by the sharded
+			// coordinator) plus τ bound everything this run did not return —
+			// unseen objects sit at or below τ, and every object evicted
+			// from the heap is below its kth grade.
+			tau := threshold()
 			return finish(false, tau), &AccessError{Ceiling: tau, Err: fillErr}
 		}
 	}

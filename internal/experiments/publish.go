@@ -27,7 +27,7 @@ func init() {
 		tab := &Table{
 			ID:    "E22",
 			Title: "Sharded NRA publish-rule scaling (uniform workload, m=3, k=10, N=50000)",
-			Paper: "Beyond the paper: publishing every round pins the P=1 run to sequential NRA's exact depth; at P>1 workers publish only on local-bound crossings of the global M_k, overshooting by a bounded number of rounds while cutting merges by orders of magnitude.",
+			Paper: "Beyond the paper: the lone shard's step-then-check loop pins the P=1 run to sequential NRA's exact depth; at P>1 workers publish only on local-bound crossings of the global M_k, overshooting by a bounded number of rounds while cutting merges by orders of magnitude.",
 			Columns: []string{
 				"shards", "sorted", "work vs seq", "wall-clock (ms)", "multiset = seq",
 			},

@@ -142,9 +142,9 @@ func TestVerifierRejectsNonProofs(t *testing.T) {
 	src := access.New(db, access.AllowAll)
 	trace := src.StartTrace()
 	// Read one round only, then claim the best-so-far is the answer.
-	e0, _ := src.SortedNext(0)
+	e0, _, _ := src.SortedNext(0)
 	src.SortedNext(1)
-	g1, _ := src.Random(1, e0.Object)
+	g1, _, _ := src.Random(1, e0.Object)
 	_ = g1
 	rep, err := Verify(trace, tf, src.N(), []model.ObjectID{e0.Object}, Options{})
 	if err != nil {

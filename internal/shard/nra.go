@@ -42,8 +42,8 @@
 // changes the answer — a worker can only overshoot in depth, never pause
 // early, because pausing itself requires a publish and the coordinator's
 // directive. A lone shard has no sibling whose evidence could move M_k, so
-// it publishes every round, which preserves the exact sequential-NRA depth
-// equivalence.
+// it publishes only once its cursor halts, which preserves the exact
+// sequential-NRA depth equivalence.
 package shard
 
 import (
@@ -390,19 +390,16 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 			pending[s] = s
 		}
 	}
-	// A lone shard under the wave scheduler is sequential NRA with
-	// publish overhead: there is no sibling shard whose evidence could
-	// change its pause depth, so the worker can evaluate the halting rule
-	// locally — the exact step-then-check loop of core.NRA.Run — and
-	// publish only its final view. The coordinator's pause condition
-	// (B-ceiling ≤ M_k) is implied by the halting rule at P = 1, so the
-	// scheduling loop still terminates on the published view alone;
-	// depth and Stats match sequential NRA access for access, now without
-	// a View build and table merge per round.
-	soloSequential := p == 1 && sched == ScheduleWave
-	// A lone shard publishes after every round. Multi-shard wave workers
-	// step nraBatchRounds between publish-rule checks; the serialized
-	// schedulers spend charged cost precisely — always the best
+	// A lone shard steps singly and publishes only when its cursor halts
+	// (or is exhausted, fails, or ends a probe): there is no sibling shard
+	// whose evidence could change its pause depth, so the worker evaluates
+	// the halting rule locally — the exact step-then-check loop of
+	// core.NRA.Run. The coordinator's pause condition (B-ceiling ≤ M_k) is
+	// implied by the halting rule at P = 1, so the scheduling loop still
+	// terminates on the published view alone; depth and Stats match
+	// sequential NRA access for access under every schedule. Multi-shard
+	// wave workers step nraBatchRounds between publish-rule checks; the
+	// serialized schedulers spend charged cost precisely — always the best
 	// ceiling-drop per unit cost, pausing the moment the evidence says
 	// so — and batch overshoot would erode exactly the margin they exist
 	// to win, so they keep stepping singly.
@@ -472,34 +469,6 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 					coord.stopped.Store(true)
 				}
 			}()
-			if soloSequential {
-				for {
-					if coord.stopped.Load() {
-						return
-					}
-					if ctx.Err() != nil {
-						coord.stopped.Store(true)
-						return
-					}
-					if !cur.Step() {
-						// Sticky-error cursors keep every delivered prefix
-						// applied, so the final view is consistent — publish
-						// it first; the tighter the last published bounds,
-						// the better the certified θ.
-						coord.publish(s, cur.View())
-						if err := cur.Err(); err != nil {
-							dieOrFail(err)
-							return
-						}
-						coord.markExhausted(s)
-						return
-					}
-					if cur.Halted() {
-						coord.publish(s, cur.View())
-						return
-					}
-				}
-			}
 			since, rounds := 0, 0
 			for {
 				if coord.stopped.Load() {
@@ -515,6 +484,10 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 				}
 				got := cur.StepN(b)
 				if got == 0 {
+					// Exhausted or failed. A failed cursor keeps every
+					// delivered prefix applied, so the final view is
+					// consistent — publish it first; the tighter the last
+					// published bounds, the better the certified θ.
 					coord.publish(s, cur.View())
 					if err := cur.Err(); err != nil {
 						dieOrFail(err)
@@ -531,7 +504,11 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 					coord.publish(s, cur.View())
 					return
 				}
-				if p > 1 && !shouldPublish(since, cur, coord.globalMk()) {
+				if p == 1 {
+					if !cur.Halted() {
+						continue
+					}
+				} else if !shouldPublish(since, cur, coord.globalMk()) {
 					continue
 				}
 				since = 0

@@ -202,7 +202,7 @@ func TestShardedNRAResumesPastLocalHalt(t *testing.T) {
 }
 
 // TestNRACursorResumable pins the cursor contract directly: Halted is
-// advisory, Step keeps working past it, and at exhaustion every interval in
+// advisory, StepN keeps working past it, and at exhaustion every interval in
 // the view is pinned (B = W).
 func TestNRACursorResumable(t *testing.T) {
 	db, err := workload.IndependentUniform(workload.Spec{N: 60, M: 3, Seed: 51})
@@ -215,7 +215,7 @@ func TestNRACursorResumable(t *testing.T) {
 		t.Fatal(err)
 	}
 	steps, haltDepth := 0, 0
-	for cur.Step() {
+	for cur.StepN(1) == 1 {
 		steps++
 		if haltDepth == 0 && cur.Halted() {
 			haltDepth = cur.Depth()
@@ -225,7 +225,7 @@ func TestNRACursorResumable(t *testing.T) {
 		t.Fatal("cursor never halted")
 	}
 	if !cur.Exhausted() {
-		t.Fatal("cursor not exhausted after Step returned false")
+		t.Fatal("cursor not exhausted after StepN returned 0")
 	}
 	if cur.Depth() != db.N() {
 		t.Fatalf("exhaustion depth %d, want %d", cur.Depth(), db.N())

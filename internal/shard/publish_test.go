@@ -12,8 +12,8 @@ import (
 )
 
 // TestPublishPoliciesMatchSequentialNRA is the publish-rule property test:
-// the engine publishes every round at P = 1 and on bound crossings above
-// it, and at every shard count and under every schedule it must return the
+// the engine publishes once the lone cursor halts at P = 1 and on bound
+// crossings above it, and at every shard count and under every schedule it must return the
 // same top-k object-set evidence as sequential NRA — a valid top-k set
 // whose tie-safe true-grade multiset equals the sequential answer's —
 // because deferring a publish only changes when coordination happens,
@@ -62,10 +62,11 @@ func TestPublishPoliciesMatchSequentialNRA(t *testing.T) {
 var schedules = []shard.Schedule{shard.ScheduleWave, shard.ScheduleCostAware, shard.ScheduleAdaptive}
 
 // TestPublishStrictP1MatchesSequentialDepth pins the derived P = 1 rule the
-// single-shard tests rely on: a lone shard publishes after every round, so
-// under every schedule the engine's pause rule coincides with sequential
-// NRA's halting rule access for access, and the sorted-access count — and
-// the answer items with their intervals — are identical.
+// single-shard tests rely on: a lone shard steps singly and publishes once
+// its cursor halts, so under every schedule the engine's pause rule
+// coincides with sequential NRA's halting rule access for access, and the
+// sorted-access count — and the answer items with their intervals — are
+// identical.
 func TestPublishStrictP1MatchesSequentialDepth(t *testing.T) {
 	const m, k = 3, 8
 	for _, seed := range []int64{61, 62, 63, 64} {

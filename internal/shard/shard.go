@@ -91,7 +91,8 @@ type ShardStat struct {
 // Options configures one sharded query.
 type Options struct {
 	// Workers bounds the number of concurrently running shard workers;
-	// 0 means one goroutine per shard.
+	// 0 means one goroutine per shard, and negative values are rejected
+	// with ErrBadQuery.
 	Workers int
 	// Memoize lets each shard's TA worker cache computed grades
 	// (unbounded per-shard buffer, fewer repeat random accesses). It has
@@ -133,7 +134,8 @@ type Options struct {
 	// access.ErrBackend, except access.ErrListDown) are retried in place
 	// with capped exponential backoff, honoring ctx at every attempt. The
 	// zero value resolves to access.DefaultRetry; set MaxAttempts to 1 to
-	// disable retries entirely.
+	// disable retries entirely. Negative bounds are rejected with
+	// ErrBadQuery.
 	Retry access.Retry
 	// MinTheta is the weakest θ-approximation guarantee (Section 6.2) the
 	// caller accepts when shards are lost permanently and the answer

@@ -189,7 +189,8 @@ type Options struct {
 	// ErrBadQuery.
 	Shards int
 	// ShardWorkers bounds how many shard workers run concurrently when
-	// Shards > 1; 0 means one goroutine per shard.
+	// Shards > 1; 0 means one goroutine per shard. Negative values are
+	// rejected with ErrBadQuery.
 	ShardWorkers int
 	// Backend, when non-nil, wraps every list as a simulated remote
 	// backend with the given per-access costs and latency distribution
@@ -230,7 +231,8 @@ type Options struct {
 	// wrapping ErrBackend, except ErrListDown): capped exponential backoff
 	// with deterministic jitter, bounded per access by MaxAttempts and per
 	// query by Budget. The zero value resolves to DefaultRetry; set
-	// MaxAttempts to 1 to disable retries.
+	// MaxAttempts to 1 to disable retries. Negative bounds are rejected
+	// with ErrBadQuery.
 	Retry Retry
 	// MinTheta is the weakest θ-approximation guarantee accepted when a
 	// sharded query loses shards permanently and degrades (Section 6.2):
@@ -314,7 +316,8 @@ type BackendSpec struct {
 // CacheSpec configures the per-shard page cache; see Options.Cache. Zero
 // fields take access.CacheConfig's defaults (64-entry pages, 256 hot
 // pages, a cold tier of 4× the hot pages charging 0.1 of the declared
-// cost per hit, 4096 memoized grades).
+// cost per hit, 4096 memoized grades). A negative PageSize, Pages or Memo
+// is rejected with ErrBadQuery.
 type CacheSpec struct {
 	PageSize int
 	// Pages bounds the hot tier (hits free). ColdPages bounds the
@@ -569,8 +572,22 @@ func validateSpecs(m int, b *BackendSpec, f *FaultSpec, c *CacheSpec) error {
 			return fmt.Errorf("%w: fault hang must be non-negative, got %v", ErrBadQuery, f.Hang)
 		}
 	}
-	if c != nil && !finite(c.ColdHitCost) {
-		return fmt.Errorf("%w: cache cold-hit cost must be finite, got %g", ErrBadQuery, c.ColdHitCost)
+	if c != nil {
+		if !finite(c.ColdHitCost) {
+			return fmt.Errorf("%w: cache cold-hit cost must be finite, got %g", ErrBadQuery, c.ColdHitCost)
+		}
+		if c.PageSize < 0 || c.Pages < 0 || c.Memo < 0 {
+			return fmt.Errorf("%w: cache sizes must be non-negative (0 takes the default), got page size %d, pages %d, memo %d", ErrBadQuery, c.PageSize, c.Pages, c.Memo)
+		}
+	}
+	return nil
+}
+
+// validateRetry rejects a retry policy with a negative bound; zero fields
+// take the defaults.
+func validateRetry(r Retry) error {
+	if r.MaxAttempts < 0 || r.Budget < 0 || r.Base < 0 || r.Max < 0 {
+		return fmt.Errorf("%w: retry bounds must be non-negative (0 takes the default), got %+v", ErrBadQuery, r)
 	}
 	return nil
 }
@@ -656,6 +673,12 @@ func resolve(db *Database, opts Options) (core.Algorithm, access.Policy, error) 
 	}
 	if !finite(opts.Theta) {
 		return nil, access.Policy{}, fmt.Errorf("%w: θ must be finite, got %g", ErrBadQuery, opts.Theta)
+	}
+	if opts.ShardWorkers < 0 {
+		return nil, access.Policy{}, fmt.Errorf("%w: ShardWorkers must be non-negative, got %d", ErrBadQuery, opts.ShardWorkers)
+	}
+	if err := validateRetry(opts.Retry); err != nil {
+		return nil, access.Policy{}, err
 	}
 	costs, err := core.NormalizeCosts(opts.Costs)
 	if err != nil {

@@ -50,7 +50,8 @@ type ReplayOptions struct {
 	// requested θ ≥ 1 — and the served certificate is the engine's.
 	Shards int
 	// Workers is the simulated server count for the queueing model and the
-	// real concurrency bound handed to the executor; 0 means 1. Replays
+	// real concurrency bound handed to the executor; 0 means 1, and
+	// negative values are rejected with ErrBadQuery. Replays
 	// meant to be compared access-for-access should keep Workers at 1, which
 	// serializes the engine deterministically.
 	Workers int
@@ -173,6 +174,12 @@ func ReplayTrace(db *Database, reqs []traffic.Request, opts ReplayOptions) (*Rep
 	}
 	if opts.Batch < 0 {
 		return nil, fmt.Errorf("%w: replay batch size must be non-negative, got %d", ErrBadQuery, opts.Batch)
+	}
+	if opts.Workers < 0 {
+		return nil, fmt.Errorf("%w: replay worker count must be non-negative, got %d", ErrBadQuery, opts.Workers)
+	}
+	if err := validateRetry(opts.Retry); err != nil {
+		return nil, err
 	}
 	if opts.Shards == 0 && (opts.Backend != nil || opts.Cache != nil || opts.Fault != nil) {
 		return nil, fmt.Errorf("%w: backend stacks replay through the sharded engine; set Shards ≥ 1", ErrBadQuery)
