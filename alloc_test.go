@@ -1,10 +1,16 @@
 package repro_test
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
+	"repro/internal/access"
 	"repro/internal/agg"
+	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/shard"
 	"repro/internal/workload"
 )
@@ -55,4 +61,154 @@ func TestShardedTAAllocationBudget(t *testing.T) {
 		t.Fatalf("sharded TA allocates %d B per warm query, budget %d", perQuery, budget)
 	}
 	t.Logf("sharded TA allocates %d B per warm query (budget %d)", perQuery, budget)
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestShardedNRAAllocationBudget is the same guard for the no-random-access
+// engine: a warm sharded NRA query must stay under one mebibyte of heap
+// allocation. Building each query's bound tables from scratch costs
+// 2.0–3.6 MB of partial slabs, map buckets and heap slices across these
+// cases; pooled tables keep that memory across queries, and a warm query
+// allocates 12–120 KB.
+func TestShardedNRAAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race, sync.Pool drops a random quarter of what is put back, so warm queries do not reliably reuse pooled tables")
+	}
+	db, err := workload.IndependentUniform(workload.Spec{N: 50000, M: 3, Seed: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 10
+	opts := shard.Options{NoRandomAccess: true}
+	for _, tf := range []agg.Func{agg.Avg(3), agg.Min(3)} {
+		for _, p := range []int{1, 4, 8} {
+			eng, err := shard.New(db, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			query := func() {
+				res, err := eng.Query(tf, k, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Items) != k {
+					t.Fatalf("got %d items", len(res.Items))
+				}
+			}
+			for i := 0; i < 3; i++ {
+				query()
+			}
+			const runs = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				query()
+			}
+			runtime.ReadMemStats(&after)
+			perQuery := (after.TotalAlloc - before.TotalAlloc) / runs
+			const budget = 1 << 20
+			if perQuery >= budget {
+				t.Errorf("%s P=%d: sharded NRA allocates %d B per warm query, budget %d", tf.Name(), p, perQuery, budget)
+				continue
+			}
+			t.Logf("%s P=%d: sharded NRA allocates %d B per warm query (budget %d)", tf.Name(), p, perQuery, budget)
+		}
+	}
+}
+
+// TestBoundTablePoolConcurrent runs every owner of a pooled bound table at
+// once — NRA, CA, Intermittent and cost-aware TA through their own
+// cursors or tables, and the 4-shard NRA engine through four cursors per
+// query — from 8 goroutines over databases of two arities, so tables of
+// one query's shape are handed to queries of another. Each sequential
+// answer must equal its run in isolation exactly (items, intervals and
+// Stats); each sharded answer must return the objects sequential NRA
+// returns (continuous grades make the top-k set unique). CI runs it with
+// -race -count=10.
+func TestBoundTablePoolConcurrent(t *testing.T) {
+	type job struct {
+		name    string
+		run     func() (*core.Result, error)
+		sharded bool         // want holds sequential NRA's answer
+		want    *core.Result // computed in isolation before the goroutines start
+	}
+	var jobs []job
+	for _, m := range []int{3, 4} {
+		db, err := workload.IndependentUniform(workload.Spec{N: 2000, M: m, Seed: int64(70 + m)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tf := agg.Avg(m)
+		k := 2 * m
+		seq := func(al core.Algorithm, pol access.Policy) func() (*core.Result, error) {
+			return func() (*core.Result, error) { return al.Run(access.New(db, pol), tf, k) }
+		}
+		eng, err := shard.New(db, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nra := seq(&core.NRA{}, access.Policy{NoRandom: true})
+		for _, j := range []job{
+			{name: "NRA", run: nra},
+			{name: "CA", run: seq(&core.CA{H: 2}, access.AllowAll)},
+			{name: "Intermittent", run: seq(&core.Intermittent{H: 2}, access.AllowAll)},
+			{name: "cost-aware TA", run: seq(&core.CostAwareTA{}, access.AllowAll)},
+			{name: "sharded NRA", sharded: true, run: func() (*core.Result, error) {
+				return eng.Query(tf, k, shard.Options{NoRandomAccess: true})
+			}},
+		} {
+			ref := j.run
+			if j.sharded {
+				ref = nra
+			}
+			if j.want, err = ref(); err != nil {
+				t.Fatal(err)
+			}
+			j.name = fmt.Sprintf("m=%d %s", m, j.name)
+			jobs = append(jobs, j)
+		}
+	}
+	check := func(j job) error {
+		got, err := j.run()
+		if err != nil {
+			return err
+		}
+		if !j.sharded {
+			if !reflect.DeepEqual(got, j.want) {
+				return fmt.Errorf("answer differs from its isolated run\n got %+v\nwant %+v", got, j.want)
+			}
+			return nil
+		}
+		want := make(map[model.ObjectID]bool, len(j.want.Items))
+		for _, it := range j.want.Items {
+			want[it.Object] = true
+		}
+		for _, it := range got.Items {
+			if !want[it.Object] {
+				return fmt.Errorf("object %d not in sequential NRA's answer %v", it.Object, j.want.Objects())
+			}
+		}
+		if len(got.Items) != len(j.want.Items) || got.Stats.Random != 0 {
+			return fmt.Errorf("%d items and %d random accesses, want %d items and none", len(got.Items), got.Stats.Random, len(j.want.Items))
+		}
+		return nil
+	}
+	const goroutines, rounds = 8, 3
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds*len(jobs); r++ {
+				i := (g + r) % len(jobs)
+				if err := check(jobs[i]); err != nil {
+					t.Errorf("goroutine %d, %s: %v", g, jobs[i].name, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -446,62 +446,84 @@ func BenchmarkShardedTA(b *testing.B) {
 // is untimed, each iteration answers one top-10 query with one resumable
 // NRA worker per shard (sorted access only), speedup-vs-P1 divides the
 // best-of-three single-shard wall-clock by the sharded per-query time, and
-// speedup-vs-seq does the same against the true sequential core.NRA run
-// (the single-shard engine pays strict per-round publishes the sequential
-// run does not, so the two baselines differ). P1 + per-round publishing
-// takes the solo-sequential fast path — the worker loops Step/Halted
-// locally and publishes only the final view, since with one shard
-// sequential-depth equivalence requires no intermediate coordination —
-// which brought P1 from 0.49× of sequential to ≈0.9×; the remaining gap
-// is the engine's fixed per-query cost (coordinator setup, final merge,
-// bound-table capping), inherent to offering a resumable engine rather
-// than a closed loop.
+// speedup-vs-seq does the same against the true sequential core.NRA run.
+// The protocol runs once per seed in stats.Seeds, and each metric is
+// reported as mean, -min/-max and per-seed -s<seed> values, with the
+// sharded query's sorted-access count beside them: that count grows with
+// P, so part of any gap to sequential NRA is extra depth rather than
+// coordination. Nothing here is gated: at -cpu 1 on a 2-core host the
+// per-seed speedup-vs-seq of P4 and P8 spans about 0.86–1.5× from run to
+// run, so a ≥ 1.0 floor on speedup-vs-seq-min would fail on noise.
 func BenchmarkShardedNRA(b *testing.B) {
-	db, err := workload.IndependentUniform(workload.Spec{N: 50000, M: 3, Seed: 19})
-	if err != nil {
-		b.Fatal(err)
-	}
 	tf := agg.Avg(3)
 	const k = 10
-	single, err := shard.New(db, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
 	opts := shard.Options{NoRandomAccess: true}
-	for _, p := range []int{1, 2, 4, 8} {
-		eng, err := shard.New(db, p)
+	dbs := seedDBs(b, func(seed int64) (*repro.Database, error) {
+		return workload.IndependentUniform(workload.Spec{N: 50000, M: 3, Seed: seed})
+	})
+	query := func(eng *shard.Engine) (*core.Result, error) {
+		res, err := eng.Query(tf, k, opts)
+		switch {
+		case err != nil:
+			return nil, err
+		case len(res.Items) != k:
+			return nil, fmt.Errorf("got %d items", len(res.Items))
+		case res.Stats.Random != 0:
+			return nil, fmt.Errorf("no-random-access mode made %d random accesses", res.Stats.Random)
+		}
+		return res, nil
+	}
+	singles := make(map[int64]*shard.Engine, len(dbs))
+	for seed, db := range dbs {
+		single, err := shard.New(db, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
+		singles[seed] = single
+	}
+	for _, p := range []int{1, 2, 4, 8} {
+		eng, err := shard.New(timedDB(dbs), p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var vsP1, vsSeq, sorted stats.Summary
+		vsP1.Name, vsSeq.Name, sorted.Name = "speedup-vs-P1", "speedup-vs-seq", "sorted-accesses"
+		for _, seed := range stats.Seeds {
+			db := dbs[seed]
+			engS, err := shard.New(db, p)
+			if err != nil {
+				b.Fatal(err)
+			}
 			baseline := bestOfThree(b, func() error {
-				_, err := single.Query(tf, k, opts)
+				_, err := query(singles[seed])
 				return err
 			})
 			seqBaseline := bestOfThree(b, func() error {
 				_, err := (&core.NRA{}).Run(access.New(db, access.Policy{NoRandom: true}), tf, k)
 				return err
 			})
-			b.ResetTimer()
-			var sorted int64
+			var accesses int64
+			per := bestOfThree(b, func() error {
+				res, err := query(engS)
+				if err == nil {
+					accesses = res.Stats.Sorted
+				}
+				return err
+			})
+			vsP1.Samples = append(vsP1.Samples, stats.Sample{Seed: seed, Value: float64(baseline) / float64(per)})
+			vsSeq.Samples = append(vsSeq.Samples, stats.Sample{Seed: seed, Value: float64(seqBaseline) / float64(per)})
+			sorted.Samples = append(sorted.Samples, stats.Sample{Seed: seed, Value: float64(accesses)})
+		}
+		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := eng.Query(tf, k, opts)
-				if err != nil {
+				if _, err := query(eng); err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Items) != k {
-					b.Fatalf("got %d items", len(res.Items))
-				}
-				if res.Stats.Random != 0 {
-					b.Fatalf("no-random-access mode made %d random accesses", res.Stats.Random)
-				}
-				sorted = res.Stats.Sorted
 			}
 			b.StopTimer()
-			per := b.Elapsed() / time.Duration(b.N)
-			b.ReportMetric(float64(baseline)/float64(per), "speedup-vs-P1")
-			b.ReportMetric(float64(seqBaseline)/float64(per), "speedup-vs-seq")
-			b.ReportMetric(float64(sorted), "sorted-accesses")
+			reportSeeds(b, vsP1)
+			reportSeeds(b, vsSeq)
+			reportSeeds(b, sorted)
 		})
 	}
 }

@@ -15,7 +15,7 @@ package agg
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -59,6 +59,19 @@ func (p *props) Apply(grades []model.Grade) model.Grade {
 		panic(fmt.Sprintf("agg: %s expects %d grades, got %d", p.name, p.arity, len(grades)))
 	}
 	return p.applyFunc(grades)
+}
+
+// stackArity is the widest grade vector Median and OWA sort in a stack
+// buffer. Every query path rejects more lists than this (core.MaxLists),
+// so only a direct call with a wider vector allocates.
+const stackArity = 64
+
+// sorted copies gs into buf's backing array — a fresh one when it does not
+// fit — and sorts the copy ascending.
+func sorted(gs, buf []model.Grade) []model.Grade {
+	tmp := append(buf, gs...)
+	slices.Sort(tmp)
+	return tmp
 }
 
 // Min returns the fuzzy-conjunction aggregation min(x₁,…,xₘ). Min is strict
@@ -181,9 +194,8 @@ func Median(m int) Func {
 	return &props{
 		name: "median", arity: m, strict: false, sm: true, smEach: false,
 		applyFunc: func(gs []model.Grade) model.Grade {
-			tmp := make([]model.Grade, len(gs))
-			copy(tmp, gs)
-			sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+			var buf [stackArity]model.Grade
+			tmp := sorted(gs, buf[:0])
 			return tmp[(len(tmp)-1)/2]
 		},
 	}

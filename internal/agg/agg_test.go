@@ -3,6 +3,8 @@ package agg
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -245,5 +247,56 @@ func TestOWA(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestApplyAllocatesNothing pins the bound table's hot path: NRA-family
+// bookkeeping calls Apply at least twice per sorted access, so no
+// aggregation may allocate for any arity a query accepts (up to 64 lists).
+func TestApplyAllocatesNothing(t *testing.T) {
+	for _, m := range []int{3, 64} {
+		ws := make([]float64, m)
+		for i := range ws {
+			ws[i] = float64(m - i)
+		}
+		gs := make([]model.Grade, m)
+		rng := rand.New(rand.NewSource(int64(m)))
+		for i := range gs {
+			gs[i] = model.Grade(rng.Float64())
+		}
+		for _, f := range append(catalog(m), OWA(ws)) {
+			if f.Name() == "gate" && m != 3 {
+				continue
+			}
+			if n := testing.AllocsPerRun(100, func() { f.Apply(gs) }); n != 0 {
+				t.Errorf("m=%d %s: %v allocations per Apply, want 0", m, f.Name(), n)
+			}
+		}
+	}
+}
+
+// TestMedianMatchesSortedCopy checks Median against a sorted copy — the
+// lower median for even m — on random vectors, with ties, at both parities
+// and on both sides of the stack buffer's width.
+func TestMedianMatchesSortedCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, m := range []int{1, 2, 3, 4, 7, 10, 63, 64, 65, 100} {
+		f := Median(m)
+		gs := make([]model.Grade, m)
+		for trial := 0; trial < 200; trial++ {
+			for i := range gs {
+				gs[i] = model.Grade(rng.Intn(8)) / 8 // a handful of values: ties
+			}
+			tmp := append([]model.Grade(nil), gs...)
+			sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+			want := tmp[(m-1)/2]
+			before := append([]model.Grade(nil), gs...)
+			if got := f.Apply(gs); got != want {
+				t.Fatalf("m=%d: Median(%v) = %v, want %v", m, gs, got, want)
+			}
+			if !slices.Equal(gs, before) {
+				t.Fatalf("m=%d: Median reordered its argument", m)
+			}
+		}
 	}
 }

@@ -2,7 +2,6 @@ package agg
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/model"
 )
@@ -50,12 +49,12 @@ func OWA(weights []float64) Func {
 		sm:     true,
 		smEach: false,
 		applyFunc: func(gs []model.Grade) model.Grade {
-			tmp := make([]model.Grade, len(gs))
-			copy(tmp, gs)
-			sort.Slice(tmp, func(i, j int) bool { return tmp[i] > tmp[j] })
+			var buf [stackArity]model.Grade
+			tmp := sorted(gs, buf[:0])
+			// Weights run from the largest grade down.
 			var v model.Grade
-			for i, g := range tmp {
-				v += model.Grade(ws[i]) * g
+			for i := range tmp {
+				v += model.Grade(ws[i]) * tmp[len(tmp)-1-i]
 			}
 			return v
 		},

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"container/heap"
 	"math"
+	"sync"
 
 	"repro/internal/access"
 	"repro/internal/agg"
@@ -45,25 +45,92 @@ type partial struct {
 	heapIdx int // position in the candidate heap, -1 if absent
 }
 
-// candHeap is a max-heap of candidates ordered by cached (possibly stale) B.
-type candHeap []*partial
-
-func (h candHeap) Len() int            { return len(h) }
-func (h candHeap) Less(i, j int) bool  { return h[i].b > h[j].b }
-func (h *candHeap) Push(x interface{}) { p := x.(*partial); p.heapIdx = len(*h); *h = append(*h, p) }
-func (h *candHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
-	p.heapIdx = -1
-	*h = old[:n-1]
-	return p
+// candSlot is one candidate-heap slot. It carries the candidate's cached B
+// inline, so a sift compares slots without dereferencing the candidates; the
+// copy equals the candidate's b whenever the heap is ordered (fix re-reads
+// it after the candidate's B changes).
+type candSlot struct {
+	b model.Grade
+	p *partial
 }
-func (h candHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
+
+// candHeap is a max-heap of candidates ordered by cached (possibly stale) B.
+// It applies container/heap's sift rules comparison for comparison — the
+// same child choice, the same strict-less stop — so the slot layout, and
+// with it the order in which drainTop refreshes and retires tied
+// candidates, is exactly the one container/heap would produce.
+type candHeap []candSlot
+
+// push adds p (container/heap.Push).
+func (h *candHeap) push(p *partial) {
+	*h = append(*h, candSlot{b: p.b, p: p})
+	h.up(len(*h) - 1)
+}
+
+// remove drops the candidate at slot i (container/heap.Remove; Pop is
+// remove(0)).
+func (h *candHeap) remove(i int) {
+	s := *h
+	n := len(s) - 1
+	s[i].p.heapIdx = -1
+	s[i] = s[n]
+	s[n] = candSlot{}
+	*h = s[:n]
+	if i != n && !h.down(i) {
+		h.up(i)
+	}
+}
+
+// fix restores the order after the B of the candidate at slot i changed
+// (container/heap.Fix).
+func (h candHeap) fix(i int) {
+	h[i].b = h[i].p.b
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+// up sifts slot j toward the root while it beats its parent.
+func (h candHeap) up(j int) {
+	s := h[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(s.b > h[i].b) {
+			break
+		}
+		h[j] = h[i]
+		h[j].p.heapIdx = j
+		j = i
+	}
+	h[j] = s
+	s.p.heapIdx = j
+}
+
+// down sifts slot i0 toward the leaves while a child beats it, preferring
+// the right child only when it strictly beats the left; it reports whether
+// the slot moved.
+func (h candHeap) down(i0 int) bool {
+	s := h[i0]
+	n := len(h)
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].b > h[j].b {
+			j = r
+		}
+		if !(h[j].b > s.b) {
+			break
+		}
+		h[i] = h[j]
+		h[i].p.heapIdx = i
+		i = j
+	}
+	h[i] = s
+	s.p.heapIdx = i
+	return i > i0
 }
 
 // table is the candidate bookkeeping shared by NRA, CA and Intermittent.
@@ -82,27 +149,95 @@ type table struct {
 
 	scratch []model.Grade
 
-	// Bump allocators: partial structs and their grade slices are carved
-	// out of slab allocations so the sorted-access hot path costs ~2 heap
-	// allocations per partSlabSize objects instead of 2 per object.
-	partSlab  []partial
-	gradeSlab []model.Grade
+	// Slab allocator: partial structs and their grade vectors are carved
+	// out of fixed-size chunks, so the sorted-access hot path allocates
+	// nothing per object. The chunks outlive release: the next query on a
+	// pooled table carves from the chunks it already owns and allocates
+	// only past the largest query the table has served.
+	slabs    []slab
+	slabUsed int // chunks opened by the current query
+	slabOff  int // partials carved from slabs[slabUsed-1]
+
+	released bool // invariants build: the table is back in tablePool
+}
+
+// slab is one chunk of the partial allocator: partSlabSize partials and
+// room for their grade vectors.
+type slab struct {
+	parts  []partial
+	grades []model.Grade
 }
 
 const partSlabSize = 128
 
+// tablePool recycles bound tables across queries. A released table keeps
+// its map buckets, slab chunks and heap and top-k backing arrays, so a warm
+// query's bookkeeping allocates almost nothing.
+var tablePool = sync.Pool{New: func() any {
+	return &table{parts: make(map[model.ObjectID]*partial)}
+}}
+
+// newTable takes a table from tablePool and resets it for one query. The
+// owner hands it back with release once it no longer reads the table.
 func newTable(src *access.Source, t agg.Func, k int, lazy bool) *table {
+	tb := tablePool.Get().(*table)
 	m := src.M()
-	tb := &table{
-		t: t, m: m, k: k, src: src, lazy: lazy,
-		bottoms: make([]model.Grade, m),
-		parts:   make(map[model.ObjectID]*partial),
-		scratch: make([]model.Grade, m),
-	}
+	tb.t, tb.m, tb.k, tb.src, tb.lazy = t, m, k, src, lazy
+	tb.depth, tb.observed, tb.released = 0, 0, false
+	tb.bottoms = resize(tb.bottoms, m)
 	for i := range tb.bottoms {
 		tb.bottoms[i] = 1 // x̄ᵢ = 1 before any sorted access
 	}
+	tb.scratch = resize(tb.scratch, m)
 	return tb
+}
+
+// resize returns s with length n, reusing its backing array when it fits.
+func resize(s []model.Grade, n int) []model.Grade {
+	if cap(s) < n {
+		return make([]model.Grade, n)
+	}
+	return s[:n]
+}
+
+// release empties tb and returns it to tablePool. Nothing may read tb
+// afterwards: the next newTable hands its memory to another query.
+func (tb *table) release() {
+	if invariantsEnabled {
+		assertInvariant(!tb.released, "bound table released twice")
+		tb.released = true
+	}
+	clear(tb.parts)
+	tb.topk = tb.topk[:0]
+	tb.cands = tb.cands[:0]
+	tb.slabUsed, tb.slabOff = 0, 0
+	tb.src, tb.t = nil, nil // a pooled table must not keep a database alive
+	tablePool.Put(tb)
+}
+
+// newPartial carves a zero-knowledge entry for obj out of the slabs.
+func (tb *table) newPartial(obj model.ObjectID) *partial {
+	if tb.slabUsed == 0 || tb.slabOff == partSlabSize {
+		if tb.slabUsed == len(tb.slabs) {
+			tb.slabs = append(tb.slabs, slab{parts: make([]partial, partSlabSize)})
+		}
+		if s := &tb.slabs[tb.slabUsed]; len(s.grades) < partSlabSize*tb.m {
+			s.grades = make([]model.Grade, partSlabSize*tb.m)
+		}
+		tb.slabUsed++
+		tb.slabOff = 0
+	}
+	s := &tb.slabs[tb.slabUsed-1]
+	lo := tb.slabOff * tb.m
+	p := &s.parts[tb.slabOff]
+	tb.slabOff++
+	*p = partial{
+		obj:     obj,
+		grades:  s.grades[lo : lo+tb.m : lo+tb.m],
+		heapIdx: -1,
+		bDepth:  -1,
+	}
+	return p
 }
 
 // computeW evaluates W(p) (missing fields ← 0).
@@ -181,23 +316,12 @@ func (tb *table) resortTopK() {
 // learn records that obj's grade in list is g, updating W, B and the top-k
 // structures. It is called for both sorted and random discoveries.
 func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
+	if invariantsEnabled {
+		assertInvariant(!tb.released, "learn on a released bound table")
+	}
 	p := tb.parts[obj]
 	if p == nil {
-		if len(tb.partSlab) == 0 {
-			tb.partSlab = make([]partial, partSlabSize)
-		}
-		if len(tb.gradeSlab) < tb.m {
-			tb.gradeSlab = make([]model.Grade, partSlabSize*tb.m)
-		}
-		p = &tb.partSlab[0]
-		tb.partSlab = tb.partSlab[1:]
-		*p = partial{
-			obj:     obj,
-			grades:  tb.gradeSlab[:tb.m:tb.m],
-			heapIdx: -1,
-			bDepth:  -1,
-		}
-		tb.gradeSlab = tb.gradeSlab[tb.m:]
+		p = tb.newPartial(obj)
 		tb.parts[obj] = p
 	}
 	bit := uint64(1) << uint(list)
@@ -227,7 +351,7 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 	// Try to promote p into T_k.
 	if len(tb.topk) < tb.k {
 		if p.heapIdx >= 0 {
-			heap.Remove(&tb.cands, p.heapIdx)
+			tb.cands.remove(p.heapIdx)
 		}
 		p.inTopK = true
 		tb.topk = append(tb.topk, p)
@@ -237,22 +361,22 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 	worst := tb.topk[tb.k-1]
 	if better(p, worst) {
 		if p.heapIdx >= 0 {
-			heap.Remove(&tb.cands, p.heapIdx)
+			tb.cands.remove(p.heapIdx)
 		}
 		p.inTopK = true
 		worst.inTopK = false
 		tb.topk[tb.k-1] = p
 		tb.resortTopK()
 		if tb.lazy {
-			heap.Push(&tb.cands, worst)
+			tb.cands.push(worst)
 		}
 		return p
 	}
 	if tb.lazy {
 		if p.heapIdx >= 0 {
-			heap.Fix(&tb.cands, p.heapIdx)
+			tb.cands.fix(p.heapIdx)
 		} else {
-			heap.Push(&tb.cands, p)
+			tb.cands.push(p)
 		}
 	}
 	return p
@@ -274,10 +398,13 @@ func (tb *table) observeSorted(i int, e model.Entry) {
 // only decreases, M_k only increases). It returns nil when no viable
 // candidate remains. Lazy engine only.
 func (tb *table) drainTop(mk model.Grade) *partial {
-	for tb.cands.Len() > 0 {
-		c := tb.cands[0]
+	if invariantsEnabled {
+		assertInvariant(!tb.released, "drainTop on a released bound table")
+	}
+	for len(tb.cands) > 0 {
+		c := tb.cands[0].p
 		if c.retired || c.inTopK {
-			heap.Pop(&tb.cands)
+			tb.cands.remove(0)
 			continue
 		}
 		if c.bDepth == tb.depth {
@@ -285,12 +412,12 @@ func (tb *table) drainTop(mk model.Grade) *partial {
 				return c
 			}
 			c.retired = true
-			heap.Pop(&tb.cands)
+			tb.cands.remove(0)
 			continue
 		}
 		c.b = tb.computeB(c)
 		c.bDepth = tb.depth
-		heap.Fix(&tb.cands, 0)
+		tb.cands.fix(0)
 	}
 	return nil
 }

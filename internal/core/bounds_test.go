@@ -2,11 +2,13 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/access"
 	"repro/internal/agg"
 	"repro/internal/model"
+	"repro/internal/workload"
 )
 
 // tableFor builds a table over a small fixed database for direct
@@ -175,6 +177,73 @@ func TestResultFromTableOrdersBestFirst(t *testing.T) {
 	for i, w := range wantObjs {
 		if res.Items[i].Object != w {
 			t.Fatalf("rank %d is %d, want %d", i+1, res.Items[i].Object, w)
+		}
+	}
+}
+
+// TestCursorReleaseIsFinal pins NRACursor.Release: a second Release is a
+// no-op, and any later use panics instead of reading a pooled table that
+// may already serve another query.
+func TestCursorReleaseIsFinal(t *testing.T) {
+	_, src := tableFor(t, 1, true)
+	c, err := NewNRACursor(src, agg.Avg(2), 1, LazyEngine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.StepN(1)
+	c.Release()
+	c.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Halted on a released cursor did not panic")
+		}
+	}()
+	c.Halted()
+}
+
+// TestPooledTableServesNextQueryClean runs the same queries before and
+// after tables have cycled through the pool across arities, k values and
+// algorithms: every repeat must reproduce its first run exactly — items,
+// intervals, θ and Stats, bound recomputes included — so no state leaks
+// from one query's table into the next.
+func TestPooledTableServesNextQueryClean(t *testing.T) {
+	type query struct {
+		alg func() Algorithm
+		db  *model.Database
+		tf  agg.Func
+		k   int
+	}
+	var queries []query
+	for _, m := range []int{2, 5} {
+		db, err := workload.IndependentUniform(workload.Spec{N: 300, M: m, Seed: int64(60 + m)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 7} {
+			queries = append(queries,
+				query{func() Algorithm { return &NRA{} }, db, agg.Median(m), k},
+				query{func() Algorithm { return &CA{H: 2} }, db, agg.Avg(m), k},
+				query{func() Algorithm { return &Intermittent{H: 3} }, db, agg.Min(m), k},
+				query{func() Algorithm { return &CostAwareTA{} }, db, agg.Sum(m), k})
+		}
+	}
+	run := func(q query) *Result {
+		res, err := q.alg().Run(access.New(q.db, access.AllowAll), q.tf, q.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first := make([]*Result, len(queries))
+	for i, q := range queries {
+		first[i] = run(q)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := len(queries) - 1; i >= 0; i-- {
+			q := queries[i]
+			if got := run(q); !reflect.DeepEqual(got, first[i]) {
+				t.Fatalf("%s m=%d k=%d: repeat differs\n got %+v\nwant %+v", q.alg().Name(), q.db.M(), q.k, got, first[i])
+			}
 		}
 	}
 }

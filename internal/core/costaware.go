@@ -144,6 +144,7 @@ func (a *CostAwareTA) Run(src *access.Source, t agg.Func, k int) (*Result, error
 	}
 	view := newSchedView(src)
 	tb := newTable(src, t, k, true)
+	defer tb.release()
 	// One phase every h rounds; the planner allocates accesses unevenly, so
 	// a "round" is m sorted accesses wherever they were spent.
 	period := h * m

@@ -228,6 +228,18 @@ func (c *NRACursor) View() CursorView {
 // Halted reports true, or when a caller stops a run early).
 func (c *NRACursor) Result() *Result { return c.tb.result(c.tb.depth) }
 
+// Release returns the cursor's bound table to a pool shared by every query,
+// so the next cursor reuses its memory instead of allocating its own. Call
+// it once the cursor's last Result and View have been consumed. A second
+// Release is a no-op; any other use of a released cursor panics rather
+// than read state that may already belong to another query.
+func (c *NRACursor) Release() {
+	if c.tb != nil {
+		c.tb.release()
+		c.tb = nil
+	}
+}
+
 // encounteredObjects returns the objects seen during the latest StepN call
 // in (round, list) order (Intermittent queues these for its delayed random
 // phase). The slice is reused by the next StepN.

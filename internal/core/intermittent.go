@@ -56,6 +56,7 @@ func (a *Intermittent) Run(src *access.Source, t agg.Func, k int) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
+	defer c.Release()
 	var queue []model.ObjectID // encounters in TA time order
 	for {
 		if c.StepN(1) == 0 {

@@ -71,6 +71,7 @@ func (a *NRA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer c.Release()
 	for {
 		if c.StepN(1) == 0 {
 			if err := c.Err(); err != nil {

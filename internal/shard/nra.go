@@ -335,6 +335,13 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 	ks := make([]int, p)
 	srcs := make([]*access.Source, p)
 	cursors := make([]*core.NRACursor, p)
+	defer func() {
+		for _, cur := range cursors {
+			if cur != nil {
+				cur.Release()
+			}
+		}
+	}()
 	stepCost := make([]float64, p)
 	for s, db := range e.shards {
 		ks[s] = k
