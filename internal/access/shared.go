@@ -3,6 +3,7 @@ package access
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/model"
 )
@@ -16,12 +17,12 @@ import (
 // lists therefore cost the subsystem m scans (to the deepest consumer's
 // depth) instead of Q·m: the batch executor's whole point.
 //
-// The window is a sliding ring, not a growing buffer: every attached
-// consumer's read position is tracked, and entries below the slowest live
-// consumer are trimmed as soon as that consumer advances (sorted cursors
-// only move forward, so a trimmed entry can never be re-read by a live
-// consumer). Peak window memory is therefore bounded by the spread between
-// the fastest and slowest live consumer, not by the deepest scan — the
+// The window slides, it does not grow: every attached consumer's read
+// position is tracked, and entries below the slowest live consumer are
+// trimmed as soon as that consumer advances (sorted cursors only move
+// forward, so a trimmed entry can never be re-read by a live consumer).
+// Peak window memory is therefore bounded by the spread between the
+// fastest and slowest live consumer, not by the deepest scan — the
 // difference that matters on straggler-heavy batches. Releasing a finished
 // consumer (the func Attach returns) lets the window slide past it; a
 // consumer attached after trimming re-fetches below-window positions
@@ -29,14 +30,16 @@ import (
 //
 // Random accesses are not shared: each query's probes pass through (and are
 // counted) individually, since which objects a query probes depends on its
-// own algorithm and aggregation.
+// own algorithm and aggregation. A probe takes no lock: the shared count
+// is atomic.
 //
 // A SharedScan and its attached Sources may be used from concurrent
 // goroutines; each attached Source itself still serves one query at a time,
 // as always.
 type SharedScan struct {
 	mu     sync.Mutex
-	nextID int
+	slots  int   // consumer slots handed out so far
+	free   []int // released slots, reused by the next Attach
 	shared []*sharedList
 }
 
@@ -52,7 +55,7 @@ func NewSharedScan(lists []ListSource) *SharedScan {
 		if l.Len() != n {
 			panic(fmt.Sprintf("access: list %d has %d entries, want %d", i, l.Len(), n))
 		}
-		ss.shared[i] = &sharedList{src: l, n: n, consumers: make(map[int]int)}
+		ss.shared[i] = &sharedList{src: l, n: n}
 	}
 	return ss
 }
@@ -66,8 +69,12 @@ func NewSharedScan(lists []ListSource) *SharedScan {
 // idempotent.
 func (ss *SharedScan) Attach(policy Policy) (*Source, func()) {
 	ss.mu.Lock()
-	id := ss.nextID
-	ss.nextID++
+	id := ss.slots
+	if k := len(ss.free); k > 0 {
+		id, ss.free = ss.free[k-1], ss.free[:k-1]
+	} else {
+		ss.slots++
+	}
 	ss.mu.Unlock()
 	lists := make([]ListSource, len(ss.shared))
 	for i, l := range ss.shared {
@@ -80,6 +87,9 @@ func (ss *SharedScan) Attach(policy Policy) (*Source, func()) {
 			for _, l := range ss.shared {
 				l.detach(id)
 			}
+			ss.mu.Lock()
+			ss.free = append(ss.free, id)
+			ss.mu.Unlock()
 		})
 	}
 	return FromLists(lists, policy), release
@@ -120,62 +130,92 @@ func (ss *SharedScan) PeakWindow() int {
 }
 
 // sharedList adapts one underlying list into a sliding window every
-// consumer reads through.
+// consumer reads through. The window is buf[head:]; trimming advances head
+// instead of copying, and the dead prefix buf[:head] is compacted away only
+// once it is as long as the live window, so each entry is copied O(1)
+// times on average and the backing array stays within twice the peak
+// window.
 type sharedList struct {
-	mu        sync.Mutex
-	src       ListSource
-	n         int           // src.Len(), fixed: lists are immutable
-	base      int           // absolute position of buf[0]
-	buf       []model.Entry // the window: absolute positions [base, base+len(buf))
-	consumers map[int]int   // live consumer id → next unread position
-	fetched   int64         // physical entries pulled (window fills + re-fetches)
-	random    int64         // pass-through random probes
-	peak      int           // peak window length
+	mu      sync.Mutex
+	src     ListSource
+	n       int           // src.Len(), fixed: lists are immutable
+	base    int           // absolute position of buf[head]
+	head    int           // buf[head:] holds absolute positions [base, base+len(buf)-head)
+	buf     []model.Entry // the window after a dead prefix of trimmed entries
+	next    []int         // consumer slot → next unread position; -1 once released
+	fetched int64         // physical entries pulled (window fills + re-fetches)
+	peak    int           // peak window length
+	random  atomic.Int64  // pass-through random probes, counted without mu
 }
 
 func (l *sharedList) attach(id int) {
 	l.mu.Lock()
-	l.consumers[id] = 0
+	for len(l.next) <= id {
+		l.next = append(l.next, -1)
+	}
+	l.next[id] = 0
 	l.mu.Unlock()
 }
 
 func (l *sharedList) detach(id int) {
 	l.mu.Lock()
-	delete(l.consumers, id)
+	l.next[id] = -1
 	l.trimLocked()
 	l.mu.Unlock()
 }
 
-// advanceLocked records that consumer id has consumed position pos.
+// advanceLocked records that consumer id has consumed position pos and
+// slides the window when id was the consumer holding its low edge. A
+// consumer reading ahead of the low edge cannot raise the slowest
+// consumer's position, so it skips the walk over the slots.
 func (l *sharedList) advanceLocked(id, pos int) {
-	if next, ok := l.consumers[id]; ok && pos+1 > next {
-		l.consumers[id] = pos + 1
+	next := l.next[id]
+	if next < 0 || pos+1 <= next {
+		return
+	}
+	l.next[id] = pos + 1
+	if next <= l.base {
+		l.trimLocked()
 	}
 }
 
 // trimLocked drops window entries below the slowest live consumer's next
-// read. The entries are copied down in place so the backing array's
-// capacity stays bounded by the peak window, not the scan depth.
+// read by advancing head, compacting once the dead prefix is as long as
+// the live window.
 func (l *sharedList) trimLocked() {
-	if len(l.buf) == 0 {
+	live := len(l.buf) - l.head
+	if live == 0 {
 		return
 	}
-	min := l.base + len(l.buf)
-	for _, next := range l.consumers {
-		if next < min {
-			min = next
+	low := l.base + live
+	for _, next := range l.next {
+		if next >= 0 && next < low {
+			low = next
 		}
 	}
-	drop := min - l.base
+	drop := low - l.base
 	if drop <= 0 {
 		return
 	}
-	if drop > len(l.buf) {
-		drop = len(l.buf)
-	}
-	n := copy(l.buf, l.buf[drop:])
-	l.buf = l.buf[:n]
+	l.head += drop
 	l.base += drop
+	if l.head >= live-drop {
+		l.buf = l.buf[:copy(l.buf, l.buf[l.head:])]
+		l.head = 0
+	}
+}
+
+// pushLocked appends e to the window. A full backing array is replaced by
+// one of twice the live window, so growth is amortized and the capacity
+// stays within twice the peak window.
+func (l *sharedList) pushLocked(e model.Entry) {
+	if len(l.buf) == cap(l.buf) {
+		live := l.buf[l.head:]
+		grown := make([]model.Entry, len(live), max(2*len(live), 1))
+		copy(grown, live)
+		l.buf, l.head = grown, 0
+	}
+	l.buf = append(l.buf, e)
 }
 
 // atLocked serves consumer id's read of absolute position pos with l.mu
@@ -195,23 +235,22 @@ func (l *sharedList) atLocked(id, pos int) (model.Entry, error) {
 			return model.Entry{}, err
 		}
 		l.fetched++
-		l.advanceLocked(id, pos)
+		l.advanceLocked(id, pos) // pos < base: cannot slide the window
 		return e, nil
 	}
-	for pos >= l.base+len(l.buf) {
-		e, err := atErr(l.src, l.base+len(l.buf))
+	for end := l.base + len(l.buf) - l.head; pos >= end; end++ {
+		e, err := atErr(l.src, end)
 		if err != nil {
 			return model.Entry{}, err
 		}
-		l.buf = append(l.buf, e)
+		l.pushLocked(e)
 		l.fetched++
 	}
-	if len(l.buf) > l.peak {
-		l.peak = len(l.buf)
+	if live := len(l.buf) - l.head; live > l.peak {
+		l.peak = live
 	}
-	e := l.buf[pos-l.base]
+	e := l.buf[l.head+pos-l.base]
 	l.advanceLocked(id, pos)
-	l.trimLocked()
 	return e, nil
 }
 
@@ -249,9 +288,7 @@ func (l *sharedList) gradeOfErr(obj model.ObjectID) (model.Grade, bool, error) {
 		return 0, false, err
 	}
 	if ok {
-		l.mu.Lock()
-		l.random++
-		l.mu.Unlock()
+		l.random.Add(1)
 	}
 	return g, ok, nil
 }
@@ -259,7 +296,7 @@ func (l *sharedList) gradeOfErr(obj model.ObjectID) (model.Grade, bool, error) {
 func (l *sharedList) counts() (fetched, random int64, peak int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.fetched, l.random, l.peak
+	return l.fetched, l.random.Load(), l.peak
 }
 
 // consumerView is one consumer's identity-carrying handle on a sharedList;

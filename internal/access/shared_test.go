@@ -1,6 +1,7 @@
 package access
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -237,5 +238,200 @@ func TestSharedScanLateAttachRefetches(t *testing.T) {
 	// below-window re-fetches.
 	if phys := ss.Stats(); phys.Sorted != int64(2*len(want)) {
 		t.Fatalf("physical sorted = %d, want %d", phys.Sorted, 2*len(want))
+	}
+}
+
+// sharedScanDB builds an n-object database of m lists with pseudo-random
+// grades.
+func sharedScanDB(t *testing.T, n, m int) *model.Database {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	b := model.NewBuilder(m)
+	grades := make([]model.Grade, m)
+	for obj := 0; obj < n; obj++ {
+		for j := range grades {
+			grades[j] = model.Grade(rng.Float64())
+		}
+		if err := b.Add(model.ObjectID(obj), grades...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.MustBuild()
+}
+
+func sharedLists(db *model.Database) []ListSource {
+	lists := make([]ListSource, db.M())
+	for i := range lists {
+		lists[i] = db.List(i)
+	}
+	return lists
+}
+
+// TestSharedScanConcurrentSortedAndRandom runs 8 consumers on 2 goroutines
+// that mix sorted and random access, as TA does: each consumer reads every
+// list to its own depth at its own pace and probes the other lists for
+// each object it sees. Every entry and grade must match a plain Source,
+// the executor's random count must be the consumers' sum (probes are
+// counted without the window's lock), and the physical scan must be the
+// deepest depth on each list.
+func TestSharedScanConcurrentSortedAndRandom(t *testing.T) {
+	const n, m, consumers, workers = 2000, 3, 8, 2
+	db := sharedScanDB(t, n, m)
+	plain := New(db, AllowAll)
+	want := make([][]model.Entry, m)
+	for i := range want {
+		for {
+			e, ok, _ := plain.SortedNext(i)
+			if !ok {
+				break
+			}
+			want[i] = append(want[i], e)
+		}
+	}
+	depth := func(g, i int) int { return 200 + (g*7+i*3)%8*225 } // 200 … 1775
+	pace := func(g int) int { return 1 + g%3 }                   // entries per turn
+
+	ss := NewSharedScan(sharedLists(db))
+	srcs := make([]*Source, consumers)
+	releases := make([]func(), consumers)
+	for g := range srcs {
+		srcs[g], releases[g] = ss.Attach(AllowAll)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			read := make([][]int, consumers) // read[g][i]: entries consumer g has read from list i
+			for g := w; g < consumers; g += workers {
+				read[g] = make([]int, m)
+				defer releases[g]()
+			}
+			for busy := true; busy; {
+				busy = false
+				for g := w; g < consumers; g += workers {
+					for i := 0; i < m; i++ {
+						for r := 0; r < pace(g) && read[g][i] < depth(g, i); r++ {
+							busy = true
+							pos := read[g][i]
+							e, ok, err := srcs[g].SortedNext(i)
+							if err != nil || !ok || e != want[i][pos] {
+								t.Errorf("consumer %d list %d position %d: got (%v, %v, %v), want %v", g, i, pos, e, ok, err, want[i][pos])
+								return
+							}
+							read[g][i]++
+							for j := 0; j < m; j++ {
+								if j == i {
+									continue
+								}
+								grade, _ := db.List(j).GradeOf(e.Object)
+								if got, ok, err := srcs[g].Random(j, e.Object); err != nil || !ok || got != grade {
+									t.Errorf("consumer %d probe of object %d in list %d: got (%v, %v, %v), want %v", g, e.Object, j, got, ok, err, grade)
+									return
+								}
+							}
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	var random int64
+	for _, src := range srcs {
+		random += src.Stats().Random
+	}
+	phys := ss.Stats()
+	if phys.Random != random {
+		t.Errorf("executor random = %d, consumers' sum = %d", phys.Random, random)
+	}
+	var deepest int64
+	for i := 0; i < m; i++ {
+		d := 0
+		for g := 0; g < consumers; g++ {
+			d = max(d, depth(g, i))
+		}
+		if phys.PerList[i] != int64(d) {
+			t.Errorf("list %d physical depth %d, want the deepest consumer's %d", i, phys.PerList[i], d)
+		}
+		deepest += int64(d)
+	}
+	if phys.Sorted != deepest {
+		t.Errorf("physical sorted = %d, want %d", phys.Sorted, deepest)
+	}
+}
+
+// TestSharedScanWindowCapacity pins the window's memory: trimming only
+// advances a head offset, so the backing array must stay within
+// 2 × PeakWindow + 1 after every read — for a lone consumer over 10 000
+// entries, and for a batch whose straggler pins the window while the rest
+// run ahead and release.
+func TestSharedScanWindowCapacity(t *testing.T) {
+	const n = 10000
+	db := sharedScanDB(t, n, 1)
+	check := func(ss *SharedScan, what string, read int) {
+		t.Helper()
+		if c, p := cap(ss.shared[0].buf), ss.PeakWindow(); c > 2*p+1 {
+			t.Fatalf("%s after %d reads: window capacity %d exceeds 2 × peak %d + 1", what, read, c, p)
+		}
+	}
+
+	ss := NewSharedScan(sharedLists(db))
+	src, release := ss.Attach(AllowAll)
+	for r := 1; r <= n; r++ {
+		if _, ok, _ := src.SortedNext(0); !ok {
+			t.Fatalf("unexpected exhaustion at %d", r)
+		}
+		check(ss, "lone consumer", r)
+	}
+	release()
+
+	// Seven consumers read 1–4 entries a turn; the straggler reads one
+	// entry every fourth turn until the fast consumers finish, then
+	// catches up alone.
+	const batch = 8
+	ss = NewSharedScan(sharedLists(db))
+	srcs := make([]*Source, batch)
+	releases := make([]func(), batch)
+	for g := range srcs {
+		srcs[g], releases[g] = ss.Attach(AllowAll)
+	}
+	reads := 0
+	next := func(g int) bool {
+		_, ok, _ := srcs[g].SortedNext(0)
+		if ok {
+			reads++
+			check(ss, "straggler batch", reads)
+		}
+		return ok
+	}
+	done := make([]bool, batch)
+	for turn, live := 0, batch-1; live > 0; turn++ {
+		live = 0
+		for g := 1; g < batch; g++ {
+			if done[g] {
+				continue
+			}
+			for r := 0; r <= g%4 && next(g); r++ {
+			}
+			if done[g] = srcs[g].Exhausted(0); done[g] {
+				releases[g]()
+			} else {
+				live++
+			}
+		}
+		if turn%4 == 0 {
+			next(0)
+		}
+	}
+	for next(0) {
+	}
+	releases[0]()
+	if peak := ss.PeakWindow(); peak < n/2 {
+		t.Fatalf("straggler batch peak window = %d; the straggler did not pin the window", peak)
 	}
 }

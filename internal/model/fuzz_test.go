@@ -8,8 +8,10 @@ import (
 
 // FuzzReadCSV drives the CSV parser and the builder behind it with
 // arbitrary input. Inputs the parser accepts must yield a structurally
-// sound database (finite grades, non-increasing sorted lists) that
-// round-trips through WriteCSV byte-stably at the value level.
+// sound database (finite grades, non-increasing sorted lists, a random
+// access index that agrees with sorted access) that round-trips through
+// WriteCSV byte-stably at the value level. Dense ids exercise the grade
+// column and sparse or extreme ids the rank map.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("object,attr1\n1,0.5\n")
 	f.Add("object,attr1,attr2\n1,0.9,0.1\n2,0.3,0.8\n3,0.5,0.5\n")
@@ -34,10 +36,15 @@ func FuzzReadCSV(f *testing.F) {
 			if l.Len() != db.N() {
 				t.Fatalf("list %d has %d entries, want N=%d", i, l.Len(), db.N())
 			}
-			for pos := 1; pos < l.Len(); pos++ {
-				if l.At(pos).Grade > l.At(pos-1).Grade {
+			for pos := 0; pos < l.Len(); pos++ {
+				e := l.At(pos)
+				if pos > 0 && e.Grade > l.At(pos-1).Grade {
 					t.Fatalf("list %d increases at position %d: %v after %v",
-						i, pos, l.At(pos).Grade, l.At(pos-1).Grade)
+						i, pos, e.Grade, l.At(pos-1).Grade)
+				}
+				if g, ok := l.GradeOf(e.Object); !ok || g != e.Grade {
+					t.Fatalf("list %d: GradeOf(%d) = %v,%v; sorted access has %v at position %d",
+						i, e.Object, g, ok, e.Grade, pos)
 				}
 			}
 		}

@@ -8,6 +8,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -29,46 +30,77 @@ type Entry struct {
 // columnar (struct-of-arrays): the sorted order lives in two flat parallel
 // columns — objs and grades — so positional scans touch densely packed
 // memory and batch reads (AtN) are straight column copies. The row-oriented
-// API (At, Entries) is a thin view assembled from the columns on demand. A
-// rank index supports O(1) random access by object; partitioned shard lists
-// additionally carry a shared random-access index over their parent's
-// columns (see partition.go), replacing the hash lookup with an array read.
+// API (At, Entries) is a thin view assembled from the columns on demand.
+//
+// Random access has one index per list. When the list's ids are dense (a
+// permutation of min, min+1, …, min+N-1 — true for every generated
+// workload), it is a grade-by-object column, and the shard lists Partition
+// cuts from the list share that same column; a random access is then a
+// bounds check and one array read. Only sparse id spaces (hand-edited CSV
+// input, for example) pay for a rank map.
 type List struct {
 	objs   []ObjectID // column: object at each sorted position
 	grades []Grade    // column: grade at each sorted position
-	rank   map[ObjectID]int32
 
-	// ra, when non-nil, is the columnar random-access fast path Partition
-	// installs on shard lists; GradeOf prefers it over the rank map.
-	ra *randomIndex
+	// Exactly one of ra and rank is set on a non-empty list: ra for dense
+	// ids, rank (object → sorted position) for sparse ones.
+	ra   *randomIndex
+	rank map[ObjectID]int32
 }
 
-// randomIndex answers a shard list's random accesses from a dense
-// grade-by-object column: byObj[obj-min] is the object's grade in the
-// parent list, and membership in the shard is the round-robin residue
-// check (obj - min) % p == s, valid because the parent's object ids are
-// dense. One byObj column is built per parent list and shared by all its
-// shard slices, so a random access is a bounds check, a residue check and
-// a single array read — one cache line where the rank map cost a hash
-// probe.
+// randomIndex answers random accesses from a dense grade-by-object column:
+// byObj[obj-min] is the object's grade. A list over dense ids owns its
+// column with p = 1; a shard list Partition cuts from it shares the same
+// column, and membership in shard s of p is the round-robin residue check
+// (obj - min) % p == s.
 type randomIndex struct {
 	byObj []Grade // (obj - min) -> the object's grade in the parent list
 	min   ObjectID
 	p, s  int // shard membership: (obj - min) % p == s
 }
 
-// listColumns builds the sorted columns and rank index from pre-sorted
-// parallel columns; callers guarantee descending grade order. It returns an
-// error on duplicate objects.
+// full reports whether the index covers its whole column: the list it
+// serves holds every object of the dense range.
+func (ra *randomIndex) full() bool { return ra != nil && ra.p == 1 }
+
+// listColumns builds the List around pre-sorted parallel columns; callers
+// guarantee descending grade order. Dense ids get a grade column, filled
+// in one pass that also catches duplicates; sparse ids get a rank map. It
+// returns an error on duplicate objects.
 func listColumns(objs []ObjectID, grades []Grade) (*List, error) {
-	rank := make(map[ObjectID]int32, len(objs))
+	l := &List{objs: objs, grades: grades}
+	if len(objs) == 0 {
+		return l, nil
+	}
+	lo, hi := objs[0], objs[0]
+	for _, obj := range objs[1:] {
+		lo, hi = min(lo, obj), max(hi, obj)
+	}
+	// The span is computed unsigned so ids at both ends of the int range
+	// cannot overflow it. A span below N-1 means a duplicate, which the
+	// map path reports.
+	if uint64(hi)-uint64(lo) == uint64(len(objs)-1) {
+		byObj := make([]Grade, len(objs))
+		filled := make([]uint64, (len(objs)+63)/64)
+		for i, obj := range objs {
+			at := int(obj - lo)
+			if filled[at/64]&(1<<(at%64)) != 0 {
+				return nil, fmt.Errorf("model: object %d appears twice in list", obj)
+			}
+			filled[at/64] |= 1 << (at % 64)
+			byObj[at] = grades[i]
+		}
+		l.ra = &randomIndex{byObj: byObj, min: lo, p: 1}
+		return l, nil
+	}
+	l.rank = make(map[ObjectID]int32, len(objs))
 	for i, obj := range objs {
-		if _, dup := rank[obj]; dup {
+		if _, dup := l.rank[obj]; dup {
 			return nil, fmt.Errorf("model: object %d appears twice in list", obj)
 		}
-		rank[obj] = int32(i)
+		l.rank[obj] = int32(i)
 	}
-	return &List{objs: objs, grades: grades, rank: rank}, nil
+	return l, nil
 }
 
 // byGradeDesc sorts parallel columns descending by grade, ties by ascending
@@ -159,8 +191,9 @@ func (l *List) AtN(pos int, dst []Entry) int {
 // GradeOf returns the grade of obj in this list, and whether it is present.
 func (l *List) GradeOf(obj ObjectID) (Grade, bool) {
 	if ra := l.ra; ra != nil {
-		i := int(obj - ra.min)
-		if i < 0 || i >= len(ra.byObj) || i%ra.p != ra.s {
+		// Unsigned, so an id below min wraps past the column's end.
+		i := uint64(obj) - uint64(ra.min)
+		if i >= uint64(len(ra.byObj)) || (ra.p > 1 && int(i)%ra.p != ra.s) {
 			return 0, false
 		}
 		return ra.byObj[i], true
@@ -173,9 +206,14 @@ func (l *List) GradeOf(obj ObjectID) (Grade, bool) {
 }
 
 // RankOf returns the 0-based sorted position of obj, and whether present.
+// It scans the list: only tests ask for positions.
 func (l *List) RankOf(obj ObjectID) (int, bool) {
-	i, ok := l.rank[obj]
-	return int(i), ok
+	for i, o := range l.objs {
+		if o == obj {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // Entries returns a copy of the list's entries in sorted order.
@@ -206,26 +244,36 @@ type Database struct {
 	names   map[ObjectID]string
 }
 
-// NewDatabase assembles a database from lists, verifying that every list
-// contains exactly the same object set and is non-empty.
+// NewDatabase assembles a database from lists, verifying that the lists
+// are non-empty and every list contains exactly the same object set.
 func NewDatabase(lists []*List) (*Database, error) {
 	if len(lists) == 0 {
 		return nil, fmt.Errorf("model: database needs at least one list")
 	}
 	n := lists[0].Len()
+	if n == 0 {
+		return nil, fmt.Errorf("model: database lists are empty")
+	}
 	for i, l := range lists {
 		if l.Len() != n {
 			return nil, fmt.Errorf("model: list %d has %d entries, want %d", i, l.Len(), n)
 		}
 	}
-	objs := make([]ObjectID, 0, n)
-	for obj := range lists[0].rank {
-		objs = append(objs, obj)
+	objs := make([]ObjectID, n)
+	if ra := lists[0].ra; ra.full() {
+		for i := range objs {
+			objs[i] = ra.min + ObjectID(i)
+		}
+	} else {
+		copy(objs, lists[0].objs)
+		slices.Sort(objs)
 	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
 	for i := 1; i < len(lists); i++ {
+		if ra := lists[i].ra; ra.full() && lists[0].ra.full() && ra.min == lists[0].ra.min {
+			continue // two full columns over one range hold the same objects
+		}
 		for _, obj := range objs {
-			if _, ok := lists[i].rank[obj]; !ok {
+			if _, ok := lists[i].GradeOf(obj); !ok {
 				return nil, fmt.Errorf("model: object %d missing from list %d", obj, i)
 			}
 		}

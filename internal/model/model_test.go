@@ -2,9 +2,11 @@ package model
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -47,8 +49,14 @@ func TestNewListTieBreaksById(t *testing.T) {
 }
 
 func TestNewListRejectsDuplicates(t *testing.T) {
-	if _, err := NewList([]Entry{{Object: 1, Grade: 0.1}, {Object: 1, Grade: 0.2}}); err == nil {
-		t.Fatal("expected duplicate-object error")
+	for _, entries := range [][]Entry{
+		{{Object: 1, Grade: 0.1}, {Object: 1, Grade: 0.2}},
+		// Span 3 = N looks dense: the grade-column fill must catch it.
+		{{Object: 0, Grade: 0.9}, {Object: 2, Grade: 0.5}, {Object: 2, Grade: 0.1}},
+	} {
+		if _, err := NewList(entries); err == nil || !strings.Contains(err.Error(), "appears twice") {
+			t.Errorf("%v: got %v, want a duplicate-object error", entries, err)
+		}
 	}
 }
 
@@ -103,18 +111,38 @@ func TestRandomAccessMatchesSorted(t *testing.T) {
 	}
 }
 
+// TestDatabaseValidation checks NewDatabase's shape and object-set checks,
+// including those between the two index kinds: two dense lists over
+// different ranges, and a dense and a sparse list of equal length.
 func TestDatabaseValidation(t *testing.T) {
-	l1 := mustList(t, []Entry{{Object: 1, Grade: 0.5}, {Object: 2, Grade: 0.4}})
-	l2 := mustList(t, []Entry{{Object: 1, Grade: 0.3}, {Object: 3, Grade: 0.2}})
-	if _, err := NewDatabase([]*List{l1, l2}); err == nil {
-		t.Fatal("expected object-set mismatch error")
+	list := func(ids ...ObjectID) *List {
+		entries := make([]Entry, len(ids))
+		for i, id := range ids {
+			entries[i] = Entry{Object: id, Grade: Grade(i) / 10}
+		}
+		return mustList(t, entries)
 	}
-	short := mustList(t, []Entry{{Object: 1, Grade: 0.3}})
-	if _, err := NewDatabase([]*List{l1, short}); err == nil {
-		t.Fatal("expected length mismatch error")
+	for _, c := range []struct {
+		lists []*List
+		want  string
+	}{
+		{[]*List{list(1, 2), list(1, 3)}, "object 2 missing from list 1"},
+		{[]*List{list(0, 1, 2), list(1, 2, 3)}, "object 0 missing from list 1"},
+		{[]*List{list(0, 1, 2), list(0, 1, 5)}, "object 2 missing from list 1"},
+		{[]*List{list(0, 1, 5), list(0, 1, 2)}, "object 5 missing from list 1"},
+		{[]*List{list(1, 2), list(1)}, "list 1 has 1 entries"},
+		{[]*List{list(), list()}, "empty"},
+		{nil, "at least one list"},
+	} {
+		if _, err := NewDatabase(c.lists); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%d lists: got %v, want an error containing %q", len(c.lists), err, c.want)
+		}
 	}
-	if _, err := NewDatabase(nil); err == nil {
-		t.Fatal("expected empty database error")
+	if _, err := FromRows(3, nil, nil); err == nil {
+		t.Error("FromRows accepted zero rows")
+	}
+	if _, err := NewDatabase([]*List{list(4, 5, 6), list(6, 4, 5)}); err != nil {
+		t.Errorf("two dense lists over one range rejected: %v", err)
 	}
 }
 
@@ -297,5 +325,84 @@ func TestListSortedInvariantQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIndexExtremeIDs checks that ids at both ends of the int range take
+// the rank-map path without overflowing the span check, and that a dense
+// range starting at math.MinInt answers probes on either side of it.
+func TestIndexExtremeIDs(t *testing.T) {
+	l := mustList(t, []Entry{
+		{Object: math.MinInt, Grade: 0.25},
+		{Object: math.MaxInt, Grade: 0.75},
+		{Object: 0, Grade: 0.5},
+	})
+	if l.rank == nil || l.ra != nil {
+		t.Fatal("a list spanning the whole int range did not take the rank-map path")
+	}
+	for pos := 0; pos < l.Len(); pos++ {
+		e := l.At(pos)
+		if g, ok := l.GradeOf(e.Object); !ok || g != e.Grade {
+			t.Fatalf("GradeOf(%d) = %v,%v; want %v,true", e.Object, g, ok, e.Grade)
+		}
+	}
+	if _, ok := l.GradeOf(1); ok {
+		t.Fatal("GradeOf reported a grade for an absent object")
+	}
+
+	low := mustList(t, []Entry{
+		{Object: math.MinInt, Grade: 0.1},
+		{Object: math.MinInt + 1, Grade: 0.2},
+		{Object: math.MinInt + 2, Grade: 0.3},
+	})
+	if low.ra == nil {
+		t.Fatal("a dense range at math.MinInt did not get a grade column")
+	}
+	if g, ok := low.GradeOf(math.MinInt + 1); !ok || g != 0.2 {
+		t.Fatalf("GradeOf(MinInt+1) = %v,%v; want 0.2,true", g, ok)
+	}
+	for _, obj := range []ObjectID{math.MaxInt, math.MinInt + 3, 0} {
+		if _, ok := low.GradeOf(obj); ok {
+			t.Errorf("GradeOf(%d) reported a grade outside the dense range", obj)
+		}
+	}
+}
+
+// TestDenseGradeOfBounds checks the dense column's membership tests: just
+// below min, just above max, and a shard list's wrong residue.
+func TestDenseGradeOfBounds(t *testing.T) {
+	b := NewBuilder(1)
+	for id := ObjectID(5); id < 15; id++ {
+		b.MustAdd(id, Grade(id)/20)
+	}
+	db := b.MustBuild()
+	l := db.List(0)
+	if l.ra == nil {
+		t.Fatal("dense ids did not get a grade column")
+	}
+	for _, obj := range []ObjectID{4, 15} {
+		if _, ok := l.GradeOf(obj); ok {
+			t.Errorf("GradeOf(%d) reported a grade outside [5, 14]", obj)
+		}
+	}
+	shards, err := db.Partition(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, sh := range shards {
+		sl := sh.List(0)
+		if sl.rank != nil || sl.ra == nil || &sl.ra.byObj[0] != &l.ra.byObj[0] {
+			t.Fatalf("shard %d does not share its parent's grade column", s)
+		}
+		for id := ObjectID(4); id <= 15; id++ {
+			in := id >= 5 && id < 15 && int(id-5)%3 == s
+			g, ok := sl.GradeOf(id)
+			if ok != in {
+				t.Errorf("shard %d: GradeOf(%d) ok = %v, want %v", s, id, ok, in)
+			}
+			if ok && g != Grade(id)/20 {
+				t.Errorf("shard %d: GradeOf(%d) = %v, want %v", s, id, g, Grade(id)/20)
+			}
+		}
 	}
 }

@@ -16,11 +16,11 @@ import "fmt"
 // scattered into it shard-contiguously in a single stable pass, so every
 // shard list is a plain slice of that shared backing. When the parent's
 // object ids are dense (min, min+1, …, min+N-1 — true for all generated
-// workloads), each shard list additionally gets a random-access index over
-// the parent's own columns: membership is the residue check
-// (obj-min) % p == s and the grade is two array reads, with the single
-// (obj-min)→position table shared by all p shards of the list. Sparse id
-// spaces (e.g. hand-edited CSV input) fall back to per-shard hash indexes.
+// workloads), each shard list answers random access from its parent list's
+// own grade column: membership is the residue check (obj-min) % p == s and
+// the grade is one array read, so partitioning builds no index at all.
+// Sparse id spaces (e.g. hand-edited CSV input) fall back to per-shard rank
+// maps.
 //
 // p must be at least 1; a p exceeding the number of objects is clamped to
 // it, so no shard is ever empty. Object names (AddNamed) carry over.
@@ -33,15 +33,13 @@ func (d *Database) Partition(p int) ([]*Database, error) {
 		p = n
 	}
 
-	// Dense ids make shard membership computable from the id alone.
-	min := d.objects[0]
+	// Dense ids make shard membership computable from the id alone, and
+	// every parent list then carries the grade column its shards share.
 	dense := true
-	for i, obj := range d.objects {
-		if obj != min+ObjectID(i) {
-			dense = false
-			break
-		}
+	for _, l := range d.lists {
+		dense = dense && l.ra.full()
 	}
+	min := d.objects[0]
 	var shardOf map[ObjectID]int
 	if !dense {
 		shardOf = make(map[ObjectID]int, n)
@@ -81,40 +79,39 @@ func (d *Database) Partition(p int) ([]*Database, error) {
 	}
 	for j, l := range d.lists {
 		// One stable pass over the parent columns: scatter each entry to its
-		// shard's region of the shared backing, recording per-shard ranks as
-		// we go. Stability preserves within-tie order, so each shard list is
-		// an exact subsequence of the parent.
+		// shard's region of the shared backing, recording per-shard ranks
+		// for sparse ids as we go. Stability preserves within-tie order, so
+		// each shard list is an exact subsequence of the parent.
 		objs := make([]ObjectID, n)
 		grades := make([]Grade, n)
-		ranks := make([]map[ObjectID]int32, p)
-		for s := 0; s < p; s++ {
-			ranks[s] = make(map[ObjectID]int32, sizes[s])
-			cursor[s] = 0
+		var ranks []map[ObjectID]int32
+		if !dense {
+			ranks = make([]map[ObjectID]int32, p)
+			for s := 0; s < p; s++ {
+				ranks[s] = make(map[ObjectID]int32, sizes[s])
+			}
 		}
-		var byObj []Grade
-		if dense {
-			byObj = make([]Grade, n)
-		}
+		clear(cursor)
 		for t := 0; t < n; t++ {
 			obj := l.objs[t]
 			s := shard(obj)
 			at := cursor[s]
 			objs[offs[s]+at] = obj
 			grades[offs[s]+at] = l.grades[t]
-			ranks[s][obj] = int32(at)
-			cursor[s] = at + 1
-			if dense {
-				byObj[int(obj-min)] = l.grades[t]
+			if !dense {
+				ranks[s][obj] = int32(at)
 			}
+			cursor[s] = at + 1
 		}
 		for s := 0; s < p; s++ {
 			sl := &List{
 				objs:   objs[offs[s]:offs[s+1]],
 				grades: grades[offs[s]:offs[s+1]],
-				rank:   ranks[s],
 			}
 			if dense {
-				sl.ra = &randomIndex{byObj: byObj, min: min, p: p, s: s}
+				sl.ra = &randomIndex{byObj: l.ra.byObj, min: min, p: p, s: s}
+			} else {
+				sl.rank = ranks[s]
 			}
 			shardLists[s][j] = sl
 		}
