@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/access"
-	"repro/internal/core"
 	"repro/internal/shard"
 )
 
@@ -44,21 +43,16 @@ type BatchResult struct {
 func BatchQuery(db *Database, specs []QuerySpec, workers int) *BatchResult {
 	br := &BatchResult{Outcomes: make([]QueryOutcome, len(specs))}
 	valid := make([]int, 0, len(specs))
+	plans := make([]plan, 0, len(specs))
 	for i := range specs {
 		br.Outcomes[i].Spec = specs[i]
-		if err := validateSpec(db, specs[i]); err != nil {
+		pl, err := resolveQuery(target{db: db, batch: true}, specs[i].Agg, specs[i].K, specs[i].Opts)
+		if err != nil {
 			br.Outcomes[i].Err = fmt.Errorf("repro: query %d: %w", i, err)
 			continue
 		}
-		if specs[i].Opts.Shards != 0 {
-			br.Outcomes[i].Err = fmt.Errorf("repro: query %d: %w: sharded specs do not compose with the shared scan; use ParallelQueries", i, ErrBadQuery)
-			continue
-		}
-		if specs[i].Opts.Backend != nil || specs[i].Opts.Cache != nil || specs[i].Opts.Fault != nil {
-			br.Outcomes[i].Err = fmt.Errorf("repro: query %d: %w: per-query backend stacks do not compose with the shared scan; use ParallelQueries", i, ErrBadQuery)
-			continue
-		}
 		valid = append(valid, i)
+		plans = append(plans, pl)
 	}
 	if len(valid) == 0 {
 		return br
@@ -72,29 +66,15 @@ func BatchQuery(db *Database, specs []QuerySpec, workers int) *BatchResult {
 	// begins below an already-trimmed window; each worker releases its
 	// consumer as soon as its query finishes, letting the sliding windows
 	// trim past it instead of buffering to the deepest scan.
-	type attached struct {
-		algo    core.Algorithm
-		src     *access.Source
-		release func()
-	}
-	runs := make([]attached, len(valid))
-	for j, i := range valid {
-		al, policy, err := resolve(db, specs[i].Opts)
-		if err != nil {
-			br.Outcomes[i].Err = fmt.Errorf("repro: query %d: %w", i, err)
-			continue
-		}
-		src, release := scan.Attach(policy)
-		runs[j] = attached{algo: al, src: src, release: release}
+	srcs := make([]*access.Source, len(valid))
+	releases := make([]func(), len(valid))
+	for j, pl := range plans {
+		srcs[j], releases[j] = scan.Attach(pl.policy)
 	}
 	shard.ForEach(len(valid), workers, func(j int) {
 		i := valid[j]
-		run := runs[j]
-		if run.algo == nil {
-			return // resolve already recorded the error
-		}
-		defer run.release()
-		res, err := run.algo.Run(run.src, specs[i].Agg, specs[i].K)
+		defer releases[j]()
+		res, err := plans[j].algo.Run(srcs[j], specs[i].Agg, specs[i].K)
 		if err != nil {
 			err = fmt.Errorf("repro: query %d: %w", i, err)
 		}

@@ -222,8 +222,9 @@ func TestChaosFaultSpecValidation(t *testing.T) {
 
 // TestChaosNonFiniteOptionsRejected: NaN and ±Inf in any float option fail
 // with ErrBadQuery on every path that accepts the option — sequential,
-// sharded, batch and a NewFaultyStack engine — instead of silently reading
-// everything, certifying θ = 1 or charging a NaN cost.
+// sharded, batch, QuerySharded and a NewFaultyStack engine — instead of
+// silently reading everything, certifying θ = 1 or charging a NaN cost. So
+// does a θ outside {0} ∪ [1, ∞), whatever the algorithm.
 func TestChaosNonFiniteOptionsRejected(t *testing.T) {
 	db, err := workload.IndependentUniform(workload.Spec{N: 2000, M: 3, Seed: 7})
 	if err != nil {
@@ -231,18 +232,28 @@ func TestChaosNonFiniteOptionsRejected(t *testing.T) {
 	}
 	tf := repro.Avg(3)
 	nan, inf := math.NaN(), math.Inf(1)
-	// Per-query options: checked on the sequential, sharded and batch paths.
+	sharded, err := repro.NewSharded(db, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per-query options: checked on the sequential, sharded and batch paths
+	// and by QuerySharded.
 	query := map[string]repro.Options{
-		"Theta NaN":      {Theta: nan},
-		"Theta +Inf":     {Theta: inf},
-		"Theta -Inf":     {Theta: -inf},
-		"MinTheta NaN":   {MinTheta: nan},
-		"MinTheta +Inf":  {MinTheta: inf},
-		"Costs NaN":      {Costs: repro.CostModel{CS: nan, CR: nan}},
-		"Costs cS +Inf":  {Costs: repro.CostModel{CS: inf, CR: 1}},
-		"Costs cR +Inf":  {Costs: repro.CostModel{CS: 1, CR: inf}},
-		"CA Costs NaN":   {Algorithm: repro.AlgoCA, Costs: repro.CostModel{CS: nan, CR: nan}},
-		"NRA Theta +Inf": {NoRandomAccess: true, Theta: inf},
+		"Theta NaN":              {Theta: nan},
+		"Theta +Inf":             {Theta: inf},
+		"Theta -Inf":             {Theta: -inf},
+		"MinTheta NaN":           {MinTheta: nan},
+		"MinTheta +Inf":          {MinTheta: inf},
+		"Costs NaN":              {Costs: repro.CostModel{CS: nan, CR: nan}},
+		"Costs cS +Inf":          {Costs: repro.CostModel{CS: inf, CR: 1}},
+		"Costs cR +Inf":          {Costs: repro.CostModel{CS: 1, CR: inf}},
+		"CA Costs NaN":           {Algorithm: repro.AlgoCA, Costs: repro.CostModel{CS: nan, CR: nan}},
+		"NRA Theta +Inf":         {NoRandomAccess: true, Theta: inf},
+		"NRA Theta 0.5":          {Algorithm: repro.AlgoNRA, Theta: 0.5},
+		"CA Theta -3":            {Algorithm: repro.AlgoCA, Theta: -3},
+		"FA Theta 0.5":           {Algorithm: repro.AlgoFA, Theta: 0.5},
+		"Naive Theta -3":         {Algorithm: repro.AlgoNaive, Theta: -3},
+		"cost-aware TA Theta -3": {CostAwareTA: true, Theta: -3},
 	}
 	for name, opts := range query {
 		for _, shards := range []int{0, 2} {
@@ -255,6 +266,9 @@ func TestChaosNonFiniteOptionsRejected(t *testing.T) {
 		br := repro.BatchQuery(db, []repro.QuerySpec{{Agg: tf, K: 5, Opts: opts}}, 1)
 		if err := br.Outcomes[0].Err; !errors.Is(err, repro.ErrBadQuery) {
 			t.Errorf("%s batch: want ErrBadQuery, got %v", name, err)
+		}
+		if _, err := repro.QuerySharded(sharded, tf, 5, opts); !errors.Is(err, repro.ErrBadQuery) {
+			t.Errorf("%s QuerySharded: want ErrBadQuery, got %v", name, err)
 		}
 	}
 	// Access-stack specs: checked on the sequential and sharded paths and
@@ -301,15 +315,20 @@ func TestChaosNonFiniteOptionsRejected(t *testing.T) {
 
 // TestChaosNegativeOptionsRejected: a negative count, size or retry bound
 // fails with ErrBadQuery on every path that accepts it — sequential,
-// sharded, batch, NewFaultyStack, a sharded engine's Query and
-// ReplayTrace — instead of silently running with the default.
+// sharded, batch, QuerySharded, NewFaultyStack, a sharded engine's Query
+// and ReplayTrace — instead of silently running with the default.
 func TestChaosNegativeOptionsRejected(t *testing.T) {
 	db, err := workload.IndependentUniform(workload.Spec{N: 2000, M: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tf := repro.Avg(3)
-	// Per-query options: checked on the sequential, sharded and batch paths.
+	sharded, err := repro.NewSharded(db, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per-query options: checked on the sequential, sharded and batch paths
+	// and by QuerySharded.
 	query := map[string]repro.Options{
 		"Retry MaxAttempts -1": {Retry: repro.Retry{MaxAttempts: -1}},
 		"Retry Budget -1":      {Retry: repro.Retry{MaxAttempts: 2, Budget: -1}},
@@ -327,6 +346,28 @@ func TestChaosNegativeOptionsRejected(t *testing.T) {
 		br := repro.BatchQuery(db, []repro.QuerySpec{{Agg: tf, K: 5, Opts: opts}}, 1)
 		if err := br.Outcomes[0].Err; !errors.Is(err, repro.ErrBadQuery) {
 			t.Errorf("%s batch: want ErrBadQuery, got %v", name, err)
+		}
+		if _, err := repro.QuerySharded(sharded, tf, 5, opts); !errors.Is(err, repro.ErrBadQuery) {
+			t.Errorf("%s QuerySharded: want ErrBadQuery, got %v", name, err)
+		}
+	}
+	// The engine fixes its shard count and stack: QuerySharded rejects
+	// another count, AutoShards and any stack spec, and accepts 0 and its
+	// own count.
+	for name, opts := range map[string]repro.Options{
+		"Shards 3":          {Shards: 3},
+		"Shards AutoShards": {Shards: repro.AutoShards},
+		"Cache":             {Cache: &repro.CacheSpec{}},
+		"Backend":           {Backend: &repro.BackendSpec{}},
+		"Fault":             {Fault: &repro.FaultSpec{}},
+	} {
+		if _, err := repro.QuerySharded(sharded, tf, 5, opts); !errors.Is(err, repro.ErrBadQuery) {
+			t.Errorf("%s QuerySharded: want ErrBadQuery, got %v", name, err)
+		}
+	}
+	for _, shards := range []int{0, 2} {
+		if _, err := repro.QuerySharded(sharded, tf, 5, repro.Options{Shards: shards}); err != nil {
+			t.Errorf("QuerySharded Shards %d: %v", shards, err)
 		}
 	}
 	// Cache specs: checked on the sequential and sharded paths and by

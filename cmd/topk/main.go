@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -184,40 +183,14 @@ func main() {
 	var res *repro.Result
 	var eng *repro.Sharded
 	if cacheSpec != nil && p != 0 {
-		// Build the engine by hand so the per-shard cache statistics can
-		// be reported after the query — enforcing the same option rules
-		// the repro.Query path applies: the engine and NewFaultyStack check
-		// the cost model, specs and robustness options themselves; the
-		// algorithm and θ rules, which ShardOptions does not carry, are
-		// checked here exactly as repro.Query checks them.
-		engineAlgo := normalizeAlgo(*algo)
-		switch engineAlgo {
-		case "", string(repro.AlgoTA), string(repro.AlgoNRA):
-		default:
-			fatal(fmt.Errorf("%w: sharding supports only the TA and NRA algorithms, got %q", repro.ErrBadQuery, *algo))
-		}
-		if engineAlgo == string(repro.AlgoTA) && *noRandom {
-			fatal(fmt.Errorf("%w: TA needs random access; drop -no-random or use -algo NRA", repro.ErrBadQuery))
-		}
-		if math.IsNaN(*theta) || math.IsInf(*theta, 0) || (*theta != 0 && *theta < 1) {
-			fatal(fmt.Errorf("%w: θ must be a finite value of at least 1, got %g", repro.ErrBadQuery, *theta))
-		}
-		if *theta > 1 {
-			fatal(fmt.Errorf("%w: sharding computes exact answers; θ-approximation is not supported", repro.ErrBadQuery))
-		}
+		// A persistent engine, so the per-shard cache statistics can be
+		// reported after the query; the engine fixes the stack.
 		eng, err = repro.NewFaultyStack(db, p, backendSpec, faultSpec, cacheSpec)
 		if err != nil {
 			fatal(err)
 		}
-		res, err = eng.Query(t, *k, repro.ShardOptions{
-			Workers:        *workers,
-			CostAwareTA:    *costTA,
-			Costs:          repro.CostModel{CS: *cs, CR: *cr},
-			NoRandomAccess: *noRandom || engineAlgo == string(repro.AlgoNRA),
-			Schedule:       repro.Schedule(*schedule),
-			Retry:          retry,
-			MinTheta:       *minTheta,
-		})
+		opts.Backend, opts.Fault, opts.Cache = nil, nil, nil
+		res, err = repro.QuerySharded(eng, t, *k, opts)
 	} else {
 		res, err = repro.Query(db, t, *k, opts)
 	}

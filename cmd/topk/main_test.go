@@ -41,10 +41,12 @@ func runTopK(t *testing.T, args ...string) (int, string) {
 	return -1, ""
 }
 
-// TestCachedShardedPathMatchesQuery: with -cache and -shards the CLI builds
-// the engine by hand so it can report per-shard cache statistics. That path
-// must accept and reject exactly the flag sets the repro.Query path does,
-// so adding -cache never changes whether a query runs.
+// TestCachedShardedPathMatchesQuery: with -cache and -shards the CLI runs
+// the query on a persistent engine (repro.QuerySharded) so it can report
+// per-shard cache statistics. That path must accept and reject exactly the
+// flag sets the repro.Query path does, so adding -cache never changes
+// whether a query runs; on the TA rows it must also print the same answer
+// objects and grades (the sharded TA answer is canonical).
 func TestCachedShardedPathMatchesQuery(t *testing.T) {
 	db, err := workload.IndependentUniform(workload.Spec{N: 200, M: 3, Seed: 5})
 	if err != nil {
@@ -64,24 +66,46 @@ func TestCachedShardedPathMatchesQuery(t *testing.T) {
 	for _, tc := range []struct {
 		flags string
 		want  int
+		ta    bool // compare the printed answers
 	}{
-		{"-shards 2 -theta 1", 0},
-		{"-shards 2 -cs 0 -cr 5 -cost-aware-ta", 1},
-		{"-shards 2 -theta 1.5", 1},
-		{"-shards 2 -theta NaN", 1},
-		{"-shards 2 -no-random -cs NaN -cr 1", 1},
-		{"-shards 2 -algo NRA -schedule cost-aware", 0},
-		{"-shards 2 -shard-workers -3", 1},
-		{"-shards 2 -retry-budget -1 -fault-rate 0.1", 1},
+		{"-shards 2 -theta 1", 0, true},
+		{"-shards 2 -cs 0 -cr 5 -cost-aware-ta", 1, false},
+		{"-shards 2 -theta 1.5", 1, false},
+		{"-shards 2 -theta NaN", 1, false},
+		{"-shards 2 -no-random -cs NaN -cr 1", 1, false},
+		{"-shards 2 -algo NRA -schedule cost-aware", 0, false},
+		{"-shards 2 -shard-workers -3", 1, false},
+		{"-shards 2 -retry-budget -1 -fault-rate 0.1", 1, false},
+		{"-shards 3 -algo TA -shard-workers 1", 0, true},
+		{"-shards 500", 0, true}, // more shards than objects: clamped to N
 	} {
 		args := append([]string{"-data", path, "-agg", "avg", "-k", "5"}, strings.Fields(tc.flags)...)
 		plain, out := runTopK(t, args...)
 		if plain != tc.want {
 			t.Errorf("%s: exit %d, want %d\n%s", tc.flags, plain, tc.want, out)
 		}
-		cached, out := runTopK(t, append(args, "-cache")...)
+		cached, cachedOut := runTopK(t, append(args, "-cache")...)
 		if cached != plain {
-			t.Errorf("%s -cache: exit %d, but %d without -cache\n%s", tc.flags, cached, plain, out)
+			t.Errorf("%s -cache: exit %d, but %d without -cache\n%s", tc.flags, cached, plain, cachedOut)
+		}
+		if !tc.ta || plain != 0 {
+			continue
+		}
+		got, want := answerLines(cachedOut), answerLines(out)
+		if len(want) != 5 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s -cache: answers\n%s\nwithout -cache\n%s", tc.flags, strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
 	}
+}
+
+// answerLines returns the CLI output's ranked answer lines (rank, object
+// and grade).
+func answerLines(out string) []string {
+	var lines []string
+	for _, l := range strings.Split(out, "\n") {
+		if strings.Contains(l, ". object ") {
+			lines = append(lines, strings.TrimSpace(l))
+		}
+	}
+	return lines
 }

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"errors"
 	"fmt"
 
 	"repro"
@@ -47,6 +48,27 @@ func ExampleNewFaultyStack() {
 	// Output:
 	// top-2 under min: object 1 (0.8), object 2 (0.7)
 	// repeat query cheaper through the shared cache: true
+}
+
+// ExampleQuerySharded runs queries on a reusable engine under the same
+// Options rules Query applies; the engine fixes the shard count and the
+// access stack, so a per-query Cache is rejected.
+func ExampleQuerySharded() {
+	eng, err := repro.NewSharded(exampleDB(), 2)
+	if err != nil {
+		panic(err)
+	}
+	res, err := repro.QuerySharded(eng, repro.Min(2), 2, repro.Options{NoRandomAccess: true})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("top-2 under min: objects %d and %d, %d random accesses\n",
+		res.Items[0].Object, res.Items[1].Object, res.Stats.Random)
+	_, err = repro.QuerySharded(eng, repro.Min(2), 2, repro.Options{Cache: &repro.CacheSpec{}})
+	fmt.Println("per-query cache rejected:", errors.Is(err, repro.ErrBadQuery))
+	// Output:
+	// top-2 under min: objects 1 and 2, 0 random accesses
+	// per-query cache rejected: true
 }
 
 // ExampleBatchQuery runs a batch of queries over one shared physical scan

@@ -17,23 +17,6 @@ import (
 	"repro/internal/model"
 )
 
-// validateRobustness checks the execution and failure-policy knobs shared
-// by both query modes: MinTheta is 0 or a finite θ of at least 1 (NaN
-// fails both tests), and the worker bound and retry bounds are
-// non-negative (zero takes the default).
-func validateRobustness(opts Options) error {
-	if !(opts.MinTheta == 0 || opts.MinTheta >= 1) || math.IsInf(opts.MinTheta, 1) {
-		return fmt.Errorf("%w: MinTheta must be 0 (accept any certified θ) or a finite value of at least 1, got %g", core.ErrBadQuery, opts.MinTheta)
-	}
-	if opts.Workers < 0 {
-		return fmt.Errorf("%w: Workers must be non-negative, got %d", core.ErrBadQuery, opts.Workers)
-	}
-	if r := opts.Retry; r.MaxAttempts < 0 || r.Budget < 0 || r.Base < 0 || r.Max < 0 {
-		return fmt.Errorf("%w: retry bounds must be non-negative (0 takes the default), got %+v", core.ErrBadQuery, r)
-	}
-	return nil
-}
-
 // runShard runs one worker's algorithm, converting a panic into an error so
 // a single shard's failure — a backend whose infallible path surfaced an
 // injected fault, or a genuine engine bug — can never take down the whole

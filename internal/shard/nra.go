@@ -325,12 +325,8 @@ func shouldPublish(since int, cur *core.NRACursor, gmk float64) bool {
 func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) (*core.Result, error) {
 	p := len(e.shards)
 	sched := opts.Schedule
-	switch sched {
-	case ScheduleAuto:
+	if sched == ScheduleAuto {
 		sched = ScheduleWave
-	case ScheduleWave, ScheduleCostAware, ScheduleAdaptive:
-	default:
-		return nil, fmt.Errorf("%w: unknown schedule %q", core.ErrBadQuery, sched)
 	}
 	ks := make([]int, p)
 	srcs := make([]*access.Source, p)

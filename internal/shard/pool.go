@@ -21,50 +21,7 @@ import (
 // which a static split cannot do, and without paying the per-item channel
 // handoff of a shared job queue on uniform workloads.
 func ForEach(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 || workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	qs := make([]workQueue, workers)
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if lo > n {
-			lo = n
-		}
-		if hi > n {
-			hi = n
-		}
-		qs[w].lo, qs[w].hi = lo, hi
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(self int) {
-			defer wg.Done()
-			q := &qs[self]
-			for {
-				i, ok := q.pop()
-				if !ok {
-					if !steal(qs, self) {
-						return
-					}
-					continue
-				}
-				fn(i)
-			}
-		}(w)
-	}
-	wg.Wait()
+	ForEachWeighted(n, workers, func(int) float64 { return 1 }, fn)
 }
 
 // ForEachWeighted is ForEach for heterogeneous items: weight(i) estimates
@@ -165,8 +122,10 @@ func weightedCuts(prefix []float64, workers int) []int {
 // stealWeighted moves the suffix holding about half of the first non-empty
 // victim's remaining *weight* into self's drained queue (the whole lone
 // item when only one remains; at least one item and at most all-but-one
-// otherwise) and reports whether anything was found. The same
-// items-only-move argument as steal applies.
+// otherwise) and reports whether anything was found. Items only ever move
+// between queues — none are created — so a full scan finding every queue
+// empty means no work remains for self: whatever is still unfinished is
+// owned by workers that will complete it.
 func stealWeighted(qs []workQueue, self int, prefix []float64) bool {
 	for off := 1; off < len(qs); off++ {
 		v := &qs[(self+off)%len(qs)]
@@ -220,31 +179,4 @@ func (q *workQueue) pop() (int, bool) {
 	i := q.lo
 	q.lo++
 	return i, true
-}
-
-// steal moves the far half (rounded up) of the first non-empty victim's
-// remaining range into self's drained queue and reports whether anything
-// was found. Items only ever move between queues — none are created — so a
-// full scan finding every queue empty means no work remains for self:
-// whatever is still unfinished is owned by workers that will complete it.
-func steal(qs []workQueue, self int) bool {
-	for off := 1; off < len(qs); off++ {
-		v := &qs[(self+off)%len(qs)]
-		v.mu.Lock()
-		avail := v.hi - v.lo
-		if avail <= 0 {
-			v.mu.Unlock()
-			continue
-		}
-		take := (avail + 1) / 2
-		lo := v.hi - take
-		v.hi = lo
-		v.mu.Unlock()
-		q := &qs[self]
-		q.mu.Lock()
-		q.lo, q.hi = lo, lo+take
-		q.mu.Unlock()
-		return true
-	}
-	return false
 }

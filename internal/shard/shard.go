@@ -151,6 +151,42 @@ type Options struct {
 	OnShardStats func([]ShardStat)
 }
 
+// ValidateOptions checks opts against the rules every sharded query obeys:
+// MinTheta is 0 or a finite θ of at least 1 (NaN fails both tests); the
+// worker bound and retry bounds are non-negative (zero takes the default);
+// the cost model is one core.NormalizeCosts accepts; the schedule is a
+// known one and applies only to the no-random-access mode, in which
+// cost-aware TA, needing random access, cannot run. QueryContext runs it
+// for every caller of the engine, and repro's Options resolver runs it
+// before partitioning anything.
+func ValidateOptions(opts Options) error {
+	if !(opts.MinTheta == 0 || opts.MinTheta >= 1) || math.IsInf(opts.MinTheta, 1) {
+		return fmt.Errorf("%w: MinTheta must be 0 (accept any certified θ) or a finite value of at least 1, got %g", core.ErrBadQuery, opts.MinTheta)
+	}
+	if opts.Workers < 0 {
+		return fmt.Errorf("%w: shard worker count must be non-negative, got %d", core.ErrBadQuery, opts.Workers)
+	}
+	if r := opts.Retry; r.MaxAttempts < 0 || r.Budget < 0 || r.Base < 0 || r.Max < 0 {
+		return fmt.Errorf("%w: retry bounds must be non-negative (0 takes the default), got %+v", core.ErrBadQuery, r)
+	}
+	if _, err := core.NormalizeCosts(opts.Costs); err != nil {
+		return err
+	}
+	if opts.CostAwareTA && opts.NoRandomAccess {
+		return fmt.Errorf("%w: cost-aware TA needs random access; the no-random-access mode plans costs through Options.Schedule instead", core.ErrBadQuery)
+	}
+	switch opts.Schedule {
+	case ScheduleAuto:
+	case ScheduleWave, ScheduleCostAware, ScheduleAdaptive:
+		if !opts.NoRandomAccess {
+			return fmt.Errorf("%w: scheduling policies apply to the no-random-access mode; TA workers run once under threshold cancellation and have no resume loop to schedule", core.ErrBadQuery)
+		}
+	default:
+		return fmt.Errorf("%w: unknown schedule %q", core.ErrBadQuery, opts.Schedule)
+	}
+	return nil
+}
+
 // Engine is a database partitioned for sharded querying. Partitioning
 // happens once at construction; the engine is immutable afterwards and
 // safe for concurrent Query calls, each of which gets fresh per-shard
@@ -403,20 +439,11 @@ func (e *Engine) QueryContext(ctx context.Context, t agg.Func, k int, opts Optio
 	if err := core.ValidateQueryShape(e.m, e.n, t, k); err != nil {
 		return nil, err
 	}
-	if err := validateRobustness(opts); err != nil {
+	if err := ValidateOptions(opts); err != nil {
 		return nil, err
-	}
-	if _, err := core.NormalizeCosts(opts.Costs); err != nil {
-		return nil, err
-	}
-	if opts.CostAwareTA && opts.NoRandomAccess {
-		return nil, fmt.Errorf("%w: cost-aware TA needs random access; the no-random-access mode plans costs through Options.Schedule instead", core.ErrBadQuery)
 	}
 	if opts.NoRandomAccess {
 		return e.queryNRA(ctx, t, k, opts)
-	}
-	if opts.Schedule != ScheduleAuto {
-		return nil, fmt.Errorf("%w: scheduling policies apply to the no-random-access mode; TA workers run once under threshold cancellation and have no resume loop to schedule", core.ErrBadQuery)
 	}
 	p := len(e.shards)
 	coord := newCoordinator(k)

@@ -3,7 +3,6 @@ package repro
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/shard"
 )
 
@@ -31,28 +30,30 @@ type QueryOutcome struct {
 // per query; batch queries and intra-query sharding share the same worker
 // pool implementation (see internal/shard.ForEach).
 //
-// Specs are validated up front: a malformed spec — nil Agg, K < 1, K
-// exceeding the database size, or an aggregation arity that does not match
-// the database — has its error recorded in its outcome without ever
-// reaching the worker pool, so it cannot cost a worker goroutine or delay
-// the well-formed queries. Deeper validation (cost model, policy and
-// algorithm compatibility) still happens inside Query and is reported per
-// outcome the same way.
+// Specs are resolved up front under Query's rules: a malformed spec — nil
+// Agg, K < 1, K exceeding the database size, an aggregation arity that does
+// not match the database, or an option combination Query rejects — has its
+// error recorded in its outcome without ever reaching the worker pool, so
+// it cannot cost a worker goroutine or delay the well-formed queries. Each
+// well-formed spec then runs exactly as Query runs it.
 func ParallelQueries(db *Database, specs []QuerySpec, workers int) []QueryOutcome {
 	out := make([]QueryOutcome, len(specs))
 	valid := make([]int, 0, len(specs))
+	plans := make([]plan, len(specs))
 	for i := range specs {
 		out[i].Spec = specs[i]
-		if err := validateSpec(db, specs[i]); err != nil {
+		pl, err := resolveQuery(target{db: db}, specs[i].Agg, specs[i].K, specs[i].Opts)
+		if err != nil {
 			out[i].Err = fmt.Errorf("repro: query %d: %w", i, err)
 			continue
 		}
 		valid = append(valid, i)
+		plans[i] = pl
 	}
 	shard.ForEach(len(valid), workers, func(j int) {
 		i := valid[j]
 		spec := specs[i]
-		res, err := Query(db, spec.Agg, spec.K, spec.Opts)
+		res, err := plans[i].run(db, spec.Agg, spec.K, spec.Opts)
 		if err != nil {
 			err = fmt.Errorf("repro: query %d: %w", i, err)
 		}
@@ -60,15 +61,4 @@ func ParallelQueries(db *Database, specs []QuerySpec, workers int) []QueryOutcom
 		out[i].Err = err
 	})
 	return out
-}
-
-// validateSpec performs the cheap structural checks that make a spec worth
-// dispatching to a worker at all. The checks are the same shared validator
-// every execution path uses, so the rejected set and error identity
-// (core.ErrBadQuery) cannot drift from what Query itself would enforce.
-func validateSpec(db *Database, spec QuerySpec) error {
-	if db == nil {
-		return fmt.Errorf("%w: nil database", ErrBadQuery)
-	}
-	return core.ValidateQueryShape(db.M(), db.N(), spec.Agg, spec.K)
 }

@@ -22,8 +22,9 @@ type ProofReport struct {
 	Trace string
 }
 
-// ProvedQuery runs a query exactly like Query but records the access trace
-// and verifies the final state as a proof of the answer. Every algorithm
+// ProvedQuery runs a query like Query on the sequential path (Shards is
+// ignored: a proof reads one access trace), records that trace, and
+// verifies the final state as a proof of the answer. Every algorithm
 // in this library halts only once its observations certify its output, so
 // Valid is expected to be true; a false report indicates a bug (and is
 // how the test suite would catch one).
@@ -32,12 +33,14 @@ type ProofReport struct {
 // (each list's grades pairwise distinct), which tightens the certificate's
 // upper bounds the way Theorems 6.5/8.9 exploit.
 func ProvedQuery(db *Database, t AggFunc, k int, opts Options, distinct bool) (*Result, *ProofReport, error) {
-	al, src, err := prepare(db, opts)
+	opts.Shards = 0
+	pl, err := resolveQuery(target{db: db}, t, k, opts)
 	if err != nil {
 		return nil, nil, err
 	}
+	src := pl.source(db, opts)
 	trace := src.StartTrace()
-	res, err := al.Run(src, t, k)
+	res, err := pl.algo.Run(src, t, k)
 	if err != nil {
 		return nil, nil, err
 	}

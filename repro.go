@@ -24,8 +24,6 @@ package repro
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"time"
 
 	"repro/internal/access"
@@ -134,8 +132,10 @@ type Options struct {
 	Algorithm AlgorithmName
 	// Costs is the middleware cost model; zero means cS = cR = 1.
 	Costs CostModel
-	// Theta > 1 asks TA for a θ-approximation (Section 6.2). Like every
-	// float option, NaN and ±Inf are rejected with ErrBadQuery.
+	// Theta > 1 asks TA for a θ-approximation (Section 6.2); the other
+	// algorithms run exact. θ is 0 (exact) or a finite value of at least 1
+	// for every algorithm: values in (0, 1), negative values, NaN and ±Inf
+	// are rejected with ErrBadQuery.
 	Theta float64
 	// NoRandomAccess forbids random access (search-engine scenario);
 	// with the default algorithm this selects NRA. It composes with
@@ -369,14 +369,11 @@ func TopK(db *Database, t AggFunc, k int) (*Result, error) {
 // and the run's access accounting; Result.Cost(opts.Costs) is the paper's
 // middleware cost.
 func Query(db *Database, t AggFunc, k int, opts Options) (*Result, error) {
-	if opts.Shards != 0 {
-		return querySharded(db, t, k, opts)
-	}
-	al, src, err := prepare(db, opts)
+	pl, err := resolveQuery(target{db: db}, t, k, opts)
 	if err != nil {
 		return nil, err
 	}
-	return al.Run(src, t, k)
+	return pl.run(db, t, k, opts)
 }
 
 // Sharded is a database partitioned once into object-disjoint shards for
@@ -392,61 +389,18 @@ type ShardOptions = shard.Options
 // a handle pays it once.
 func NewSharded(db *Database, p int) (*Sharded, error) { return shard.New(db, p) }
 
-// querySharded routes Options.Shards != 0 through the sharded engine after
-// rejecting option combinations the engine does not support. The checks
-// mirror the sequential path's, so an option that would be rejected there
-// never slips through just because sharding is on — and every rejection
-// wraps ErrBadQuery, the same identity the internal layers use, so callers
-// branch on errors.Is instead of error text.
-func querySharded(db *Database, t AggFunc, k int, opts Options) (*Result, error) {
-	if opts.Shards == AutoShards {
-		opts.Shards = shard.AutoShards(db.N(), k, runtime.GOMAXPROCS(0))
-	}
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("%w: Shards must be non-negative (or AutoShards), got %d", ErrBadQuery, opts.Shards)
-	}
-	switch opts.Algorithm {
-	case "", AlgoTA, AlgoNRA:
-	default:
-		return nil, fmt.Errorf("%w: sharding supports only the TA and NRA algorithms, got %q", ErrBadQuery, opts.Algorithm)
-	}
-	noRandom := opts.NoRandomAccess || opts.Algorithm == AlgoNRA
-	if opts.Algorithm == AlgoTA && opts.NoRandomAccess {
-		return nil, fmt.Errorf("%w: TA needs random access; drop NoRandomAccess or use AlgoNRA for sharded sorted-only queries", ErrBadQuery)
-	}
-	if opts.CostAwareTA && noRandom {
-		return nil, fmt.Errorf("%w: CostAwareTA needs random access; the sharded sorted-only mode is scheduled cost-aware via Options.Schedule instead", ErrBadQuery)
-	}
-	if !finite(opts.Theta) || (opts.Theta != 0 && opts.Theta < 1) {
-		return nil, fmt.Errorf("%w: θ must be a finite value of at least 1, got %g", ErrBadQuery, opts.Theta)
-	}
-	if opts.Theta > 1 {
-		return nil, fmt.Errorf("%w: sharding computes exact answers; θ-approximation is not supported", ErrBadQuery)
-	}
-	if len(opts.SortedLists) > 0 {
-		return nil, fmt.Errorf("%w: sharding does not support restricting sorted access (TAz)", ErrBadQuery)
-	}
-	if opts.OnProgress != nil {
-		return nil, fmt.Errorf("%w: sharding does not support the OnProgress callback", ErrBadQuery)
-	}
-	costs, err := core.NormalizeCosts(opts.Costs)
+// QuerySharded runs a query on a prebuilt engine — one from NewSharded or
+// NewFaultyStack — under the same Options rules Query applies, so a query
+// moved onto a reusable engine is accepted or rejected exactly as before.
+// The engine fixes the shard count and the access stack: Backend, Fault
+// and Cache must be nil, and Shards must be 0 or the count the engine was
+// built with; anything else is rejected with ErrBadQuery.
+func QuerySharded(eng *Sharded, t AggFunc, k int, opts Options) (*Result, error) {
+	pl, err := resolveQuery(target{engine: eng}, t, k, opts)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := newShardedStack(db, opts.Shards, opts.Backend, opts.Fault, opts.Cache, costs)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Query(t, k, ShardOptions{
-		Workers:        opts.ShardWorkers,
-		Memoize:        opts.Memoize,
-		CostAwareTA:    opts.CostAwareTA,
-		Costs:          costs,
-		NoRandomAccess: noRandom,
-		Schedule:       opts.Schedule,
-		Retry:          opts.Retry,
-		MinTheta:       opts.MinTheta,
-	})
+	return eng.Query(t, k, pl.shard)
 }
 
 // NewFaultyStack partitions db into p shards and fronts each with the
@@ -462,21 +416,23 @@ func querySharded(db *Database, t AggFunc, k int, opts Options) (*Result, error)
 // engine should set ShardOptions.Retry (zero resolves to DefaultRetry) and
 // may bound degradation with ShardOptions.MinTheta.
 func NewFaultyStack(db *Database, p int, backend *BackendSpec, fault *FaultSpec, cache *CacheSpec) (*Sharded, error) {
-	return newShardedStack(db, p, backend, fault, cache, access.UnitCosts)
-}
-
-// newShardedStack is NewFaultyStack with the cost model backends inherit
-// when the spec declares none (querySharded passes Options.Costs).
-func newShardedStack(db *Database, p int, backend *BackendSpec, fault *FaultSpec, cache *CacheSpec, base CostModel) (*Sharded, error) {
-	if db == nil {
-		return nil, fmt.Errorf("%w: nil database", ErrBadQuery)
+	m, _, err := dims(db)
+	if err != nil {
+		return nil, err
 	}
 	if p < 1 {
 		return nil, fmt.Errorf("%w: shard count must be at least 1, got %d", ErrBadQuery, p)
 	}
-	if err := validateSpecs(db.M(), backend, fault, cache); err != nil {
+	if err := validateSpecs(m, backend, fault, cache); err != nil {
 		return nil, err
 	}
+	return newShardedStack(db, p, backend, fault, cache, access.UnitCosts)
+}
+
+// newShardedStack is NewFaultyStack over checked arguments, with the cost
+// model backends inherit when the spec declares none (a query's normalized
+// Options.Costs).
+func newShardedStack(db *Database, p int, backend *BackendSpec, fault *FaultSpec, cache *CacheSpec, base CostModel) (*Sharded, error) {
 	dbs, err := db.Partition(p)
 	if err != nil {
 		return nil, err
@@ -531,70 +487,6 @@ func buildShard(sdb *Database, s, p int, backend *BackendSpec, fault *FaultSpec,
 	return sb
 }
 
-// validateSpecs rejects malformed access-stack specs over m lists; every
-// path that builds a stack runs it. Every float must be finite (the range
-// checks are written so NaN fails them). Declared backend costs must be a
-// valid cost model, or both zero, meaning "inherit"; negative costs are
-// refused outright — they would flip the cost-aware scheduler's priorities
-// and produce negative charged totals.
-func validateSpecs(m int, b *BackendSpec, f *FaultSpec, c *CacheSpec) error {
-	if b != nil {
-		if !(b.SortedCost >= 0 && b.RandomCost >= 0) || !finite(b.SortedCost) || !finite(b.RandomCost) {
-			return fmt.Errorf("%w: backend costs must be finite and non-negative, got cS=%g cR=%g", ErrBadQuery, b.SortedCost, b.RandomCost)
-		}
-		if b.SortedCost == 0 && b.RandomCost > 0 {
-			return fmt.Errorf("%w: backend sorted-access cost must be positive when a random cost is declared", ErrBadQuery)
-		}
-		if b.Latency < 0 {
-			return fmt.Errorf("%w: backend latency must be non-negative, got %v", ErrBadQuery, b.Latency)
-		}
-		if !(b.Jitter >= 0 && b.Jitter <= 1) {
-			return fmt.Errorf("%w: backend jitter must be in [0, 1], got %g", ErrBadQuery, b.Jitter)
-		}
-		if b.StragglerShards < 0 || !(b.StragglerFactor >= 0) || !finite(b.StragglerFactor) {
-			return fmt.Errorf("%w: straggler configuration must be finite and non-negative, got shards=%d factor=%g", ErrBadQuery, b.StragglerShards, b.StragglerFactor)
-		}
-		if !(b.BatchMarginal >= 0 && b.BatchMarginal <= 1) {
-			return fmt.Errorf("%w: backend batch marginal must be in [0, 1], got %g", ErrBadQuery, b.BatchMarginal)
-		}
-	}
-	if f != nil {
-		if !(f.Rate >= 0 && f.Rate <= 1) {
-			return fmt.Errorf("%w: fault rate must be in [0, 1], got %g", ErrBadQuery, f.Rate)
-		}
-		if f.BurstEvery < 0 || f.BurstLen < 0 {
-			return fmt.Errorf("%w: fault burst configuration must be non-negative, got every=%d len=%d", ErrBadQuery, f.BurstEvery, f.BurstLen)
-		}
-		if f.DeadList < 0 || f.DeadList > m {
-			return fmt.Errorf("%w: DeadList must be in [0, %d] (1-based; 0 kills nothing), got %d", ErrBadQuery, m, f.DeadList)
-		}
-		if f.Hang < 0 {
-			return fmt.Errorf("%w: fault hang must be non-negative, got %v", ErrBadQuery, f.Hang)
-		}
-	}
-	if c != nil {
-		if !finite(c.ColdHitCost) {
-			return fmt.Errorf("%w: cache cold-hit cost must be finite, got %g", ErrBadQuery, c.ColdHitCost)
-		}
-		if c.PageSize < 0 || c.Pages < 0 || c.Memo < 0 {
-			return fmt.Errorf("%w: cache sizes must be non-negative (0 takes the default), got page size %d, pages %d, memo %d", ErrBadQuery, c.PageSize, c.Pages, c.Memo)
-		}
-	}
-	return nil
-}
-
-// validateRetry rejects a retry policy with a negative bound; zero fields
-// take the defaults.
-func validateRetry(r Retry) error {
-	if r.MaxAttempts < 0 || r.Budget < 0 || r.Base < 0 || r.Max < 0 {
-		return fmt.Errorf("%w: retry bounds must be non-negative (0 takes the default), got %+v", ErrBadQuery, r)
-	}
-	return nil
-}
-
-// finite reports whether x is neither NaN nor ±Inf.
-func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-
 // forShard resolves the spec into shard s's cost model and latency
 // distribution: the declared (or inherited) base costs, stretched by
 // StragglerFactor on the StragglerShards highest-index shards.
@@ -622,124 +514,4 @@ func (b *BackendSpec) forShard(s, p int, base CostModel) (access.CostModel, acce
 		lat.Random = time.Duration(float64(lat.Random) * f)
 	}
 	return cm, lat
-}
-
-// prepare resolves Options into an algorithm and a fresh accounting Source
-// over the configured access stack (plain lists by default; simulated
-// remote backends and/or a query-lifetime cache when Options.Backend /
-// Options.Cache are set).
-func prepare(db *Database, opts Options) (core.Algorithm, *access.Source, error) {
-	al, policy, err := resolve(db, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := validateSpecs(db.M(), opts.Backend, opts.Fault, opts.Cache); err != nil {
-		return nil, nil, err
-	}
-	costs, err := core.NormalizeCosts(opts.Costs)
-	if err != nil {
-		return nil, nil, err
-	}
-	backend := opts.Backend
-	if backend != nil && backend.StragglerShards != 0 {
-		// One logical backend set: straggler marking is per shard and does
-		// not apply here.
-		spec := *backend
-		spec.StragglerShards = 0
-		backend = &spec
-	}
-	sb := buildShard(db, 0, 1, backend, opts.Fault, opts.Cache, costs)
-	if sb.Lists == nil {
-		return al, access.New(db, policy), nil
-	}
-	src := access.FromLists(sb.Lists, policy)
-	src.SetRetry(opts.Retry.Resolve())
-	return al, src, nil
-}
-
-// resolve maps Options to an algorithm and access policy without binding
-// them to a Source — shared by the sequential path (which opens a fresh
-// Source over db) and the batch executor (which attaches the query to a
-// shared scan).
-func resolve(db *Database, opts Options) (core.Algorithm, access.Policy, error) {
-	if db == nil {
-		return nil, access.Policy{}, fmt.Errorf("%w: nil database", ErrBadQuery)
-	}
-	if opts.Schedule != ScheduleAuto {
-		return nil, access.Policy{}, fmt.Errorf("%w: scheduling policies apply only to sharded no-random-access queries", ErrBadQuery)
-	}
-	if opts.MinTheta != 0 {
-		return nil, access.Policy{}, fmt.Errorf("%w: MinTheta applies to sharded queries; the sequential path has no surviving shards to degrade over", ErrBadQuery)
-	}
-	if !finite(opts.Theta) {
-		return nil, access.Policy{}, fmt.Errorf("%w: θ must be finite, got %g", ErrBadQuery, opts.Theta)
-	}
-	if opts.ShardWorkers < 0 {
-		return nil, access.Policy{}, fmt.Errorf("%w: ShardWorkers must be non-negative, got %d", ErrBadQuery, opts.ShardWorkers)
-	}
-	if err := validateRetry(opts.Retry); err != nil {
-		return nil, access.Policy{}, err
-	}
-	costs, err := core.NormalizeCosts(opts.Costs)
-	if err != nil {
-		return nil, access.Policy{}, err
-	}
-	policy := access.Policy{NoRandom: opts.NoRandomAccess}
-	if len(opts.SortedLists) > 0 {
-		policy.SortedLists = make(map[int]bool, len(opts.SortedLists))
-		for _, i := range opts.SortedLists {
-			if i < 0 || i >= db.M() {
-				return nil, access.Policy{}, fmt.Errorf("%w: sorted list index %d out of range [0,%d)", ErrBadQuery, i, db.M())
-			}
-			policy.SortedLists[i] = true
-		}
-	}
-	name := opts.Algorithm
-	if name == "" {
-		if opts.NoRandomAccess {
-			name = AlgoNRA
-		} else {
-			name = AlgoTA
-		}
-	}
-	if opts.CostAwareTA {
-		if name != AlgoTA {
-			return nil, access.Policy{}, fmt.Errorf("%w: CostAwareTA requires the TA algorithm, got %q", ErrBadQuery, name)
-		}
-		if opts.NoRandomAccess {
-			return nil, access.Policy{}, fmt.Errorf("%w: CostAwareTA needs random access; use NRA (with Schedule for cost-awareness) when random access is impossible", ErrBadQuery)
-		}
-		if opts.Theta > 1 {
-			return nil, access.Policy{}, fmt.Errorf("%w: CostAwareTA computes exact answers; θ-approximation is not supported", ErrBadQuery)
-		}
-	}
-	if opts.Fault != nil {
-		switch name {
-		case AlgoTA, AlgoNRA, AlgoCA:
-		default:
-			return nil, access.Policy{}, fmt.Errorf("%w: fault injection requires a failure-aware algorithm (TA, NRA or CA), got %q", ErrBadQuery, name)
-		}
-	}
-	var al core.Algorithm
-	switch name {
-	case AlgoTA:
-		if opts.CostAwareTA {
-			al = &core.CostAwareTA{Costs: costs, OnProgress: opts.OnProgress}
-		} else {
-			al = &core.TA{Theta: opts.Theta, Memoize: opts.Memoize, OnProgress: opts.OnProgress}
-		}
-	case AlgoFA:
-		al = core.FA{}
-	case AlgoNRA:
-		al = &core.NRA{OnProgress: opts.OnProgress}
-	case AlgoCA:
-		al = &core.CA{Costs: costs}
-	case AlgoNaive:
-		al = core.Naive{}
-	case AlgoMaxTopK:
-		al = core.MaxTopK{}
-	default:
-		return nil, access.Policy{}, fmt.Errorf("%w: unknown algorithm %q", ErrBadQuery, name)
-	}
-	return al, policy, nil
 }

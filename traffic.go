@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/agg"
-	"repro/internal/core"
 	"repro/internal/traffic"
 )
 
@@ -16,13 +15,14 @@ import (
 // options, layered on top of base (cost model, retry policy, and any other
 // per-run options the trace does not carry).
 func SpecFromTraffic(db *Database, q traffic.QuerySpec, base Options) (QuerySpec, error) {
-	if db == nil {
-		return QuerySpec{}, fmt.Errorf("%w: nil database", ErrBadQuery)
+	m, _, err := dims(db)
+	if err != nil {
+		return QuerySpec{}, err
 	}
 	if err := q.Validate(); err != nil {
 		return QuerySpec{}, err
 	}
-	f, err := agg.ByName(q.Agg, db.M())
+	f, err := agg.ByName(q.Agg, m)
 	if err != nil {
 		return QuerySpec{}, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
@@ -66,10 +66,12 @@ type ReplayOptions struct {
 	Backend *BackendSpec
 	Cache   *CacheSpec
 	Fault   *FaultSpec
-	// Costs and Retry apply to every replayed query.
+	// Costs and Retry apply to every replayed query. Invalid per-run options
+	// fail the call with ErrBadQuery before any request runs.
 	Costs CostModel
 	Retry Retry
-	// MinTheta bounds degradation on the sharded path, as Options.MinTheta.
+	// MinTheta bounds degradation on the sharded path, as Options.MinTheta;
+	// the sequential path rejects a non-zero value, as Query does.
 	MinTheta float64
 }
 
@@ -166,25 +168,21 @@ func (s *servers) admit(at, d time.Duration) time.Duration {
 // depend only on the specs, and queueing is simulated in virtual time from
 // the trace's arrival offsets and the measured service times.
 func ReplayTrace(db *Database, reqs []traffic.Request, opts ReplayOptions) (*ReplayReport, error) {
-	if db == nil {
-		return nil, fmt.Errorf("%w: nil database", ErrBadQuery)
-	}
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("%w: replay shard count must be non-negative, got %d", ErrBadQuery, opts.Shards)
 	}
 	if opts.Batch < 0 {
 		return nil, fmt.Errorf("%w: replay batch size must be non-negative, got %d", ErrBadQuery, opts.Batch)
 	}
-	if opts.Workers < 0 {
-		return nil, fmt.Errorf("%w: replay worker count must be non-negative, got %d", ErrBadQuery, opts.Workers)
-	}
-	if err := validateRetry(opts.Retry); err != nil {
+	// The per-run options are resolved once, before any request runs: on
+	// the shared scan when Shards is 0, for a stack built once otherwise.
+	base := Options{Costs: opts.Costs, Retry: opts.Retry, ShardWorkers: opts.Workers, MinTheta: opts.MinTheta}
+	run := base
+	run.Shards, run.Backend, run.Cache, run.Fault = opts.Shards, opts.Backend, opts.Cache, opts.Fault
+	pl, err := resolve(target{db: db, batch: opts.Shards == 0}, run)
+	if err != nil {
 		return nil, err
 	}
-	if opts.Shards == 0 && (opts.Backend != nil || opts.Cache != nil || opts.Fault != nil) {
-		return nil, fmt.Errorf("%w: backend stacks replay through the sharded engine; set Shards ≥ 1", ErrBadQuery)
-	}
-	base := Options{Costs: opts.Costs, Retry: opts.Retry}
 	specs := make([]QuerySpec, len(reqs))
 	for i, req := range reqs {
 		spec, err := SpecFromTraffic(db, req.Spec, base)
@@ -198,10 +196,12 @@ func ReplayTrace(db *Database, reqs []traffic.Request, opts ReplayOptions) (*Rep
 	for i, req := range reqs {
 		rep.Outcomes[i].Request = req
 	}
-	if opts.Shards > 0 {
-		if err := replaySharded(db, reqs, specs, opts, rep); err != nil {
+	if pl.shards > 0 {
+		eng, err := newShardedStack(db, pl.shards, opts.Backend, opts.Fault, opts.Cache, pl.costs)
+		if err != nil {
 			return nil, err
 		}
+		replaySharded(eng, reqs, specs, opts.Workers, rep)
 	} else {
 		replayBatched(db, reqs, specs, opts, rep)
 	}
@@ -265,35 +265,21 @@ func replayBatched(db *Database, reqs []traffic.Request, specs []QuerySpec, opts
 	}
 }
 
-// replaySharded builds one persistent sharded stack and replays every
-// request through it, measuring per-request service time and simulating a
-// Workers-server queue at the trace's arrival times.
-func replaySharded(db *Database, reqs []traffic.Request, specs []QuerySpec, opts ReplayOptions, rep *ReplayReport) error {
-	costs, err := core.NormalizeCosts(opts.Costs)
-	if err != nil {
-		return err
-	}
-	eng, err := newShardedStack(db, opts.Shards, opts.Backend, opts.Fault, opts.Cache, costs)
-	if err != nil {
-		return err
-	}
-	q := newServers(opts.Workers)
+// replaySharded replays every request through the run's persistent
+// sharded stack, measuring per-request service time and simulating a
+// workers-server queue at the trace's arrival times. A θ-request runs
+// exact: an exact answer certifies any requested θ ≥ 1.
+func replaySharded(eng *Sharded, reqs []traffic.Request, specs []QuerySpec, workers int, rep *ReplayReport) {
+	q := newServers(workers)
 	for i, spec := range specs {
-		so := ShardOptions{
-			Workers:        opts.Workers,
-			CostAwareTA:    spec.Opts.CostAwareTA,
-			NoRandomAccess: spec.Opts.Algorithm == AlgoNRA,
-			Costs:          costs,
-			Retry:          opts.Retry,
-			MinTheta:       opts.MinTheta,
-		}
+		opts := spec.Opts
+		opts.Theta = 0
 		t0 := time.Now()
-		res, qerr := eng.Query(spec.Agg, spec.K, so)
+		res, err := QuerySharded(eng, spec.Agg, spec.K, opts)
 		service := time.Since(t0)
 		rep.Outcomes[i].Result = res
-		rep.Outcomes[i].Err = qerr
+		rep.Outcomes[i].Err = err
 		rep.Outcomes[i].Service = service
 		rep.Outcomes[i].Queue = q.admit(reqs[i].At, service)
 	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -265,6 +266,28 @@ func TestReplayValidation(t *testing.T) {
 		},
 		"spec from nil db": func() error {
 			_, err := repro.SpecFromTraffic(nil, reqs[0].Spec, repro.Options{})
+			return err
+		},
+		// Per-run options are resolved once, before any request runs, on
+		// both executors.
+		"sequential MinTheta": func() error {
+			_, err := repro.ReplayTrace(db, reqs, repro.ReplayOptions{MinTheta: 1.5})
+			return err
+		},
+		"sequential MinTheta NaN": func() error {
+			_, err := repro.ReplayTrace(db, reqs, repro.ReplayOptions{MinTheta: math.NaN()})
+			return err
+		},
+		"sequential Costs NaN": func() error {
+			_, err := repro.ReplayTrace(db, reqs, repro.ReplayOptions{Costs: repro.CostModel{CS: math.NaN(), CR: 1}})
+			return err
+		},
+		"sharded MinTheta NaN": func() error {
+			_, err := repro.ReplayTrace(db, reqs, repro.ReplayOptions{Shards: 2, MinTheta: math.NaN()})
+			return err
+		},
+		"sharded Costs NaN": func() error {
+			_, err := repro.ReplayTrace(db, reqs, repro.ReplayOptions{Shards: 2, Costs: repro.CostModel{CS: math.NaN(), CR: 1}})
 			return err
 		},
 	}
