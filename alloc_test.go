@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro"
 	"repro/internal/access"
 	"repro/internal/agg"
 	"repro/internal/core"
@@ -63,8 +64,59 @@ func TestShardedTAAllocationBudget(t *testing.T) {
 	t.Logf("sharded TA allocates %d B per warm query (budget %d)", perQuery, budget)
 }
 
-// raceEnabled is set by race_test.go in -race builds.
-var raceEnabled bool
+// raceEnabled is set by race_test.go in -race builds, invariantsEnabled
+// by invariants_test.go in -tags invariants builds.
+var raceEnabled, invariantsEnabled bool
+
+// TestCostAwareTAAllocationBudget is the allocation guard for the
+// crawler-shaped query: cost-aware TA at k = 250 on a 4-shard stack of
+// remote backends declaring cR/cS = 4, over a Zipf database. A warm query
+// must make fewer than 1 000 heap allocations. A coordinator whose global
+// TopKBuffer sorts on every accepted insert (three allocations each) makes
+// about 3 100; with inserts placed by binary search it makes about 180.
+func TestCostAwareTAAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race, sync.Pool drops a random quarter of what is put back, so warm queries do not reliably reuse pooled tables")
+	}
+	if invariantsEnabled {
+		t.Skip("the invariants build boxes the arguments of every assertion it checks, millions of allocations per query by design")
+	}
+	db, err := workload.Zipf(workload.Spec{N: 100000, M: 3, Seed: 42}, 1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := repro.NewFaultyStack(db, 4, &repro.BackendSpec{SortedCost: 1, RandomCost: 4}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 250
+	tf := agg.Avg(3)
+	query := func() {
+		res, err := eng.Query(tf, k, repro.ShardOptions{CostAwareTA: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Items) != k {
+			t.Fatalf("got %d items", len(res.Items))
+		}
+	}
+	for i := 0; i < 3; i++ {
+		query()
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	perQuery := (after.Mallocs - before.Mallocs) / runs
+	const budget = 1000
+	if perQuery >= budget {
+		t.Fatalf("cost-aware TA makes %d heap allocations per warm query, budget %d", perQuery, budget)
+	}
+	t.Logf("cost-aware TA makes %d heap allocations per warm query (budget %d)", perQuery, budget)
+}
 
 // TestShardedNRAAllocationBudget is the same guard for the no-random-access
 // engine: a warm sharded NRA query must stay under one mebibyte of heap

@@ -888,9 +888,18 @@ func scanChargeStream(b *testing.B, db *repro.Database, seed int64, cfg access.C
 // The charged comparison runs once per statistical seed, and any seed on
 // which the saving disappears fails the benchmark outright — the
 // directional-consistency gate, enforced at the source.
+//
+// progress-recomputes-per-sorted is the bookkeeping a progress report
+// costs at the crawlers' k: bound recomputes per sorted access of a
+// hooked run (always-true hook, k = 250, cR/cS = 4, avg) over Zipf(1.2)
+// N = 20 000, a deterministic count. Any seed above 20 fails the
+// benchmark: refreshing every top-k member on every report reads about 90.
 func BenchmarkCostAwareTA(b *testing.B) {
 	dbs := seedDBs(b, func(seed int64) (*repro.Database, error) {
 		return workload.IndependentUniform(workload.Spec{N: 20000, M: 3, Seed: seed})
+	})
+	zipfDBs := seedDBs(b, func(seed int64) (*repro.Database, error) {
+		return workload.Zipf(workload.Spec{N: 20000, M: 3, Seed: seed}, 1.2)
 	})
 	tf := agg.Avg(3)
 	const k = 10
@@ -905,6 +914,16 @@ func BenchmarkCostAwareTA(b *testing.B) {
 	chargedCA := stats.Summary{Name: "charged-cost-aware-ta"}
 	savings := stats.Summary{Name: "ta-savings"}
 	savingsR16 := stats.Summary{Name: "ta-savings-r16"}
+	recomputes := stats.Summary{Name: "progress-recomputes-per-sorted"}
+	for _, seed := range stats.Seeds {
+		hooked := &core.CostAwareTA{Costs: access.CostModel{CS: 1, CR: 4}, OnProgress: func(core.Progress) bool { return true }}
+		res := mustRun(b, hooked, access.New(zipfDBs[seed], access.AllowAll), tf, 250)
+		per := float64(res.Stats.BoundRecomputes) / float64(res.Stats.Sorted)
+		if per > 20 {
+			b.Fatalf("seed %d: %.1f bound recomputes per sorted access in a hooked k=250 run, ceiling 20", seed, per)
+		}
+		recomputes.Samples = append(recomputes.Samples, stats.Sample{Seed: seed, Value: per})
+	}
 	for _, seed := range stats.Seeds {
 		db := dbs[seed]
 		for _, ratio := range []float64{4, 16} {
@@ -944,6 +963,7 @@ func BenchmarkCostAwareTA(b *testing.B) {
 	reportSeeds(b, chargedCA)
 	reportSeeds(b, savings)
 	reportSeeds(b, savingsR16)
+	reportSeeds(b, recomputes)
 }
 
 // lyingShardStack partitions db into p shards that all DECLARE the same

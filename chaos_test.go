@@ -419,6 +419,48 @@ func TestChaosNegativeOptionsRejected(t *testing.T) {
 	}
 }
 
+// TestChaosTAWithoutRandomAccess: explicit TA with NoRandomAccess follows
+// one rule on every path — rejected exactly when m > 1. On one list TA
+// needs no random access: Shards 0 runs core.TA sorted-only, Shards 1 and
+// 2 run the engine's no-random-access mode, and all three return the same
+// true-grade multiset with no random access.
+func TestChaosTAWithoutRandomAccess(t *testing.T) {
+	opts := func(shards int) repro.Options {
+		return repro.Options{Algorithm: repro.AlgoTA, NoRandomAccess: true, Shards: shards}
+	}
+	one, err := workload.IndependentUniform(workload.Spec{N: 40, M: 1, Seed: 47})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf1 := repro.Avg(1)
+	const k = 5
+	var want []float64
+	for _, shards := range []int{0, 1, 2} {
+		res, err := repro.Query(one, tf1, k, opts(shards))
+		if err != nil {
+			t.Fatalf("m=1 shards=%d: %v", shards, err)
+		}
+		if res.Stats.Random != 0 || !res.GradesExact {
+			t.Fatalf("m=1 shards=%d: %d random accesses, GradesExact %v", shards, res.Stats.Random, res.GradesExact)
+		}
+		got := gradeMultiset(one, tf1, res)
+		if shards == 0 {
+			want = got
+		} else if !sameMultiset(got, want) {
+			t.Fatalf("m=1 shards=%d: grades %v, Shards 0 returned %v", shards, got, want)
+		}
+	}
+	three, err := workload.IndependentUniform(workload.Spec{N: 40, M: 3, Seed: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 1} {
+		if _, err := repro.Query(three, repro.Avg(3), k, opts(shards)); !errors.Is(err, repro.ErrBadQuery) {
+			t.Errorf("m=3 shards=%d: want ErrBadQuery, got %v", shards, err)
+		}
+	}
+}
+
 // TestChaosBatchRejectsFault: the batch executor shares one scan across
 // queries, which a per-query fault plan cannot compose with — the spec is
 // rejected up front as a bad query, and ParallelQueries (per-query

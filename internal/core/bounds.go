@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/access"
@@ -42,7 +43,11 @@ type partial struct {
 
 	retired bool // proven non-viable forever (lazy engine)
 	inTopK  bool
-	heapIdx int // position in the candidate heap, -1 if absent
+	pinned  bool // tracked T_k member with W = B: its grade is exact for good
+	// heapIdx is the position in the candidate heap, or — for a tracked
+	// T_k member not yet pinned — in the open-member heap; -1 if in
+	// neither. A member is never a candidate, so one index serves both.
+	heapIdx int
 }
 
 // candSlot is one candidate-heap slot. It carries the candidate's cached B
@@ -147,6 +152,16 @@ type table struct {
 	topk     []*partial // ≤ k entries, ordered best-first by (w, b, id)
 	cands    candHeap   // lazy engine: seen objects outside topk, not retired
 
+	// Pin tracking (lazy engine, cost-aware TA): every T_k member is either
+	// pinned — W = B, its exact grade in pins, kept in canonical order — or
+	// open, in a lazy max-heap by cached B whose slots are re-fixed on every
+	// change of a member's B. A progress report then reads the pinned set
+	// and the largest open B without refreshing every member.
+	trackPins bool
+	open      candHeap
+	pins      []Scored
+	pinsGen   int // bumped whenever pins changes
+
 	scratch []model.Grade
 
 	// Slab allocator: partial structs and their grade vectors are carved
@@ -184,6 +199,7 @@ func newTable(src *access.Source, t agg.Func, k int, lazy bool) *table {
 	m := src.M()
 	tb.t, tb.m, tb.k, tb.src, tb.lazy = t, m, k, src, lazy
 	tb.depth, tb.observed, tb.released = 0, 0, false
+	tb.trackPins, tb.pinsGen = false, 0
 	tb.bottoms = resize(tb.bottoms, m)
 	for i := range tb.bottoms {
 		tb.bottoms[i] = 1 // x̄ᵢ = 1 before any sorted access
@@ -210,6 +226,8 @@ func (tb *table) release() {
 	clear(tb.parts)
 	tb.topk = tb.topk[:0]
 	tb.cands = tb.cands[:0]
+	tb.open = tb.open[:0]
+	tb.pins = tb.pins[:0]
 	tb.slabUsed, tb.slabOff = 0, 0
 	tb.src, tb.t = nil, nil // a pooled table must not keep a database alive
 	tablePool.Put(tb)
@@ -269,12 +287,92 @@ func (tb *table) computeB(p *partial) model.Grade {
 // refreshB makes p's cached B fresh for the current depth.
 func (tb *table) refreshB(p *partial) {
 	if p.bDepth != tb.depth {
-		p.b = tb.computeB(p)
-		p.bDepth = tb.depth
-		if invariantsEnabled {
-			assertInvariant(p.w <= p.b, "object %d has W=%v > B=%v after refresh (Propositions 8.1/8.2)", p.obj, p.w, p.b)
-		}
+		tb.recomputeB(p)
 	}
+}
+
+// recomputeB is refreshB's stale case, kept out of line so the fresh case
+// inlines.
+func (tb *table) recomputeB(p *partial) {
+	p.b = tb.computeB(p)
+	p.bDepth = tb.depth
+	if invariantsEnabled {
+		assertInvariant(p.w <= p.b, "object %d has W=%v > B=%v after refresh (Propositions 8.1/8.2)", p.obj, p.w, p.b)
+	}
+	if tb.trackPins && p.inTopK {
+		tb.settle(p)
+	}
+}
+
+// admit files a member that just entered T_k (with a fresh B) as pinned or
+// open. Pin tracking only.
+func (tb *table) admit(p *partial) {
+	if p.w == p.b {
+		tb.pin(p)
+		return
+	}
+	tb.open.push(p)
+}
+
+// settle re-files a member whose bounds just changed: a B collapsed onto W
+// pins it (W only rises and B only falls, so it stays pinned); otherwise
+// its open-heap slot takes the new B. Pin tracking only.
+func (tb *table) settle(p *partial) {
+	switch {
+	case p.pinned:
+		if invariantsEnabled {
+			assertInvariant(p.w == p.b, "pinned member %d has W=%v < B=%v", p.obj, p.w, p.b)
+		}
+	case p.w == p.b:
+		tb.open.remove(p.heapIdx)
+		tb.pin(p)
+	default:
+		tb.open.fix(p.heapIdx)
+	}
+}
+
+// evict unfiles a member that just left T_k. Pin tracking only.
+func (tb *table) evict(p *partial) {
+	if !p.pinned {
+		tb.open.remove(p.heapIdx)
+		return
+	}
+	p.pinned = false
+	i, found := slices.BinarySearchFunc(tb.pins, pinnedItem(p), compareScored)
+	if invariantsEnabled {
+		assertInvariant(found, "pinned member %d missing from the pinned list", p.obj)
+	}
+	tb.pins = slices.Delete(tb.pins, i, i+1)
+	tb.pinsGen++
+}
+
+// pin records a member's exact grade in the canonical pinned list.
+func (tb *table) pin(p *partial) {
+	p.pinned = true
+	s := pinnedItem(p)
+	i, _ := slices.BinarySearchFunc(tb.pins, s, compareScored)
+	tb.pins = slices.Insert(tb.pins, i, s)
+	tb.pinsGen++
+}
+
+// pinnedItem is a pinned member as an answer item.
+func pinnedItem(p *partial) Scored {
+	return Scored{Object: p.obj, Grade: p.w, Lower: p.w, Upper: p.w}
+}
+
+// openTop returns the open member with the largest fresh B, refreshing
+// only the heap's top: cached Bs bound fresh ones from above, so a fresh
+// top outranks every member below it. Tops whose B collapses onto W are
+// pinned on the way. Nil when every member is pinned. Pin tracking only.
+func (tb *table) openTop() *partial {
+	for len(tb.open) > 0 {
+		p := tb.open[0].p
+		if p.bDepth == tb.depth {
+			return p
+		}
+		tb.refreshB(p)
+	}
+	return nil
 }
 
 // threshold evaluates τ = t(x̄₁,…,x̄ₘ), the B value of every unseen object.
@@ -346,6 +444,9 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 	}
 	if p.inTopK {
 		tb.resortTopK()
+		if tb.trackPins {
+			tb.settle(p)
+		}
 		return p
 	}
 	// Try to promote p into T_k.
@@ -356,6 +457,9 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 		p.inTopK = true
 		tb.topk = append(tb.topk, p)
 		tb.resortTopK()
+		if tb.trackPins {
+			tb.admit(p)
+		}
 		return p
 	}
 	worst := tb.topk[tb.k-1]
@@ -365,6 +469,10 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 		}
 		p.inTopK = true
 		worst.inTopK = false
+		if tb.trackPins {
+			tb.evict(worst)
+			tb.admit(p)
+		}
 		tb.topk[tb.k-1] = p
 		tb.resortTopK()
 		if tb.lazy {

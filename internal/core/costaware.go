@@ -46,15 +46,21 @@ type CostAwareTA struct {
 	// CAPlanner{}. Lockstep{} recovers CA's parallel rounds.
 	Planner Scheduler
 	// OnProgress, when non-nil, is invoked once per sorted-access round
-	// (every m sorted accesses, wherever the planner spent them —
-	// assembling the view costs O(k·m) bound refreshes, so it is not done
-	// per access). Unlike TA's hook, TopK carries only the candidates
-	// whose grades are already exact (pinned, W = B), and Threshold
-	// carries the run's B-ceiling: the largest possible grade of any
-	// object not in TopK — unseen, partially seen, or a top-k candidate
-	// not yet pinned. Returning false stops the run with the pinned
-	// candidates; the sharded engine cancels workers through this hook
-	// once their ceiling falls below the global k-th grade.
+	// (every m sorted accesses, wherever the planner spent them). Unlike
+	// TA's hook, TopK carries only the top-k members whose grades are
+	// already exact — every field known, or B refreshed onto W — in
+	// canonical (grade descending, ObjectID ascending) order, and
+	// Threshold carries the run's B-ceiling: the largest possible grade of
+	// any object not in TopK — unseen, partially seen, or a top-k member
+	// not yet pinned. A report costs what changed since the last one: a
+	// member with every field known is never refreshed again, and only the
+	// largest B among the other members is refreshed, so a member whose B
+	// collapses onto W before every field is known (possible under min or
+	// max, not under avg or sum over positive grades) may join TopK a few
+	// reports late; until then the ceiling covers it. Returning false
+	// stops the run with the pinned candidates; the sharded engine cancels
+	// workers through this hook once their ceiling falls below the global
+	// k-th grade.
 	OnProgress func(Progress) bool
 }
 
@@ -89,38 +95,22 @@ func (a *CostAwareTA) phasePeriod(src *access.Source) int {
 
 // ceiling returns the largest possible overall grade of any object whose
 // exact grade is not yet known: the unseen-object threshold τ (while
-// unseen objects remain), the largest B among unpinned top-k members, and
-// the largest fresh B among viable candidates outside the top-k.
-// Computing it retires non-viable candidates, which is sound (B only
-// falls, M_k only rises).
+// unseen objects remain), the largest fresh B among unpinned top-k members
+// (pinning the ones it finds collapsed onto W), and the largest fresh B
+// among viable candidates outside the top-k. Computing it retires
+// non-viable candidates, which is sound (B only falls, M_k only rises).
 func (a *CostAwareTA) ceiling(tb *table) model.Grade {
 	ceil := model.Grade(math.Inf(-1))
 	if len(tb.parts) < tb.src.N() {
 		ceil = tb.threshold()
 	}
-	for _, p := range tb.topk {
-		tb.refreshB(p)
-		if p.w != p.b && p.b > ceil {
-			ceil = p.b
-		}
+	if p := tb.openTop(); p != nil && p.b > ceil {
+		ceil = p.b
 	}
 	if c := tb.drainTop(tb.mk()); c != nil && c.b > ceil {
 		ceil = c.b
 	}
 	return ceil
-}
-
-// pinned appends the top-k members whose grades are already exact (W = B
-// after a refresh), best first, reusing buf.
-func pinned(tb *table, buf []Scored) []Scored {
-	buf = buf[:0]
-	for _, p := range tb.topk {
-		tb.refreshB(p)
-		if p.w == p.b {
-			buf = append(buf, Scored{Object: p.obj, Grade: p.w, Lower: p.w, Upper: p.w})
-		}
-	}
-	return buf
 }
 
 // Run implements Algorithm.
@@ -144,13 +134,17 @@ func (a *CostAwareTA) Run(src *access.Source, t agg.Func, k int) (*Result, error
 	}
 	view := newSchedView(src)
 	tb := newTable(src, t, k, true)
+	tb.trackPins = true
 	defer tb.release()
 	// One phase every h rounds; the planner allocates accesses unevenly, so
 	// a "round" is m sorted accesses wherever they were spent.
 	period := h * m
 	sincePhase := 0
 	sinceProgress := 0
+	// pinBuf is the reported copy of the pinned list, refreshed only when
+	// the list changed (pinGen trails tb.pinsGen).
 	var pinBuf []Scored
+	pinGen := 0
 	for {
 		i := planner.Next(view)
 		if i == -1 {
@@ -184,8 +178,16 @@ func (a *CostAwareTA) Run(src *access.Source, t agg.Func, k int) (*Result, error
 		sinceProgress++
 		if a.OnProgress != nil && sinceProgress >= m {
 			sinceProgress = 0
-			pinBuf = pinned(tb, pinBuf)
+			// The ceiling first: it may pin members, and whatever it
+			// leaves out of its maximum must be in TopK.
 			ceil := a.ceiling(tb)
+			if pinGen != tb.pinsGen {
+				pinGen = tb.pinsGen
+				pinBuf = append(pinBuf[:0], tb.pins...)
+			}
+			if invariantsEnabled {
+				tb.checkReport(pinBuf, ceil)
+			}
 			p := Progress{
 				TopK:      pinBuf,
 				Threshold: ceil,
@@ -263,8 +265,14 @@ func (a *CostAwareTA) finish(tb *table, view *SchedView) (*Result, error) {
 // engine relies on this — a cancelled worker's items must all carry exact
 // grades, because the coordinator merges them into an exact global heap.
 func (a *CostAwareTA) stopEarly(tb *table, view *SchedView, guarantee float64) *Result {
-	items := append([]Scored(nil), pinned(tb, nil)...)
-	sortScoredDesc(items)
+	// Refreshing every unpinned member pins the ones whose B collapsed onto
+	// W below the open heap's top.
+	for _, p := range tb.topk {
+		if !p.pinned {
+			tb.refreshB(p)
+		}
+	}
+	items := append([]Scored(nil), tb.pins...)
 	return &Result{
 		Items:       items,
 		GradesExact: true,
@@ -272,4 +280,50 @@ func (a *CostAwareTA) stopEarly(tb *table, view *SchedView, guarantee float64) *
 		Rounds:      maxInt(view.Depth),
 		Stats:       tb.src.Stats(),
 	}
+}
+
+// checkReport is the invariants build's audit of one progress report:
+// every reported item is a pinned member whose fresh B equals its W and
+// its grade, every open-heap slot caches its member's current B, and the
+// ceiling equals a brute-force recomputation — τ while
+// unseen objects remain, the fresh B of every unpinned member, and the
+// fresh B of every candidate still viable against M_k — that touches no
+// cached bound and counts no recompute.
+func (tb *table) checkReport(items []Scored, ceil model.Grade) {
+	fresh := func(p *partial) model.Grade {
+		for j := 0; j < tb.m; j++ {
+			if p.known&(uint64(1)<<uint(j)) != 0 {
+				tb.scratch[j] = p.grades[j]
+			} else {
+				tb.scratch[j] = tb.bottoms[j]
+			}
+		}
+		return tb.t.Apply(tb.scratch)
+	}
+	for _, it := range items {
+		p := tb.parts[it.Object]
+		assertInvariant(p != nil && p.inTopK && p.pinned, "reported object %d is not a pinned top-k member", it.Object)
+		b := fresh(p)
+		assertInvariant(p.w == b && it.Grade == p.w, "reported object %d at %v has W=%v, fresh B=%v", it.Object, it.Grade, p.w, b)
+	}
+	want := model.Grade(math.Inf(-1))
+	if len(tb.parts) < tb.src.N() {
+		want = tb.t.Apply(tb.bottoms)
+	}
+	for _, p := range tb.topk {
+		if b := fresh(p); !p.pinned && b > want {
+			want = b
+		}
+	}
+	for i, s := range tb.open {
+		assertInvariant(s.p.inTopK && !s.p.pinned && s.p.heapIdx == i && s.b == s.p.b,
+			"open slot %d of object %d (index %d) caches B=%v, member has %v", i, s.p.obj, s.p.heapIdx, s.b, s.p.b)
+	}
+	mk := tb.mk()
+	for _, c := range tb.cands {
+		if b := fresh(c.p); !c.p.retired && !c.p.inTopK && b > mk && b > want {
+			want = b
+		}
+	}
+	assertInvariant(ceil == want, "progress ceiling %v, brute-force recomputation %v", ceil, want)
 }

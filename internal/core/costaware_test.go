@@ -2,11 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/access"
 	"repro/internal/agg"
+	"repro/internal/model"
 	"repro/internal/workload"
 )
 
@@ -221,5 +224,136 @@ func TestCostAwareTAValidation(t *testing.T) {
 	}
 	if math.IsNaN(float64(res.Items[0].Grade)) {
 		t.Fatal("bad grade")
+	}
+}
+
+// TestCostAwareTAProgressRecomputeBudget bounds the bookkeeping a progress
+// report costs at crawler-sized k: with a hook on every report, bound
+// recomputes per sorted access stay at most 20. Refreshing every top-k
+// member on every report costs about 90 per sorted access here; refreshing
+// only what changed costs about 13.
+func TestCostAwareTAProgressRecomputeBudget(t *testing.T) {
+	db, err := workload.Zipf(workload.Spec{N: 20000, M: 3, Seed: 42}, 1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tf := range []agg.Func{agg.Avg(3), agg.Sum(3)} {
+		a := &CostAwareTA{Costs: access.CostModel{CS: 1, CR: 4}, OnProgress: func(Progress) bool { return true }}
+		res, err := a.Run(access.New(db, access.AllowAll), tf, 250)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := float64(res.Stats.BoundRecomputes) / float64(res.Stats.Sorted)
+		t.Logf("%s: %d bound recomputes over %d sorted accesses (%.1f per access)", tf.Name(), res.Stats.BoundRecomputes, res.Stats.Sorted, per)
+		if per > 20 {
+			t.Errorf("%s: %.1f bound recomputes per sorted access, budget 20", tf.Name(), per)
+		}
+	}
+}
+
+// TestCostAwareTAHookIsObserverOnTieFreeData: an always-true progress hook
+// leaves avg and sum runs on tie-free data exactly as the hook-free run —
+// the same items in the same order, the same sorted and random access
+// counts. (On tied data, or under min, refreshes the reports make can
+// reorder W-ties inside T_k, so there only the answer's grades are
+// promised.)
+func TestCostAwareTAHookIsObserverOnTieFreeData(t *testing.T) {
+	const m = 3
+	spec := workload.Spec{N: 3000, M: m, Seed: 96}
+	uniform, err := workload.IndependentUniform(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zipf, err := workload.Zipf(spec, 1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	correlated, err := workload.Correlated(spec, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, db := range map[string]*model.Database{"uniform": uniform, "zipf": zipf, "correlated": correlated} {
+		for _, tf := range []agg.Func{agg.Avg(m), agg.Sum(m)} {
+			for _, k := range []int{1, 10, 100} {
+				run := func(hook func(Progress) bool) *Result {
+					res, err := (&CostAwareTA{Costs: access.CostModel{CS: 1, CR: 4}, OnProgress: hook}).Run(access.New(db, access.AllowAll), tf, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				plain := run(nil)
+				hooked := run(func(Progress) bool { return true })
+				label := fmt.Sprintf("%s/%s/k=%d", name, tf.Name(), k)
+				if plain.Stats.Sorted != hooked.Stats.Sorted || plain.Stats.Random != hooked.Stats.Random {
+					t.Errorf("%s: hooked run made %d sorted and %d random accesses, hook-free %d and %d",
+						label, hooked.Stats.Sorted, hooked.Stats.Random, plain.Stats.Sorted, plain.Stats.Random)
+				}
+				if !reflect.DeepEqual(plain.Items, hooked.Items) {
+					t.Errorf("%s: hooked items %v, hook-free %v", label, hooked.Items, plain.Items)
+				}
+			}
+		}
+	}
+}
+
+// TestCostAwareTAProgressSound checks every progress report against the
+// whole database, on the battery of families (tie-heavy plateaus
+// included) and aggregations where B can collapse onto W before every
+// field is known (min, max): each reported item carries its true grade,
+// TopK is in canonical order, and every object not reported is bounded by
+// Threshold or, once k items are reported, by the k-th of them. Under
+// -tags invariants every report also checks the ceiling against a
+// brute-force recomputation over the bound table.
+func TestCostAwareTAProgressSound(t *testing.T) {
+	const m = 3
+	for name, db := range databasesUnderTest(t, m) {
+		truth := make(map[model.ObjectID]model.Grade, db.N())
+		for _, tf := range []agg.Func{agg.Avg(m), agg.Sum(m), agg.Min(m), agg.Max(m)} {
+			for _, e := range db.List(0).Entries() {
+				truth[e.Object] = tf.Apply(db.Grades(e.Object))
+			}
+			for _, k := range []int{1, 5, 20} {
+				if k > db.N() {
+					continue
+				}
+				label := fmt.Sprintf("%s/%s/k=%d", name, tf.Name(), k)
+				reports := 0
+				reported := make(map[model.ObjectID]bool)
+				a := &CostAwareTA{Costs: access.CostModel{CS: 1, CR: 4}, OnProgress: func(p Progress) bool {
+					reports++
+					clear(reported)
+					for i, it := range p.TopK {
+						if it.Grade != truth[it.Object] || it.Lower != it.Grade || it.Upper != it.Grade {
+							t.Fatalf("%s report %d: item %+v, true grade %v", label, reports, it, truth[it.Object])
+						}
+						if i > 0 && compareScored(p.TopK[i-1], it) >= 0 {
+							t.Fatalf("%s report %d: TopK out of canonical order at %d: %v", label, reports, i, p.TopK)
+						}
+						reported[it.Object] = true
+					}
+					// Candidates retired along the way sit at or below M_k,
+					// which is the k-th reported grade once every member is
+					// pinned (and at most the ceiling before).
+					bound := p.Threshold
+					if len(p.TopK) == k && p.TopK[k-1].Grade > bound {
+						bound = p.TopK[k-1].Grade
+					}
+					for obj, g := range truth {
+						if !reported[obj] && g > bound {
+							t.Fatalf("%s report %d: object %d (grade %v) unreported above the ceiling %v", label, reports, obj, g, p.Threshold)
+						}
+					}
+					return true
+				}}
+				res, err := a.Run(access.New(db, access.AllowAll), tf, k)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !res.GradesExact || len(res.Items) != k {
+					t.Fatalf("%s: %d items, GradesExact %v", label, len(res.Items), res.GradesExact)
+				}
+			}
+		}
 	}
 }

@@ -96,3 +96,89 @@ func TestCandHeapMatchesContainerHeap(t *testing.T) {
 		}
 	}
 }
+
+// refTopK is the scan-and-sort TopKBuffer.Offer the binary-search insert
+// replaced, kept as the reference it must reproduce.
+type refTopK struct {
+	k     int
+	items []Scored
+}
+
+func (h *refTopK) Offer(s Scored) {
+	if len(h.items) == h.k && h.k > 0 && s.Grade < h.items[h.k-1].Grade {
+		return
+	}
+	for i := range h.items {
+		if h.items[i].Object == s.Object {
+			return
+		}
+	}
+	if len(h.items) < h.k {
+		h.items = append(h.items, s)
+		sortScoredDesc(h.items)
+		return
+	}
+	last := len(h.items) - 1
+	worst := h.items[last]
+	if s.Grade > worst.Grade || (s.Grade == worst.Grade && s.Object < worst.Object) {
+		h.items[last] = s
+		sortScoredDesc(h.items)
+	}
+}
+
+// TestTopKBufferMatchesScanAndSort offers random streams to TopKBuffer and
+// the scan-and-sort reference: few distinct grades, so ties at the k-th
+// grade are common, and objects re-offered (with their one grade) as TA
+// re-encounters them in other lists. After every offer both must hold the
+// same items in the same order.
+func TestTopKBufferMatchesScanAndSort(t *testing.T) {
+	for _, k := range []int{1, 5, 300} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			objects := 2*k + 10
+			grade := make([]model.Grade, objects)
+			for i := range grade {
+				grade[i] = model.Grade(rng.Intn(8)) / 8
+			}
+			h := NewTopKBuffer(k)
+			ref := &refTopK{k: k}
+			for step := 0; step < 6*objects; step++ {
+				obj := model.ObjectID(rng.Intn(objects))
+				s := Scored{Object: obj, Grade: grade[obj], Lower: grade[obj], Upper: grade[obj]}
+				h.Offer(s)
+				ref.Offer(s)
+				got := h.AppendSnapshot(nil)
+				if len(got) != len(ref.items) {
+					t.Fatalf("k=%d seed %d step %d: %d items, reference %d", k, seed, step, len(got), len(ref.items))
+				}
+				for i := range got {
+					if got[i] != ref.items[i] {
+						t.Fatalf("k=%d seed %d step %d: item %d = %+v, reference %+v", k, seed, step, i, got[i], ref.items[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTopKBufferOfferAllocatesNothing: accepted offers allocate nothing
+// once the buffer exists. Every offer of the stream outranks everything
+// held (grades rise), so each one is inserted — into a filling buffer
+// first, then displacing the worst of a full one.
+func TestTopKBufferOfferAllocatesNothing(t *testing.T) {
+	for _, k := range []int{5, 300} {
+		h := NewTopKBuffer(k)
+		n := 0
+		allocs := testing.AllocsPerRun(4*k, func() {
+			n++
+			g := model.Grade(n) / model.Grade(8*k)
+			h.Offer(Scored{Object: model.ObjectID(n), Grade: g, Lower: g, Upper: g})
+		})
+		if allocs != 0 {
+			t.Errorf("k=%d: %v allocations per accepted offer, want 0", k, allocs)
+		}
+		if h.Len() != k || h.items[0].Object != model.ObjectID(n) {
+			t.Fatalf("k=%d: the stream's offers were not all accepted", k)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -98,16 +99,24 @@ func TrueGradeMultiset(db *model.Database, t agg.Func, items []Scored) []model.G
 	return out
 }
 
-// sortScoredDesc orders items by grade descending, breaking ties by
+// compareScored is the canonical answer order: grade descending, ties by
 // ascending object id for determinism.
-func sortScoredDesc(items []Scored) {
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].Grade != items[j].Grade {
-			return items[i].Grade > items[j].Grade
-		}
-		return items[i].Object < items[j].Object
-	})
+func compareScored(a, b Scored) int {
+	switch {
+	case a.Grade > b.Grade:
+		return -1
+	case a.Grade < b.Grade:
+		return 1
+	case a.Object < b.Object:
+		return -1
+	case a.Object > b.Object:
+		return 1
+	}
+	return 0
 }
+
+// sortScoredDesc orders items canonically (compareScored).
+func sortScoredDesc(items []Scored) { slices.SortFunc(items, compareScored) }
 
 // TopKBuffer is a fixed-capacity collection of the k best (grade, object)
 // pairs seen so far; ties are broken toward smaller object ids (arbitrary
@@ -116,9 +125,13 @@ func sortScoredDesc(items []Scored) {
 // about previously seen objects is retained. The sharded engine reuses it
 // as the coordinator's global heap, so shard merges follow exactly the
 // same canonical (grade descending, ObjectID ascending) order.
+//
+// An offer costs one binary search plus, when it is accepted, a shift of
+// the items it outranks; it never allocates once the buffer holds its
+// k-item backing array.
 type TopKBuffer struct {
 	k     int
-	items []Scored // kept sorted descending; k is small (constant)
+	items []Scored // kept in canonical order; k is small (constant)
 }
 
 // NewTopKBuffer returns an empty buffer retaining the k best candidates.
@@ -129,32 +142,34 @@ func NewTopKBuffer(k int) *TopKBuffer {
 // Offer inserts the candidate if it belongs in the top k. An object already
 // present is left untouched rather than duplicated (TA can see the same
 // object in several lists; callers must re-offer an object only with the
-// same grade).
+// same grade, which is what lets the binary search find it).
 func (h *TopKBuffer) Offer(s Scored) {
+	full := len(h.items) == h.k
 	// Fast path: a full buffer rejects anything strictly below the current
-	// kth grade without scanning. An already-present object can never take
-	// this branch — every held item's grade is ≥ the worst's — so the
-	// duplicate scan below still sees every re-encounter.
-	if len(h.items) == h.k && h.k > 0 && s.Grade < h.items[h.k-1].Grade {
+	// kth grade without searching. An already-present object can never take
+	// this branch — every held item's grade is ≥ the worst's.
+	if full && (h.k == 0 || s.Grade < h.items[h.k-1].Grade) {
 		return
 	}
-	for i := range h.items {
-		if h.items[i].Object == s.Object {
-			// Same object re-encountered: grade is identical by
-			// construction; nothing to do.
-			return
+	i, found := slices.BinarySearchFunc(h.items, s, compareScored)
+	if found {
+		return // same object re-encountered with its (identical) grade
+	}
+	if invariantsEnabled {
+		for _, it := range h.items {
+			if it.Object == s.Object {
+				assertInvariant(false, "object %d offered at grade %v while held at %v", s.Object, s.Grade, it.Grade)
+			}
 		}
 	}
-	if len(h.items) < h.k {
-		h.items = append(h.items, s)
-		sortScoredDesc(h.items)
+	if !full {
+		h.items = slices.Insert(h.items, i, s)
 		return
 	}
-	last := len(h.items) - 1
-	worst := h.items[last]
-	if s.Grade > worst.Grade || (s.Grade == worst.Grade && s.Object < worst.Object) {
-		h.items[last] = s
-		sortScoredDesc(h.items)
+	if i < h.k {
+		// Drop the worst and shift the items s outranks down one slot.
+		copy(h.items[i+1:], h.items[i:h.k-1])
+		h.items[i] = s
 	}
 }
 

@@ -3,8 +3,11 @@ package shard
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/model"
 )
 
@@ -73,5 +76,55 @@ func TestFinalizeReevaluatesCeilings(t *testing.T) {
 	th, ok := deg.theta(floor, model.Grade(0.7))
 	if !ok || math.Abs(th-0.7/0.2) > 1e-12 {
 		t.Fatalf("theta = %g ok=%v, want %g", th, ok, 0.7/0.2)
+	}
+}
+
+// TestUnmergedMatchesSetDifference checks the progress hook's walk against
+// a plain set difference: on random canonical lists — few distinct grades,
+// so ties are common, and heavy overlap between consecutive reports — it
+// returns exactly the items of cur that last does not hold, in cur's order.
+func TestUnmergedMatchesSetDifference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	grade := func(obj model.ObjectID) model.Grade { return model.Grade(obj%5) / 5 }
+	list := func(pool []model.ObjectID) []core.Scored {
+		var out []core.Scored
+		for _, obj := range pool {
+			if rng.Intn(3) > 0 {
+				out = append(out, core.Scored{Object: obj, Grade: grade(obj)})
+			}
+		}
+		sort.Slice(out, func(i, j int) bool {
+			if out[i].Grade != out[j].Grade {
+				return out[i].Grade > out[j].Grade
+			}
+			return out[i].Object < out[j].Object
+		})
+		return out
+	}
+	for trial := 0; trial < 2000; trial++ {
+		pool := make([]model.ObjectID, rng.Intn(30))
+		for i := range pool {
+			pool[i] = model.ObjectID(i)
+		}
+		last, cur := list(pool), list(pool)
+		held := make(map[model.ObjectID]bool, len(last))
+		for _, it := range last {
+			held[it.Object] = true
+		}
+		var want []core.Scored
+		for _, it := range cur {
+			if !held[it.Object] {
+				want = append(want, it)
+			}
+		}
+		got := unmerged(nil, last, cur)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: unmerged(%v, %v) = %v, want %v", trial, last, cur, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: unmerged(%v, %v) = %v, want %v", trial, last, cur, got, want)
+			}
+		}
 	}
 }

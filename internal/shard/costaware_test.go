@@ -16,12 +16,14 @@ import (
 // and Zipf) and shard counts: the cost-aware TA mode returns the same
 // true-grade multiset as sequential TA, with exact reported grades, under
 // the full concurrency of the default worker pool (the suite runs with
-// -race in CI).
+// -race in CI). At k = 60 every shard holds many members at once, so the
+// merges of only what a report adds and the heap of unpinned members run
+// at depth; max pins members before every field is known.
 func TestCostAwareTAShardedMatchesTA(t *testing.T) {
 	const m = 3
 	for name, db := range workloadsUnderTest(t, m) {
-		for _, tf := range []agg.Func{agg.Avg(m), agg.Min(m)} {
-			for _, k := range []int{1, 7} {
+		for _, tf := range []agg.Func{agg.Avg(m), agg.Min(m), agg.Max(m)} {
+			for _, k := range []int{1, 7, 60} {
 				if k > db.N() {
 					continue
 				}

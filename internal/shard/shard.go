@@ -18,8 +18,9 @@
 // the unsharded P=1 run.
 //
 // The hot path is kept cheap: a worker takes the coordinator lock only
-// when its local top-k actually changed; otherwise it just reads the
-// global kth grade from an atomic and compares it against its threshold.
+// when its local top-k gained items it has not merged before, and merges
+// just those; otherwise it just reads the global kth grade from an atomic
+// and compares it against its threshold.
 package shard
 
 import (
@@ -407,18 +408,28 @@ func addStats(dst *access.Stats, src access.Stats) {
 	}
 }
 
-// equalScored reports whether two snapshots hold the same items; grades
-// are exact per object, so Object equality per position suffices.
-func equalScored(a, b []core.Scored) bool {
-	if len(a) != len(b) {
-		return false
+// unmerged appends to dst the items of cur that last does not hold. Both
+// are a worker's progress lists, in canonical (grade descending, ObjectID
+// ascending) order with exact grades, so one walk over the two finds them.
+// Merging only these is enough: an item of last was merged when last was
+// reported, and the global heap keeps it or holds k better items forever.
+func unmerged(dst, last, cur []core.Scored) []core.Scored {
+	// Reports mostly repeat the last list, so skip the common prefix first.
+	i := 0
+	for i < len(cur) && i < len(last) && cur[i].Object == last[i].Object {
+		i++
 	}
-	for i := range a {
-		if a[i].Object != b[i].Object {
-			return false
+	for _, it := range cur[i:] {
+		for i < len(last) && (last[i].Grade > it.Grade || last[i].Grade == it.Grade && last[i].Object < it.Object) {
+			i++
 		}
+		if i < len(last) && last[i].Object == it.Object {
+			i++
+			continue
+		}
+		dst = append(dst, it)
 	}
-	return true
+	return dst
 }
 
 // QueryContext runs a top-k query across all shards concurrently and
@@ -459,7 +470,7 @@ func (e *Engine) QueryContext(ctx context.Context, t agg.Func, k int, opts Optio
 		if n := db.N(); ks > n {
 			ks = n // a shard smaller than k contributes all its objects
 		}
-		var last []core.Scored
+		var last, delta []core.Scored
 		onProgress := func(pr core.Progress) bool {
 			if coord.stopped.Load() {
 				return false
@@ -468,9 +479,10 @@ func (e *Engine) QueryContext(ctx context.Context, t agg.Func, k int, opts Optio
 				coord.abort()
 				return false
 			}
-			if !equalScored(last, pr.TopK) {
+			// Only what the worker has not merged before takes the lock.
+			if delta = unmerged(delta[:0], last, pr.TopK); len(delta) > 0 {
 				last = append(last[:0], pr.TopK...)
-				coord.merge(pr.TopK)
+				coord.merge(delta)
 			}
 			// Keep running while an unseen object could still reach
 			// the answer: τ_s below the global kth grade means every

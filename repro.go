@@ -138,7 +138,9 @@ type Options struct {
 	// are rejected with ErrBadQuery.
 	Theta float64
 	// NoRandomAccess forbids random access (search-engine scenario);
-	// with the default algorithm this selects NRA. It composes with
+	// with the default algorithm this selects NRA. An explicit AlgoTA
+	// accepts it only when the database has one list, where TA needs no
+	// random access; with more lists it is rejected. It composes with
 	// Shards: the query then runs the sharded no-random-access mode
 	// (one resumable NRA worker per shard) and performs zero random
 	// accesses.
@@ -163,8 +165,9 @@ type Options struct {
 	// NoRandomAccess, or θ-approximation is rejected with ErrBadQuery.
 	CostAwareTA bool
 	// OnProgress, when non-nil, is invoked by TA and NRA after every
-	// sorted access (NRA: every sorted-access round); returning false
-	// stops early with the current view.
+	// sorted access (NRA: every sorted-access round; cost-aware TA: every
+	// round, with only the exact-grade items, see core.CostAwareTA);
+	// returning false stops early with the current view.
 	OnProgress func(ProgressView) bool
 	// Shards, when ≥ 1, partitions the database into that many
 	// object-disjoint shards and answers the query with one concurrent

@@ -100,6 +100,12 @@ func resolve(on target, opts Options) (plan, error) {
 	if opts.CostAwareTA && name != AlgoTA {
 		return plan{}, fmt.Errorf("%w: CostAwareTA requires the TA algorithm, got %q", ErrBadQuery, name)
 	}
+	// TA completes a grade by random access only when there is more than
+	// one list: on one list it runs sorted-only, sequentially in core.TA
+	// and sharded in the engine's no-random-access mode.
+	if name == AlgoTA && opts.NoRandomAccess && m > 1 {
+		return plan{}, fmt.Errorf("%w: TA needs random access on %d lists; drop NoRandomAccess or use AlgoNRA for sorted-only queries", ErrBadQuery, m)
+	}
 	if (opts.CostAwareTA || shards != 0) && opts.Theta > 1 {
 		return plan{}, fmt.Errorf("%w: cost-aware TA and the sharded engine compute exact answers; θ-approximation is not supported", ErrBadQuery)
 	}
@@ -122,8 +128,6 @@ func resolve(on target, opts Options) (plan, error) {
 		switch {
 		case name != AlgoTA && name != AlgoNRA:
 			return plan{}, fmt.Errorf("%w: sharding supports only the TA and NRA algorithms, got %q", ErrBadQuery, name)
-		case name == AlgoTA && opts.NoRandomAccess:
-			return plan{}, fmt.Errorf("%w: TA needs random access; drop NoRandomAccess or use AlgoNRA for sharded sorted-only queries", ErrBadQuery)
 		case len(opts.SortedLists) > 0:
 			return plan{}, fmt.Errorf("%w: sharding does not support restricting sorted access (TAz)", ErrBadQuery)
 		case opts.OnProgress != nil:
