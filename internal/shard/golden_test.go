@@ -1,0 +1,150 @@
+package shard_test
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/agg"
+	"repro/internal/model"
+	"repro/internal/shard"
+	"repro/internal/workload"
+)
+
+// Golden sharded-NRA record: every no-random-access query of a fixed matrix
+// — three databases on three seeds, min/avg/sum, k ∈ {5, 20, 50}, P ∈ {1,
+// 2, 4, 8}, the wave and cost-aware schedules — run with one worker so the
+// scheduling order, and with it every access count, is deterministic. A
+// rewrite of the coordinator (how shard views are merged, how ceilings and
+// M_k are read) must leave every answer interval, access count, round
+// count and per-shard resume count byte-identical. The adaptive schedule
+// is left out: it prices shards from observed wall-clock time.
+// MaxBuffered is left out too: it reports the coordinator's own buffer
+// size, which is a property of the coordinator's data structure rather
+// than of the answer. To regenerate after an intended behaviour change,
+// delete testdata/golden and run the test twice: the first run writes the
+// files and fails, the second compares.
+
+const shardGoldenDir = "testdata/golden"
+
+// shardGoldenDBs are the databases of the record: uniform and Zipf(1.2) at
+// N = 20 000 and an 8-level plateau at N = 2 000, m = 3, on one seed.
+func shardGoldenDBs(t *testing.T, seed int64) []struct {
+	name string
+	db   *model.Database
+} {
+	t.Helper()
+	uniform, err := workload.IndependentUniform(workload.Spec{N: 20000, M: 3, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zipf, err := workload.Zipf(workload.Spec{N: 20000, M: 3, Seed: seed}, 1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plateau, err := workload.Plateau(workload.Spec{N: 2000, M: 3, Seed: seed}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []struct {
+		name string
+		db   *model.Database
+	}{{"uniform", uniform}, {"zipf", zipf}, {"plateau", plateau}}
+}
+
+// shardGoldenRun renders one query: answer intervals, exactness, rounds,
+// the summed sorted accesses, and each shard's sorted accesses and resumes.
+func shardGoldenRun(eng *shard.Engine, tf agg.Func, k int, sched shard.Schedule) string {
+	var per []shard.ShardStat
+	res, err := eng.Query(tf, k, shard.Options{
+		NoRandomAccess: true,
+		Schedule:       sched,
+		Workers:        1,
+		OnShardStats:   func(st []shard.ShardStat) { per = st },
+	})
+	if err != nil {
+		return fmt.Sprintf("err: %v\n", err)
+	}
+	var b strings.Builder
+	b.WriteString("items:")
+	for _, it := range res.Items {
+		fmt.Fprintf(&b, " %d[%v,%v]", it.Object, it.Lower, it.Upper)
+	}
+	fmt.Fprintf(&b, "\nexact: %v rounds: %d sorted: %d\nshards:", res.GradesExact, res.Rounds, res.Stats.Sorted)
+	for _, st := range per {
+		fmt.Fprintf(&b, " %d/%d", st.Stats.Sorted, st.Resumes)
+	}
+	b.WriteString("\n")
+	return b.String()
+}
+
+// TestGoldenShardedNRA runs the matrix, one golden file per database and
+// seed, and compares each with the committed record.
+func TestGoldenShardedNRA(t *testing.T) {
+	const m = 3
+	for _, seed := range []int64{42, 123, 456} {
+		for _, d := range shardGoldenDBs(t, seed) {
+			name := fmt.Sprintf("%s-seed%d", d.name, seed)
+			t.Run(name, func(t *testing.T) {
+				var b strings.Builder
+				for _, p := range []int{1, 2, 4, 8} {
+					eng, err := shard.New(d.db, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, tf := range []agg.Func{agg.Min(m), agg.Avg(m), agg.Sum(m)} {
+						for _, k := range []int{5, 20, 50} {
+							for _, sched := range []shard.Schedule{shard.ScheduleWave, shard.ScheduleCostAware} {
+								fmt.Fprintf(&b, "== P=%d %s k=%d %s\n", p, tf.Name(), k, sched)
+								b.WriteString(shardGoldenRun(eng, tf, k, sched))
+							}
+						}
+					}
+				}
+				got := b.String()
+				path := filepath.Join(shardGoldenDir, name+".txt")
+				want, rerr := os.ReadFile(path)
+				if os.IsNotExist(rerr) {
+					if werr := os.MkdirAll(shardGoldenDir, 0o755); werr != nil {
+						t.Fatal(werr)
+					}
+					if werr := os.WriteFile(path, []byte(got), 0o644); werr != nil {
+						t.Fatal(werr)
+					}
+					t.Fatalf("wrote missing golden file %s; rerun to compare", path)
+				}
+				if rerr != nil {
+					t.Fatal(rerr)
+				}
+				if got != string(want) {
+					t.Errorf("%s differs from the golden record\n%s", path, firstLineDiff(string(want), got))
+				}
+			})
+		}
+	}
+}
+
+// firstLineDiff names the first differing line of two records together
+// with the run header above it.
+func firstLineDiff(want, got string) string {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	header := ""
+	for i := 0; i < len(wl) || i < len(gl); i++ {
+		var w, g string
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if w != g {
+			return fmt.Sprintf("%s\nline %d:\nwant %s\ngot  %s", header, i+1, w, g)
+		}
+		if strings.HasPrefix(w, "== ") {
+			header = w
+		}
+	}
+	return "records differ"
+}
