@@ -64,9 +64,8 @@ func TestShardedTAAllocationBudget(t *testing.T) {
 	t.Logf("sharded TA allocates %d B per warm query (budget %d)", perQuery, budget)
 }
 
-// raceEnabled is set by race_test.go in -race builds, invariantsEnabled
-// by invariants_test.go in -tags invariants builds.
-var raceEnabled, invariantsEnabled bool
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
 
 // TestCostAwareTAAllocationBudget is the allocation guard for the
 // crawler-shaped query: cost-aware TA at k = 250 on a 4-shard stack of
@@ -77,9 +76,6 @@ var raceEnabled, invariantsEnabled bool
 func TestCostAwareTAAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race, sync.Pool drops a random quarter of what is put back, so warm queries do not reliably reuse pooled tables")
-	}
-	if invariantsEnabled {
-		t.Skip("the invariants build boxes the arguments of every assertion it checks, millions of allocations per query by design")
 	}
 	db, err := workload.Zipf(workload.Spec{N: 100000, M: 3, Seed: 42}, 1.2)
 	if err != nil {

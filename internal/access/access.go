@@ -446,9 +446,8 @@ func (s *Source) Random(i int, obj model.ObjectID) (model.Grade, bool, error) {
 // ReportBuffer lets an algorithm report its current buffered-object count;
 // the peak is recorded (Theorem 4.2's bounded-buffer measurement).
 func (s *Source) ReportBuffer(n int) {
-	if invariantsEnabled {
-		assertInvariant(n >= 0 && n <= s.N(),
-			"buffer occupancy %d outside [0, N=%d]", n, s.N())
+	if invariantsEnabled && !(n >= 0 && n <= s.N()) {
+		invariantViolated("buffer occupancy %d outside [0, N=%d]", n, s.N())
 	}
 	if n > s.stats.MaxBuffered {
 		s.stats.MaxBuffered = n
@@ -490,10 +489,12 @@ func (s *Source) Stats() Stats {
 	if invariantsEnabled && s.unitOnly {
 		// Under unit costs with no cost-reporting backends, the charged
 		// middleware cost is definitionally the access count.
-		assertInvariant(s.stats.ChargedSorted == float64(s.stats.Sorted),
-			"unit-cost source charged %v for %d sorted accesses", s.stats.ChargedSorted, s.stats.Sorted)
-		assertInvariant(s.stats.ChargedRandom == float64(s.stats.Random),
-			"unit-cost source charged %v for %d random accesses", s.stats.ChargedRandom, s.stats.Random)
+		if s.stats.ChargedSorted != float64(s.stats.Sorted) {
+			invariantViolated("unit-cost source charged %v for %d sorted accesses", s.stats.ChargedSorted, s.stats.Sorted)
+		}
+		if s.stats.ChargedRandom != float64(s.stats.Random) {
+			invariantViolated("unit-cost source charged %v for %d random accesses", s.stats.ChargedRandom, s.stats.Random)
+		}
 	}
 	out := s.stats
 	out.PerList = make([]int64, len(s.stats.PerList))

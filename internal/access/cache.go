@@ -341,17 +341,28 @@ func (c *Cache) checkTiersLocked(key pageKey) {
 	if !invariantsEnabled {
 		return
 	}
-	assertInvariant(len(c.hot.pages) <= c.hot.cap, "hot tier over capacity: %d > %d", len(c.hot.pages), c.hot.cap)
-	assertInvariant(len(c.cold.pool) <= c.cold.cap || c.cold.cap <= 0, "cold tier over capacity: %d > %d", len(c.cold.pool), c.cold.cap)
+	if len(c.hot.pages) > c.hot.cap {
+		invariantViolated("hot tier over capacity: %d > %d", len(c.hot.pages), c.hot.cap)
+	}
+	if len(c.cold.pool) > c.cold.cap && c.cold.cap > 0 {
+		invariantViolated("cold tier over capacity: %d > %d", len(c.cold.pool), c.cold.cap)
+	}
 	_, inHot := c.hot.pages[key]
 	_, inCold := c.cold.pages[key]
-	assertInvariant(!(inHot && inCold), "page %v resident in both tiers", key)
-	assertInvariant(len(c.hot.pages) == c.hot.lru.Len(), "hot tier map/lru out of sync: %d != %d", len(c.hot.pages), c.hot.lru.Len())
-	assertInvariant(len(c.cold.pages) == len(c.cold.pool), "cold tier map/pool out of sync: %d != %d", len(c.cold.pages), len(c.cold.pool))
+	if inHot && inCold {
+		invariantViolated("page %v resident in both tiers", key)
+	}
+	if len(c.hot.pages) != c.hot.lru.Len() {
+		invariantViolated("hot tier map/lru out of sync: %d != %d", len(c.hot.pages), c.hot.lru.Len())
+	}
+	if len(c.cold.pages) != len(c.cold.pool) {
+		invariantViolated("cold tier map/pool out of sync: %d != %d", len(c.cold.pages), len(c.cold.pool))
+	}
 	if inCold {
 		idx := c.cold.pages[key]
-		assertInvariant(idx >= 0 && idx < len(c.cold.pool) && c.cold.pool[idx].key == key,
-			"cold tier index map broken for page %v", key)
+		if !(idx >= 0 && idx < len(c.cold.pool) && c.cold.pool[idx].key == key) {
+			invariantViolated("cold tier index map broken for page %v", key)
+		}
 	}
 }
 

@@ -220,7 +220,9 @@ func resize(s []model.Grade, n int) []model.Grade {
 // afterwards: the next newTable hands its memory to another query.
 func (tb *table) release() {
 	if invariantsEnabled {
-		assertInvariant(!tb.released, "bound table released twice")
+		if tb.released {
+			invariantViolated("bound table released twice")
+		}
 		tb.released = true
 	}
 	clear(tb.parts)
@@ -296,8 +298,8 @@ func (tb *table) refreshB(p *partial) {
 func (tb *table) recomputeB(p *partial) {
 	p.b = tb.computeB(p)
 	p.bDepth = tb.depth
-	if invariantsEnabled {
-		assertInvariant(p.w <= p.b, "object %d has W=%v > B=%v after refresh (Propositions 8.1/8.2)", p.obj, p.w, p.b)
+	if invariantsEnabled && !(p.w <= p.b) {
+		invariantViolated("object %d has W=%v > B=%v after refresh (Propositions 8.1/8.2)", p.obj, p.w, p.b)
 	}
 	if tb.trackPins && p.inTopK {
 		tb.settle(p)
@@ -320,8 +322,8 @@ func (tb *table) admit(p *partial) {
 func (tb *table) settle(p *partial) {
 	switch {
 	case p.pinned:
-		if invariantsEnabled {
-			assertInvariant(p.w == p.b, "pinned member %d has W=%v < B=%v", p.obj, p.w, p.b)
+		if invariantsEnabled && p.w != p.b {
+			invariantViolated("pinned member %d has W=%v < B=%v", p.obj, p.w, p.b)
 		}
 	case p.w == p.b:
 		tb.open.remove(p.heapIdx)
@@ -339,8 +341,8 @@ func (tb *table) evict(p *partial) {
 	}
 	p.pinned = false
 	i, found := slices.BinarySearchFunc(tb.pins, pinnedItem(p), compareScored)
-	if invariantsEnabled {
-		assertInvariant(found, "pinned member %d missing from the pinned list", p.obj)
+	if invariantsEnabled && !found {
+		invariantViolated("pinned member %d missing from the pinned list", p.obj)
 	}
 	tb.pins = slices.Delete(tb.pins, i, i+1)
 	tb.pinsGen++
@@ -414,8 +416,8 @@ func (tb *table) resortTopK() {
 // learn records that obj's grade in list is g, updating W, B and the top-k
 // structures. It is called for both sorted and random discoveries.
 func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
-	if invariantsEnabled {
-		assertInvariant(!tb.released, "learn on a released bound table")
+	if invariantsEnabled && tb.released {
+		invariantViolated("learn on a released bound table")
 	}
 	p := tb.parts[obj]
 	if p == nil {
@@ -432,8 +434,8 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 	p.w = tb.computeW(p)
 	p.b = tb.computeB(p)
 	p.bDepth = tb.depth
-	if invariantsEnabled {
-		assertInvariant(p.w <= p.b, "object %d has W=%v > B=%v (Propositions 8.1/8.2)", p.obj, p.w, p.b)
+	if invariantsEnabled && !(p.w <= p.b) {
+		invariantViolated("object %d has W=%v > B=%v (Propositions 8.1/8.2)", p.obj, p.w, p.b)
 	}
 
 	if p.retired {
@@ -493,8 +495,9 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 // observeSorted processes one sorted-access result on list i.
 func (tb *table) observeSorted(i int, e model.Entry) {
 	if invariantsEnabled {
-		assertInvariant(tb.observed&(uint64(1)<<uint(i)) == 0 || e.Grade <= tb.bottoms[i],
-			"sorted list %d produced increasing grades: %v after bottom %v", i, e.Grade, tb.bottoms[i])
+		if !(tb.observed&(uint64(1)<<uint(i)) == 0 || e.Grade <= tb.bottoms[i]) {
+			invariantViolated("sorted list %d produced increasing grades: %v after bottom %v", i, e.Grade, tb.bottoms[i])
+		}
 		tb.observed |= uint64(1) << uint(i)
 	}
 	tb.bottoms[i] = e.Grade
@@ -506,8 +509,8 @@ func (tb *table) observeSorted(i int, e model.Entry) {
 // only decreases, M_k only increases). It returns nil when no viable
 // candidate remains. Lazy engine only.
 func (tb *table) drainTop(mk model.Grade) *partial {
-	if invariantsEnabled {
-		assertInvariant(!tb.released, "drainTop on a released bound table")
+	if invariantsEnabled && tb.released {
+		invariantViolated("drainTop on a released bound table")
 	}
 	for len(tb.cands) > 0 {
 		c := tb.cands[0].p

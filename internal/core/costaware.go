@@ -302,9 +302,12 @@ func (tb *table) checkReport(items []Scored, ceil model.Grade) {
 	}
 	for _, it := range items {
 		p := tb.parts[it.Object]
-		assertInvariant(p != nil && p.inTopK && p.pinned, "reported object %d is not a pinned top-k member", it.Object)
-		b := fresh(p)
-		assertInvariant(p.w == b && it.Grade == p.w, "reported object %d at %v has W=%v, fresh B=%v", it.Object, it.Grade, p.w, b)
+		if !(p != nil && p.inTopK && p.pinned) {
+			invariantViolated("reported object %d is not a pinned top-k member", it.Object)
+		}
+		if b := fresh(p); !(p.w == b && it.Grade == p.w) {
+			invariantViolated("reported object %d at %v has W=%v, fresh B=%v", it.Object, it.Grade, p.w, b)
+		}
 	}
 	want := model.Grade(math.Inf(-1))
 	if len(tb.parts) < tb.src.N() {
@@ -316,8 +319,9 @@ func (tb *table) checkReport(items []Scored, ceil model.Grade) {
 		}
 	}
 	for i, s := range tb.open {
-		assertInvariant(s.p.inTopK && !s.p.pinned && s.p.heapIdx == i && s.b == s.p.b,
-			"open slot %d of object %d (index %d) caches B=%v, member has %v", i, s.p.obj, s.p.heapIdx, s.b, s.p.b)
+		if !(s.p.inTopK && !s.p.pinned && s.p.heapIdx == i && s.b == s.p.b) {
+			invariantViolated("open slot %d of object %d (index %d) caches B=%v, member has %v", i, s.p.obj, s.p.heapIdx, s.b, s.p.b)
+		}
 	}
 	mk := tb.mk()
 	for _, c := range tb.cands {
@@ -325,5 +329,7 @@ func (tb *table) checkReport(items []Scored, ceil model.Grade) {
 			want = b
 		}
 	}
-	assertInvariant(ceil == want, "progress ceiling %v, brute-force recomputation %v", ceil, want)
+	if ceil != want {
+		invariantViolated("progress ceiling %v, brute-force recomputation %v", ceil, want)
+	}
 }

@@ -5,4 +5,4 @@ package core
 // invariantsEnabled gates the runtime assertion layer; see invariants_on.go.
 const invariantsEnabled = false
 
-func assertInvariant(cond bool, format string, args ...any) {}
+func invariantViolated(format string, args ...any) {}

@@ -9,11 +9,11 @@ import "fmt"
 // eliminates, so the release build pays nothing.
 const invariantsEnabled = true
 
-// assertInvariant panics with a core-prefixed message when cond is false.
-// The invariants build is a debugging instrument: a violated invariant is a
-// bug in the algorithms, not a recoverable condition.
-func assertInvariant(cond bool, format string, args ...any) {
-	if !cond {
-		panic(fmt.Sprintf("core: invariant violated: "+format, args...))
-	}
+// invariantViolated panics with a core-prefixed message. Callers test the
+// invariant first and call it only on failure, so a passing check boxes no
+// message arguments. The invariants build is a debugging instrument: a
+// violated invariant is a bug in the algorithms, not a recoverable
+// condition.
+func invariantViolated(format string, args ...any) {
+	panic(fmt.Sprintf("core: invariant violated: "+format, args...))
 }

@@ -7,14 +7,14 @@ import (
 	"testing"
 )
 
-// TestAssertInvariantFires proves the invariants build actually panics on a
-// violated condition — guarding against the assertion layer silently
+// TestInvariantViolatedFires proves the invariants build actually panics
+// on a violated condition — guarding against the assertion layer silently
 // compiling to a no-op under the tag.
-func TestAssertInvariantFires(t *testing.T) {
+func TestInvariantViolatedFires(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("assertInvariant(false, ...) did not panic under -tags invariants")
+			t.Fatal("invariantViolated did not panic under -tags invariants")
 		}
 		msg, ok := r.(string)
 		if !ok || !strings.Contains(msg, "invariant violated: forced failure 42") {
@@ -24,7 +24,7 @@ func TestAssertInvariantFires(t *testing.T) {
 	if !invariantsEnabled {
 		t.Fatal("invariantsEnabled is false under -tags invariants")
 	}
-	assertInvariant(false, "forced failure %d", 42)
+	invariantViolated("forced failure %d", 42)
 }
 
 // TestReleasedTableAssertionsFire proves the invariants build catches a

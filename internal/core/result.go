@@ -158,7 +158,7 @@ func (h *TopKBuffer) Offer(s Scored) {
 	if invariantsEnabled {
 		for _, it := range h.items {
 			if it.Object == s.Object {
-				assertInvariant(false, "object %d offered at grade %v while held at %v", s.Object, s.Grade, it.Grade)
+				invariantViolated("object %d offered at grade %v while held at %v", s.Object, s.Grade, it.Grade)
 			}
 		}
 	}

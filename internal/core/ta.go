@@ -168,7 +168,9 @@ func (a *TA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 				return
 			}
 		}
-		assertInvariant(tau <= prevTau, "TA threshold increased from %v to %v at depth %v", prevTau, tau, view.Depth)
+		if !(tau <= prevTau) {
+			invariantViolated("TA threshold increased from %v to %v at depth %v", prevTau, tau, view.Depth)
+		}
 		prevTau = tau
 	}
 

@@ -6,6 +6,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -17,23 +18,36 @@ import (
 	"repro/internal/model"
 )
 
-// runShard runs one worker's algorithm, converting a panic into an error so
-// a single shard's failure — a backend whose infallible path surfaced an
+// runShard runs one worker's loop, converting a panic into an error so a
+// single shard's failure — a backend whose infallible path surfaced an
 // injected fault, or a genuine engine bug — can never take down the whole
 // process. Backend panics keep their error identity (and so reach the
 // degradation path); anything else surfaces as an opaque worker error.
-func runShard(f func() (*core.Result, error)) (res *core.Result, err error) {
+func runShard(f func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if e, ok := r.(error); ok && errors.Is(e, access.ErrBackend) {
-				res, err = nil, e
+				err = e
 				return
 			}
 			//lint:notbadquery a non-backend worker panic is an engine bug surfaced as an opaque error
-			res, err = nil, fmt.Errorf("worker panicked: %v", r)
+			err = fmt.Errorf("worker panicked: %v", r)
 		}
 	}()
 	return f()
+}
+
+// shardFatal is the dead-or-fail rule both engine modes route a worker's
+// error through. A backend lost past its retry budget — an error wrapping
+// access.ErrBackend while ctx is still live — kills only shard s, and the
+// answer degrades to a θ-approximation over the survivors: shardFatal
+// returns nil. Anything else, ctx expiry mid-access included, fails the
+// whole query with the returned error.
+func shardFatal(ctx context.Context, s int, err error) error {
+	if errors.Is(err, access.ErrBackend) && ctx.Err() == nil {
+		return nil
+	}
+	return fmt.Errorf("shard: shard %d: %w", s, err)
 }
 
 // maxOverall returns t(1,…,1), the aggregation's grade ceiling; every

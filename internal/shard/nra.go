@@ -1,12 +1,12 @@
 // Sharded NRA: the no-random-access mode of the engine (Section 8.1
 // distributed). One resumable core.NRACursor runs per shard, performing
 // sorted access only and maintaining [W, B] grade intervals; a coordinator
-// merges every shard's published intervals into a global candidate table
-// and decides, shard by shard, whether the shard's evidence can still
-// change the global answer.
+// keeps every shard's last published top-k, merges the views at rank k and
+// decides, shard by shard, whether the shard's evidence can still change
+// the global answer.
 //
 // The decision mirrors the paper's stopping rule, distributed. Let M_k be
-// the k-th largest W in the global table. Shard s's B-ceiling is the
+// the k-th largest W over the merged views. Shard s's B-ceiling is the
 // largest upper bound any of its objects outside the global top-k could
 // still have: the maximum of
 //
@@ -14,42 +14,47 @@
 //     there; dropped once the shard has seen or exhausted everything),
 //   - the shard's largest B among viable seen objects outside its local
 //     top-k, and
-//   - the largest published B among the shard's table entries currently
-//     outside the global top-k (candidates once published, later evicted
-//     by other shards' W values rising).
+//   - the largest B among the items of the shard's last view that the
+//     merge leaves outside the global top-k.
+//
+// The last view is all the coordinator needs of a shard. Per object, W
+// only rises and B only falls, so each view item's interval is the
+// tightest the shard has published. An object that left the shard's local
+// top-k has W at most the shard's local k-th W, which k of the shard's own
+// view items reach, so it is at most the global M_k; its B is at most the
+// shard's outside-B, or it was retired at B ≤ the local k-th W. A shard
+// smaller than k keeps every object it has seen in its view.
 //
 // A shard whose ceiling is ≤ M_k is paused: none of its objects outside
 // the global top-k — seen or unseen — can beat k known candidates, W only
 // rises and B only falls, so the condition is permanent *unless* one of
-// the shard's own table entries is later evicted from the global top-k
-// with a B still above M_k. In that case the coordinator resumes the
-// shard — pushing its cursor past its local halting point, the capability
-// NRA.Run alone does not offer — until the global intervals separate at
-// rank k. Global halt is exactly "every shard paused or exhausted", at
-// which point the table's top k by W is a valid top-k object set: every
-// member's grade is ≥ its W ≥ M_k, and everything else is ≤ its ceiling
-// ≤ M_k.
+// the shard's own view items is later pushed out of the global top-k with
+// a B still above M_k. In that case the coordinator resumes the shard —
+// pushing its cursor past its local halting point, the capability NRA.Run
+// alone does not offer — until the global intervals separate at rank k.
+// Global halt is exactly "every shard paused or exhausted", at which point
+// the merged top k by W is a valid top-k object set: every member's grade
+// is ≥ its W ≥ M_k, and everything else is ≤ its ceiling ≤ M_k.
 //
-// Two things keep the coordinator off the hot path. The candidate table is
-// a core.OrderedCands — an incrementally maintained canonical order with
-// O(log n) upserts, O(k) top-k extraction and lazily recomputed per-shard
-// ceilings — instead of a table fully re-sorted under the mutex on every
-// publish. And workers need not publish every round: the publish rule is
-// derived from the shard count. With more than one shard a worker defers
-// its publish until its local bounds actually cross the published global
-// M_k, which it checks against an atomic without taking the coordinator
-// lock, plus a safety valve every publishValveRounds rounds. Deferring never
-// changes the answer — a worker can only overshoot in depth, never pause
-// early, because pausing itself requires a publish and the coordinator's
-// directive. A lone shard has no sibling whose evidence could move M_k, so
-// it publishes only once its cursor halts, which preserves the exact
-// sequential-NRA depth equivalence.
+// Two things keep the coordinator off the hot path. Its state is P
+// reused buffers of at most k items each: a publish copies the shard's
+// view into its buffer, restores the canonical order with an insertion
+// sort (the view is nearly sorted), and re-merges the P sorted views at
+// rank k — O(k·P) with no per-object index, and no allocation once the
+// buffers are warm. And workers need not publish every round: the publish
+// rule is derived from the shard count. With more than one shard a worker
+// defers its publish until its local bounds actually cross the published
+// global M_k, which it checks against an atomic without taking the
+// coordinator lock, plus a safety valve every publishValveRounds rounds.
+// Deferring never changes the answer — a worker can only overshoot in
+// depth, never pause early, because pausing itself requires a publish and
+// the coordinator's directive. A lone shard has no sibling whose evidence
+// could move M_k, so it publishes only once its cursor halts, which
+// preserves the exact sequential-NRA depth equivalence.
 package shard
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -62,42 +67,50 @@ import (
 )
 
 // nraCoordinator is the shared state behind one sharded NRA query. The
-// candidate table and per-shard scalars are guarded by mu; the published
-// global M_k is mirrored into an atomic so batching workers can poll it
-// lock-free between publishes.
+// per-shard views, the merged top-k and the per-shard scalars are guarded
+// by mu; the published global M_k is mirrored into an atomic so batching
+// workers can poll it lock-free between publishes.
 type nraCoordinator struct {
 	mu sync.Mutex
 	k  int
 
-	tbl *core.OrderedCands
+	views [][]core.Scored // per-shard last published TopK, canonical order
+	taken []int           // per-shard length of the view prefix in the global top-k
+	top   []core.Scored   // the merged global top-k, canonical order
 
-	ks        []int         // per-shard local k (min(k, shard size))
 	threshold []model.Grade // per-shard τ_s, +Inf before the first publish
 	outsideB  []model.Grade // per-shard max viable B outside the local top-k
 	seenAll   []bool        // shard has seen every one of its objects
 	exhausted []bool        // shard has consumed every list entirely
 	dead      []bool        // shard lost permanently; never resumed again
 
-	mkBits  atomic.Uint64 // Float64bits of the global k-th W, -Inf while table < k
+	mkBits  atomic.Uint64 // Float64bits of the global k-th W, -Inf while the views hold < k items
 	stopped atomic.Bool   // external cancellation or a worker error
 
-	peak      int                     // peak table size — the coordinator's buffer accounting
-	published map[model.ObjectID]bool // merge scratch, reused across publishes (under mu)
+	size, peak int // current and peak item count of the views — the coordinator's buffer accounting
 }
 
+// newNRACoordinator sizes one view buffer per shard at ks[s] = min(k, N_s)
+// items, the most a shard's cursor ever reports.
 func newNRACoordinator(p, k int, ks []int) *nraCoordinator {
 	c := &nraCoordinator{
 		k:         k,
-		tbl:       core.NewOrderedCands(k, p),
-		ks:        ks,
+		views:     make([][]core.Scored, p),
+		taken:     make([]int, p),
+		top:       make([]core.Scored, 0, k),
 		threshold: make([]model.Grade, p),
 		outsideB:  make([]model.Grade, p),
 		seenAll:   make([]bool, p),
 		exhausted: make([]bool, p),
 		dead:      make([]bool, p),
-		published: make(map[model.ObjectID]bool, 2*k),
 	}
+	total := 0
+	for _, n := range ks {
+		total += n
+	}
+	buf := make([]core.Scored, total)
 	for s := 0; s < p; s++ {
+		c.views[s], buf = buf[:0:ks[s]], buf[ks[s]:]
 		c.threshold[s] = model.Grade(math.Inf(1))
 		c.outsideB[s] = model.Grade(math.Inf(1))
 	}
@@ -105,41 +118,76 @@ func newNRACoordinator(p, k int, ks []int) *nraCoordinator {
 	return c
 }
 
-// merge folds one shard's view into the table. Per-object W never falls and
-// B never rises across publishes, so stale table rows stay sound bounds;
-// rows the shard no longer ranks in its local top-k are capped at the
-// shard-wide bound max(outsideB, local M_k), which every outside object's
-// fresh B provably respects (drainTop retires at ≤ local M_k; survivors
-// are ≤ outsideB). Must be called with mu held.
+// canonBefore reports whether a ranks strictly above b in the canonical NRA
+// order: W descending, B descending, ObjectID ascending.
+func canonBefore(a, b core.Scored) bool {
+	if a.Lower != b.Lower {
+		return a.Lower > b.Lower
+	}
+	if a.Upper != b.Upper {
+		return a.Upper > b.Upper
+	}
+	return a.Object < b.Object
+}
+
+// merge replaces shard s's view with v and re-ranks the views. The cursor
+// orders its top-k by W with cached B values, and View refreshes B without
+// re-sorting W-ties, so the copy is insertion-sorted back into canonical
+// order. Must be called with mu held.
 func (c *nraCoordinator) merge(s int, v core.CursorView) {
-	clear(c.published)
-	for _, it := range v.TopK {
-		c.published[it.Object] = true
-		c.tbl.Upsert(it.Object, s, it.Lower, it.Upper)
+	view := append(c.views[s][:0], v.TopK...)
+	for i := 1; i < len(view); i++ {
+		for j := i; j > 0 && canonBefore(view[j], view[j-1]); j-- {
+			view[j], view[j-1] = view[j-1], view[j]
+		}
 	}
-	if n := c.tbl.Size(); n > c.peak {
-		c.peak = n
+	c.size += len(view) - len(c.views[s])
+	c.views[s] = view
+	if c.size > c.peak {
+		c.peak = c.size
 	}
-	localMk := model.Grade(math.Inf(-1))
-	if len(v.TopK) == c.ks[s] && len(v.TopK) > 0 {
-		localMk = v.TopK[len(v.TopK)-1].Lower
-	}
-	bound := v.OutsideB
-	if localMk > bound {
-		bound = localMk
-	}
-	c.tbl.CapShard(s, bound, c.published)
 	if v.Threshold < c.threshold[s] {
 		c.threshold[s] = v.Threshold
 	}
 	c.outsideB[s] = v.OutsideB
 	c.seenAll[s] = c.seenAll[s] || v.SeenAll
-	c.tbl.MaybePrune()
-	c.mkBits.Store(math.Float64bits(float64(c.tbl.Mk())))
+	c.rank()
 }
 
-// ceiling recomputes shard s's B-ceiling from the per-shard scalars and the
-// table's lazily maintained per-shard rows. Must be called with mu held.
+// rank merges the sorted views at rank k, repeatedly taking the best head
+// among them, so the global top-k is a prefix of every view, and
+// publishes the new M_k. Must be called with mu held.
+func (c *nraCoordinator) rank() {
+	clear(c.taken)
+	c.top = c.top[:0]
+	for len(c.top) < c.k {
+		best := -1
+		for s, view := range c.views {
+			if c.taken[s] < len(view) && (best < 0 || canonBefore(view[c.taken[s]], c.views[best][c.taken[best]])) {
+				best = s
+			}
+		}
+		if best < 0 {
+			break
+		}
+		c.top = append(c.top, c.views[best][c.taken[best]])
+		c.taken[best]++
+	}
+	c.mkBits.Store(math.Float64bits(float64(c.mk())))
+}
+
+// mk returns the global M_k, the k-th merged W, or -Inf while the views
+// hold fewer than k items. Must be called with mu held.
+func (c *nraCoordinator) mk() model.Grade {
+	if len(c.top) < c.k {
+		return model.Grade(math.Inf(-1))
+	}
+	return c.top[c.k-1].Lower
+}
+
+// ceiling computes shard s's B-ceiling from the per-shard scalars and the
+// part of its view the merge leaves outside the global top-k. Must be
+// called with mu held.
 func (c *nraCoordinator) ceiling(s int) model.Grade {
 	ceil := model.Grade(math.Inf(-1))
 	if !c.exhausted[s] && !c.seenAll[s] {
@@ -148,25 +196,27 @@ func (c *nraCoordinator) ceiling(s int) model.Grade {
 	if c.outsideB[s] > ceil {
 		ceil = c.outsideB[s]
 	}
-	if tc := c.tbl.ShardCeiling(s); tc > ceil {
-		ceil = tc
+	for _, it := range c.views[s][c.taken[s]:] {
+		if it.Upper > ceil {
+			ceil = it.Upper
+		}
 	}
 	return ceil
 }
 
 // publish folds shard s's view in and reports whether the shard should keep
-// stepping: true while its B-ceiling still exceeds the global M_k. Only the
-// publishing shard's ceiling is recomputed — the other shards' ceilings are
-// refreshed lazily when the wave loop asks for the unresolved set.
+// stepping: true while its B-ceiling still exceeds the global M_k. Every
+// shard's ceiling reads the merge this publish made, so the wave loop's
+// unresolved set is current without refreshing anything.
 func (c *nraCoordinator) publish(s int, v core.CursorView) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.merge(s, v)
-	return c.ceiling(s) > c.tbl.Mk()
+	return c.ceiling(s) > c.mk()
 }
 
 // globalMk returns the published global k-th W without taking the lock
-// (-Inf while the table holds fewer than k entries).
+// (-Inf while the views hold fewer than k items).
 func (c *nraCoordinator) globalMk() float64 {
 	return math.Float64frombits(c.mkBits.Load())
 }
@@ -189,13 +239,13 @@ func (c *nraCoordinator) markDead(s int) {
 	c.mu.Unlock()
 }
 
-// finalize re-evaluates every dead shard's B-ceiling against the *final*
-// table state and stores it in deg, returning the θ floor (the final global
-// M_k). Death-time ceilings would be unsound: a dead shard's table row can
-// be evicted from the global top-k later — by a surviving shard's W rising —
-// with a frozen B above the ceiling at death. ShardCeiling over the final
-// membership covers exactly those rows; τ_s and outside-B only ever fall, so
-// their last published values remain valid bounds for everything the shard
+// finalize evaluates every dead shard's B-ceiling against the *final*
+// merge and stores it in deg, returning the θ floor (the final global
+// M_k). Death-time ceilings would be unsound: a dead shard's view item can
+// be pushed out of the global top-k later — by a surviving shard's W
+// rising — with a frozen B above the ceiling at death. The final merge
+// covers exactly those items; τ_s and outside-B only ever fall, so their
+// last published values remain valid bounds for everything the shard
 // never published. Each ceiling is capped at maxG = t(1,…,1).
 func (c *nraCoordinator) finalize(deg *degraded, maxG model.Grade) float64 {
 	c.mu.Lock()
@@ -210,17 +260,17 @@ func (c *nraCoordinator) finalize(deg *degraded, maxG model.Grade) float64 {
 		}
 		deg.ceil[s] = ceil
 	}
-	return float64(c.tbl.Mk())
+	return float64(c.mk())
 }
 
 // unresolved returns the shards whose B-ceiling still exceeds M_k and that
 // can still be stepped — the shards the coordinator must resume, typically
-// because one of their candidates was evicted from the global top-k after
+// because one of their view items was pushed out of the global top-k after
 // they paused.
 func (c *nraCoordinator) unresolved() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	mk := c.tbl.Mk()
+	mk := c.mk()
 	var out []int
 	for s := range c.exhausted {
 		if !c.exhausted[s] && !c.dead[s] && c.ceiling(s) > mk {
@@ -240,7 +290,7 @@ func (c *nraCoordinator) unresolved() []int {
 func (c *nraCoordinator) pickCostAware(stepCost []float64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	mk := float64(c.tbl.Mk())
+	mk := float64(c.mk())
 	best := -1
 	var bestPrio float64
 	for s := range c.exhausted {
@@ -260,13 +310,13 @@ func (c *nraCoordinator) pickCostAware(stepCost []float64) int {
 	return best
 }
 
-// topK returns the final global answer: the table's best k by
+// topK returns the final global answer: the merged best k by
 // (W descending, B descending, ObjectID ascending), with [Lower, Upper]
 // carrying each survivor's final interval.
 func (c *nraCoordinator) topK() (items []core.Scored, exact bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	items = c.tbl.AppendTopK(make([]core.Scored, 0, c.k))
+	items = append([]core.Scored(nil), c.top...)
 	exact = true
 	for _, it := range items {
 		if it.Lower != it.Upper {
@@ -319,9 +369,9 @@ func shouldPublish(since int, cur *core.NRACursor, gmk float64) bool {
 // sorted access only, so Result.Stats.Random is always zero. The returned
 // items carry [W, B] grade intervals like sequential NRA; GradesExact
 // reports whether every answer interval happens to be pinned. Stats sum the
-// per-worker accounting plus the coordinator's peak candidate-table size
-// (the NRA-mode analogue of the TA coordinator's k-item heap), so sharded
-// and sequential MaxBuffered are comparable.
+// per-worker accounting plus the coordinator's peak number of view items
+// (at most Σ_s min(k, N_s); the NRA-mode analogue of the TA coordinator's
+// k-item heap), so sharded and sequential MaxBuffered are comparable.
 func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) (*core.Result, error) {
 	p := len(e.shards)
 	sched := opts.Schedule
@@ -413,6 +463,57 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 	ran := make([]bool, p)
 	resumes := make([]int, p)
 	elapsed := make([]time.Duration, p)
+	// step drives shard s's cursor until the coordinator pauses it, it
+	// exhausts or fails, or its probe budget runs out.
+	step := func(s int) error {
+		cur := cursors[s]
+		since, rounds := 0, 0
+		for {
+			if coord.stopped.Load() {
+				return nil
+			}
+			if ctx.Err() != nil {
+				coord.stopped.Store(true)
+				return nil
+			}
+			b := budget
+			if probe > 0 && b > probe-rounds {
+				b = probe - rounds
+			}
+			got := cur.StepN(b)
+			if got == 0 {
+				// Exhausted or failed. A failed cursor keeps every
+				// delivered prefix applied, so the final view is
+				// consistent — publish it first; the tighter the last
+				// published bounds, the better the certified θ.
+				coord.publish(s, cur.View())
+				if err := cur.Err(); err != nil {
+					return err
+				}
+				coord.markExhausted(s)
+				return nil
+			}
+			since += got
+			rounds += got
+			if probe > 0 && rounds >= probe {
+				// Probe budget spent: publish (the scheduler decides on
+				// coordinator state, never on a stale view) and yield.
+				coord.publish(s, cur.View())
+				return nil
+			}
+			if p == 1 {
+				if !cur.Halted() {
+					continue
+				}
+			} else if !shouldPublish(since, cur, coord.globalMk()) {
+				continue
+			}
+			since = 0
+			if !coord.publish(s, cur.View()) {
+				return nil
+			}
+		}
+	}
 	for len(pending) > 0 {
 		batch := pending
 		for _, s := range batch {
@@ -436,89 +537,24 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 		took := make([]time.Duration, len(batch))
 		ForEachWeighted(len(batch), opts.Workers, weight, func(i int) {
 			s := batch[i]
-			start := time.Now()
-			depth0 := cursors[s].Depth()
-			defer func() {
-				took[i] = time.Since(start)
-				elapsed[s] += took[i]
-				stepped[i] = cursors[s].Depth() - depth0
-			}()
-			cur := cursors[s]
-			// dieOrFail routes a shard failure: a backend lost past its
-			// retry budget kills only this shard (the answer degrades to a
-			// θ-approximation over the survivors), while anything else —
-			// including ctx expiry mid-access — fails the whole query.
-			dieOrFail := func(err error) {
-				if errors.Is(err, access.ErrBackend) && ctx.Err() == nil {
-					coord.markDead(s)
-					deg.mark(s, 0, err)
-					return
-				}
-				errs[s] = fmt.Errorf("shard: shard %d: %w", s, err)
+			start, depth0 := time.Now(), cursors[s].Depth()
+			err := runShard(func() error { return step(s) })
+			took[i] = time.Since(start)
+			elapsed[s] += took[i]
+			stepped[i] = cursors[s].Depth() - depth0
+			if err == nil {
+				return
+			}
+			// After a panic the cursor's state is unknown, so nothing more
+			// is published; the shard's last published view (or, before
+			// any publish, the +Inf scalars capped at t(1,…,1)) still
+			// bounds everything it never merged.
+			if errs[s] = shardFatal(ctx, s, err); errs[s] != nil {
 				coord.stopped.Store(true)
+				return
 			}
-			defer func() {
-				if r := recover(); r != nil {
-					// The cursor's state is unknown, so nothing more is
-					// published; the shard's last published view (or, before
-					// any publish, the +Inf scalars capped at t(1,…,1))
-					// still bounds everything it never merged.
-					if e2, ok := r.(error); ok && errors.Is(e2, access.ErrBackend) {
-						dieOrFail(e2)
-						return
-					}
-					//lint:notbadquery a non-backend worker panic is an engine bug surfaced as an opaque error
-					errs[s] = fmt.Errorf("shard: shard %d: worker panicked: %v", s, r)
-					coord.stopped.Store(true)
-				}
-			}()
-			since, rounds := 0, 0
-			for {
-				if coord.stopped.Load() {
-					return
-				}
-				if ctx.Err() != nil {
-					coord.stopped.Store(true)
-					return
-				}
-				b := budget
-				if probe > 0 && b > probe-rounds {
-					b = probe - rounds
-				}
-				got := cur.StepN(b)
-				if got == 0 {
-					// Exhausted or failed. A failed cursor keeps every
-					// delivered prefix applied, so the final view is
-					// consistent — publish it first; the tighter the last
-					// published bounds, the better the certified θ.
-					coord.publish(s, cur.View())
-					if err := cur.Err(); err != nil {
-						dieOrFail(err)
-						return
-					}
-					coord.markExhausted(s)
-					return
-				}
-				since += got
-				rounds += got
-				if probe > 0 && rounds >= probe {
-					// Probe budget spent: publish (the scheduler decides on
-					// coordinator state, never on a stale view) and yield.
-					coord.publish(s, cur.View())
-					return
-				}
-				if p == 1 {
-					if !cur.Halted() {
-						continue
-					}
-				} else if !shouldPublish(since, cur, coord.globalMk()) {
-					continue
-				}
-				since = 0
-				if !coord.publish(s, cur.View()) {
-					return
-				}
-			}
+			coord.markDead(s)
+			deg.mark(s, 0, err)
 		})
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -542,22 +578,13 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 	}
 	items, exact := coord.topK()
 	stats := access.Stats{PerList: make([]int64, e.m)}
+	shardStats := make([]access.Stats, p)
 	rounds := 0
-	var per []ShardStat
-	if opts.OnShardStats != nil {
-		per = make([]ShardStat, p)
-	}
 	for s := range srcs {
-		st := srcs[s].Stats()
-		addStats(&stats, st)
+		shardStats[s] = srcs[s].Stats()
+		addStats(&stats, shardStats[s])
 		if d := cursors[s].Depth(); d > rounds {
 			rounds = d
-		}
-		if per != nil {
-			per[s] = ShardStat{Stats: st, Elapsed: elapsed[s], Resumes: resumes[s], Dead: deg.dead[s]}
-			if e.caches[s] != nil {
-				per[s].Cache = e.caches[s].Stats()
-			}
 		}
 		e.recycle(s, srcs[s])
 	}
@@ -571,8 +598,8 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 	}
 	if deg.count > 0 {
 		// Every answer's W is a valid lower bound, so the final global M_k
-		// is the θ floor; each dead shard's ceiling is re-evaluated against
-		// the final table state under the coordinator lock.
+		// is the θ floor; each dead shard's ceiling is evaluated against
+		// the final merge under the coordinator lock.
 		floor := coord.finalize(deg, maxOverall(t, e.m))
 		var err error
 		if res, err = deg.degradeResult(res, opts, t, e.m, floor, p); err != nil {
@@ -580,7 +607,7 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 		}
 	}
 	if opts.OnShardStats != nil {
-		opts.OnShardStats(per)
+		opts.OnShardStats(e.shardStats(shardStats, elapsed, resumes, deg.dead))
 	}
 	return res, nil
 }

@@ -441,7 +441,7 @@ func unmerged(dst, last, cur []core.Scored) []core.Scored {
 // Stats are the summed accounting of all shard workers: PerList sums align
 // by attribute index, and MaxBuffered is the sum of every worker's peak
 // plus the coordinator's own buffer (the k-item global top-k heap here; the
-// peak candidate-table size in the NRA mode). Workers peak at different
+// peak number of view items in the NRA mode). Workers peak at different
 // times, so the sum is an upper bound on — not necessarily equal to — the
 // true peak of simultaneously retained objects; it is the number to compare
 // against a sequential run's MaxBuffered in the buffer ablations, since it
@@ -508,33 +508,34 @@ func (e *Engine) QueryContext(ctx context.Context, t agg.Func, k int, opts Optio
 		src.BindContext(ctx)
 		src.SetRetry(retry)
 		start := time.Now()
-		res, err := runShard(func() (*core.Result, error) { return al.Run(src, t, ks) })
+		var res *core.Result
+		err := runShard(func() (err error) {
+			res, err = al.Run(src, t, ks)
+			return err
+		})
 		elapsed[s] = time.Since(start)
 		// Captured before recycling so dead workers (whose res may be nil
 		// after a panic) still account uniformly.
 		shardStats[s] = src.Stats()
 		e.recycle(s, src)
-		if err != nil {
-			if errors.Is(err, access.ErrBackend) && ctx.Err() == nil {
-				// The shard's backend failed past its retry budget. Keep
-				// whatever partial evidence the worker salvaged (its items
-				// carry exact grades, so the final fold can merge them) and
-				// degrade the answer to a θ-approximation instead of
-				// failing the whole query.
-				ceil := maxOverall(t, e.m)
-				var ae *core.AccessError
-				if errors.As(err, &ae) && ae.Ceiling < ceil {
-					ceil = ae.Ceiling
-				}
-				results[s] = res
-				deg.mark(s, ceil, err)
-				return
-			}
-			errs[s] = fmt.Errorf("shard: shard %d: %w", s, err)
+		results[s] = res
+		if err == nil {
+			return
+		}
+		if errs[s] = shardFatal(ctx, s, err); errs[s] != nil {
 			coord.abort()
 			return
 		}
-		results[s] = res
+		// The shard's backend failed past its retry budget. Keep whatever
+		// partial evidence the worker salvaged (its items carry exact
+		// grades, so the final fold can merge them) and degrade the answer
+		// to a θ-approximation instead of failing the whole query.
+		ceil := maxOverall(t, e.m)
+		var ae *core.AccessError
+		if errors.As(err, &ae) && ae.Ceiling < ceil {
+			ceil = ae.Ceiling
+		}
+		deg.mark(s, ceil, err)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -588,14 +589,24 @@ func (e *Engine) QueryContext(ctx context.Context, t agg.Func, k int, opts Optio
 		}
 	}
 	if opts.OnShardStats != nil {
-		per := make([]ShardStat, p)
-		for s := range per {
-			per[s] = ShardStat{Stats: shardStats[s], Elapsed: elapsed[s], Dead: deg.dead[s]}
-			if e.caches[s] != nil {
-				per[s].Cache = e.caches[s].Stats()
-			}
-		}
-		opts.OnShardStats(per)
+		opts.OnShardStats(e.shardStats(shardStats, elapsed, nil, deg.dead))
 	}
 	return res, nil
+}
+
+// shardStats assembles the per-shard records OnShardStats receives in both
+// engine modes, snapshotting each shard's cache. resumes is nil in the TA
+// mode, which never resumes a shard.
+func (e *Engine) shardStats(stats []access.Stats, elapsed []time.Duration, resumes []int, dead []bool) []ShardStat {
+	per := make([]ShardStat, len(stats))
+	for s := range per {
+		per[s] = ShardStat{Stats: stats[s], Elapsed: elapsed[s], Dead: dead[s]}
+		if resumes != nil {
+			per[s].Resumes = resumes[s]
+		}
+		if e.caches[s] != nil {
+			per[s].Cache = e.caches[s].Stats()
+		}
+	}
+	return per
 }
