@@ -31,8 +31,15 @@ import (
 //     because bottom values only decrease, so a cached B is always an
 //     upper bound on the fresh B, and M_k never decreases, so an object
 //     that once becomes non-viable stays non-viable and can be retired.
+//
+// Among candidates the lazy engine ranks by (B descending, first-seen
+// ascending): every object carries the order in which the table first
+// learned of it, so which of several equal-B candidates drainTop returns,
+// or which it retires first, is a property of the data and not of a
+// heap's slot layout.
 type partial struct {
 	obj    model.ObjectID
+	seq    int // first-seen order within the query
 	known  uint64
 	nKnown int
 	grades []model.Grade
@@ -51,24 +58,31 @@ type partial struct {
 }
 
 // candSlot is one candidate-heap slot. It carries the candidate's cached B
-// inline, so a sift compares slots without dereferencing the candidates; the
-// copy equals the candidate's b whenever the heap is ordered (fix re-reads
-// it after the candidate's B changes).
+// and first-seen sequence inline, so a sift compares slots without
+// dereferencing the candidates; the B copy equals the candidate's b
+// whenever the heap is ordered (fix re-reads it after the candidate's B
+// changes).
 type candSlot struct {
-	b model.Grade
-	p *partial
+	b   model.Grade
+	seq int
+	p   *partial
 }
 
-// candHeap is a max-heap of candidates ordered by cached (possibly stale) B.
-// It applies container/heap's sift rules comparison for comparison — the
-// same child choice, the same strict-less stop — so the slot layout, and
-// with it the order in which drainTop refreshes and retires tied
-// candidates, is exactly the one container/heap would produce.
+// before is the candidate order: larger cached B first, then earlier
+// first-seen. Sequences are unique within a table, so the order is total
+// and the heap's top does not depend on how its slots are laid out.
+func (s candSlot) before(o candSlot) bool {
+	return s.b > o.b || s.b == o.b && s.seq < o.seq
+}
+
+// candHeap is a max-heap of candidates in the before order, keyed by cached
+// (possibly stale) B. It applies container/heap's sift rules with before as
+// Less.
 type candHeap []candSlot
 
 // push adds p (container/heap.Push).
 func (h *candHeap) push(p *partial) {
-	*h = append(*h, candSlot{b: p.b, p: p})
+	*h = append(*h, candSlot{b: p.b, seq: p.seq, p: p})
 	h.up(len(*h) - 1)
 }
 
@@ -100,7 +114,7 @@ func (h candHeap) up(j int) {
 	s := h[j]
 	for j > 0 {
 		i := (j - 1) / 2
-		if !(s.b > h[i].b) {
+		if !s.before(h[i]) {
 			break
 		}
 		h[j] = h[i]
@@ -123,10 +137,10 @@ func (h candHeap) down(i0 int) bool {
 		if j >= n {
 			break
 		}
-		if r := j + 1; r < n && h[r].b > h[j].b {
+		if r := j + 1; r < n && h[r].before(h[j]) {
 			j = r
 		}
-		if !(h[j].b > s.b) {
+		if !h[j].before(s) {
 			break
 		}
 		h[i] = h[j]
@@ -253,6 +267,7 @@ func (tb *table) newPartial(obj model.ObjectID) *partial {
 	tb.slabOff++
 	*p = partial{
 		obj:     obj,
+		seq:     len(tb.parts), // learn files every new partial in parts
 		grades:  s.grades[lo : lo+tb.m : lo+tb.m],
 		heapIdx: -1,
 		bDepth:  -1,
@@ -465,6 +480,15 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 		return p
 	}
 	worst := tb.topk[tb.k-1]
+	if tb.lazy && p.b <= worst.w {
+		// Non-viable against M_k: retire it now, as drainTop would, so
+		// an exact W = B = M_k tie never promotes it over the incumbent.
+		p.retired = true
+		if p.heapIdx >= 0 {
+			tb.cands.remove(p.heapIdx)
+		}
+		return p
+	}
 	if better(p, worst) {
 		if p.heapIdx >= 0 {
 			tb.cands.remove(p.heapIdx)

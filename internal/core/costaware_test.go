@@ -251,14 +251,22 @@ func TestCostAwareTAProgressRecomputeBudget(t *testing.T) {
 	}
 }
 
-// TestCostAwareTAHookIsObserverOnTieFreeData: an always-true progress hook
-// leaves avg and sum runs on tie-free data exactly as the hook-free run —
-// the same items in the same order, the same sorted and random access
-// counts. (On tied data, or under min, refreshes the reports make can
-// reorder W-ties inside T_k, so there only the answer's grades are
-// promised.)
-func TestCostAwareTAHookIsObserverOnTieFreeData(t *testing.T) {
+// TestCostAwareTAHookIsObserver: an always-true progress hook leaves a run
+// exactly as the hook-free run — the same items in the same order, the same
+// sorted and random access counts. The tie-free cases run avg and sum; the
+// others are where a report's refreshes used to show: W-ties at the k-th
+// grade on an 8-level plateau, and min, whose B can collapse onto W before
+// every field is known. They hold because candidates rank by (B, first
+// seen), which a refresh inside a report cannot reorder.
+func TestCostAwareTAHookIsObserver(t *testing.T) {
 	const m = 3
+	type hookCase struct {
+		label string
+		db    *model.Database
+		tf    agg.Func
+		k     int
+	}
+	var cases []hookCase
 	spec := workload.Spec{N: 3000, M: m, Seed: 96}
 	uniform, err := workload.IndependentUniform(spec)
 	if err != nil {
@@ -272,27 +280,49 @@ func TestCostAwareTAHookIsObserverOnTieFreeData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, db := range map[string]*model.Database{"uniform": uniform, "zipf": zipf, "correlated": correlated} {
+	for _, d := range []struct {
+		name string
+		db   *model.Database
+	}{{"uniform", uniform}, {"zipf", zipf}, {"correlated", correlated}} {
 		for _, tf := range []agg.Func{agg.Avg(m), agg.Sum(m)} {
 			for _, k := range []int{1, 10, 100} {
-				run := func(hook func(Progress) bool) *Result {
-					res, err := (&CostAwareTA{Costs: access.CostModel{CS: 1, CR: 4}, OnProgress: hook}).Run(access.New(db, access.AllowAll), tf, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res
-				}
-				plain := run(nil)
-				hooked := run(func(Progress) bool { return true })
-				label := fmt.Sprintf("%s/%s/k=%d", name, tf.Name(), k)
-				if plain.Stats.Sorted != hooked.Stats.Sorted || plain.Stats.Random != hooked.Stats.Random {
-					t.Errorf("%s: hooked run made %d sorted and %d random accesses, hook-free %d and %d",
-						label, hooked.Stats.Sorted, hooked.Stats.Random, plain.Stats.Sorted, plain.Stats.Random)
-				}
-				if !reflect.DeepEqual(plain.Items, hooked.Items) {
-					t.Errorf("%s: hooked items %v, hook-free %v", label, hooked.Items, plain.Items)
-				}
+				cases = append(cases, hookCase{fmt.Sprintf("%s/%s/k=%d", d.name, tf.Name(), k), d.db, tf, k})
 			}
+		}
+	}
+	plateau, err := workload.Plateau(workload.Spec{N: 400, M: m, Seed: 42}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, hookCase{"plateau8/avg/k=50", plateau, agg.Avg(m), 50})
+	big := workload.Spec{N: 20000, M: m, Seed: 42}
+	uniformBig, err := workload.IndependentUniform(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zipfBig, err := workload.Zipf(big, 1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases,
+		hookCase{"uniform20k/min/k=10", uniformBig, agg.Min(m), 10},
+		hookCase{"zipf20k/min/k=10", zipfBig, agg.Min(m), 10})
+	for _, c := range cases {
+		run := func(hook func(Progress) bool) *Result {
+			res, err := (&CostAwareTA{Costs: access.CostModel{CS: 1, CR: 4}, OnProgress: hook}).Run(access.New(c.db, access.AllowAll), c.tf, c.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		plain := run(nil)
+		hooked := run(func(Progress) bool { return true })
+		if plain.Stats.Sorted != hooked.Stats.Sorted || plain.Stats.Random != hooked.Stats.Random {
+			t.Errorf("%s: hooked run made %d sorted and %d random accesses, hook-free %d and %d",
+				c.label, hooked.Stats.Sorted, hooked.Stats.Random, plain.Stats.Sorted, plain.Stats.Random)
+		}
+		if !reflect.DeepEqual(plain.Items, hooked.Items) {
+			t.Errorf("%s: hooked items %v, hook-free %v", c.label, hooked.Items, plain.Items)
 		}
 	}
 }

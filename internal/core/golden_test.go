@@ -21,7 +21,8 @@ import (
 // backend, how batches are booked, how the algorithms loop) must leave all
 // of them byte-identical. To regenerate after an intended behaviour change,
 // delete testdata/golden and run the test twice: the first run writes the
-// files and fails, the second compares.
+// files and fails, the second compares; docs/GOLDEN-CHANGES.md lists each
+// regeneration with what it moved.
 
 const goldenDir = "testdata/golden"
 

@@ -8,12 +8,15 @@ import (
 	"repro/internal/model"
 )
 
-// refHeap is the container/heap adapter candHeap replaced, kept as the
+// refHeap is the container/heap adapter candHeap replaced, in the
+// candidate order (B descending, first-seen ascending), kept as the
 // reference whose layout candHeap must reproduce.
 type refHeap []*partial
 
-func (h refHeap) Len() int           { return len(h) }
-func (h refHeap) Less(i, j int) bool { return h[i].b > h[j].b }
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	return h[i].b > h[j].b || h[i].b == h[j].b && h[i].seq < h[j].seq
+}
 func (h refHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].heapIdx = i
@@ -32,20 +35,19 @@ func (h *refHeap) Pop() any {
 
 // TestCandHeapMatchesContainerHeap drives candHeap and the container/heap
 // reference through the same random Push/Fix/Remove/Pop sequences over a
-// handful of distinct B values. Ties are where two sift rules can disagree
-// while both stay valid heaps, and the order in which drainTop refreshes
-// and retires tied candidates — hence every golden trace's bound-recompute
-// count — follows the layout. After every operation both heaps must hold
-// the same objects in the same slots, with the same heapIdx on every
-// object, and every inline B must equal its candidate's.
+// handful of distinct B values, so most comparisons fall through to the
+// first-seen sequences (a random permutation of the objects, as a table
+// hands them out in arrival order). After every operation both heaps must
+// hold the same objects in the same slots, with the same heapIdx on every
+// object, and every inline B and sequence must equal its candidate's.
 func TestCandHeapMatchesContainerHeap(t *testing.T) {
 	const objects = 48
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		mine := make([]partial, objects)
 		ref := make([]partial, objects)
-		for i := range mine {
-			mine[i] = partial{obj: model.ObjectID(i), heapIdx: -1}
+		for i, seq := range rng.Perm(objects) {
+			mine[i] = partial{obj: model.ObjectID(i), seq: seq, heapIdx: -1}
 			ref[i] = mine[i]
 		}
 		var h candHeap
@@ -84,8 +86,8 @@ func TestCandHeapMatchesContainerHeap(t *testing.T) {
 				if h[i].p.obj != r[i].obj {
 					t.Fatalf("seed %d step %d: slot %d holds object %d, reference %d", seed, step, i, h[i].p.obj, r[i].obj)
 				}
-				if h[i].b != h[i].p.b {
-					t.Fatalf("seed %d step %d: slot %d caches B=%v, candidate has %v", seed, step, i, h[i].b, h[i].p.b)
+				if h[i].b != h[i].p.b || h[i].seq != h[i].p.seq {
+					t.Fatalf("seed %d step %d: slot %d caches B=%v seq %d, candidate has %v and %d", seed, step, i, h[i].b, h[i].seq, h[i].p.b, h[i].p.seq)
 				}
 			}
 			for j := range mine {

@@ -25,7 +25,8 @@ import (
 // size, which is a property of the coordinator's data structure rather
 // than of the answer. To regenerate after an intended behaviour change,
 // delete testdata/golden and run the test twice: the first run writes the
-// files and fails, the second compares.
+// files and fails, the second compares; docs/GOLDEN-CHANGES.md lists each
+// regeneration with what it moved.
 
 const shardGoldenDir = "testdata/golden"
 
