@@ -37,6 +37,14 @@ import (
 // learned of it, so which of several equal-B candidates drainTop returns,
 // or which it retires first, is a property of the data and not of a
 // heap's slot layout.
+//
+// Most candidates are objects seen once, under sorted access on one list.
+// The lazy engine keeps those in a FIFO per list instead of in the heap:
+// list i delivers grades in descending order, and a candidate whose only
+// known field is gᵢ has B = t(x̄ with gᵢ in place i), so along FIFO i B
+// never rises and first-seen only rises. The largest candidate is
+// therefore the heap's top or a FIFO head, and drainTop refreshes heads
+// instead of sifting every seen object through the heap.
 type partial struct {
 	obj    model.ObjectID
 	seq    int // first-seen order within the query
@@ -50,6 +58,7 @@ type partial struct {
 
 	retired bool // proven non-viable forever (lazy engine)
 	inTopK  bool
+	queued  bool // waiting in the FIFO of its one known field's list
 	pinned  bool // tracked T_k member with W = B: its grade is exact for good
 	// heapIdx is the position in the candidate heap, or — for a tracked
 	// T_k member not yet pinned — in the open-member heap; -1 if in
@@ -73,6 +82,11 @@ type candSlot struct {
 // and the heap's top does not depend on how its slots are laid out.
 func (s candSlot) before(o candSlot) bool {
 	return s.b > o.b || s.b == o.b && s.seq < o.seq
+}
+
+// ahead is the before order on candidates themselves.
+func ahead(p, q *partial) bool {
+	return candSlot{b: p.b, seq: p.seq}.before(candSlot{b: q.b, seq: q.seq})
 }
 
 // candHeap is a max-heap of candidates in the before order, keyed by cached
@@ -152,6 +166,15 @@ func (h candHeap) down(i0 int) bool {
 	return i > i0
 }
 
+// candFIFO holds one list's single-field candidates in arrival order, from
+// q[head] on. Entries leave lazily: a candidate that learns a second field,
+// enters T_k or is retired clears its queued flag and is dropped when it
+// reaches the head.
+type candFIFO struct {
+	q    []*partial
+	head int
+}
+
 // table is the candidate bookkeeping shared by NRA, CA and Intermittent.
 type table struct {
 	t    agg.Func
@@ -164,7 +187,10 @@ type table struct {
 	observed uint64 // invariants build: lists that produced ≥1 sorted entry
 	parts    map[model.ObjectID]*partial
 	topk     []*partial // ≤ k entries, ordered best-first by (w, b, id)
-	cands    candHeap   // lazy engine: seen objects outside topk, not retired
+	// Lazy engine: every seen object outside topk and not retired is in
+	// exactly one of cands and fifos[i] (the FIFO of its one known field).
+	cands candHeap
+	fifos []candFIFO
 
 	// Pin tracking (lazy engine, cost-aware TA): every T_k member is either
 	// pinned — W = B, its exact grade in pins, kept in canonical order — or
@@ -200,8 +226,8 @@ type slab struct {
 const partSlabSize = 128
 
 // tablePool recycles bound tables across queries. A released table keeps
-// its map buckets, slab chunks and heap and top-k backing arrays, so a warm
-// query's bookkeeping allocates almost nothing.
+// its map buckets, slab chunks and heap, FIFO and top-k backing arrays, so
+// a warm query's bookkeeping allocates almost nothing.
 var tablePool = sync.Pool{New: func() any {
 	return &table{parts: make(map[model.ObjectID]*partial)}
 }}
@@ -219,6 +245,10 @@ func newTable(src *access.Source, t agg.Func, k int, lazy bool) *table {
 		tb.bottoms[i] = 1 // x̄ᵢ = 1 before any sorted access
 	}
 	tb.scratch = resize(tb.scratch, m)
+	if cap(tb.fifos) < m {
+		tb.fifos = make([]candFIFO, m)
+	}
+	tb.fifos = tb.fifos[:m]
 	return tb
 }
 
@@ -242,6 +272,9 @@ func (tb *table) release() {
 	clear(tb.parts)
 	tb.topk = tb.topk[:0]
 	tb.cands = tb.cands[:0]
+	for i := range tb.fifos {
+		tb.fifos[i] = candFIFO{q: tb.fifos[i].q[:0]}
+	}
 	tb.open = tb.open[:0]
 	tb.pins = tb.pins[:0]
 	tb.slabUsed, tb.slabOff = 0, 0
@@ -466,6 +499,8 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 		}
 		return p
 	}
+	// A second known field takes p out of its FIFO, wherever it goes next.
+	p.queued = false
 	// Try to promote p into T_k.
 	if len(tb.topk) < tb.k {
 		if p.heapIdx >= 0 {
@@ -507,13 +542,32 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 		return p
 	}
 	if tb.lazy {
-		if p.heapIdx >= 0 {
+		switch {
+		case p.heapIdx >= 0:
 			tb.cands.fix(p.heapIdx)
-		} else {
+		case p.nKnown == 1:
+			tb.enqueue(list, p)
+		default:
 			tb.cands.push(p)
 		}
 	}
 	return p
+}
+
+// enqueue appends a first-seen candidate to the FIFO of its one known
+// field's list.
+func (tb *table) enqueue(list int, p *partial) {
+	f := &tb.fifos[list]
+	if invariantsEnabled {
+		if p.known != uint64(1)<<uint(list) {
+			invariantViolated("object %d enters list %d's FIFO with known fields %b", p.obj, list, p.known)
+		}
+		if n := len(f.q); n > 0 && p.grades[list] > f.q[n-1].grades[list] {
+			invariantViolated("object %d enters list %d's FIFO at grade %v above the tail's %v", p.obj, list, p.grades[list], f.q[n-1].grades[list])
+		}
+	}
+	p.queued = true
+	f.q = append(f.q, p)
 }
 
 // observeSorted processes one sorted-access result on list i.
@@ -528,14 +582,17 @@ func (tb *table) observeSorted(i int, e model.Entry) {
 	tb.learn(e.Object, i, e.Grade)
 }
 
-// drainTop returns the viable candidate outside T_k with the largest fresh
-// B, retiring every candidate whose fresh B ≤ M_k along the way (sound: B
-// only decreases, M_k only increases). It returns nil when no viable
-// candidate remains. Lazy engine only.
+// drainTop returns the viable candidate outside T_k that ranks first by
+// (fresh B descending, first-seen ascending), retiring every candidate it
+// finds with fresh B ≤ M_k along the way (sound: B only decreases, M_k
+// only increases). It returns nil when no viable candidate remains. A B
+// computed at the current depth counts as fresh, including one learned
+// earlier in the current round. Lazy engine only.
 func (tb *table) drainTop(mk model.Grade) *partial {
 	if invariantsEnabled && tb.released {
 		invariantViolated("drainTop on a released bound table")
 	}
+	var best *partial
 	for len(tb.cands) > 0 {
 		c := tb.cands[0].p
 		if c.retired || c.inTopK {
@@ -544,7 +601,8 @@ func (tb *table) drainTop(mk model.Grade) *partial {
 		}
 		if c.bDepth == tb.depth {
 			if c.b > mk {
-				return c
+				best = c
+				break
 			}
 			c.retired = true
 			tb.cands.remove(0)
@@ -554,7 +612,36 @@ func (tb *table) drainTop(mk model.Grade) *partial {
 		c.bDepth = tb.depth
 		tb.cands.fix(0)
 	}
-	return nil
+	for i := range tb.fifos {
+		f := &tb.fifos[i]
+		for f.head < len(f.q) {
+			c := f.q[f.head]
+			if c.queued {
+				tb.refreshB(c)
+				if c.b > mk {
+					break
+				}
+				c.retired, c.queued = true, false
+			}
+			f.head++
+		}
+		if f.head == len(f.q) {
+			f.q, f.head = f.q[:0], 0
+			continue
+		}
+		if c := f.q[f.head]; best == nil || ahead(c, best) {
+			best = c
+		}
+		// Entries behind the head have lower grades and later sequences,
+		// so their fresh Bs rank below the head's. The exception is a
+		// tail learned in the current round: its B, computed before the
+		// round's later lists lowered their bottoms, counts as fresh as
+		// it stands and may exceed the refreshed head's.
+		if c := f.q[len(f.q)-1]; c.queued && c.bDepth == tb.depth && c.b > mk && ahead(c, best) {
+			best = c
+		}
+	}
+	return best
 }
 
 // resolveAll performs the random accesses for every missing field of p

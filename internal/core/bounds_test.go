@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -75,7 +77,8 @@ func TestTablePromotionAndDisplacement(t *testing.T) {
 	if !tb.parts[1].inTopK || tb.parts[2].inTopK {
 		t.Fatal("tie displaced the incumbent")
 	}
-	if tb.parts[2].heapIdx < 0 {
+	// Seen once, the loser waits in list 1's FIFO rather than the heap.
+	if p := tb.parts[2]; p.heapIdx < 0 && !p.queued {
 		t.Fatal("loser not tracked as a candidate")
 	}
 	// Object 2 completes: W = 0.85 > 0.45 displaces object 1.
@@ -245,5 +248,124 @@ func TestPooledTableServesNextQueryClean(t *testing.T) {
 				t.Fatalf("%s m=%d k=%d: repeat differs\n got %+v\nwant %+v", q.alg().Name(), q.db.M(), q.k, got, first[i])
 			}
 		}
+	}
+}
+
+// TestDrainTopMatchesCanonicalArgmax checks drainTop against the lazy
+// engine's own definition, on tie-heavy plateau data under avg and min.
+// Lazy tables run random rounds of sorted access, either NRA's (one depth
+// per round of m accesses, so a B learned early in a round is computed
+// before the round's later lists move their bottoms) or cost-aware TA's
+// (one depth per access), with random-access learns of random seen
+// objects in between. After each round and each batch of learns, drainTop
+// must return what a brute force over every non-retired non-member picks:
+// the largest B, counting the cached B when it was computed at the
+// current depth and otherwise a fresh B computed without touching the
+// table, ties to the earlier first-seen; nil when that B is at most M_k.
+// Afterwards every retired object's fresh B must be at most M_k.
+func TestDrainTopMatchesCanonicalArgmax(t *testing.T) {
+	const m = 3
+	for _, levels := range []int{3, 8} {
+		for seed := int64(1); seed <= 12; seed++ {
+			db, err := workload.Plateau(workload.Spec{N: 150, M: m, Seed: seed}, levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tf := range []agg.Func{agg.Avg(m), agg.Min(m)} {
+				for _, k := range []int{1, 4, 15} {
+					for _, perAccess := range []bool{false, true} {
+						label := fmt.Sprintf("levels=%d/seed=%d/%s/k=%d/perAccess=%v", levels, seed, tf.Name(), k, perAccess)
+						checkDrainTop(t, label, db, tf, k, perAccess, rand.New(rand.NewSource(seed)))
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkDrainTop(t *testing.T, label string, db *model.Database, tf agg.Func, k int, perAccess bool, rng *rand.Rand) {
+	t.Helper()
+	m := db.M()
+	src := access.New(db, access.AllowAll)
+	tb := newTable(src, tf, k, true)
+	defer tb.release()
+	buf := make([]model.Grade, m)
+	fresh := func(p *partial) model.Grade {
+		for j := range buf {
+			if p.known&(uint64(1)<<uint(j)) != 0 {
+				buf[j] = p.grades[j]
+			} else {
+				buf[j] = tb.bottoms[j]
+			}
+		}
+		return tf.Apply(buf)
+	}
+	var seen []*partial
+	check := func(step string) {
+		t.Helper()
+		mk := tb.mk()
+		var want *partial
+		var wantB model.Grade
+		for _, p := range seen {
+			if p.retired || p.inTopK {
+				continue
+			}
+			b := p.b
+			if p.bDepth != tb.depth {
+				b = fresh(p)
+			}
+			if b > mk && (want == nil || b > wantB || b == wantB && p.seq < want.seq) {
+				want, wantB = p, b
+			}
+		}
+		got := tb.drainTop(mk)
+		switch {
+		case got != want:
+			t.Fatalf("%s, %s at depth %d: drainTop returned %v, brute force %v (B %v, M_k %v)", label, step, tb.depth, got, want, wantB, mk)
+		case got != nil && got.b != wantB:
+			t.Fatalf("%s, %s at depth %d: drainTop's object %d has B %v, brute force %v", label, step, tb.depth, got.obj, got.b, wantB)
+		}
+		for _, p := range seen {
+			if b := fresh(p); p.retired && b > mk {
+				t.Fatalf("%s, %s at depth %d: retired object %d has fresh B %v > M_k %v", label, step, tb.depth, p.obj, b, mk)
+			}
+		}
+	}
+	for {
+		if !perAccess {
+			tb.depth++
+		}
+		read := false
+		for i := 0; i < m; i++ {
+			e, ok, err := src.SortedNext(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				continue
+			}
+			read = true
+			if perAccess {
+				tb.depth++
+			}
+			isNew := tb.parts[e.Object] == nil
+			tb.observeSorted(i, e)
+			if isNew {
+				seen = append(seen, tb.parts[e.Object])
+			}
+			if perAccess {
+				check("access")
+			}
+		}
+		if !read {
+			return
+		}
+		check("round")
+		for n := rng.Intn(3); n > 0; n-- {
+			p := seen[rng.Intn(len(seen))]
+			j := rng.Intn(m)
+			tb.learn(p.obj, j, db.Grades(p.obj)[j])
+		}
+		check("random learns")
 	}
 }

@@ -201,3 +201,27 @@ func TestCADerivesHFromCosts(t *testing.T) {
 		t.Fatalf("explicit H overridden: got %d", got)
 	}
 }
+
+// TestCABookkeepingRecomputeBudget bounds the lazy engine's bookkeeping on
+// the run that stresses it most: CA under min at cR/cS = 4 on uniform
+// N = 50 000, k = 10, where thousands of objects seen in one list wait as
+// candidates. Keeping them in one heap keyed by stale B costs 150–200 bound
+// recomputes per sorted access; per-list FIFOs refresh only their heads
+// and cost under 10. The budget is 20 on every seed.
+func TestCABookkeepingRecomputeBudget(t *testing.T) {
+	for _, seed := range []int64{42, 123, 456} {
+		db, err := workload.IndependentUniform(workload.Spec{N: 50000, M: 3, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := (&CA{Costs: access.CostModel{CS: 1, CR: 4}}).Run(access.New(db, access.AllowAll), agg.Min(3), 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := float64(res.Stats.BoundRecomputes) / float64(res.Stats.Sorted)
+		t.Logf("seed %d: %d bound recomputes over %d sorted accesses (%.1f per access)", seed, res.Stats.BoundRecomputes, res.Stats.Sorted, per)
+		if per > 20 {
+			t.Errorf("seed %d: %.1f bound recomputes per sorted access, budget 20", seed, per)
+		}
+	}
+}

@@ -287,8 +287,8 @@ func (a *CostAwareTA) stopEarly(tb *table, view *SchedView, guarantee float64) *
 // its grade, every open-heap slot caches its member's current B, and the
 // ceiling equals a brute-force recomputation — τ while
 // unseen objects remain, the fresh B of every unpinned member, and the
-// fresh B of every candidate still viable against M_k — that touches no
-// cached bound and counts no recompute.
+// fresh B of every candidate, in the heap or a FIFO, still viable against
+// M_k — that touches no cached bound and counts no recompute.
 func (tb *table) checkReport(items []Scored, ceil model.Grade) {
 	fresh := func(p *partial) model.Grade {
 		for j := 0; j < tb.m; j++ {
@@ -327,6 +327,13 @@ func (tb *table) checkReport(items []Scored, ceil model.Grade) {
 	for _, c := range tb.cands {
 		if b := fresh(c.p); !c.p.retired && !c.p.inTopK && b > mk && b > want {
 			want = b
+		}
+	}
+	for _, f := range tb.fifos {
+		for _, p := range f.q[f.head:] {
+			if b := fresh(p); p.queued && b > mk && b > want {
+				want = b
+			}
 		}
 	}
 	if ceil != want {
