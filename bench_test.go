@@ -304,7 +304,12 @@ func BenchmarkE15CAvsTA(b *testing.B) {
 	b.ReportMetric(caCost, "CA-cost")
 }
 
-// BenchmarkE16NRABookkeeping — rescan vs lazy engines (the ablation).
+// BenchmarkE16NRABookkeeping — rescan vs lazy engines (the ablation), and
+// the lazy engine's bookkeeping on its hardest case: CA under min at
+// cR/cS = 4 on uniform N = 50 000, k = 10, where thousands of objects seen
+// in one list wait as candidates. CA-min reports bound recomputes per
+// sorted access on every statistical seed and fails above 20 on any
+// (one heap keyed by stale B cost 150–200; per-list FIFOs cost under 10).
 func BenchmarkE16NRABookkeeping(b *testing.B) {
 	db, err := workload.IndependentUniform(workload.Spec{N: 10000, M: 3, Seed: 16})
 	if err != nil {
@@ -322,6 +327,28 @@ func BenchmarkE16NRABookkeeping(b *testing.B) {
 			b.ReportMetric(recomputes, "recomputes")
 		})
 	}
+	dbs := seedDBs(b, func(seed int64) (*repro.Database, error) {
+		return workload.IndependentUniform(workload.Spec{N: 50000, M: 3, Seed: seed})
+	})
+	ca := func() core.Algorithm { return &core.CA{Costs: access.CostModel{CS: 1, CR: 4}} }
+	b.Run("CA-min", func(b *testing.B) {
+		per := stats.Summary{Name: "ca-min-recomputes-per-sorted"}
+		for _, seed := range stats.Seeds {
+			res := mustRun(b, ca(), access.New(dbs[seed], access.AllowAll), agg.Min(3), 10)
+			v := float64(res.Stats.BoundRecomputes) / float64(res.Stats.Sorted)
+			if v > 20 {
+				b.Fatalf("seed %d: %.1f bound recomputes per sorted access, ceiling 20", seed, v)
+			}
+			per.Samples = append(per.Samples, stats.Sample{Seed: seed, Value: v})
+		}
+		timed := timedDB(dbs)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mustRun(b, ca(), access.New(timed, access.AllowAll), agg.Min(3), 10)
+		}
+		b.StopTimer()
+		reportSeeds(b, per)
+	})
 }
 
 // BenchmarkE17MaxAndSchedulers — max shortcut and the heuristic schedule.

@@ -43,8 +43,9 @@ import (
 // list i delivers grades in descending order, and a candidate whose only
 // known field is gᵢ has B = t(x̄ with gᵢ in place i), so along FIFO i B
 // never rises and first-seen only rises. The largest candidate is
-// therefore the heap's top or a FIFO head, and drainTop refreshes heads
-// instead of sifting every seen object through the heap.
+// therefore the heap's top or a FIFO head (or a FIFO tail learned in the
+// current round; see drainTop), and drainTop refreshes heads instead of
+// sifting every seen object through the heap.
 type partial struct {
 	obj    model.ObjectID
 	seq    int // first-seen order within the query

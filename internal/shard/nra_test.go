@@ -201,6 +201,60 @@ func TestShardedNRAResumesPastLocalHalt(t *testing.T) {
 	}
 }
 
+// TestShardedNRAResumesPausedShard drives the engine through the resume
+// path: a shard pauses once its ceiling falls to the global M_k, another
+// shard's evidence then pushes the paused shard's view item out of the
+// top-k (raising its ceiling again), and the coordinator must resume it.
+// On anti-correlated data with one worker each configuration below resumes
+// a shard deterministically, under both serialized and wave scheduling;
+// the answer must still be a valid top-k set with sound intervals, found
+// without random access.
+func TestShardedNRAResumesPausedShard(t *testing.T) {
+	const m = 3
+	for _, c := range []struct {
+		seed  int64
+		p, k  int
+		tf    agg.Func
+		sched shard.Schedule
+	}{
+		{2, 4, 6, agg.Avg(m), shard.ScheduleCostAware},
+		{2, 2, 10, agg.Avg(m), shard.ScheduleWave},
+		{8, 2, 6, agg.Sum(m), shard.ScheduleCostAware},
+		{16, 8, 6, agg.Avg(m), shard.ScheduleCostAware},
+	} {
+		label := fmt.Sprintf("seed=%d/P=%d/%s/k=%d/%s", c.seed, c.p, c.tf.Name(), c.k, c.sched)
+		db, err := workload.AntiCorrelated(workload.Spec{N: 420, M: m, Seed: c.seed}, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := shard.New(db, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var per []shard.ShardStat
+		res, err := eng.Query(c.tf, c.k, shard.Options{
+			NoRandomAccess: true,
+			Schedule:       c.sched,
+			Workers:        1,
+			OnShardStats:   func(st []shard.ShardStat) { per = st },
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		resumes := 0
+		for _, st := range per {
+			resumes += st.Resumes
+		}
+		if resumes < 1 {
+			t.Errorf("%s: no shard was resumed", label)
+		}
+		if res.Stats.Random != 0 {
+			t.Fatalf("%s: %d random accesses", label, res.Stats.Random)
+		}
+		assertValidTopKSet(t, label, db, c.tf, c.k, res.Items)
+	}
+}
+
 // TestNRACursorResumable pins the cursor contract directly: Halted is
 // advisory, StepN keeps working past it, and at exhaustion every interval in
 // the view is pinned (B = W).

@@ -142,6 +142,20 @@ if [ "$pattern" = "." ]; then
         if (r + 0 > 20) { printf "bench.sh: progress-recomputes-per-sorted-max %s exceeds the ceiling of 20\n", r > "/dev/stderr"; exit 1 }
     }
     ' BENCH_topk.txt
+
+    # Lazy-engine bookkeeping: CA under min at cR/cS = 4 (uniform
+    # N = 50 000, k = 10) is the bound table's hardest case, a deterministic
+    # count: at most 20 bound recomputes per sorted access on every seed
+    # (one candidate heap keyed by stale B read 150–200).
+    awk '
+    $1 ~ /^BenchmarkE16NRABookkeeping\/CA-min/ {
+        for (i = 3; i + 1 <= NF; i += 2) if ($(i + 1) == "ca-min-recomputes-per-sorted-max") v = $i
+    }
+    END {
+        if (v == "") { print "bench.sh: BenchmarkE16NRABookkeeping/CA-min reported no ca-min-recomputes-per-sorted-max" > "/dev/stderr"; exit 1 }
+        if (v + 0 > 20) { printf "bench.sh: ca-min-recomputes-per-sorted-max %s exceeds the ceiling of 20\n", v > "/dev/stderr"; exit 1 }
+    }
+    ' BENCH_topk.txt
 fi
 
 # Convert `BenchmarkName  N  123 ns/op  45 unit ...` lines to JSON.
@@ -200,14 +214,15 @@ END {
 
 # Append the cost-adaptive summary: cost-aware TA's charged saving over
 # plain TA, its progress bookkeeping (bound recomputes per sorted access
-# at k = 250) and the adaptive (EWMA) schedule's saving over declared-cost
-# scheduling on the lying-backend fixture — each as mean/min/max plus
-# the per-seed values behind them.
+# at k = 250), CA's bookkeeping under min (the same ratio) and the
+# adaptive (EWMA) schedule's saving over declared-cost scheduling on the
+# lying-backend fixture — each as mean/min/max plus the per-seed values
+# behind them.
 awk '
 /^Benchmark/ {
     for (i = 3; i + 1 <= NF; i += 2) {
         unit = $(i + 1)
-        if (unit ~ /^(charged-ta|charged-cost-aware-ta|ta-savings|ta-savings-r16|progress-recomputes-per-sorted|charged-declared|charged-adaptive|adaptive-savings)(-min|-max|-s[0-9]+)?$/) {
+        if (unit ~ /^(charged-ta|charged-cost-aware-ta|ta-savings|ta-savings-r16|progress-recomputes-per-sorted|ca-min-recomputes-per-sorted|charged-declared|charged-adaptive|adaptive-savings)(-min|-max|-s[0-9]+)?$/) {
             keys[++nk] = $1 ":" unit
             vals[nk] = $i
         }
