@@ -117,9 +117,9 @@ func TestCostAwareTAAllocationBudget(t *testing.T) {
 // TestShardedNRAAllocationBudget is the same guard for the no-random-access
 // engine: a warm sharded NRA query must stay under one mebibyte of heap
 // allocation. Building each query's bound tables from scratch costs
-// 2.0–3.6 MB of partial slabs, map buckets and heap slices across these
-// cases; pooled tables keep that memory across queries, and a warm query
-// allocates 12–120 KB.
+// 1.6–3.1 MB of partial slabs, slot-index pages and heap slices across
+// these cases; pooled tables keep that memory across queries, and a warm
+// query allocates 3–150 KB over repeated runs.
 func TestShardedNRAAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race, sync.Pool drops a random quarter of what is put back, so warm queries do not reliably reuse pooled tables")
@@ -169,12 +169,14 @@ func TestShardedNRAAllocationBudget(t *testing.T) {
 // TestBoundTablePoolConcurrent runs every owner of a pooled bound table at
 // once — NRA, CA, Intermittent and cost-aware TA through their own
 // cursors or tables, and the 4-shard NRA engine through four cursors per
-// query — from 8 goroutines over databases of two arities, so tables of
-// one query's shape are handed to queries of another. Each sequential
-// answer must equal its run in isolation exactly (items, intervals and
-// Stats); each sharded answer must return the objects sequential NRA
-// returns (continuous grades make the top-k set unique). CI runs it with
-// -race -count=10.
+// query — from 8 goroutines over databases of two arities, two sizes and
+// two id layouts (dense ids, and sparse ids remapped by id → 2·id + id mod
+// 2), so tables of one query's shape are handed to queries of another and
+// move between the slot index and the map and between index sizes. Each
+// sequential answer must equal its run in isolation exactly (items,
+// intervals and Stats); each sharded answer must return the objects
+// sequential NRA returns (continuous grades make the top-k set unique).
+// CI runs it with -race -count=10.
 func TestBoundTablePoolConcurrent(t *testing.T) {
 	type job struct {
 		name    string
@@ -182,12 +184,18 @@ func TestBoundTablePoolConcurrent(t *testing.T) {
 		sharded bool         // want holds sequential NRA's answer
 		want    *core.Result // computed in isolation before the goroutines start
 	}
-	var jobs []job
-	for _, m := range []int{3, 4} {
-		db, err := workload.IndependentUniform(workload.Spec{N: 2000, M: m, Seed: int64(70 + m)})
+	var dbs []*model.Database
+	for _, spec := range []workload.Spec{{N: 2000, M: 3, Seed: 73}, {N: 2000, M: 4, Seed: 74}, {N: 9000, M: 3, Seed: 75}} {
+		db, err := workload.IndependentUniform(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		dbs = append(dbs, db)
+	}
+	dbs = append(dbs, sparseIDs(t, dbs[0]))
+	var jobs []job
+	for d, db := range dbs {
+		m := db.M()
 		tf := agg.Avg(m)
 		k := 2 * m
 		seq := func(al core.Algorithm, pol access.Policy) func() (*core.Result, error) {
@@ -214,7 +222,7 @@ func TestBoundTablePoolConcurrent(t *testing.T) {
 			if j.want, err = ref(); err != nil {
 				t.Fatal(err)
 			}
-			j.name = fmt.Sprintf("m=%d %s", m, j.name)
+			j.name = fmt.Sprintf("db %d (m=%d, N=%d, sparse ids %v) %s", d, m, db.N(), d == len(dbs)-1, j.name)
 			jobs = append(jobs, j)
 		}
 	}
@@ -259,4 +267,28 @@ func TestBoundTablePoolConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// sparseIDs copies db with every id remapped by id → 2·id + id mod 2 (0,
+// 3, 4, 7, 8, …): strictly increasing, so every list keeps its order, but
+// not arithmetic, so the copy's lists build rank maps.
+func sparseIDs(t *testing.T, db *model.Database) *model.Database {
+	t.Helper()
+	lists := make([]*model.List, db.M())
+	for i := range lists {
+		es := db.List(i).Entries()
+		for j := range es {
+			es[j].Object = 2*es[j].Object + es[j].Object%2
+		}
+		l, err := model.NewListPresorted(es)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists[i] = l
+	}
+	out, err := model.NewDatabase(lists)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -10,6 +10,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -1142,9 +1143,17 @@ func BenchmarkAlgoNaive(b *testing.B) { benchAlgo(b, core.Naive{}, access.AllowA
 // bound and DefaultRetry installed — and the untimed baseline scans the
 // same source idle: no context bound and retries off (MaxAttempts 1).
 // scripts/bench.sh holds the reported fallible-overhead ratio (armed over
-// idle) at ≤ 1.05. The cost of an actual zero-plan fault injector in the
-// stack (per-access deterministic schedule checks, inherent to injection)
-// is reported separately as injector-overhead, unguarded.
+// idle) at ≤ 1.05 on every seed. The cost of an actual zero-plan fault
+// injector in the stack (per-access deterministic schedule checks,
+// inherent to injection) is reported separately as injector-overhead,
+// unguarded.
+//
+// The sides are interleaved — idle, armed, injector, idle, … — and each
+// round's armed and injector scans are divided by the idle scan timed just
+// before them, so drift or steal on the host lands on every side of a
+// ratio alike instead of on whichever side ran last. A seed's ratio is the
+// median over rounds; its interquartile range is reported per seed as
+// -iqr-s<seed>.
 func BenchmarkFallibleOverhead(b *testing.B) {
 	dbs := seedDBs(b, func(seed int64) (*repro.Database, error) {
 		return workload.IndependentUniform(workload.Spec{N: 100000, M: 2, Seed: seed})
@@ -1171,24 +1180,12 @@ func BenchmarkFallibleOverhead(b *testing.B) {
 		}
 		return nil
 	}
-	// Both sides of each ratio are best-of-n minima measured the same way,
-	// so scheduler noise cancels instead of landing on one side of the
-	// guard. One warm-up pass per variant precedes the measured rounds.
-	bestOf := func(rounds int, fn func() error) time.Duration {
-		if err := fn(); err != nil {
+	timeScan := func(src *access.Source, armed bool) float64 {
+		t0 := time.Now()
+		if err := scan(src, armed); err != nil {
 			b.Fatal(err)
 		}
-		best := time.Duration(1<<63 - 1)
-		for r := 0; r < rounds; r++ {
-			t0 := time.Now()
-			if err := fn(); err != nil {
-				b.Fatal(err)
-			}
-			if d := time.Since(t0); d < best {
-				best = d
-			}
-		}
-		return best
+		return float64(time.Since(t0))
 	}
 	sources := func(db *repro.Database) (plain, faulty *access.Source) {
 		injected := make([]access.ListSource, db.M())
@@ -1197,18 +1194,31 @@ func BenchmarkFallibleOverhead(b *testing.B) {
 		}
 		return access.New(db, pol), access.FromLists(injected, pol)
 	}
+	const rounds = 25
 	overhead := stats.Summary{Name: "fallible-overhead"}
 	injector := stats.Summary{Name: "injector-overhead"}
+	overheadIQR := stats.Summary{Name: "fallible-overhead-iqr"}
+	injectorIQR := stats.Summary{Name: "injector-overhead-iqr"}
 	for _, seed := range stats.Seeds {
 		plain, faulty := sources(dbs[seed])
-		baseline := bestOf(25, func() error { return scan(plain, false) })
-		armedBest := bestOf(25, func() error { return scan(plain, true) })
-		injectorBest := bestOf(25, func() error { return scan(faulty, false) })
+		// One warm-up pass per variant precedes the measured rounds.
+		timeScan(plain, false)
+		timeScan(plain, true)
+		timeScan(faulty, false)
+		armedRatios := make([]float64, rounds)
+		injectorRatios := make([]float64, rounds)
+		for r := 0; r < rounds; r++ {
+			idle := timeScan(plain, false)
+			armedRatios[r] = timeScan(plain, true) / idle
+			injectorRatios[r] = timeScan(faulty, false) / idle
+		}
 		if st := faulty.Stats(); st.Faults != 0 || st.Retries != 0 {
 			b.Fatalf("seed %d: zero-plan injector faulted: %+v", seed, st)
 		}
-		overhead.Samples = append(overhead.Samples, stats.Sample{Seed: seed, Value: float64(armedBest) / float64(baseline)})
-		injector.Samples = append(injector.Samples, stats.Sample{Seed: seed, Value: float64(injectorBest) / float64(baseline)})
+		overhead.Samples = append(overhead.Samples, stats.Sample{Seed: seed, Value: quartile(armedRatios, 2)})
+		injector.Samples = append(injector.Samples, stats.Sample{Seed: seed, Value: quartile(injectorRatios, 2)})
+		overheadIQR.Samples = append(overheadIQR.Samples, stats.Sample{Seed: seed, Value: quartile(armedRatios, 3) - quartile(armedRatios, 1)})
+		injectorIQR.Samples = append(injectorIQR.Samples, stats.Sample{Seed: seed, Value: quartile(injectorRatios, 3) - quartile(injectorRatios, 1)})
 	}
 	timed, _ := sources(timedDB(dbs))
 	b.ResetTimer()
@@ -1220,4 +1230,21 @@ func BenchmarkFallibleOverhead(b *testing.B) {
 	b.StopTimer()
 	reportSeeds(b, overhead)
 	reportSeeds(b, injector)
+	for _, spread := range []stats.Summary{overheadIQR, injectorIQR} {
+		for _, sm := range spread.Samples {
+			b.ReportMetric(sm.Value, fmt.Sprintf("%s-s%d", spread.Name, sm.Seed))
+		}
+	}
+}
+
+// quartile returns the q-th quartile (q = 1, 2, 3; 2 is the median) of xs
+// by linear interpolation between order statistics. It sorts xs.
+func quartile(xs []float64, q int) float64 {
+	sort.Float64s(xs)
+	pos := float64(q) / 4 * float64(len(xs)-1)
+	i := int(pos)
+	if i+1 >= len(xs) {
+		return xs[len(xs)-1]
+	}
+	return xs[i] + (pos-float64(i))*(xs[i+1]-xs[i])
 }

@@ -183,6 +183,11 @@ type Source struct {
 	policy Policy
 	stats  Stats
 
+	// first and stride are the id layout every list reported (stride 0:
+	// none), so Slot maps an id to a slot in [0, n) without a lookup.
+	first  model.ObjectID
+	stride uint64
+
 	seen    seenSet        // objects returned by sorted access (wild-guess detection)
 	costBuf []float64      // scratch for per-entry charged costs
 	one     [1]model.Entry // SortedNext's one-entry buffer
@@ -299,7 +304,34 @@ func FromLists(lists []ListSource, policy Policy) *Source {
 			s.unitOnly = false
 		}
 	}
+	s.first, s.stride = idLayout(lists)
 	return s
+}
+
+// layoutList is a list that knows its ids form an arithmetic progression:
+// model.List over dense ids, or a Partition shard of one.
+type layoutList interface {
+	IDLayout() (first model.ObjectID, stride int, ok bool)
+}
+
+// idLayout returns the id layout every list reports, or stride 0 when one
+// reports none (a wrapping layer or sparse ids) or they disagree. Lists of
+// one length and one layout hold the same objects.
+func idLayout(lists []ListSource) (model.ObjectID, uint64) {
+	var first model.ObjectID
+	var stride int
+	for i, l := range lists {
+		ll, ok := l.(layoutList)
+		if !ok {
+			return 0, 0
+		}
+		f, st, ok := ll.IDLayout()
+		if !ok || st < 1 || i > 0 && (f != first || st != stride) {
+			return 0, 0
+		}
+		first, stride = f, st
+	}
+	return first, uint64(stride)
 }
 
 // M returns the number of lists.
@@ -307,6 +339,30 @@ func (s *Source) M() int { return len(s.paths) }
 
 // N returns the number of objects (each list has one entry per object).
 func (s *Source) N() int { return s.n }
+
+// Slot maps obj to its slot in [0, N) when every list reported one
+// arithmetic id layout (model.List.IDLayout): the i-th id of the
+// progression has slot i. ok is false for an id outside the layout — below
+// its first id, past its last, or off its stride — and for every id when
+// the lists reported no layout, so a caller keeps its own index for those.
+func (s *Source) Slot(obj model.ObjectID) (int, bool) {
+	if s.stride == 0 {
+		return 0, false
+	}
+	// Unsigned, so an id below first wraps past the last slot.
+	d := uint64(obj) - uint64(s.first)
+	if s.stride > 1 {
+		q, r := d/s.stride, d%s.stride
+		if r != 0 {
+			return 0, false
+		}
+		d = q
+	}
+	if d >= uint64(s.n) {
+		return 0, false
+	}
+	return int(d), true
+}
 
 // CanSorted reports whether the policy permits sorted access on list i.
 func (s *Source) CanSorted(i int) bool { return s.policy.CanSorted(i) }

@@ -187,3 +187,53 @@ func TestFromListsValidation(t *testing.T) {
 	b.MustAdd(1, 0.5)
 	FromLists([]ListSource{short, b.MustBuild().List(0)}, AllowAll)
 }
+
+// TestSourceSlotOverPartition checks Source.Slot over a 3-way partition of
+// dense ids 5..14: each shard maps its own ids to distinct slots in
+// [0, N_s), and every other shard's id, and every id outside the range,
+// to none. Lists behind a wrapping layer, or of two shards, report no
+// common layout, so their Source maps no id to a slot.
+func TestSourceSlotOverPartition(t *testing.T) {
+	b := model.NewBuilder(2)
+	for id := model.ObjectID(5); id < 15; id++ {
+		b.MustAdd(id, model.Grade(id)/20, model.Grade(15-id)/20)
+	}
+	shards, err := b.MustBuild().Partition(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, sh := range shards {
+		src := New(sh, AllowAll)
+		own := make(map[model.ObjectID]bool)
+		for _, obj := range sh.Objects() {
+			own[obj] = true
+		}
+		used := make(map[int]bool)
+		for id := model.ObjectID(-3); id < 20; id++ {
+			slot, ok := src.Slot(id)
+			if ok != own[id] {
+				t.Errorf("shard %d: Slot(%d) ok = %v, want %v", s, id, ok, own[id])
+				continue
+			}
+			if !ok {
+				continue
+			}
+			if slot < 0 || slot >= sh.N() || used[slot] {
+				t.Errorf("shard %d: Slot(%d) = %d, want a fresh slot in [0, %d)", s, id, slot, sh.N())
+			}
+			used[slot] = true
+		}
+	}
+	// A wrapping layer reports no layout, and two shards' lists report
+	// different ones: their Sources map no id to a slot.
+	for name, src := range map[string]*Source{
+		"a Remote list":     FromLists([]ListSource{NewRemote(shards[1].List(0), UnitCosts, Latency{}), shards[1].List(1)}, AllowAll),
+		"two shards' lists": FromLists([]ListSource{shards[1].List(0), shards[2].List(1)}, AllowAll),
+	} {
+		for _, obj := range shards[1].Objects() {
+			if _, ok := src.Slot(obj); ok {
+				t.Errorf("a Source over %s maps object %d to a slot", name, obj)
+			}
+		}
+	}
+}

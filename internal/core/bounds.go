@@ -185,9 +185,18 @@ type table struct {
 
 	depth    int
 	bottoms  []model.Grade
-	observed uint64 // invariants build: lists that produced ≥1 sorted entry
-	parts    map[model.ObjectID]*partial
+	observed uint64     // invariants build: lists that produced ≥1 sorted entry
 	topk     []*partial // ≤ k entries, ordered best-first by (w, b, id)
+
+	// Seen objects. seen counts them and is the next first-seen sequence;
+	// the partial of sequence q is at(q). An id the Source maps to a slot
+	// (access.Source.Slot: every list reported one arithmetic id layout)
+	// is filed in the slot index, whose entry is 0 for an unseen object
+	// and its sequence + 1 otherwise, in pages of slotPageSize allocated
+	// on first touch. Any other id is filed in parts.
+	seen  int
+	pages [][]int32
+	parts map[model.ObjectID]*partial
 	// Lazy engine: every seen object outside topk and not retired is in
 	// exactly one of cands and fifos[i] (the FIFO of its one known field).
 	cands candHeap
@@ -206,13 +215,11 @@ type table struct {
 	scratch []model.Grade
 
 	// Slab allocator: partial structs and their grade vectors are carved
-	// out of fixed-size chunks, so the sorted-access hot path allocates
-	// nothing per object. The chunks outlive release: the next query on a
-	// pooled table carves from the chunks it already owns and allocates
-	// only past the largest query the table has served.
-	slabs    []slab
-	slabUsed int // chunks opened by the current query
-	slabOff  int // partials carved from slabs[slabUsed-1]
+	// out of fixed-size chunks in sequence order, so the sorted-access hot
+	// path allocates nothing per object. The chunks outlive release: the
+	// next query on a pooled table carves from the chunks it already owns
+	// and allocates only past the largest query the table has served.
+	slabs []slab
 
 	released bool // invariants build: the table is back in tablePool
 }
@@ -226,9 +233,14 @@ type slab struct {
 
 const partSlabSize = 128
 
+// slotPageSize is the number of entries in one page of the slot index
+// (16 KiB of int32, small enough to stay a small-object allocation).
+const slotPageSize = 4096
+
 // tablePool recycles bound tables across queries. A released table keeps
-// its map buckets, slab chunks and heap, FIFO and top-k backing arrays, so
-// a warm query's bookkeeping allocates almost nothing.
+// its slot-index pages, the map's buckets, its slab chunks and its heap,
+// FIFO and top-k backing arrays, so a warm query's bookkeeping allocates
+// almost nothing.
 var tablePool = sync.Pool{New: func() any {
 	return &table{parts: make(map[model.ObjectID]*partial)}
 }}
@@ -250,6 +262,22 @@ func newTable(src *access.Source, t agg.Func, k int, lazy bool) *table {
 		tb.fifos = make([]candFIFO, m)
 	}
 	tb.fifos = tb.fifos[:m]
+	// Pages past the current length stay in the backing array, so a table
+	// that served a larger N keeps them for the next one.
+	np := (src.N() + slotPageSize - 1) / slotPageSize
+	if cap(tb.pages) < np {
+		pages := make([][]int32, np)
+		copy(pages, tb.pages[:cap(tb.pages)])
+		tb.pages = pages
+	}
+	tb.pages = tb.pages[:np]
+	if invariantsEnabled {
+		for i, pg := range tb.pages[:cap(tb.pages)] {
+			if j := slices.IndexFunc(pg, func(q int32) bool { return q != 0 }); j >= 0 {
+				invariantViolated("pooled slot index holds sequence %d at slot %d", pg[j]-1, i*slotPageSize+j)
+			}
+		}
+	}
 	return tb
 }
 
@@ -270,7 +298,17 @@ func (tb *table) release() {
 		}
 		tb.released = true
 	}
+	if len(tb.parts) < tb.seen {
+		// Zero only the slots this query filled, found by walking its
+		// partials in sequence order.
+		for q := 0; q < tb.seen; q++ {
+			if slot, ok := tb.src.Slot(tb.at(q).obj); ok {
+				tb.pages[slot/slotPageSize][slot%slotPageSize] = 0
+			}
+		}
+	}
 	clear(tb.parts)
+	tb.seen = 0
 	tb.topk = tb.topk[:0]
 	tb.cands = tb.cands[:0]
 	for i := range tb.fifos {
@@ -278,34 +316,63 @@ func (tb *table) release() {
 	}
 	tb.open = tb.open[:0]
 	tb.pins = tb.pins[:0]
-	tb.slabUsed, tb.slabOff = 0, 0
 	tb.src, tb.t = nil, nil // a pooled table must not keep a database alive
 	tablePool.Put(tb)
 }
 
-// newPartial carves a zero-knowledge entry for obj out of the slabs.
+// at returns the partial of first-seen sequence q.
+func (tb *table) at(q int) *partial {
+	return &tb.slabs[q/partSlabSize].parts[q%partSlabSize]
+}
+
+// get returns obj's partial, or nil if the table has not seen obj, and the
+// slot-index entry that files obj: nil when the Source maps obj to no slot
+// and parts files it instead. The entry's page is allocated on first touch.
+func (tb *table) get(obj model.ObjectID) (*partial, *int32) {
+	var p *partial
+	var at *int32
+	if slot, ok := tb.src.Slot(obj); ok {
+		pg := tb.pages[slot/slotPageSize]
+		if pg == nil {
+			pg = make([]int32, slotPageSize)
+			tb.pages[slot/slotPageSize] = pg
+		}
+		at = &pg[slot%slotPageSize]
+		if *at != 0 {
+			p = tb.at(int(*at) - 1)
+		}
+	} else {
+		p = tb.parts[obj]
+	}
+	if invariantsEnabled && p != nil && p.obj != obj {
+		invariantViolated("bound-table entry for object %d holds object %d", obj, p.obj)
+	}
+	return p, at
+}
+
+// newPartial carves a zero-knowledge entry for obj, with the next
+// first-seen sequence, out of the slabs. It sets the entry field by field:
+// a composite literal would be built aside and copied in.
 func (tb *table) newPartial(obj model.ObjectID) *partial {
-	if tb.slabUsed == 0 || tb.slabOff == partSlabSize {
-		if tb.slabUsed == len(tb.slabs) {
+	c, i := tb.seen/partSlabSize, tb.seen%partSlabSize
+	if i == 0 {
+		if c == len(tb.slabs) {
 			tb.slabs = append(tb.slabs, slab{parts: make([]partial, partSlabSize)})
 		}
-		if s := &tb.slabs[tb.slabUsed]; len(s.grades) < partSlabSize*tb.m {
+		if s := &tb.slabs[c]; len(s.grades) < partSlabSize*tb.m {
 			s.grades = make([]model.Grade, partSlabSize*tb.m)
 		}
-		tb.slabUsed++
-		tb.slabOff = 0
 	}
-	s := &tb.slabs[tb.slabUsed-1]
-	lo := tb.slabOff * tb.m
-	p := &s.parts[tb.slabOff]
-	tb.slabOff++
-	*p = partial{
-		obj:     obj,
-		seq:     len(tb.parts), // learn files every new partial in parts
-		grades:  s.grades[lo : lo+tb.m : lo+tb.m],
-		heapIdx: -1,
-		bDepth:  -1,
-	}
+	s := &tb.slabs[c]
+	lo := i * tb.m
+	p := &s.parts[i]
+	p.obj, p.seq = obj, tb.seen
+	p.known, p.nKnown = 0, 0
+	p.grades = s.grades[lo : lo+tb.m : lo+tb.m]
+	p.w, p.b, p.bDepth = 0, 0, -1
+	p.retired, p.inTopK, p.queued, p.pinned = false, false, false, false
+	p.heapIdx = -1
+	tb.seen++
 	return p
 }
 
@@ -468,10 +535,14 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 	if invariantsEnabled && tb.released {
 		invariantViolated("learn on a released bound table")
 	}
-	p := tb.parts[obj]
+	p, at := tb.get(obj)
 	if p == nil {
 		p = tb.newPartial(obj)
-		tb.parts[obj] = p
+		if at != nil {
+			*at = int32(p.seq + 1)
+		} else {
+			tb.parts[obj] = p
+		}
 	}
 	bit := uint64(1) << uint(list)
 	if p.known&bit != 0 {
@@ -682,8 +753,8 @@ func (tb *table) randomPhase() error {
 // outside T_k, or -Inf if none. Rescan engine only.
 func (tb *table) maxBOutsideRescan() model.Grade {
 	maxB := model.Grade(math.Inf(-1))
-	//lint:orderfree every part is visited exactly once and maxB is a pure reduction
-	for _, p := range tb.parts {
+	for q := 0; q < tb.seen; q++ {
+		p := tb.at(q)
 		p.b = tb.computeB(p)
 		p.bDepth = tb.depth
 		if !p.inTopK && p.b > maxB {
@@ -702,7 +773,7 @@ func (tb *table) halted() bool {
 		return false
 	}
 	mk := tb.mk()
-	if len(tb.parts) < tb.src.N() {
+	if tb.seen < tb.src.N() {
 		if tb.threshold() > mk {
 			return false // an unseen object is still viable
 		}

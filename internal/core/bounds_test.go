@@ -28,6 +28,21 @@ func tableFor(t *testing.T, k int, lazy bool) (*table, *access.Source) {
 	return newTable(src, agg.Avg(2), k, lazy), src
 }
 
+// lookup returns obj's partial, or nil if tb has not seen obj.
+func lookup(tb *table, obj model.ObjectID) *partial {
+	p, _ := tb.get(obj)
+	return p
+}
+
+// seenParts returns tb's partials in first-seen order.
+func seenParts(tb *table) []*partial {
+	out := make([]*partial, tb.seen)
+	for q := range out {
+		out[q] = tb.at(q)
+	}
+	return out
+}
+
 func TestTableLearnIsIdempotent(t *testing.T) {
 	tb, _ := tableFor(t, 1, true)
 	tb.depth = 1
@@ -68,26 +83,26 @@ func TestTablePromotionAndDisplacement(t *testing.T) {
 	tb, _ := tableFor(t, 1, true)
 	tb.depth = 1
 	tb.observeSorted(0, model.Entry{Object: 1, Grade: 0.9}) // W=0.45 → T_1
-	if !tb.parts[1].inTopK {
+	if !lookup(tb, 1).inTopK {
 		t.Fatal("first object not promoted")
 	}
 	tb.observeSorted(1, model.Entry{Object: 2, Grade: 0.9})
 	// W(2)=0.45 ties W(1); B(2) = (bottom0 + 0.9)/2 = 0.9; B(1) =
 	// (0.9+0.9)/2 = 0.9 — full tie, id order keeps object 1.
-	if !tb.parts[1].inTopK || tb.parts[2].inTopK {
+	if !lookup(tb, 1).inTopK || lookup(tb, 2).inTopK {
 		t.Fatal("tie displaced the incumbent")
 	}
 	// Seen once, the loser waits in list 1's FIFO rather than the heap.
-	if p := tb.parts[2]; p.heapIdx < 0 && !p.queued {
+	if p := lookup(tb, 2); p.heapIdx < 0 && !p.queued {
 		t.Fatal("loser not tracked as a candidate")
 	}
 	// Object 2 completes: W = 0.85 > 0.45 displaces object 1.
 	tb.depth = 2
 	tb.observeSorted(0, model.Entry{Object: 2, Grade: 0.8})
-	if !tb.parts[2].inTopK || tb.parts[1].inTopK {
+	if !lookup(tb, 2).inTopK || lookup(tb, 1).inTopK {
 		t.Fatal("higher-W object failed to displace")
 	}
-	if tb.parts[1].heapIdx < 0 {
+	if lookup(tb, 1).heapIdx < 0 {
 		t.Fatal("displaced object must re-enter the candidate heap")
 	}
 }
@@ -109,7 +124,7 @@ func TestDrainTopRetiresNonViable(t *testing.T) {
 	}
 	// Everything outside T_1 must be retired now.
 	retired := 0
-	for _, p := range tb.parts {
+	for _, p := range seenParts(tb) {
 		if !p.inTopK && p.retired {
 			retired++
 		}
@@ -348,10 +363,10 @@ func checkDrainTop(t *testing.T, label string, db *model.Database, tf agg.Func, 
 			if perAccess {
 				tb.depth++
 			}
-			isNew := tb.parts[e.Object] == nil
+			isNew := lookup(tb, e.Object) == nil
 			tb.observeSorted(i, e)
 			if isNew {
-				seen = append(seen, tb.parts[e.Object])
+				seen = append(seen, lookup(tb, e.Object))
 			}
 			if perAccess {
 				check("access")

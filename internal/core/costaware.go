@@ -101,7 +101,7 @@ func (a *CostAwareTA) phasePeriod(src *access.Source) int {
 // non-viable candidates, which is sound (B only falls, M_k only rises).
 func (a *CostAwareTA) ceiling(tb *table) model.Grade {
 	ceil := model.Grade(math.Inf(-1))
-	if len(tb.parts) < tb.src.N() {
+	if tb.seen < tb.src.N() {
 		ceil = tb.threshold()
 	}
 	if p := tb.openTop(); p != nil && p.b > ceil {
@@ -166,7 +166,7 @@ func (a *CostAwareTA) Run(src *access.Source, t agg.Func, k int) (*Result, error
 		view.age(i, i+1)
 		view.observe(i, e.Grade)
 		tb.observeSorted(i, e)
-		src.ReportBuffer(len(tb.parts))
+		src.ReportBuffer(tb.seen)
 
 		sincePhase++
 		if sincePhase >= period {
@@ -301,7 +301,7 @@ func (tb *table) checkReport(items []Scored, ceil model.Grade) {
 		return tb.t.Apply(tb.scratch)
 	}
 	for _, it := range items {
-		p := tb.parts[it.Object]
+		p, _ := tb.get(it.Object)
 		if !(p != nil && p.inTopK && p.pinned) {
 			invariantViolated("reported object %d is not a pinned top-k member", it.Object)
 		}
@@ -310,7 +310,7 @@ func (tb *table) checkReport(items []Scored, ceil model.Grade) {
 		}
 	}
 	want := model.Grade(math.Inf(-1))
-	if len(tb.parts) < tb.src.N() {
+	if tb.seen < tb.src.N() {
 		want = tb.t.Apply(tb.bottoms)
 	}
 	for _, p := range tb.topk {

@@ -140,7 +140,7 @@ func (c *NRACursor) StepN(budget int) int {
 			c.encountered = append(c.encountered, e.Object)
 		}
 	}
-	c.src.ReportBuffer(len(c.tb.parts))
+	c.src.ReportBuffer(c.tb.seen)
 	if c.err != nil {
 		return 0
 	}
@@ -184,7 +184,7 @@ func (c *NRACursor) LocalKthW() model.Grade { return c.tb.mk() }
 
 // SeenAll reports whether every object of the source has been seen under
 // sorted access (the threshold then bounds nothing).
-func (c *NRACursor) SeenAll() bool { return len(c.tb.parts) >= c.src.N() }
+func (c *NRACursor) SeenAll() bool { return c.tb.seen >= c.src.N() }
 
 // OutsideB returns the largest fresh B among viable seen objects outside the
 // local top-k, or -Inf when none remains — the same value View reports,
@@ -219,7 +219,7 @@ func (c *NRACursor) View() CursorView {
 		TopK:      items,
 		Threshold: tb.threshold(),
 		OutsideB:  outside,
-		SeenAll:   len(tb.parts) >= c.src.N(),
+		SeenAll:   tb.seen >= c.src.N(),
 		Depth:     tb.depth,
 	}
 }
@@ -262,7 +262,7 @@ func (c *NRACursor) randomPhase() error {
 // access (Intermittent's delayed TA accesses). It fails if the object has
 // never been seen under sorted access.
 func (c *NRACursor) resolve(obj model.ObjectID) error {
-	p := c.tb.parts[obj]
+	p, _ := c.tb.get(obj)
 	if p == nil {
 		return fmt.Errorf("core: queued object %d has no bookkeeping entry", obj)
 	}
@@ -275,7 +275,7 @@ func (c *NRACursor) resolve(obj model.ObjectID) error {
 
 // fieldsKnown reports how many of obj's fields are known (0 if never seen).
 func (c *NRACursor) fieldsKnown(obj model.ObjectID) int {
-	if p := c.tb.parts[obj]; p != nil {
+	if p, _ := c.tb.get(obj); p != nil {
 		return p.nKnown
 	}
 	return 0

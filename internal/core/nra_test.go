@@ -34,7 +34,8 @@ func TestNRABoundsInvariant(t *testing.T) {
 				tb.observeSorted(i, e)
 			}
 			tau := tb.threshold()
-			for obj, p := range tb.parts {
+			for _, p := range seenParts(tb) {
+				obj := p.obj
 				truth := tf.Apply(db.Grades(obj))
 				if float64(p.w) > float64(truth)+1e-12 {
 					t.Fatalf("%s round %d: W(%d)=%v exceeds t=%v", tf.Name(), round, obj, p.w, truth)
@@ -45,7 +46,7 @@ func TestNRABoundsInvariant(t *testing.T) {
 				}
 			}
 			for _, obj := range db.Objects() {
-				if _, seen := tb.parts[obj]; seen {
+				if lookup(tb, obj) != nil {
 					continue
 				}
 				truth := tf.Apply(db.Grades(obj))
@@ -168,11 +169,11 @@ func TestNRARetirementIsPermanent(t *testing.T) {
 			break
 		}
 	}
-	for obj, p := range tb.parts {
+	for _, p := range seenParts(tb) {
 		if p.retired {
-			truth := tf.Apply(db.Grades(obj))
+			truth := tf.Apply(db.Grades(p.obj))
 			if float64(truth) > float64(kth)+1e-12 {
-				t.Fatalf("retired object %d has grade %v above the k-th grade %v", obj, truth, kth)
+				t.Fatalf("retired object %d has grade %v above the k-th grade %v", p.obj, truth, kth)
 			}
 		}
 	}

@@ -205,6 +205,18 @@ func (l *List) GradeOf(obj ObjectID) (Grade, bool) {
 	return l.grades[i], true
 }
 
+// IDLayout reports the arithmetic id layout the list's random index holds:
+// its objects are exactly first, first+stride, …, first+(Len()-1)·stride.
+// A list over dense ids reports its smallest id and stride 1; shard s of a
+// p-way Partition of one reports min+s and stride p. ok is false for
+// sparse ids and for an empty list.
+func (l *List) IDLayout() (first ObjectID, stride int, ok bool) {
+	if ra := l.ra; ra != nil {
+		return ra.min + ObjectID(ra.s), ra.p, true
+	}
+	return 0, 0, false
+}
+
 // RankOf returns the 0-based sorted position of obj, and whether present.
 // It scans the list: only tests ask for positions.
 func (l *List) RankOf(obj ObjectID) (int, bool) {

@@ -87,6 +87,8 @@ if [ "$pattern" = "." ]; then
 
     # Robustness ceiling: the error-aware access path must collapse to
     # the infallible fast path on a fault-free stack — on every seed. A
+    # seed's ratio is the median of armed/idle over interleaved rounds
+    # (its spread is printed as fallible-overhead-iqr-s<seed>). A
     # fallible-overhead-max above 1.05 means some seed paid for the
     # failure machinery it does not use.
     awk '
@@ -281,12 +283,13 @@ END {
 # access path (its per-seed max guarded at ≤ 1.05 above) and the
 # per-access cost of an in-stack fault injector (informational —
 # inherent to deterministic injection, paid only when Options.Fault is
-# set), each as mean/min/max plus per-seed values.
+# set), each as mean/min/max plus per-seed values and per-seed
+# interquartile ranges of the round ratios.
 awk '
 /^Benchmark/ {
     for (i = 3; i + 1 <= NF; i += 2) {
         unit = $(i + 1)
-        if (unit ~ /^(fallible-overhead|injector-overhead)(-min|-max|-s[0-9]+)?$/) {
+        if (unit ~ /^(fallible-overhead|injector-overhead)(-min|-max|-s[0-9]+|-iqr-s[0-9]+)?$/) {
             keys[++nk] = $1 ":" unit
             vals[nk] = $i
         }
