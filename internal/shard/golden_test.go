@@ -7,28 +7,34 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/access"
 	"repro/internal/agg"
 	"repro/internal/model"
 	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
-// Golden sharded-NRA record: every no-random-access query of a fixed matrix
-// — three databases on three seeds, min/avg/sum, k ∈ {5, 20, 50}, P ∈ {1,
-// 2, 4, 8}, the wave and cost-aware schedules — run with one worker so the
-// scheduling order, and with it every access count, is deterministic. A
-// rewrite of the coordinator (how shard views are merged, how ceilings and
-// M_k are read) must leave every answer interval, access count, round
-// count and per-shard resume count byte-identical. The adaptive schedule
-// is left out: it prices shards from observed wall-clock time.
-// MaxBuffered is left out too: it reports the coordinator's own buffer
-// size, which is a property of the coordinator's data structure rather
-// than of the answer. To regenerate after an intended behaviour change,
-// delete testdata/golden and run the test twice: the first run writes the
-// files and fails, the second compares; docs/GOLDEN-CHANGES.md lists each
-// regeneration with what it moved.
+// Golden sharded records: every query of a fixed matrix — three databases
+// on three seeds, min/avg/sum, k ∈ {5, 20, 50}, P ∈ {1, 2, 4, 8} — run with
+// one worker so the scheduling order, and with it every access count, is
+// deterministic. Two records share the matrix: the no-random-access mode
+// under the wave and cost-aware schedules (testdata/golden), and the TA
+// mode as plain TA and as cost-aware TA at cR/cS = 4 (testdata/golden-ta).
+// A rewrite of the coordinator or of the per-query run loop must leave
+// every answer, access count, round count and per-shard resume count
+// byte-identical. The adaptive schedule is left out: it prices shards from
+// observed wall-clock time. MaxBuffered is left out too: it reports the
+// coordinator's own buffer size, which is a property of the coordinator's
+// data structure rather than of the answer. To regenerate after an
+// intended behaviour change, delete the record's directory and run its
+// test twice: the first run writes the files and fails, the second
+// compares; docs/GOLDEN-CHANGES.md lists each regeneration with what it
+// moved.
 
-const shardGoldenDir = "testdata/golden"
+const (
+	shardGoldenDir   = "testdata/golden"
+	shardGoldenTADir = "testdata/golden-ta"
+)
 
 // shardGoldenDBs are the databases of the record: uniform and Zipf(1.2) at
 // N = 20 000 and an 8-level plateau at N = 2 000, m = 3, on one seed.
@@ -104,26 +110,96 @@ func TestGoldenShardedNRA(t *testing.T) {
 						}
 					}
 				}
-				got := b.String()
-				path := filepath.Join(shardGoldenDir, name+".txt")
-				want, rerr := os.ReadFile(path)
-				if os.IsNotExist(rerr) {
-					if werr := os.MkdirAll(shardGoldenDir, 0o755); werr != nil {
-						t.Fatal(werr)
-					}
-					if werr := os.WriteFile(path, []byte(got), 0o644); werr != nil {
-						t.Fatal(werr)
-					}
-					t.Fatalf("wrote missing golden file %s; rerun to compare", path)
-				}
-				if rerr != nil {
-					t.Fatal(rerr)
-				}
-				if got != string(want) {
-					t.Errorf("%s differs from the golden record\n%s", path, firstLineDiff(string(want), got))
-				}
+				compareGolden(t, shardGoldenDir, name, b.String())
 			})
 		}
+	}
+}
+
+// shardGoldenTARun renders one TA-mode query: the answer with its grades,
+// rounds, the summed sorted and random accesses, and each shard's sorted
+// and random accesses.
+func shardGoldenTARun(eng *shard.Engine, tf agg.Func, k int, costAware bool) string {
+	var per []shard.ShardStat
+	opts := shard.Options{
+		Workers:      1,
+		OnShardStats: func(st []shard.ShardStat) { per = st },
+	}
+	if costAware {
+		opts.CostAwareTA = true
+		opts.Costs = access.CostModel{CS: 1, CR: 4}
+	}
+	res, err := eng.Query(tf, k, opts)
+	if err != nil {
+		return fmt.Sprintf("err: %v\n", err)
+	}
+	var b strings.Builder
+	b.WriteString("items:")
+	for _, it := range res.Items {
+		fmt.Fprintf(&b, " %d:%v", it.Object, it.Grade)
+	}
+	fmt.Fprintf(&b, "\nrounds: %d sorted: %d random: %d\nshards:", res.Rounds, res.Stats.Sorted, res.Stats.Random)
+	for _, st := range per {
+		fmt.Fprintf(&b, " %d/%d", st.Stats.Sorted, st.Stats.Random)
+	}
+	b.WriteString("\n")
+	return b.String()
+}
+
+// TestGoldenShardedTA runs the matrix in the TA mode, plain TA and
+// cost-aware TA (h = 4), one golden file per database and seed, and
+// compares each with the committed record.
+func TestGoldenShardedTA(t *testing.T) {
+	const m = 3
+	for _, seed := range []int64{42, 123, 456} {
+		for _, d := range shardGoldenDBs(t, seed) {
+			name := fmt.Sprintf("%s-seed%d", d.name, seed)
+			t.Run(name, func(t *testing.T) {
+				var b strings.Builder
+				for _, p := range []int{1, 2, 4, 8} {
+					eng, err := shard.New(d.db, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, tf := range []agg.Func{agg.Min(m), agg.Avg(m), agg.Sum(m)} {
+						for _, k := range []int{5, 20, 50} {
+							for _, costAware := range []bool{false, true} {
+								alg := "ta"
+								if costAware {
+									alg = "cost-aware-ta"
+								}
+								fmt.Fprintf(&b, "== P=%d %s k=%d %s\n", p, tf.Name(), k, alg)
+								b.WriteString(shardGoldenTARun(eng, tf, k, costAware))
+							}
+						}
+					}
+				}
+				compareGolden(t, shardGoldenTADir, name, b.String())
+			})
+		}
+	}
+}
+
+// compareGolden compares got with the golden file name.txt in dir, writing
+// the file (and failing) when it is missing.
+func compareGolden(t *testing.T, dir, name, got string) {
+	t.Helper()
+	path := filepath.Join(dir, name+".txt")
+	want, rerr := os.ReadFile(path)
+	if os.IsNotExist(rerr) {
+		if werr := os.MkdirAll(dir, 0o755); werr != nil {
+			t.Fatal(werr)
+		}
+		if werr := os.WriteFile(path, []byte(got), 0o644); werr != nil {
+			t.Fatal(werr)
+		}
+		t.Fatalf("wrote missing golden file %s; rerun to compare", path)
+	}
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from the golden record\n%s", path, firstLineDiff(string(want), got))
 	}
 }
 
