@@ -28,16 +28,17 @@ type CA struct {
 // Name implements Algorithm.
 func (a *CA) Name() string { return "CA" }
 
-// phasePeriod returns the active h.
-func (a *CA) phasePeriod() int {
-	if a.H > 0 {
-		return a.H
+// resolveH returns the active phase period of CA and Intermittent: the
+// explicit override h when positive, otherwise ⌊cR/cS⌋ (≥ 1) from costs,
+// with zero costs meaning unit costs.
+func resolveH(h int, costs access.CostModel) int {
+	if h > 0 {
+		return h
 	}
-	c := a.Costs
-	if c.CS == 0 && c.CR == 0 {
-		c = access.UnitCosts
+	if costs.CS == 0 && costs.CR == 0 {
+		costs = access.UnitCosts
 	}
-	return c.H()
+	return costs.H()
 }
 
 // Run implements Algorithm.
@@ -54,7 +55,7 @@ func (a *CA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 	if m > 1 && !src.CanRandom(0) {
 		return nil, fmt.Errorf("%w: CA needs random access; use NRA when random access is impossible", ErrBadQuery)
 	}
-	h := a.phasePeriod()
+	h := resolveH(a.H, a.Costs)
 	c, err := NewNRACursor(src, t, k, LazyEngine)
 	if err != nil {
 		return nil, err

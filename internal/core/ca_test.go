@@ -186,18 +186,17 @@ func TestCAGradesExactWhenResolved(t *testing.T) {
 	}
 }
 
-// TestCADerivesHFromCosts covers the Costs → h plumbing.
+// TestCADerivesHFromCosts covers the Costs → h plumbing CA and
+// Intermittent share.
 func TestCADerivesHFromCosts(t *testing.T) {
-	ca := &CA{Costs: access.CostModel{CS: 2, CR: 9}}
-	if got := ca.phasePeriod(); got != 4 {
-		t.Fatalf("phasePeriod = %d, want 4", got)
+	if got := resolveH(0, access.CostModel{CS: 2, CR: 9}); got != 4 {
+		t.Fatalf("resolveH = %d, want 4", got)
 	}
-	ca = &CA{} // zero costs default to unit: h = 1
-	if got := ca.phasePeriod(); got != 1 {
-		t.Fatalf("phasePeriod = %d, want 1", got)
+	// Zero costs default to unit: h = 1.
+	if got := resolveH(0, access.CostModel{}); got != 1 {
+		t.Fatalf("resolveH = %d, want 1", got)
 	}
-	ca = &CA{H: 7, Costs: access.CostModel{CS: 1, CR: 100}}
-	if got := ca.phasePeriod(); got != 7 {
+	if got := resolveH(7, access.CostModel{CS: 1, CR: 100}); got != 7 {
 		t.Fatalf("explicit H overridden: got %d", got)
 	}
 }

@@ -42,9 +42,6 @@ type CostAwareTA struct {
 	// H, when positive, overrides the derived phase period (in
 	// sorted-access rounds, like CA's h).
 	H int
-	// Planner selects the sorted-access allocation; nil means
-	// CAPlanner{}. Lockstep{} recovers CA's parallel rounds.
-	Planner Scheduler
 	// OnProgress, when non-nil, is invoked once per sorted-access round
 	// (every m sorted accesses, wherever the planner spent them). Unlike
 	// TA's hook, TopK carries only the top-k members whose grades are
@@ -128,10 +125,6 @@ func (a *CostAwareTA) Run(src *access.Source, t agg.Func, k int) (*Result, error
 		return nil, fmt.Errorf("%w: cost-aware TA needs random access; use NRA when random access is impossible", ErrBadQuery)
 	}
 	h := a.phasePeriod(src)
-	planner := a.Planner
-	if planner == nil {
-		planner = CAPlanner{}
-	}
 	view := newSchedView(src)
 	tb := newTable(src, t, k, true)
 	tb.trackPins = true
@@ -146,7 +139,7 @@ func (a *CostAwareTA) Run(src *access.Source, t agg.Func, k int) (*Result, error
 	var pinBuf []Scored
 	pinGen := 0
 	for {
-		i := planner.Next(view)
+		i := CAPlanner{}.Next(view)
 		if i == -1 {
 			// Every list exhausted: all grades are known, every bound is
 			// pinned, and the top-k is exact as it stands.

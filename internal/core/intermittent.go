@@ -26,17 +26,6 @@ type Intermittent struct {
 // Name implements Algorithm.
 func (a *Intermittent) Name() string { return "Intermittent" }
 
-func (a *Intermittent) period() int {
-	if a.H > 0 {
-		return a.H
-	}
-	c := a.Costs
-	if c.CS == 0 && c.CR == 0 {
-		c = access.UnitCosts
-	}
-	return c.H()
-}
-
 // Run implements Algorithm.
 func (a *Intermittent) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 	if err := validate(src, t, k); err != nil {
@@ -51,7 +40,7 @@ func (a *Intermittent) Run(src *access.Source, t agg.Func, k int) (*Result, erro
 	if m > 1 && !src.CanRandom(0) {
 		return nil, fmt.Errorf("%w: Intermittent needs random access", ErrBadQuery)
 	}
-	h := a.period()
+	h := resolveH(a.H, a.Costs)
 	c, err := NewNRACursor(src, t, k, LazyEngine)
 	if err != nil {
 		return nil, err

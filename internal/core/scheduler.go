@@ -195,23 +195,15 @@ func starvedList(v *SchedView, u int) int {
 // recent observed descent (PrevBottom − Bottom), with untouched lists
 // maximally optimistic so every list is sampled before the estimates take
 // over. Like Delta, the heuristic alone loses instance optimality, and the
-// same Fairness bound restores it.
-type CAPlanner struct {
-	// Fairness is the paper's u: no eligible list goes more than u
-	// scheduling steps without being accessed. Zero means u = 2m.
-	Fairness int
-}
+// same fairness bound, at u = 2m, restores it.
+type CAPlanner struct{}
 
 // Name implements Scheduler.
 func (CAPlanner) Name() string { return "ca-planner" }
 
 // Next implements Scheduler.
-func (p CAPlanner) Next(v *SchedView) int {
-	u := p.Fairness
-	if u <= 0 {
-		u = 2 * len(v.Depth)
-	}
-	if starved := starvedList(v, u); starved != -1 {
+func (CAPlanner) Next(v *SchedView) int {
+	if starved := starvedList(v, 2*len(v.Depth)); starved != -1 {
 		return starved
 	}
 	best := -1

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -78,18 +79,36 @@ func TestFromBackendsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Two shards that share one object in the middle of their ranges, and
+	// a third, disjoint one between them.
+	build := func(ids ...model.ObjectID) *model.Database {
+		b := model.NewBuilder(3)
+		for _, id := range ids {
+			b.MustAdd(id, 0.1, 0.2, 0.3)
+		}
+		sdb, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sdb
+	}
+	shared := []shard.ShardBackend{{DB: build(0, 3, 6, 9, 12)}, {DB: build(1, 4, 7, 10)}, {DB: build(2, 5, 6, 8, 11)}}
 	cases := map[string][]shard.ShardBackend{
 		"nil DB":            {{DB: nil}},
 		"short lists":       {{DB: dbs[0], Lists: lists(dbs[0])[:1]}, {DB: dbs[1]}},
 		"nil list":          {{DB: dbs[0], Lists: make([]access.ListSource, dbs[0].M())}, {DB: dbs[1]}},
 		"wrong-size list":   {{DB: odds[0], Lists: lists(odds[1])}, {DB: odds[1]}},
 		"duplicate objects": {{DB: dbs[0]}, {DB: dbs[0]}},
+		"one shared object": shared,
 		"empty":             {},
 	}
 	for name, bs := range cases {
-		if _, err := shard.FromBackends(bs); err == nil {
-			t.Errorf("%s: FromBackends accepted an invalid backend set", name)
+		if _, err := shard.FromBackends(bs); !errors.Is(err, core.ErrBadQuery) {
+			t.Errorf("%s: FromBackends returned %v, want an ErrBadQuery", name, err)
 		}
+	}
+	if _, err := shard.FromBackends(shared); err == nil || !strings.Contains(err.Error(), "object 6 appears in shards 0 and 2") {
+		t.Errorf("shared object: error %v, want one naming object 6 and shards 0 and 2", err)
 	}
 	if _, err := shard.FromBackends([]shard.ShardBackend{{DB: dbs[0], Lists: lists(dbs[0])}, {DB: dbs[1]}}); err != nil {
 		t.Fatalf("valid backend set rejected: %v", err)

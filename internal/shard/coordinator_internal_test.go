@@ -35,7 +35,7 @@ var negInf = model.Grade(math.Inf(-1))
 // driven entirely by outsideB: every view item sits inside the global
 // top-k, so no view contributes to its shard's ceiling.
 func threeShardCoordinator() *nraCoordinator {
-	c := newNRACoordinator(3, 2, []int{2, 2, 2})
+	c := newNRACoordinator(2, []int{2, 2, 2}, newDegraded(3))
 	c.publish(0, view(0.25, item(1, 0.3, 0.6)))
 	c.publish(1, view(0.3, item(2, 0.2, 0.5)))
 	c.publish(2, view(0.9))
@@ -48,22 +48,25 @@ func threeShardCoordinator() *nraCoordinator {
 func TestPickCostAware(t *testing.T) {
 	// Cheap shard wins on priority: (0.3−0.2)/1 beats (0.9−0.2)/8.
 	c := threeShardCoordinator()
-	if got := c.pickCostAware([]float64{1, 1, 8}); got != 1 {
-		t.Fatalf("cheap winner: got %d, want 1", got)
+	if got := c.schedule([]float64{1, 1, 8}, true); !slices.Equal(got, []int{1}) {
+		t.Fatalf("cheap winner: got %v, want [1]", got)
 	}
 
 	// Expensive shard wins on priority: (0.9−0.2)/8 > (0.25−0.2)/1.
 	c = threeShardCoordinator()
-	if got := c.pickCostAware([]float64{1, 8, 8}); got != 2 {
-		t.Fatalf("expensive winner: got %d, want 2", got)
+	if got := c.schedule([]float64{1, 8, 8}, true); !slices.Equal(got, []int{2}) {
+		t.Fatalf("expensive winner: got %v, want [2]", got)
 	}
 
 	// A dead shard is never picked: with the priority winner dead the
-	// next-best unresolved shard runs.
+	// next-best unresolved shard runs, and the wave schedule drops it too.
 	c = threeShardCoordinator()
-	c.dead[2] = true
-	if got := c.pickCostAware([]float64{1, 8, 8}); got != 0 {
-		t.Fatalf("dead winner skipped: got %d, want 0", got)
+	c.deg.mark(2, 0, errFake)
+	if got := c.schedule([]float64{1, 8, 8}, true); !slices.Equal(got, []int{0}) {
+		t.Fatalf("dead winner skipped: got %v, want [0]", got)
+	}
+	if got := c.schedule(nil, false); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("wave with a dead shard: got %v, want [0 1]", got)
 	}
 }
 
@@ -72,18 +75,16 @@ func TestPickCostAware(t *testing.T) {
 // contribution is an outsideB bound above maxG, so finalize must cap it.
 func TestFinalizeReevaluatesCeilings(t *testing.T) {
 	c := threeShardCoordinator()
-	c.markDead(2)
-	deg := newDegraded(3)
-	deg.mark(2, 0, errFake)
-	floor := c.finalize(deg, model.Grade(0.7))
+	c.deg.mark(2, 0, errFake)
+	floor := c.finalize(model.Grade(0.7))
 	if floor != 0.2 {
 		t.Fatalf("θ floor = %g, want final M_k 0.2", floor)
 	}
 	// ceiling(2) is 0.9 from outsideB but maxG caps it at 0.7.
-	if deg.ceil[2] != 0.7 {
-		t.Fatalf("dead ceiling = %g, want capped 0.7", deg.ceil[2])
+	if c.deg.ceil[2] != 0.7 {
+		t.Fatalf("dead ceiling = %g, want capped 0.7", c.deg.ceil[2])
 	}
-	th, ok := deg.theta(floor, model.Grade(0.7))
+	th, ok := c.deg.theta(floor, model.Grade(0.7))
 	if !ok || math.Abs(th-0.7/0.2) > 1e-12 {
 		t.Fatalf("theta = %g ok=%v, want %g", th, ok, 0.7/0.2)
 	}
@@ -102,7 +103,7 @@ func assertTop(t *testing.T, c *nraCoordinator, want ...core.Scored) {
 // — and restores that order inside a view whose W-ties arrive out of B
 // order, as View may report them.
 func TestMergeBreaksWTiesByBThenID(t *testing.T) {
-	c := newNRACoordinator(3, 3, []int{2, 2, 2})
+	c := newNRACoordinator(3, []int{2, 2, 2}, newDegraded(3))
 	c.publish(0, view(negInf, item(7, 0.5, 0.6), item(8, 0.5, 0.8))) // W-tie out of B order
 	c.publish(1, view(negInf, item(3, 0.5, 0.6)))
 	c.publish(2, view(negInf, item(1, 0.4, 0.9), item(2, 0.3, 0.9)))
@@ -122,11 +123,11 @@ func TestMergeBreaksWTiesByBThenID(t *testing.T) {
 // so a shard that paused with every item inside the top-k is unresolved
 // again.
 func TestMergePushedOutMemberRaisesItsShardCeiling(t *testing.T) {
-	c := newNRACoordinator(2, 2, []int{2, 2})
+	c := newNRACoordinator(2, []int{2, 2}, newDegraded(2))
 	if c.publish(0, view(0.3, item(1, 0.4, 0.8), item(2, 0.3, 0.7))) {
 		t.Fatal("shard 0 should pause: ceiling 0.3 ≤ M_k 0.3")
 	}
-	if got := c.unresolved(); len(got) != 1 || got[0] != 1 {
+	if got := c.schedule(nil, false); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("unresolved = %v, want only the unpublished shard 1", got)
 	}
 	if c.publish(1, view(0.2, item(10, 0.6, 0.6))) {
@@ -136,7 +137,7 @@ func TestMergePushedOutMemberRaisesItsShardCeiling(t *testing.T) {
 	if got := c.ceiling(0); got != 0.7 {
 		t.Fatalf("ceiling(0) = %g, want the pushed-out member's B 0.7", got)
 	}
-	if got := c.unresolved(); len(got) != 1 || got[0] != 0 {
+	if got := c.schedule(nil, false); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("unresolved = %v, want shard 0 resumed", got)
 	}
 }
@@ -144,7 +145,7 @@ func TestMergePushedOutMemberRaisesItsShardCeiling(t *testing.T) {
 // TestMergeFewerThanKItems: while the views hold fewer than k items in
 // total, M_k stays -Inf and every item is in the answer.
 func TestMergeFewerThanKItems(t *testing.T) {
-	c := newNRACoordinator(2, 5, []int{5, 5})
+	c := newNRACoordinator(5, []int{5, 5}, newDegraded(2))
 	c.publish(0, view(0.1, item(1, 0.9, 0.9), item(2, 0.8, 0.8)))
 	c.publish(1, view(0.1, item(3, 0.7, 0.7), item(4, 0.6, 0.6)))
 	if got := c.globalMk(); !math.IsInf(got, -1) {
@@ -154,7 +155,7 @@ func TestMergeFewerThanKItems(t *testing.T) {
 		t.Fatalf("M_k = %g, want -Inf", got)
 	}
 	assertTop(t, c, item(1, 0.9, 0.9), item(2, 0.8, 0.8), item(3, 0.7, 0.7), item(4, 0.6, 0.6))
-	if got := c.unresolved(); len(got) != 2 {
+	if got := c.schedule(nil, false); len(got) != 2 {
 		t.Fatalf("unresolved = %v, want both shards: nothing is bounded by -Inf", got)
 	}
 }
@@ -164,18 +165,16 @@ func TestMergeFewerThanKItems(t *testing.T) {
 // publish pushes its member out; finalize must read the final views and
 // certify that member's B.
 func TestFinalizeReadsFinalViews(t *testing.T) {
-	c := newNRACoordinator(2, 1, []int{1, 1})
+	c := newNRACoordinator(1, []int{1, 1}, newDegraded(2))
 	c.publish(1, view(0.2, item(5, 0.4, 0.6)))
-	c.markDead(1)
+	c.deg.mark(1, 0, errFake)
 	c.publish(0, view(0.1, item(9, 0.5, 0.5)))
-	deg := newDegraded(2)
-	deg.mark(1, 0, errFake)
-	floor := c.finalize(deg, model.Grade(1))
+	floor := c.finalize(model.Grade(1))
 	if floor != 0.5 {
 		t.Fatalf("θ floor = %g, want final M_k 0.5", floor)
 	}
-	if deg.ceil[1] != 0.6 {
-		t.Fatalf("dead ceiling = %g, want the pushed-out member's B 0.6", deg.ceil[1])
+	if c.deg.ceil[1] != 0.6 {
+		t.Fatalf("dead ceiling = %g, want the pushed-out member's B 0.6", c.deg.ceil[1])
 	}
 }
 

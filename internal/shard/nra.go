@@ -58,7 +58,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/access"
 	"repro/internal/agg"
@@ -82,17 +81,22 @@ type nraCoordinator struct {
 	outsideB  []model.Grade // per-shard max viable B outside the local top-k
 	seenAll   []bool        // shard has seen every one of its objects
 	exhausted []bool        // shard has consumed every list entirely
-	dead      []bool        // shard lost permanently; never resumed again
 
-	mkBits  atomic.Uint64 // Float64bits of the global k-th W, -Inf while the views hold < k items
-	stopped atomic.Bool   // external cancellation or a worker error
+	// deg is the query's record of shards lost permanently, which are
+	// never resumed again. Workers mark it during a wave; the coordinator
+	// reads it only between waves and after the last, once the pool has
+	// joined.
+	deg *degraded
+
+	mkBits atomic.Uint64 // Float64bits of the global k-th W, -Inf while the views hold < k items
 
 	size, peak int // current and peak item count of the views — the coordinator's buffer accounting
 }
 
 // newNRACoordinator sizes one view buffer per shard at ks[s] = min(k, N_s)
 // items, the most a shard's cursor ever reports.
-func newNRACoordinator(p, k int, ks []int) *nraCoordinator {
+func newNRACoordinator(k int, ks []int, deg *degraded) *nraCoordinator {
+	p := len(ks)
 	c := &nraCoordinator{
 		k:         k,
 		views:     make([][]core.Scored, p),
@@ -102,7 +106,7 @@ func newNRACoordinator(p, k int, ks []int) *nraCoordinator {
 		outsideB:  make([]model.Grade, p),
 		seenAll:   make([]bool, p),
 		exhausted: make([]bool, p),
-		dead:      make([]bool, p),
+		deg:       deg,
 	}
 	total := 0
 	for _, n := range ks {
@@ -229,77 +233,54 @@ func (c *nraCoordinator) markExhausted(s int) {
 	c.mu.Unlock()
 }
 
-// markDead records a shard lost permanently: the scheduler never resumes it
-// again. Unlike markExhausted the shard's unseen-object bound τ_s stays in
-// its ceiling — the shard did not finish, so its unseen objects still exist
-// and are bounded only by what it last published.
-func (c *nraCoordinator) markDead(s int) {
-	c.mu.Lock()
-	c.dead[s] = true
-	c.mu.Unlock()
-}
-
 // finalize evaluates every dead shard's B-ceiling against the *final*
-// merge and stores it in deg, returning the θ floor (the final global
-// M_k). Death-time ceilings would be unsound: a dead shard's view item can
-// be pushed out of the global top-k later — by a surviving shard's W
-// rising — with a frozen B above the ceiling at death. The final merge
-// covers exactly those items; τ_s and outside-B only ever fall, so their
-// last published values remain valid bounds for everything the shard
-// never published. Each ceiling is capped at maxG = t(1,…,1).
-func (c *nraCoordinator) finalize(deg *degraded, maxG model.Grade) float64 {
+// merge and stores it in the lost-shard record, returning the θ floor (the
+// final global M_k). Death-time ceilings would be unsound: a dead shard's
+// view item can be pushed out of the global top-k later — by a surviving
+// shard's W rising — with a frozen B above the ceiling at death. The final
+// merge covers exactly those items; τ_s and outside-B only ever fall, so
+// their last published values remain valid bounds for everything the shard
+// never published. Unlike an exhausted shard's, a dead shard's τ_s stays
+// in its ceiling: its unseen objects still exist. Each ceiling is capped
+// at maxG = t(1,…,1).
+func (c *nraCoordinator) finalize(maxG model.Grade) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for s, isDead := range c.dead {
-		if !isDead {
-			continue
+	for s, isDead := range c.deg.dead {
+		if isDead {
+			c.deg.ceil[s] = min(c.ceiling(s), maxG)
 		}
-		ceil := c.ceiling(s)
-		if ceil > maxG {
-			ceil = maxG
-		}
-		deg.ceil[s] = ceil
 	}
 	return float64(c.mk())
 }
 
-// unresolved returns the shards whose B-ceiling still exceeds M_k and that
-// can still be stepped — the shards the coordinator must resume, typically
-// because one of their view items was pushed out of the global top-k after
-// they paused.
-func (c *nraCoordinator) unresolved() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	mk := c.mk()
-	var out []int
-	for s := range c.exhausted {
-		if !c.exhausted[s] && !c.dead[s] && c.ceiling(s) > mk {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// pickCostAware returns the unresolved shard with the best bound-tightening
-// value per unit of expected cost: argmax over shards of
-// (ceiling − M_k) / stepCost, or -1 when every shard is resolved. A shard
-// that has never published has ceiling +Inf, so the priorities of untouched
-// shards tie at +Inf and resolve toward the cheapest backend — expensive
-// shards run last, against an M_k their cheap siblings have already raised,
-// and pause shallower than a concurrent wave would let them.
-func (c *nraCoordinator) pickCostAware(stepCost []float64) int {
+// schedule returns the next wave: the shards whose B-ceiling still exceeds
+// M_k and that can still be stepped — typically because one of their view
+// items was pushed out of the global top-k after they paused. A serialized
+// schedule runs only the one among them with the best bound-tightening
+// value per unit of expected cost, argmax of (ceiling − M_k) / stepCost. A
+// shard that has never published has ceiling +Inf, so the priorities of
+// untouched shards tie at +Inf and resolve toward the cheapest backend —
+// expensive shards run last, against an M_k their cheap siblings have
+// already raised, and pause shallower than a concurrent wave would let
+// them. An empty wave ends the query.
+func (c *nraCoordinator) schedule(stepCost []float64, serialized bool) []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	mk := float64(c.mk())
-	best := -1
-	var bestPrio float64
+	var wave []int
+	best, bestPrio := -1, 0.0
 	for s := range c.exhausted {
-		if c.exhausted[s] || c.dead[s] {
+		if c.exhausted[s] || c.deg.dead[s] {
 			continue
 		}
 		ceil := float64(c.ceiling(s))
 		if !(ceil > mk) {
 			continue // resolved: nothing outside the global top-k can win
+		}
+		if !serialized {
+			wave = append(wave, s)
+			continue
 		}
 		// ceil > mk rules out Inf−Inf, so prio is +Inf or finite, never NaN.
 		prio := (ceil - mk) / stepCost[s]
@@ -307,7 +288,10 @@ func (c *nraCoordinator) pickCostAware(stepCost []float64) int {
 			best, bestPrio = s, prio
 		}
 	}
-	return best
+	if best >= 0 {
+		wave = append(wave, best)
+	}
+	return wave
 }
 
 // topK returns the final global answer: the merged best k by
@@ -378,8 +362,8 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 	if sched == ScheduleAuto {
 		sched = ScheduleWave
 	}
-	ks := make([]int, p)
-	srcs := make([]*access.Source, p)
+	f := e.newFrame(ctx, t, k, opts, access.Policy{NoRandom: true})
+	defer f.close()
 	cursors := make([]*core.NRACursor, p)
 	defer func() {
 		for _, cur := range cursors {
@@ -389,25 +373,18 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 		}
 	}()
 	stepCost := make([]float64, p)
-	for s, db := range e.shards {
-		ks[s] = k
-		if n := db.N(); ks[s] > n {
-			ks[s] = n // a shard smaller than k contributes all its objects
-		}
-		srcs[s] = e.source(s, access.Policy{NoRandom: true})
-		srcs[s].BindContext(ctx)
-		srcs[s].SetRetry(opts.Retry.Resolve())
-		cur, err := core.NewNRACursor(srcs[s], t, ks[s], core.LazyEngine)
+	for s := range cursors {
+		cur, err := core.NewNRACursor(f.srcs[s], t, f.ks[s], core.LazyEngine)
 		if err != nil {
 			return nil, err
 		}
 		cursors[s] = cur
 		stepCost[s] = cur.StepCost()
 	}
-	coord := newNRACoordinator(p, k, ks)
+	coord := newNRACoordinator(k, f.ks, f.deg)
 	// Scheduling loop: run every pending shard until it pauses or
 	// exhausts, then ask the scheduler which shards to resume. Cursors
-	// persist across batches, so a resumed shard continues exactly where
+	// persist across waves, so a resumed shard continues exactly where
 	// it stopped — including past its local halting point. The wave
 	// scheduler resumes every unresolved shard concurrently; the
 	// cost-aware scheduler serializes, always resuming the shard whose
@@ -422,26 +399,6 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 	if sched == ScheduleAdaptive {
 		est = newCostEstimator(append([]float64(nil), stepCost...), ewmaAlpha)
 		probe = adaptiveProbeRounds
-	}
-	deg := newDegraded(p)
-	errs := make([]error, p)
-	next := func() []int {
-		if !serialized {
-			return coord.unresolved()
-		}
-		if s := coord.pickCostAware(stepCost); s >= 0 {
-			return []int{s}
-		}
-		return nil
-	}
-	var pending []int
-	if serialized {
-		pending = next()
-	} else {
-		pending = make([]int, p)
-		for s := range pending {
-			pending[s] = s
-		}
 	}
 	// A lone shard steps singly and publishes only when its cursor halts
 	// (or is exhausted, fails, or ends a probe): there is no sibling shard
@@ -460,20 +417,16 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 	if p > 1 && !serialized {
 		budget = nraBatchRounds
 	}
-	ran := make([]bool, p)
-	resumes := make([]int, p)
-	elapsed := make([]time.Duration, p)
 	// step drives shard s's cursor until the coordinator pauses it, it
-	// exhausts or fails, or its probe budget runs out.
+	// exhausts or fails, or its probe budget runs out. After a panic the
+	// cursor's state is unknown, so nothing more is published; the shard's
+	// last published view (or, before any publish, the +Inf scalars capped
+	// at t(1,…,1)) still bounds everything it never merged.
 	step := func(s int) error {
 		cur := cursors[s]
 		since, rounds := 0, 0
 		for {
-			if coord.stopped.Load() {
-				return nil
-			}
-			if ctx.Err() != nil {
-				coord.stopped.Store(true)
+			if f.cancelled() {
 				return nil
 			}
 			b := budget
@@ -514,100 +467,33 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 			}
 		}
 	}
-	for len(pending) > 0 {
-		batch := pending
-		for _, s := range batch {
-			if ran[s] {
-				resumes[s]++
-			}
-			ran[s] = true
-		}
-		weight := func(i int) float64 {
-			// Estimated remaining work: rounds to full exhaustion at the
-			// shard's declared per-round cost — the upper bound on how far
-			// the coordinator may need to push the cursor.
-			s := batch[i]
-			rem := float64(e.shards[s].N() - cursors[s].Depth())
-			if rem < 1 {
-				rem = 1
-			}
-			return rem * stepCost[s]
-		}
-		stepped := make([]int, len(batch))
-		took := make([]time.Duration, len(batch))
-		ForEachWeighted(len(batch), opts.Workers, weight, func(i int) {
-			s := batch[i]
-			start, depth0 := time.Now(), cursors[s].Depth()
-			err := runShard(func() error { return step(s) })
-			took[i] = time.Since(start)
-			elapsed[s] += took[i]
-			stepped[i] = cursors[s].Depth() - depth0
-			if err == nil {
-				return
-			}
-			// After a panic the cursor's state is unknown, so nothing more
-			// is published; the shard's last published view (or, before
-			// any publish, the +Inf scalars capped at t(1,…,1)) still
-			// bounds everything it never merged.
-			if errs[s] = shardFatal(ctx, s, err); errs[s] != nil {
-				coord.stopped.Store(true)
-				return
-			}
-			coord.markDead(s)
-			deg.mark(s, 0, err)
-		})
-		if err := ctx.Err(); err != nil {
+	// Every shard starts unresolved (its ceiling is +Inf), so the first
+	// wave runs them all, or the serialized schedules' first pick.
+	for pending := coord.schedule(stepCost, serialized); len(pending) > 0; {
+		// The adaptive schedule runs one shard per wave, its pick.
+		s := pending[0]
+		depth0, took0 := cursors[s].Depth(), f.elapsed[s]
+		if err := f.wave(pending, step); err != nil {
 			return nil, err
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
 		}
 		if est != nil {
-			// Observed serially after the pool joins: the estimator is not
-			// safe for concurrent use.
-			for i, s := range batch {
-				est.Observe(s, stepped[i], took[i])
-			}
-			for s := range stepCost {
-				stepCost[s] = est.Estimate(s)
+			// Observed between waves: the estimator is not safe for
+			// concurrent use.
+			est.Observe(s, cursors[s].Depth()-depth0, f.elapsed[s]-took0)
+			for i := range stepCost {
+				stepCost[i] = est.Estimate(i)
 			}
 		}
-		pending = next()
+		pending = coord.schedule(stepCost, serialized)
 	}
 	items, exact := coord.topK()
-	stats := access.Stats{PerList: make([]int64, e.m)}
-	shardStats := make([]access.Stats, p)
 	rounds := 0
-	for s := range srcs {
-		shardStats[s] = srcs[s].Stats()
-		addStats(&stats, shardStats[s])
-		if d := cursors[s].Depth(); d > rounds {
-			rounds = d
-		}
-		e.recycle(s, srcs[s])
+	for _, cur := range cursors {
+		rounds = max(rounds, cur.Depth())
 	}
-	stats.MaxBuffered += coord.peak
-	res := &core.Result{
-		Items:       items,
-		GradesExact: exact,
-		Theta:       1,
-		Rounds:      rounds,
-		Stats:       stats,
-	}
-	if deg.count > 0 {
-		// Every answer's W is a valid lower bound, so the final global M_k
-		// is the θ floor; each dead shard's ceiling is evaluated against
-		// the final merge under the coordinator lock.
-		floor := coord.finalize(deg, maxOverall(t, e.m))
-		var err error
-		if res, err = deg.degradeResult(res, opts, t, e.m, floor, p); err != nil {
-			return nil, err
-		}
-	}
-	if opts.OnShardStats != nil {
-		opts.OnShardStats(e.shardStats(shardStats, elapsed, resumes, deg.dead))
-	}
-	return res, nil
+	// Every answer's W is a valid lower bound, so with shards lost the
+	// final global M_k is the θ floor; finalize evaluates each dead
+	// shard's ceiling against the final merge under the coordinator lock.
+	floor := func() float64 { return coord.finalize(maxOverall(t, e.m)) }
+	return f.finish(items, exact, rounds, coord.peak, floor)
 }

@@ -1,10 +1,6 @@
 package shard
 
-import (
-	"math"
-	"sort"
-	"sync"
-)
+import "sync"
 
 // ForEach runs fn(i) for every i in [0, n) on at most workers concurrent
 // goroutines and blocks until all calls return. workers <= 0 or > n means
@@ -13,27 +9,14 @@ import (
 // and the sharded engine's per-shard workers.
 //
 // The pool is a work-stealing range splitter: each worker starts with a
-// contiguous slice of the index space (cache-friendly, zero coordination
-// while it lasts) and, when its own range drains, steals the far half of a
-// straggler's remaining range. On skewed workloads — a Zipf shard that runs
-// 10× deeper than its siblings, one slow query in a batch — finished
-// workers therefore converge on the straggler's range instead of idling,
-// which a static split cannot do, and without paying the per-item channel
-// handoff of a shared job queue on uniform workloads.
+// contiguous slice of the index space, cut by count (cache-friendly, zero
+// coordination while it lasts), and, when its own range drains, steals the
+// back half of a straggler's remaining range. On skewed workloads — a Zipf
+// shard that runs 10× deeper than its siblings, one slow query in a
+// batch — finished workers therefore converge on the straggler's range
+// instead of idling, which a static split cannot do, and without paying
+// the per-item channel handoff of a shared job queue on uniform workloads.
 func ForEach(n, workers int, fn func(i int)) {
-	ForEachWeighted(n, workers, func(int) float64 { return 1 }, fn)
-}
-
-// ForEachWeighted is ForEach for heterogeneous items: weight(i) estimates
-// item i's cost, and both the initial split and stealing balance estimated
-// weight instead of index count. The initial contiguous ranges are cut at
-// the weight prefix-sum's even fractions, and a thief takes the suffix
-// holding about half of the victim's *remaining weight* — by-count stealing
-// hands a thief half the victim's indices, which on a 16×-skewed workload
-// can be almost none of its remaining work. Weights are estimates, so
-// non-positive or non-finite values degrade to 1 (by-count behavior) rather
-// than panicking; weight is called once per item up front.
-func ForEachWeighted(n, workers int, weight func(i int) float64, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
@@ -46,22 +29,17 @@ func ForEachWeighted(n, workers int, weight func(i int) float64, fn func(i int))
 		}
 		return
 	}
-	prefix := weightPrefix(n, weight)
-	cuts := weightedCuts(prefix, workers)
-	qs := make([]workQueue, workers)
-	for w := 0; w < workers; w++ {
-		qs[w].lo, qs[w].hi = cuts[w], cuts[w+1]
-	}
+	qs := queues(n, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for w := range qs {
 		go func(self int) {
 			defer wg.Done()
 			q := &qs[self]
 			for {
 				i, ok := q.pop()
 				if !ok {
-					if !stealWeighted(qs, self, prefix) {
+					if !steal(qs, self) {
 						return
 					}
 					continue
@@ -73,60 +51,23 @@ func ForEachWeighted(n, workers int, weight func(i int) float64, fn func(i int))
 	wg.Wait()
 }
 
-// weightPrefix evaluates weight once per item and returns its prefix sums,
-// sanitizing non-positive and non-finite estimates to 1.
-func weightPrefix(n int, weight func(i int) float64) []float64 {
-	prefix := make([]float64, n+1)
-	for i := 0; i < n; i++ {
-		w := weight(i)
-		if !(w > 0) || math.IsInf(w, 1) {
-			w = 1
-		}
-		prefix[i+1] = prefix[i] + w
+// queues cuts [0, n) into workers contiguous ranges whose sizes differ by
+// at most one, so no worker starts empty while another holds two items.
+func queues(n, workers int) []workQueue {
+	qs := make([]workQueue, workers)
+	for w := range qs {
+		qs[w].lo, qs[w].hi = w*n/workers, (w+1)*n/workers
 	}
-	return prefix
+	return qs
 }
 
-// weightedCuts returns the workers+1 range boundaries of the initial
-// contiguous split: worker w owns [cuts[w], cuts[w+1]), with each boundary
-// at the prefix position *nearest* its even fraction of the total weight
-// (the last worker takes the rest). Rounding to nearest rather than down
-// matters when one item outweighs a full share: flooring would leave every
-// boundary before the heavy item stuck at its left edge, stacking the
-// heavy item and everything after it on one worker, while nearest-rounding
-// isolates it (the preceding range may come out empty; its worker then
-// immediately steals).
-func weightedCuts(prefix []float64, workers int) []int {
-	n := len(prefix) - 1
-	cuts := make([]int, workers+1)
-	lo := 0
-	for w := 0; w < workers; w++ {
-		hi := lo
-		if w == workers-1 {
-			hi = n
-		} else {
-			target := prefix[n] * float64(w+1) / float64(workers)
-			for hi < n && prefix[hi+1] <= target {
-				hi++
-			}
-			if hi < n && prefix[hi+1]-target < target-prefix[hi] {
-				hi++
-			}
-		}
-		cuts[w], cuts[w+1] = lo, hi
-		lo = hi
-	}
-	return cuts
-}
-
-// stealWeighted moves the suffix holding about half of the first non-empty
-// victim's remaining *weight* into self's drained queue (the whole lone
-// item when only one remains; at least one item and at most all-but-one
-// otherwise) and reports whether anything was found. Items only ever move
-// between queues — none are created — so a full scan finding every queue
-// empty means no work remains for self: whatever is still unfinished is
-// owned by workers that will complete it.
-func stealWeighted(qs []workQueue, self int, prefix []float64) bool {
+// steal moves the back half of the first non-empty victim's remaining
+// range (a lone item whole) into self's drained queue and reports whether
+// anything was found. Items only ever move between queues — none are
+// created — so a full scan finding every queue empty means no work remains
+// for self: whatever is still unfinished is owned by workers that will
+// complete it.
+func steal(qs []workQueue, self int) bool {
 	for off := 1; off < len(qs); off++ {
 		v := &qs[(self+off)%len(qs)]
 		v.mu.Lock()
@@ -135,22 +76,8 @@ func stealWeighted(qs []workQueue, self int, prefix []float64) bool {
 			v.mu.Unlock()
 			continue
 		}
-		split := v.lo
-		if avail >= 2 {
-			half := (prefix[v.hi] - prefix[v.lo]) / 2
-			vlo, vhi := v.lo, v.hi
-			// Smallest split in [lo+1, hi-1] whose suffix weight is ≤ half
-			// of the remaining weight; hi-1 when even the last item alone
-			// exceeds it.
-			split = vlo + 1 + sort.Search(avail-1, func(d int) bool {
-				return prefix[vhi]-prefix[vlo+1+d] <= half
-			})
-			if split >= vhi {
-				split = vhi - 1
-			}
-		}
-		lo, hi := split, v.hi
-		v.hi = split
+		lo, hi := v.hi-max(avail/2, 1), v.hi
+		v.hi = lo
 		v.mu.Unlock()
 		q := &qs[self]
 		q.mu.Lock()

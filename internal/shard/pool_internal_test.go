@@ -1,112 +1,69 @@
 package shard
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
-// skewedPrefix builds the prefix sums for a 16×-skewed shard set: shard 0
-// estimates 16 units of remaining work, the other n-1 shards one unit each
-// — the shape a Zipf partition hands the scheduler.
-func skewedPrefix(n int) []float64 {
-	return weightPrefix(n, func(i int) float64 {
-		if i == 0 {
-			return 16
-		}
-		return 1
-	})
-}
-
-// TestWeightedCutsBalancesSkew pins the reason the weighted split exists:
-// on a 16×-skewed shard set, cutting at even weight fractions must not
-// stack light shards behind the heavy one. With 16 shards and 4 workers a
-// by-count split gives worker 0 shards {0..3} — 19 of the 31 weight units,
-// 61% of the work on one worker — while the weighted cut must keep every
-// worker's range at or below one even share plus the heaviest single item
-// (a contiguous split cannot do better when one item exceeds a share).
-func TestWeightedCutsBalancesSkew(t *testing.T) {
-	const n, workers = 16, 4
-	prefix := skewedPrefix(n)
-	cuts := weightedCuts(prefix, workers)
-
-	if cuts[0] != 0 || cuts[workers] != n {
-		t.Fatalf("cuts %v do not cover [0, %d)", cuts, n)
-	}
-	total := prefix[n]
-	share := total / workers
-	maxItem := 16.0
-	var worst float64
-	for w := 0; w < workers; w++ {
-		if cuts[w] > cuts[w+1] {
-			t.Fatalf("cuts %v not monotone", cuts)
-		}
-		got := prefix[cuts[w+1]] - prefix[cuts[w]]
-		if got > worst {
-			worst = got
+// TestQueuesOneIndexPerWorker: with as many workers as items every worker's
+// first range holds exactly one index, so a wave of shards under the
+// default pool runs each shard on its own goroutine from the start.
+func TestQueuesOneIndexPerWorker(t *testing.T) {
+	for _, n := range []int{2, 3, 4, 8, 17} {
+		qs := queues(n, n)
+		for w := range qs {
+			if q := &qs[w]; q.lo != w || q.hi != w+1 {
+				t.Fatalf("n=%d: worker %d starts with [%d, %d), want [%d, %d)", n, w, q.lo, q.hi, w, w+1)
+			}
 		}
 	}
-	if worst > share+maxItem {
-		t.Fatalf("worst range weight %.1f exceeds share %.1f + heaviest item %.1f (cuts %v)", worst, share, maxItem, cuts)
-	}
-	// A by-count split's worst range carries the heavy shard plus three
-	// light ones; the weighted cut must beat it.
-	byCountWorst := 16.0 + 3
-	if worst >= byCountWorst {
-		t.Fatalf("weighted split's worst range %.1f is no better than by-count %.1f (cuts %v)", worst, byCountWorst, cuts)
+	// Fewer workers than items: contiguous ranges covering [0, n) whose
+	// sizes differ by at most one.
+	qs := queues(7, 3)
+	want := [][2]int{{0, 2}, {2, 4}, {4, 7}}
+	for w := range qs {
+		if q := &qs[w]; q.lo != want[w][0] || q.hi != want[w][1] {
+			t.Fatalf("worker %d starts with [%d, %d), want %v", w, q.lo, q.hi, want[w])
+		}
 	}
 }
 
-// TestStealWeightedTakesHalfRemainingWeight pins the thief's target: the
-// suffix holding about half the victim's remaining weight. With the victim
-// owning the full 16×-skewed range (31 units), the heavy shard at the
-// front alone exceeds half, so the thief must take all fifteen light
-// shards (15 units ≤ 15.5) — a by-count steal would take only the back
-// eight (8 units), leaving the victim with 23.
-func TestStealWeightedTakesHalfRemainingWeight(t *testing.T) {
-	const n = 16
-	prefix := skewedPrefix(n)
-	qs := make([]workQueue, 2)
-	qs[0].lo, qs[0].hi = 0, 0 // thief: drained
-	qs[1].lo, qs[1].hi = 0, n // victim: everything
-
-	if !stealWeighted(qs, 0, prefix) {
-		t.Fatal("stealWeighted found no work despite a full victim queue")
-	}
-	if qs[1].lo != 0 || qs[1].hi != 1 {
-		t.Fatalf("victim kept [%d, %d), want the lone heavy shard [0, 1)", qs[1].lo, qs[1].hi)
-	}
-	if qs[0].lo != 1 || qs[0].hi != n {
-		t.Fatalf("thief got [%d, %d), want the light suffix [1, %d)", qs[0].lo, qs[0].hi, n)
+// TestStealTakesBackHalf pins the thief's target: the back half of the
+// victim's remaining range, so the owner keeps popping from the front
+// without meeting the thief.
+func TestStealTakesBackHalf(t *testing.T) {
+	for _, tc := range []struct{ lo, hi, split int }{
+		{0, 16, 8}, // even: the thief takes 8 of 16
+		{4, 11, 8}, // odd: the thief takes 3 of 7, the owner keeps 4
+		{5, 7, 6},  // two items: one each
+	} {
+		qs := make([]workQueue, 2)
+		qs[1].lo, qs[1].hi = tc.lo, tc.hi // victim
+		if !steal(qs, 0) {
+			t.Fatalf("[%d, %d): steal found no work despite a full victim queue", tc.lo, tc.hi)
+		}
+		if qs[1].lo != tc.lo || qs[1].hi != tc.split {
+			t.Fatalf("[%d, %d): victim kept [%d, %d), want [%d, %d)", tc.lo, tc.hi, qs[1].lo, qs[1].hi, tc.lo, tc.split)
+		}
+		if qs[0].lo != tc.split || qs[0].hi != tc.hi {
+			t.Fatalf("[%d, %d): thief got [%d, %d), want [%d, %d)", tc.lo, tc.hi, qs[0].lo, qs[0].hi, tc.split, tc.hi)
+		}
 	}
 }
 
-// TestStealWeightedLoneItem checks a lone remaining item moves whole: a
-// suffix steal that must leave the victim one item would otherwise strand
-// single-item queues forever.
-func TestStealWeightedLoneItem(t *testing.T) {
-	prefix := weightPrefix(3, func(int) float64 { return 5 })
-	qs := make([]workQueue, 2)
-	qs[1].lo, qs[1].hi = 2, 3
-	if !stealWeighted(qs, 0, prefix) {
-		t.Fatal("stealWeighted found no work")
+// TestStealLoneItem checks a lone remaining item moves whole: a half of
+// one item rounds to nothing, which would strand single-item queues
+// forever.
+func TestStealLoneItem(t *testing.T) {
+	qs := make([]workQueue, 3)
+	qs[2].lo, qs[2].hi = 2, 3
+	if !steal(qs, 0) {
+		t.Fatal("steal found no work")
 	}
-	if qs[1].lo != qs[1].hi {
-		t.Fatalf("victim kept [%d, %d), want empty", qs[1].lo, qs[1].hi)
+	if qs[2].lo != qs[2].hi {
+		t.Fatalf("victim kept [%d, %d), want empty", qs[2].lo, qs[2].hi)
 	}
 	if qs[0].lo != 2 || qs[0].hi != 3 {
 		t.Fatalf("thief got [%d, %d), want [2, 3)", qs[0].lo, qs[0].hi)
 	}
-}
-
-// TestWeightPrefixSanitizes checks hostile weight estimates degrade to 1
-// (by-count behavior) instead of corrupting the prefix sums.
-func TestWeightPrefixSanitizes(t *testing.T) {
-	bad := []float64{-3, 0, math.NaN(), math.Inf(1), 2}
-	prefix := weightPrefix(len(bad), func(i int) float64 { return bad[i] })
-	want := []float64{0, 1, 2, 3, 4, 6}
-	for i, p := range prefix {
-		if p != want[i] {
-			t.Fatalf("prefix[%d] = %v, want %v (full %v)", i, p, want[i], prefix)
-		}
+	if steal(qs, 0) {
+		t.Fatal("steal reported work with every other queue empty")
 	}
 }

@@ -27,73 +27,6 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-// TestForEachWeightedCoversEveryIndexOnce checks the weighted pool keeps
-// the basic ForEach contract — every index runs exactly once — across pool
-// shapes and weight functions, including heavily skewed and hostile
-// (negative, NaN, infinite) estimates.
-func TestForEachWeightedCoversEveryIndexOnce(t *testing.T) {
-	weights := map[string]func(i int) float64{
-		"uniform": func(i int) float64 { return 1 },
-		"skewed16x": func(i int) float64 {
-			if i == 0 {
-				return 16
-			}
-			return 1
-		},
-		"hostile": func(i int) float64 { return float64(i%3) - 1 }, // -1, 0, 1, ...
-	}
-	for name, weight := range weights {
-		for _, tc := range []struct{ n, workers int }{
-			{0, 4}, {1, 1}, {1, 8}, {7, 3}, {16, 4}, {64, 64}, {1000, 8},
-		} {
-			counts := make([]int32, tc.n)
-			shard.ForEachWeighted(tc.n, tc.workers, weight, func(i int) {
-				atomic.AddInt32(&counts[i], 1)
-			})
-			for i, c := range counts {
-				if c != 1 {
-					t.Fatalf("%s n=%d workers=%d: index %d ran %d times", name, tc.n, tc.workers, i, c)
-				}
-			}
-		}
-	}
-}
-
-// TestForEachWeightedStealsFromBlockedOwner is the weighted pool's version
-// of the blocked-owner gate: worker 0's initial range blocks on its first
-// index until later indices in the same range have run, which only
-// stealing can achieve.
-func TestForEachWeightedStealsFromBlockedOwner(t *testing.T) {
-	const n, workers = 16, 4
-	var remaining int32 = 3
-	gate := make(chan struct{})
-	var timedOut int32
-	counts := make([]int32, n)
-	shard.ForEachWeighted(n, workers, func(i int) float64 { return 1 }, func(i int) {
-		switch {
-		case i == 0:
-			select {
-			case <-gate:
-			case <-time.After(10 * time.Second):
-				atomic.StoreInt32(&timedOut, 1)
-			}
-		case i <= 3:
-			if atomic.AddInt32(&remaining, -1) == 0 {
-				close(gate)
-			}
-		}
-		atomic.AddInt32(&counts[i], 1)
-	})
-	if atomic.LoadInt32(&timedOut) == 1 {
-		t.Fatal("indices 1..3 were never stolen from the blocked owner")
-	}
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("index %d ran %d times", i, c)
-		}
-	}
-}
-
 // TestForEachStealsFromBlockedOwner pins the load-balancing property the
 // work-stealing pool exists for. With 4 workers over 16 indices the initial
 // split gives worker 0 the contiguous range [0, 4); the function blocks on

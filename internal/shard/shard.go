@@ -25,7 +25,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -82,11 +81,6 @@ type ShardStat struct {
 	// its backend failed past the retry budget — and the answer was degraded
 	// to a θ-approximation without the shard's full evidence.
 	Dead bool
-	// Cache is the shard's cache accounting as of the end of this query
-	// (per-tier hits, admission rejections, per-tier evictions). Caches
-	// persist across queries, so the snapshot is engine-lifetime
-	// cumulative, not per-query; zero when the shard has no cache.
-	Cache access.CacheStats
 }
 
 // Options configures one sharded query.
@@ -254,7 +248,6 @@ func FromBackends(shards []ShardBackend) (*Engine, error) {
 		return nil, fmt.Errorf("shard: %w: need at least one shard", core.ErrBadQuery)
 	}
 	var m, total int
-	seen := make(map[model.ObjectID]int)
 	e := &Engine{
 		shards: make([]*model.Database, len(shards)),
 		lists:  make([][]access.ListSource, len(shards)),
@@ -283,20 +276,65 @@ func FromBackends(shards []ShardBackend) (*Engine, error) {
 				}
 			}
 		}
-		for _, obj := range db.Objects() {
-			if prev, dup := seen[obj]; dup {
-				return nil, fmt.Errorf("shard: %w: object %d appears in shards %d and %d", core.ErrBadQuery, obj, prev, s)
-			}
-			seen[obj] = s
-		}
 		total += db.N()
 		e.shards[s] = db
 		e.lists[s] = sb.Lists
 		e.caches[s] = sb.Cache
 	}
+	if err := disjoint(e.shards); err != nil {
+		return nil, err
+	}
 	e.m, e.n = m, total
 	e.pools = make([]sync.Pool, len(shards))
 	return e, nil
+}
+
+// disjoint fails on the smallest object two shards share. It merges the
+// shards' object lists, which model.Database keeps ascending, through a
+// heap of the shards with objects left: O(N log P) time and O(P) space
+// for every shard count, P = N included.
+func disjoint(dbs []*model.Database) error {
+	pos := make([]int, len(dbs))
+	next := func(s int) model.ObjectID { return dbs[s].Objects()[pos[s]] }
+	// Ties go to the lower shard, so a shared object's two shards leave
+	// the heap in ascending order, one right after the other.
+	less := func(a, b int) bool { return next(a) < next(b) || next(a) == next(b) && a < b }
+	var h []int
+	down := func(i int) {
+		for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+			if c+1 < len(h) && less(h[c+1], h[c]) {
+				c++
+			}
+			if !less(h[c], h[i]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+		}
+	}
+	for s, db := range dbs {
+		if db.N() > 0 {
+			h = append(h, s)
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	var last model.ObjectID
+	lastShard := -1
+	for len(h) > 0 {
+		s := h[0]
+		obj := next(s)
+		if lastShard >= 0 && obj == last {
+			return fmt.Errorf("shard: %w: object %d appears in shards %d and %d", core.ErrBadQuery, obj, lastShard, s)
+		}
+		last, lastShard = obj, s
+		if pos[s]++; pos[s] == dbs[s].N() {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	return nil
 }
 
 // source opens an accounting Source over shard s's access stack, recycling
@@ -315,11 +353,6 @@ func (e *Engine) source(s int, policy access.Policy) *access.Source {
 	}
 	return access.New(e.shards[s], policy)
 }
-
-// recycle returns a finished query's Source to shard s's pool. Callers must
-// have taken any Stats they need first — Source.Stats returns a copy, so a
-// Result built from it stays valid after the Source is reused.
-func (e *Engine) recycle(s int, src *access.Source) { e.pools[s].Put(src) }
 
 // CacheStats returns each shard's cache statistics, indexed by shard;
 // shards without a cache report zero stats. Caches persist across queries,
@@ -353,13 +386,12 @@ func (e *Engine) Query(t agg.Func, k int, opts Options) (*core.Result, error) {
 // shard is cancelled prematurely.
 const noKth = -1.0
 
-// coordinator is the shared state behind one sharded query: the global
+// coordinator is the shared state behind one TA-mode query: the global
 // canonical top-k heap plus the cancellation bound derived from it.
 type coordinator struct {
 	mu      sync.Mutex
 	top     *core.TopKBuffer
 	kthBits atomic.Uint64 // Float64bits of the global kth grade, noKth until full
-	stopped atomic.Bool   // external cancellation or a worker error
 }
 
 func newCoordinator(k int) *coordinator {
@@ -384,28 +416,6 @@ func (c *coordinator) merge(items []core.Scored) {
 // kth returns the published global kth grade (noKth while not full).
 func (c *coordinator) kth() float64 {
 	return math.Float64frombits(c.kthBits.Load())
-}
-
-// abort stops every worker at its next progress report.
-func (c *coordinator) abort() { c.stopped.Store(true) }
-
-// addStats folds one worker's accounting into the engine-level sum:
-// PerList aligns by attribute index, everything else — access counts,
-// charged costs, buffer peaks — adds.
-func addStats(dst *access.Stats, src access.Stats) {
-	dst.Sorted += src.Sorted
-	dst.Random += src.Random
-	dst.ChargedSorted += src.ChargedSorted
-	dst.ChargedRandom += src.ChargedRandom
-	dst.WildGuesses += src.WildGuesses
-	dst.BoundRecomputes += src.BoundRecomputes
-	dst.MaxBuffered += src.MaxBuffered
-	dst.Faults += src.Faults
-	dst.Retries += src.Retries
-	dst.DeadShards += src.DeadShards
-	for i, d := range src.PerList {
-		dst.PerList[i] += d
-	}
 }
 
 // unmerged appends to dst the items of cur that last does not hold. Both
@@ -456,27 +466,21 @@ func (e *Engine) QueryContext(ctx context.Context, t agg.Func, k int, opts Optio
 	if opts.NoRandomAccess {
 		return e.queryNRA(ctx, t, k, opts)
 	}
-	p := len(e.shards)
+	return e.queryTA(ctx, t, k, opts)
+}
+
+// queryTA runs one TA worker per shard, in a single wave: a worker runs
+// until its threshold falls below the global kth grade or its lists end,
+// and is never resumed.
+func (e *Engine) queryTA(ctx context.Context, t agg.Func, k int, opts Options) (*core.Result, error) {
+	f := e.newFrame(ctx, t, k, opts, access.AllowAll)
+	defer f.close()
 	coord := newCoordinator(k)
-	deg := newDegraded(p)
-	retry := opts.Retry.Resolve()
-	results := make([]*core.Result, p)
-	shardStats := make([]access.Stats, p)
-	elapsed := make([]time.Duration, p)
-	errs := make([]error, p)
-	ForEach(p, opts.Workers, func(s int) {
-		db := e.shards[s]
-		ks := k
-		if n := db.N(); ks > n {
-			ks = n // a shard smaller than k contributes all its objects
-		}
+	results := make([]*core.Result, len(e.shards))
+	work := func(s int) error {
 		var last, delta []core.Scored
 		onProgress := func(pr core.Progress) bool {
-			if coord.stopped.Load() {
-				return false
-			}
-			if ctx.Err() != nil {
-				coord.abort()
+			if f.cancelled() {
 				return false
 			}
 			// Only what the worker has not merged before takes the lock.
@@ -504,109 +508,39 @@ func (e *Engine) QueryContext(ctx context.Context, t agg.Func, k int, opts Optio
 		} else {
 			al = &core.TA{StrictStop: true, Memoize: opts.Memoize, OnProgress: onProgress, Batch: taBatchRounds}
 		}
-		src := e.source(s, access.AllowAll)
-		src.BindContext(ctx)
-		src.SetRetry(retry)
-		start := time.Now()
-		var res *core.Result
-		err := runShard(func() (err error) {
-			res, err = al.Run(src, t, ks)
-			return err
-		})
-		elapsed[s] = time.Since(start)
-		// Captured before recycling so dead workers (whose res may be nil
-		// after a panic) still account uniformly.
-		shardStats[s] = src.Stats()
-		e.recycle(s, src)
+		// A worker whose backend died keeps whatever partial evidence it
+		// salvaged: its items carry exact grades, so the fold below merges
+		// them like any other. A worker lost to a panic leaves no result.
+		res, err := al.Run(f.srcs[s], t, f.ks[s])
 		results[s] = res
-		if err == nil {
-			return
-		}
-		if errs[s] = shardFatal(ctx, s, err); errs[s] != nil {
-			coord.abort()
-			return
-		}
-		// The shard's backend failed past its retry budget. Keep whatever
-		// partial evidence the worker salvaged (its items carry exact
-		// grades, so the final fold can merge them) and degrade the answer
-		// to a θ-approximation instead of failing the whole query.
-		ceil := maxOverall(t, e.m)
-		var ae *core.AccessError
-		if errors.As(err, &ae) && ae.Ceiling < ceil {
-			ceil = ae.Ceiling
-		}
-		deg.mark(s, ceil, err)
-	})
-	if err := ctx.Err(); err != nil {
+		return err
+	}
+	all := make([]int, len(e.shards))
+	for s := range all {
+		all[s] = s
+	}
+	if err := f.wave(all, work); err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Fold each worker's final answer into the global heap (progress
-	// reports already delivered them, but the final fold keeps the merge
-	// independent of report timing) and sum the accounting. A dead shard's
-	// partial answer — exact grades salvaged before its backend died — folds
-	// in like any other; a shard lost to a panic left no result at all.
-	stats := access.Stats{PerList: make([]int64, e.m)}
+	// Fold each worker's final answer into the global heap: progress
+	// reports already delivered it, but the final fold keeps the merge
+	// independent of report timing.
 	rounds := 0
 	for _, res := range results {
-		if res == nil {
-			continue
-		}
-		coord.merge(res.Items)
-		if res.Rounds > rounds {
-			rounds = res.Rounds
+		if res != nil {
+			coord.merge(res.Items)
+			rounds = max(rounds, res.Rounds)
 		}
 	}
-	for s := range shardStats {
-		addStats(&stats, shardStats[s])
-	}
-	// The coordinator's global TopKBuffer holds k items of its own on top
-	// of whatever the workers buffered.
-	stats.MaxBuffered += k
 	items := coord.top.Snapshot()
 	for i := range items {
 		items[i].Lower = items[i].Grade
 		items[i].Upper = items[i].Grade
 	}
-	res := &core.Result{
-		Items:       items,
-		GradesExact: true,
-		Theta:       1,
-		Rounds:      rounds,
-		Stats:       stats,
-	}
-	if deg.count > 0 {
-		// Every grade in the global heap is exact and everything any live
-		// shard did not merge is bounded by the final kth grade (TA's
-		// cancellation argument), so the merged kth grade is the θ floor.
-		var err error
-		if res, err = deg.degradeResult(res, opts, t, e.m, coord.kth(), p); err != nil {
-			return nil, err
-		}
-	}
-	if opts.OnShardStats != nil {
-		opts.OnShardStats(e.shardStats(shardStats, elapsed, nil, deg.dead))
-	}
-	return res, nil
-}
-
-// shardStats assembles the per-shard records OnShardStats receives in both
-// engine modes, snapshotting each shard's cache. resumes is nil in the TA
-// mode, which never resumes a shard.
-func (e *Engine) shardStats(stats []access.Stats, elapsed []time.Duration, resumes []int, dead []bool) []ShardStat {
-	per := make([]ShardStat, len(stats))
-	for s := range per {
-		per[s] = ShardStat{Stats: stats[s], Elapsed: elapsed[s], Dead: dead[s]}
-		if resumes != nil {
-			per[s].Resumes = resumes[s]
-		}
-		if e.caches[s] != nil {
-			per[s].Cache = e.caches[s].Stats()
-		}
-	}
-	return per
+	// The global heap holds k items of its own on top of whatever the
+	// workers buffered. Every grade in it is exact and everything a live
+	// shard did not merge is bounded by the final kth grade (TA's
+	// cancellation argument), so with shards lost the merged kth grade is
+	// the θ floor.
+	return f.finish(items, true, rounds, k, coord.kth)
 }
