@@ -48,10 +48,11 @@ func TestStealTakesBackHalf(t *testing.T) {
 	}
 }
 
-// TestStealLoneItem checks a lone remaining item moves whole: a half of
-// one item rounds to nothing, which would strand single-item queues
-// forever.
-func TestStealLoneItem(t *testing.T) {
+// TestStealWeightedLoneItem checks a lone remaining item moves whole: a
+// half of one item rounds to nothing, which would strand single-item
+// queues forever. The name is kept from the weighted steal that `steal`
+// replaced; the check is the same.
+func TestStealWeightedLoneItem(t *testing.T) {
 	qs := make([]workQueue, 3)
 	qs[2].lo, qs[2].hi = 2, 3
 	if !steal(qs, 0) {
