@@ -180,6 +180,86 @@ func TestGoldenShardedTA(t *testing.T) {
 	}
 }
 
+// shardGoldenCachedDir holds the cached-stack record: one file per seed.
+const shardGoldenCachedDir = "testdata/golden-cached"
+
+// goldenCachedEngine partitions a Zipf(1.2) database (N = 5 000, m = 3)
+// into 4 shards and fronts every list with Remote (cS 1, cR 4), then a
+// seeded Faulty at rate 0.002, then one small tiered cache per shard whose
+// hot tier, cold tier and memo all overflow within the record's queries.
+func goldenCachedEngine(t *testing.T, seed int64) *shard.Engine {
+	t.Helper()
+	db, err := workload.Zipf(workload.Spec{N: 5000, M: 3, Seed: seed}, 1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbs, err := db.Partition(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]shard.ShardBackend, len(dbs))
+	for s, sdb := range dbs {
+		c := access.NewCache(access.CacheConfig{PageSize: 8, Pages: 32, ColdPages: 64, Memo: 1024})
+		lists := make([]access.ListSource, sdb.M())
+		for i := range lists {
+			remote := access.NewRemote(sdb.List(i), access.CostModel{CS: 1, CR: 4}, access.Latency{})
+			plan := access.FaultPlan{Seed: uint64(seed)*64 + uint64(s*sdb.M()+i), Rate: 0.002}
+			lists[i] = c.Wrap(i, access.NewFaulty(remote, plan))
+		}
+		shards[s] = shard.ShardBackend{DB: sdb, Lists: lists, Cache: c}
+	}
+	eng, err := shard.FromBackends(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// TestGoldenCachedStack pins the shared cache under a sharded engine: 44
+// queries at Workers 1 on one engine per seed (four rounds of TA at
+// k ∈ {5, 10, 20} under avg, min and sum, then cost-aware TA at k = 50
+// avg and k = 100 sum), each rendered as its sorted, random and charged
+// cost, faults and retries, followed by every shard's full CacheStats.
+// Hot hits, cold hits, misses, probe hits and misses, demotions, cold
+// evictions and admission rejects all occur, so the record fixes the LRU
+// order of both the page tiers and the probe memo, the admission
+// filter's decisions and every charged cost.
+func TestGoldenCachedStack(t *testing.T) {
+	const m = 3
+	for _, seed := range []int64{42, 123, 456} {
+		name := fmt.Sprintf("zipf-seed%d", seed)
+		t.Run(name, func(t *testing.T) {
+			eng := goldenCachedEngine(t, seed)
+			var b strings.Builder
+			run := func(label string, tf agg.Func, k int, opts shard.Options) {
+				opts.Workers = 1
+				fmt.Fprintf(&b, "== %s %s k=%d\n", label, tf.Name(), k)
+				res, err := eng.Query(tf, k, opts)
+				if err != nil {
+					fmt.Fprintf(&b, "err: %v\n", err)
+					return
+				}
+				st := res.Stats
+				fmt.Fprintf(&b, "sorted: %d random: %d charged: %v faults: %d retries: %d\n",
+					st.Sorted, st.Random, st.Charged(), st.Faults, st.Retries)
+			}
+			for round := 0; round < 4; round++ {
+				for _, tf := range []agg.Func{agg.Avg(m), agg.Min(m), agg.Sum(m)} {
+					for _, k := range []int{5, 10, 20} {
+						run("ta", tf, k, shard.Options{})
+					}
+				}
+				run("cost-aware-ta", agg.Avg(m), 50, shard.Options{CostAwareTA: true})
+				run("cost-aware-ta", agg.Sum(m), 100, shard.Options{CostAwareTA: true})
+			}
+			for s, cs := range eng.CacheStats() {
+				fmt.Fprintf(&b, "cache %d: %+v\n", s, cs)
+			}
+			compareGolden(t, shardGoldenCachedDir, name, b.String())
+		})
+	}
+}
+
 // compareGolden compares got with the golden file name.txt in dir, writing
 // the file (and failing) when it is missing.
 func compareGolden(t *testing.T, dir, name, got string) {
