@@ -1,7 +1,6 @@
 package access
 
 import (
-	"container/list"
 	"sync"
 
 	"repro/internal/model"
@@ -30,7 +29,9 @@ type CacheConfig struct {
 	// 1 are clamped — a cold hit never costs more than a miss).
 	ColdHitCost float64
 	// Memo bounds the random-access memo: the number of (list, object)
-	// grades retained across queries (default 4096).
+	// grades retained across queries (default 4096). The memo grows as
+	// probes arrive, so a bound far beyond what a workload probes costs
+	// nothing.
 	Memo int
 }
 
@@ -126,6 +127,12 @@ func (s CacheStats) HitRate() float64 {
 // the request — which pins the correctness property the tests assert: a
 // cached run's physical accesses never exceed an uncached run's.
 //
+// Both recency orders are kept without per-access allocation: the hot
+// tier chains its pages through their own prev/next links, the memo is a
+// flat open-addressed table (memoTable), and a page that leaves the cache
+// entirely goes on a free list the next full miss reuses. A warm, full
+// cache therefore allocates nothing on a hit, a miss or an eviction.
+//
 // A single Cache and all lists wrapped by it are safe for concurrent use;
 // one mutex guards the whole structure. The mutex is held across a
 // miss's backend fetch on purpose: concurrent queries missing on the same
@@ -138,16 +145,19 @@ type Cache struct {
 	cold     coldTier
 	sketch   *admitSketch // nil when the cold tier is disabled
 	coldFrac float64
-	rngState uint64                    // deterministic victim-sampling stream
-	memo     map[memoKey]*list.Element // values: *memoEntry
-	mlru     *list.List                // front = most recently used memo entry
+	rngState uint64     // deterministic victim-sampling stream
+	free     *cachePage // pages that left the cache, linked through next
+	memo     memoTable
 	stats    CacheStats
 }
 
-// cacheTier is the hot tier: a bounded LRU segment of the page store.
+// cacheTier is the hot tier: a bounded LRU segment of the page store. Its
+// pages are chained in recency order through their prev/next links around
+// the sentinel head: head.next is the most recently used page, head.prev
+// the demotion victim.
 type cacheTier struct {
-	pages map[pageKey]*list.Element // values: *cachePage
-	lru   *list.List                // front = most recently used page
+	pages map[pageKey]*cachePage
+	head  cachePage
 	cap   int
 }
 
@@ -170,17 +180,9 @@ type cachePage struct {
 	key     pageKey
 	entries []model.Entry // PageSize slots
 	have    []bool        // which slots are filled
-}
-
-type memoKey struct {
-	list int
-	obj  model.ObjectID
-}
-
-type memoEntry struct {
-	key   memoKey
-	grade model.Grade
-	ok    bool
+	// prev and next chain a hot page into the tier's recency order; next
+	// also links the free list. Both are nil while the page is cold.
+	prev, next *cachePage
 }
 
 // NewCache returns an empty cache with the given bounds.
@@ -188,12 +190,12 @@ func NewCache(cfg CacheConfig) *Cache {
 	cfg = cfg.withDefaults()
 	c := &Cache{
 		cfg:      cfg,
-		hot:      cacheTier{pages: make(map[pageKey]*list.Element, cfg.Pages), lru: list.New(), cap: cfg.Pages},
+		hot:      cacheTier{pages: make(map[pageKey]*cachePage, cfg.Pages), cap: cfg.Pages},
 		cold:     coldTier{pages: make(map[pageKey]int, cfg.ColdPages), cap: cfg.ColdPages},
 		coldFrac: cfg.ColdHitCost,
-		memo:     make(map[memoKey]*list.Element, cfg.Memo),
-		mlru:     list.New(),
+		memo:     newMemoTable(cfg.Memo),
 	}
+	c.hot.head.prev, c.hot.head.next = &c.hot.head, &c.hot.head
 	if cfg.ColdPages > 0 {
 		c.sketch = newAdmitSketch(cfg.Pages+cfg.ColdPages, cfg.PageSize)
 	}
@@ -241,9 +243,12 @@ func (c *Cache) touchLocked(key pageKey) {
 // fraction for the entry that found it there).
 func (c *Cache) pageForLocked(key pageKey) (pg *cachePage, fromCold bool) {
 	c.touchLocked(key)
-	if el, ok := c.hot.pages[key]; ok {
-		c.hot.lru.MoveToFront(el)
-		return el.Value.(*cachePage), false
+	if pg, ok := c.hot.pages[key]; ok {
+		if c.hot.head.next != pg {
+			pg.unlink()
+			c.hot.pushFront(pg)
+		}
+		return pg, false
 	}
 	if idx, ok := c.cold.pages[key]; ok {
 		pg = c.cold.pool[idx]
@@ -251,28 +256,54 @@ func (c *Cache) pageForLocked(key pageKey) (pg *cachePage, fromCold bool) {
 		c.insertHotLocked(pg)
 		return pg, true
 	}
-	pg = &cachePage{
-		key:     key,
-		entries: make([]model.Entry, c.cfg.PageSize),
-		have:    make([]bool, c.cfg.PageSize),
+	if pg = c.free; pg != nil {
+		c.free, pg.next = pg.next, nil
+		pg.key = key
+		clear(pg.have)
+	} else {
+		pg = &cachePage{
+			key:     key,
+			entries: make([]model.Entry, c.cfg.PageSize),
+			have:    make([]bool, c.cfg.PageSize),
+		}
 	}
 	c.insertHotLocked(pg)
 	return pg, false
 }
 
+// unlink takes pg out of the hot tier's recency chain.
+func (pg *cachePage) unlink() {
+	pg.prev.next, pg.next.prev = pg.next, pg.prev
+	pg.prev, pg.next = nil, nil
+}
+
+// pushFront links the unlinked page pg in as the tier's most recently
+// used page.
+func (t *cacheTier) pushFront(pg *cachePage) {
+	pg.prev, pg.next = &t.head, t.head.next
+	t.head.next.prev = pg
+	t.head.next = pg
+}
+
 // insertHotLocked puts pg at the front of the hot tier, demoting the hot
 // LRU victim when the tier overflows.
 func (c *Cache) insertHotLocked(pg *cachePage) {
-	c.hot.pages[pg.key] = c.hot.lru.PushFront(pg)
+	c.hot.pages[pg.key] = pg
+	c.hot.pushFront(pg)
 	if len(c.hot.pages) > c.hot.cap {
-		last := c.hot.lru.Back()
-		victim := last.Value.(*cachePage)
-		c.hot.lru.Remove(last)
+		victim := c.hot.head.prev
+		victim.unlink()
 		delete(c.hot.pages, victim.key)
 		c.stats.HotEvictions++
 		c.demoteLocked(victim)
 	}
 	c.checkTiersLocked(pg.key)
+}
+
+// releaseLocked puts a page that left the cache entirely on the free list.
+func (c *Cache) releaseLocked(pg *cachePage) {
+	pg.next = c.free
+	c.free = pg
 }
 
 // admitSampleSize is how many cold residents the admission filter samples
@@ -291,10 +322,12 @@ const admitSampleSize = 5
 // reject). One-shot scan pages (doorkeeper-only estimate) therefore never
 // displace a repeat-read resident, while a demoted working-set page finds
 // and replaces the low-frequency squatters such scans leave behind.
-// Either losing page leaves the cache entirely and counts as an Eviction.
+// Either losing page leaves the cache entirely, counts as an Eviction and
+// goes on the free list.
 func (c *Cache) demoteLocked(pg *cachePage) {
 	if c.cold.cap <= 0 {
 		c.stats.Evictions++
+		c.releaseLocked(pg)
 		return
 	}
 	if len(c.cold.pool) >= c.cold.cap {
@@ -309,8 +342,10 @@ func (c *Cache) demoteLocked(pg *cachePage) {
 		if c.sketch.estimate(pageHash(pg.key)) <= minEst {
 			c.stats.AdmissionRejects++
 			c.stats.Evictions++
+			c.releaseLocked(pg)
 			return
 		}
+		c.releaseLocked(c.cold.pool[minIdx])
 		c.coldRemoveLocked(minIdx)
 		c.stats.ColdEvictions++
 		c.stats.Evictions++
@@ -347,13 +382,13 @@ func (c *Cache) checkTiersLocked(key pageKey) {
 	if len(c.cold.pool) > c.cold.cap && c.cold.cap > 0 {
 		invariantViolated("cold tier over capacity: %d > %d", len(c.cold.pool), c.cold.cap)
 	}
-	_, inHot := c.hot.pages[key]
+	pg, inHot := c.hot.pages[key]
 	_, inCold := c.cold.pages[key]
 	if inHot && inCold {
 		invariantViolated("page %v resident in both tiers", key)
 	}
-	if len(c.hot.pages) != c.hot.lru.Len() {
-		invariantViolated("hot tier map/lru out of sync: %d != %d", len(c.hot.pages), c.hot.lru.Len())
+	if inHot && !(pg.key == key && pg.prev != nil && pg.prev.next == pg && pg.next.prev == pg) {
+		invariantViolated("hot tier map/chain out of sync for page %v", key)
 	}
 	if len(c.cold.pages) != len(c.cold.pool) {
 		invariantViolated("cold tier map/pool out of sync: %d != %d", len(c.cold.pages), len(c.cold.pool))
@@ -555,26 +590,20 @@ func (l *cachedList) GradeOfCostErr(obj model.ObjectID) (model.Grade, bool, floa
 	c := l.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := memoKey{list: l.list, obj: obj}
-	if el, ok := c.memo[key]; ok {
-		c.mlru.MoveToFront(el)
-		me := el.Value.(*memoEntry)
+	list := int32(l.list)
+	if e := c.memo.find(list, obj); e != 0 {
+		c.memo.touch(e)
+		it := &c.memo.items[e]
 		c.stats.ProbeHits++
 		c.stats.ChargedSaved += l.costs.CR
-		return me.grade, me.ok, 0, nil
+		return it.grade, it.ok, 0, nil
 	}
 	//lint:lockheld single-flight: the memo must admit exactly one probe per missing object
 	g, ok, err := gradeOfErr(l.src, obj)
 	if err != nil {
 		return 0, false, 0, err
 	}
-	el := c.mlru.PushFront(&memoEntry{key: key, grade: g, ok: ok})
-	c.memo[key] = el
-	for len(c.memo) > c.cfg.Memo {
-		last := c.mlru.Back()
-		c.mlru.Remove(last)
-		delete(c.memo, last.Value.(*memoEntry).key)
-	}
+	c.memo.add(list, obj, g, ok)
 	c.stats.ProbeMisses++
 	return g, ok, l.costs.CR, nil
 }

@@ -174,7 +174,7 @@ func TestCacheMemoBound(t *testing.T) {
 			t.Fatalf("probe %d = (%v, %v), want (%v, true)", obj, g, ok, want)
 		}
 	}
-	if n := len(cache.memo); n > 2 {
+	if n := cache.memo.len(); n > 2 {
 		t.Fatalf("memo holds %d entries, bound is 2", n)
 	}
 }

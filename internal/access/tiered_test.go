@@ -20,8 +20,8 @@ func scanDB(t *testing.T, n int) *model.Database {
 
 // checkTierConsistency asserts the structural tier invariants the
 // invariants build tag checks online: occupancies within capacity, the
-// map and LRU list of each tier in sync, and no page resident in both
-// tiers.
+// hot tier's map and recency chain and the cold tier's map and pool in
+// sync, and no page resident in both tiers.
 func checkTierConsistency(t *testing.T, c *Cache) {
 	t.Helper()
 	c.mu.Lock()
@@ -35,8 +35,17 @@ func checkTierConsistency(t *testing.T, c *Cache) {
 	if c.cold.cap <= 0 && len(c.cold.pages) != 0 {
 		t.Fatalf("disabled cold tier holds %d pages", len(c.cold.pages))
 	}
-	if len(c.hot.pages) != c.hot.lru.Len() {
-		t.Fatalf("hot tier map/lru out of sync: %d vs %d", len(c.hot.pages), c.hot.lru.Len())
+	chained := 0
+	for pg := c.hot.head.next; pg != &c.hot.head; pg = pg.next {
+		if pg.next.prev != pg || c.hot.pages[pg.key] != pg {
+			t.Fatalf("hot tier chain broken at page %v", pg.key)
+		}
+		if chained++; chained > len(c.hot.pages) {
+			break
+		}
+	}
+	if len(c.hot.pages) != chained {
+		t.Fatalf("hot tier map/chain out of sync: %d vs %d", len(c.hot.pages), chained)
 	}
 	if len(c.cold.pages) != len(c.cold.pool) {
 		t.Fatalf("cold tier map/pool out of sync: %d vs %d", len(c.cold.pages), len(c.cold.pool))

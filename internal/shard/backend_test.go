@@ -14,11 +14,15 @@ import (
 	"repro/internal/shard"
 )
 
+// pinnedCache is the cache configuration of the cached backend tests: big
+// enough that the workloads under test evict nothing.
+var pinnedCache = &access.CacheConfig{PageSize: 16, Pages: 128}
+
 // backendStack partitions db into p shards and fronts each with simulated
 // subsystems: shard 0 is the expensive straggler (its accesses cost
-// stragglerCS/stragglerCR), the rest are unit-cost. With cached true every
-// shard also gets a shared page cache.
-func backendStack(t *testing.T, db *model.Database, p int, stragglerCS, stragglerCR float64, cached bool) (*shard.Engine, []*access.Cache) {
+// stragglerCS/stragglerCR), the rest are unit-cost. With a non-nil cache
+// configuration every shard also gets a shared page cache.
+func backendStack(t *testing.T, db *model.Database, p int, stragglerCS, stragglerCR float64, cache *access.CacheConfig) (*shard.Engine, []*access.Cache) {
 	t.Helper()
 	dbs, err := db.Partition(p)
 	if err != nil {
@@ -36,8 +40,8 @@ func backendStack(t *testing.T, db *model.Database, p int, stragglerCS, straggle
 			lists[i] = access.NewGradedSubsystem(fmt.Sprintf("s%d-l%d", s, i), sdb.List(i), 8).WithCosts(cm)
 		}
 		sb := shard.ShardBackend{DB: sdb, Lists: lists}
-		if cached {
-			c := access.NewCache(access.CacheConfig{PageSize: 16, Pages: 128})
+		if cache != nil {
+			c := access.NewCache(*cache)
 			sb.Lists = access.WrapLists(c, lists)
 			sb.Cache = c
 			caches[s] = c
@@ -130,7 +134,7 @@ func TestBackendEngineMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		backed, _ := backendStack(t, db, p, 5, 20, false)
+		backed, _ := backendStack(t, db, p, 5, 20, nil)
 		for _, opts := range []shard.Options{{}, {NoRandomAccess: true}} {
 			label := fmt.Sprintf("%s nra=%v", name, opts.NoRandomAccess)
 			// Workers 1 keeps worker interleaving — and therefore Stats —
@@ -179,7 +183,7 @@ func TestCostAwareSchedule(t *testing.T) {
 		want := core.TrueGradeMultiset(db, tf, seq.Items)
 		var charged [2]float64
 		for i, sched := range []shard.Schedule{shard.ScheduleWave, shard.ScheduleCostAware} {
-			eng, _ := backendStack(t, db, p, 10, 10, false)
+			eng, _ := backendStack(t, db, p, 10, 10, nil)
 			res, err := eng.Query(tf, k, shard.Options{
 				NoRandomAccess: true, Workers: 1, Schedule: sched,
 			})
@@ -262,74 +266,89 @@ func TestOnShardStats(t *testing.T) {
 	}
 }
 
+// churnCache is a cache configuration so small that, under the workloads
+// under test, memo evictions, hot-tier demotions, admission rejects, cold
+// evictions and free-list page reuse all run.
+var churnCache = &access.CacheConfig{PageSize: 2, Pages: 2, ColdPages: 2, Memo: 8}
+
 // TestCachedShardsConcurrent is the -race correctness pin from the issue:
 // many goroutines issue sharded queries over one shared cached engine, and
 // every answer must carry the same tie-safe true-grade multiset as the
 // uncached sequential engines — on the tie-heavy workloads where a buggy
 // cache (serving the wrong entry, racing a fill) would surface as a wrong
-// answer, not just wrong accounting.
+// answer, not just wrong accounting. It runs twice: over the pinned cache,
+// which holds everything and so serves hits, and over the churning one,
+// whose every eviction path runs concurrently.
 func TestCachedShardsConcurrent(t *testing.T) {
 	dbs := workloadsUnderTest(t, 3)
-	for _, name := range []string{"zipf", "plateau", "tiny-ties"} {
-		db := dbs[name]
-		const p, k = 3, 5
-		if db.N() < 2*p {
-			continue
-		}
-		tf := agg.Min(3)
-		seqTA, err := (&core.TA{}).Run(access.New(db, access.AllowAll), tf, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantTA := core.TrueGradeMultiset(db, tf, seqTA.Items)
-		seqNRA, err := (&core.NRA{}).Run(access.New(db, access.Policy{NoRandom: true}), tf, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantNRA := core.TrueGradeMultiset(db, tf, seqNRA.Items)
-
-		eng, caches := backendStack(t, db, p, 4, 4, true)
-		const goroutines, rounds = 8, 4
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for r := 0; r < rounds; r++ {
-					nra := (g+r)%2 == 1
-					res, err := eng.Query(tf, k, shard.Options{NoRandomAccess: nra})
-					if err != nil {
-						t.Errorf("%s: goroutine %d round %d: %v", name, g, r, err)
-						return
-					}
-					want := wantTA
-					if nra {
-						want = wantNRA
-					}
-					got := core.TrueGradeMultiset(db, tf, res.Items)
-					for j := range want {
-						if got[j] != want[j] {
-							t.Errorf("%s: goroutine %d round %d (nra=%v): grades %v, want %v", name, g, r, nra, got, want)
-							return
-						}
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		var hits, misses int64
-		for _, c := range caches {
-			if c == nil {
+	for _, cfg := range []*access.CacheConfig{pinnedCache, churnCache} {
+		for _, name := range []string{"zipf", "plateau", "tiny-ties"} {
+			db := dbs[name]
+			const p, k = 3, 5
+			if db.N() < 2*p {
 				continue
 			}
-			st := c.Stats()
-			hits += st.Hits
-			misses += st.Misses
+			tf := agg.Min(3)
+			seqTA, err := (&core.TA{}).Run(access.New(db, access.AllowAll), tf, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantTA := core.TrueGradeMultiset(db, tf, seqTA.Items)
+			seqNRA, err := (&core.NRA{}).Run(access.New(db, access.Policy{NoRandom: true}), tf, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantNRA := core.TrueGradeMultiset(db, tf, seqNRA.Items)
+
+			eng, caches := backendStack(t, db, p, 4, 4, cfg)
+			const goroutines, rounds = 8, 4
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for r := 0; r < rounds; r++ {
+						nra := (g+r)%2 == 1
+						res, err := eng.Query(tf, k, shard.Options{NoRandomAccess: nra})
+						if err != nil {
+							t.Errorf("%s %+v: goroutine %d round %d: %v", name, *cfg, g, r, err)
+							return
+						}
+						want := wantTA
+						if nra {
+							want = wantNRA
+						}
+						got := core.TrueGradeMultiset(db, tf, res.Items)
+						for j := range want {
+							if got[j] != want[j] {
+								t.Errorf("%s %+v: goroutine %d round %d (nra=%v): grades %v, want %v", name, *cfg, g, r, nra, got, want)
+								return
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			var sum access.CacheStats
+			for _, c := range caches {
+				st := c.Stats()
+				sum.Hits += st.Hits
+				sum.Misses += st.Misses
+				sum.ProbeHits += st.ProbeHits
+				sum.ProbeMisses += st.ProbeMisses
+				sum.HotEvictions += st.HotEvictions
+				sum.ColdEvictions += st.ColdEvictions
+				sum.AdmissionRejects += st.AdmissionRejects
+				sum.Evictions += st.Evictions
+			}
+			t.Logf("%s %+v: %+v across %d queries", name, *cfg, sum, goroutines*rounds)
+			switch {
+			case cfg == pinnedCache && sum.Hits == 0:
+				t.Fatalf("%s: %d concurrent queries over one cached engine produced no cache hits", name, goroutines*rounds)
+			case cfg == churnCache && (sum.ColdEvictions == 0 || sum.AdmissionRejects == 0 || sum.ProbeMisses <= int64(p*cfg.Memo)):
+				t.Fatalf("%s: %d concurrent queries left an eviction path idle: %+v", name, goroutines*rounds, sum)
+			}
 		}
-		if hits == 0 {
-			t.Fatalf("%s: %d concurrent queries over one cached engine produced no cache hits", name, goroutines*rounds)
-		}
-		t.Logf("%s: cache served %d hits / %d misses across %d queries", name, hits, misses, goroutines*rounds)
 	}
 }
 
@@ -345,8 +364,8 @@ func TestCachedPhysicalNeverExceedsUncached(t *testing.T) {
 			continue
 		}
 		tf := agg.Avg(3)
-		uncached, _ := backendStack(t, db, p, 2, 6, false)
-		cached, caches := backendStack(t, db, p, 2, 6, true)
+		uncached, _ := backendStack(t, db, p, 2, 6, nil)
+		cached, caches := backendStack(t, db, p, 2, 6, pinnedCache)
 		var logical, charged float64
 		for rep := 0; rep < 3; rep++ {
 			for _, nra := range []bool{false, true} {
