@@ -55,22 +55,6 @@ type memoModelKey struct {
 	obj  model.ObjectID
 }
 
-// randomDB builds an n-object database over m lists of seeded random
-// grades, ids 1..n.
-func randomDB(t *testing.T, n, m int, seed int64) *model.Database {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	b := model.NewBuilder(m)
-	gs := make([]model.Grade, m)
-	for id := 1; id <= n; id++ {
-		for i := range gs {
-			gs[i] = model.Grade(rng.Float64())
-		}
-		b.MustAdd(model.ObjectID(id), gs...)
-	}
-	return b.MustBuild()
-}
-
 // checkMemoTable checks the memo's structure against the model's recency
 // order: the chain from the sentinel lists exactly the model's keys in the
 // same order with consistent back links, and the index holds each item
@@ -128,15 +112,15 @@ func checkHotChain(t *testing.T, c *Cache, want []pageKey) {
 // the hot chain is the whole page store) through their public views with
 // random sorted and random accesses over 2–3 lists, and predicts every
 // call's hit or miss with a container/list model of each recency order,
-// read off the cost the call returns. The capacities run from 1, where the
-// memo's two-slot index wraps every probe run and every deletion crosses
-// its end, to 64.
+// read off the cost the call returns. The capacities run from 1 to 64; at
+// 2, 3 and 7 the memo's index has 4, 8 and 16 slots, so probe runs wrap
+// past its end and backward-shift deletion moves items across it.
 func TestCacheRecencyMatchesReferenceLRU(t *testing.T) {
 	const n, pageSize, steps = 300, 2, 4000
 	cm := CostModel{CS: 1, CR: 2}
 	for ci, capacity := range []int{1, 2, 3, 7, 64} {
 		m := 2 + ci%2
-		db := randomDB(t, n, m, int64(ci+1))
+		db := sharedScanDB(t, n, m)
 		c := NewCache(CacheConfig{PageSize: pageSize, Pages: capacity, ColdPages: -1, Memo: capacity})
 		views := make([]CostedList, m)
 		for i := range views {
@@ -184,7 +168,7 @@ func TestCacheRecencyMatchesReferenceLRU(t *testing.T) {
 					want.Misses++
 				}
 			} else {
-				// Ids past n are absent; the memo keeps their absence too.
+				// Ids from n on are absent; the memo keeps their absence too.
 				obj := model.ObjectID(1 + draw(n+n/10))
 				resident, _, _ := memo.use(memoModelKey{list: int32(li), obj: obj})
 				g, ok, cost := views[li].GradeOfCost(obj)
@@ -239,7 +223,7 @@ func TestCacheMemoGrowsLazily(t *testing.T) {
 	if got, def := constructionBytes(huge), constructionBytes(CacheConfig{}); got > def {
 		t.Fatalf("building a cache with memo bound %d allocated %d bytes, the default cache %d", huge.Memo, got, def)
 	}
-	db := randomDB(t, 500, 3, 1)
+	db := sharedScanDB(t, 500, 3)
 	cache, lists, _ := cachedStack(db, huge, UnitCosts)
 	for pass := 0; pass < 2; pass++ {
 		src := FromLists(lists, AllowAll)
@@ -264,7 +248,7 @@ func TestCacheMemoGrowsLazily(t *testing.T) {
 // displacing a cold resident) allocate nothing.
 func TestCacheWarmMissesAllocateNothing(t *testing.T) {
 	const n = 64
-	db := randomDB(t, n, 1, 2)
+	db := sharedScanDB(t, n, 1)
 
 	memoView := NewCache(CacheConfig{Memo: 4}).Wrap(0, db.List(0)).(CostedList)
 	obj := 0
