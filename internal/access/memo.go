@@ -39,7 +39,9 @@ type memoItem struct {
 const memoMaxItems = 1 << 30
 
 func newMemoTable(bound int) memoTable {
-	return memoTable{items: make([]memoItem, 1), cap: min(bound, memoMaxItems)}
+	m := memoTable{items: make([]memoItem, 1), cap: min(bound, memoMaxItems)}
+	m.grow()
+	return m
 }
 
 // len returns the number of memoized probes.
@@ -54,9 +56,6 @@ func (m *memoTable) home(list int32, obj model.ObjectID) uint64 {
 // find returns the number of the item memoizing (list, obj), or 0 when
 // the memo holds no such probe.
 func (m *memoTable) find(list int32, obj model.ObjectID) int32 {
-	if len(m.index) == 0 {
-		return 0
-	}
 	mask := uint64(len(m.index) - 1)
 	i := m.home(list, obj)
 	for n := uint64(0); ; n++ {
