@@ -435,3 +435,122 @@ func TestSharedScanWindowCapacity(t *testing.T) {
 		t.Fatalf("straggler batch peak window = %d; the straggler did not pin the window", peak)
 	}
 }
+
+// TestSharedScanChurn has 2 goroutines each attach, read and release 6
+// consumers in turn over 3 lists, so attaches, releases, window slides and
+// read-ahead refills race with other consumers' reads. A consumer reads
+// 1–5 entries at a time to a random depth on each list and probes another
+// list after every entry. Every entry and grade must match a plain
+// Source, the executor's random count must be the consumers' sum, and
+// each list's physical count must reach the deepest depth read.
+func TestSharedScanChurn(t *testing.T) {
+	const n, m, workers, perWorker = 3000, 3, 2, 6
+	db := sharedScanDB(t, n, m)
+	want := make([][]model.Entry, m)
+	for i := range want {
+		want[i] = db.List(i).Entries()
+	}
+	ss := NewSharedScan(sharedLists(db))
+	var (
+		mu      sync.Mutex
+		random  int64
+		deepest [m]int
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			buf := make([]model.Entry, 5)
+			for c := 0; c < perWorker; c++ {
+				src, release := ss.Attach(AllowAll)
+				var depth, read [m]int
+				for i := range depth {
+					depth[i] = 1 + rng.Intn(n)
+				}
+				for busy := true; busy; {
+					busy = false
+					for i := 0; i < m; i++ {
+						if read[i] == depth[i] {
+							continue
+						}
+						busy = true
+						got, err := src.SortedNextN(i, buf[:min(1+rng.Intn(5), depth[i]-read[i])])
+						if err != nil {
+							t.Errorf("worker %d consumer %d list %d: %v", w, c, i, err)
+							return
+						}
+						for _, e := range buf[:got] {
+							if e != want[i][read[i]] {
+								t.Errorf("worker %d consumer %d list %d position %d: got %v, want %v", w, c, i, read[i], e, want[i][read[i]])
+								return
+							}
+							read[i]++
+							j := (i + 1) % m
+							grade, _ := db.List(j).GradeOf(e.Object)
+							if g, ok, err := src.Random(j, e.Object); err != nil || !ok || g != grade {
+								t.Errorf("worker %d consumer %d probe of %d in list %d: got (%v, %v, %v), want %v", w, c, e.Object, j, g, ok, err, grade)
+								return
+							}
+						}
+					}
+				}
+				release()
+				mu.Lock()
+				random += src.Stats().Random
+				for i := range deepest {
+					deepest[i] = max(deepest[i], depth[i])
+				}
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	phys := ss.Stats()
+	if phys.Random != random {
+		t.Errorf("executor random = %d, consumers' sum = %d", phys.Random, random)
+	}
+	for i, d := range deepest {
+		if phys.PerList[i] < int64(d) {
+			t.Errorf("list %d physical count %d is below the deepest depth read, %d", i, phys.PerList[i], d)
+		}
+	}
+}
+
+// TestSharedScanFollowerReadsAhead pins what the read-ahead saves: after
+// a leader has scanned 4 000 entries, a follower reading them one
+// SortedNext at a time takes the window's lock at most ⌈4 000/64⌉ = 63
+// times, since each locked read copies up to 64 more fetched entries into
+// its run. Without the run it would take the lock on every read. Neither
+// the physical count nor the peak window may change.
+func TestSharedScanFollowerReadsAhead(t *testing.T) {
+	const n, depth = 5000, 4000
+	db := sharedScanDB(t, n, 1)
+	ss := NewSharedScan(sharedLists(db))
+	leader, leaderRelease := ss.Attach(AllowAll)
+	follower, followerRelease := ss.Attach(AllowAll)
+	defer leaderRelease()
+	defer followerRelease()
+	for r := 0; r < depth; r++ {
+		if _, ok, _ := leader.SortedNext(0); !ok {
+			t.Fatalf("leader exhausted at %d", r)
+		}
+	}
+	l := ss.shared[0]
+	before := l.readLocks
+	for r := 0; r < depth; r++ {
+		if e, ok, _ := follower.SortedNext(0); !ok || e != db.List(0).At(r) {
+			t.Fatalf("follower read %d: got (%v, %v), want %v", r, e, ok, db.List(0).At(r))
+		}
+	}
+	if locks := l.readLocks - before; locks > (depth+readAhead-1)/readAhead {
+		t.Fatalf("follower took the window lock %d times for %d reads, want at most %d", locks, depth, (depth+readAhead-1)/readAhead)
+	}
+	if phys := ss.Stats(); phys.Sorted != depth || ss.PeakWindow() != depth {
+		t.Fatalf("physical sorted %d and peak window %d, want %d and %d", phys.Sorted, ss.PeakWindow(), depth, depth)
+	}
+}
