@@ -10,6 +10,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -76,6 +77,58 @@ func bestOfThree(b *testing.B, fn func() error) time.Duration {
 		}
 	}
 	return best
+}
+
+// interleavedRatios is the comparison protocol for a timed ratio: it calls
+// base and then each variant once as a warm-up, then times them in rounds
+// — base, then the variants in order — and returns, per variant, each
+// round's variant time over the base time of the same round. Drift or
+// steal on the host then lands on both sides of a ratio alike instead of
+// on whichever side ran last.
+func interleavedRatios(b *testing.B, rounds int, base func() error, variants ...func() error) [][]float64 {
+	b.Helper()
+	timed := func(fn func() error) float64 {
+		t0 := time.Now()
+		if err := fn(); err != nil {
+			b.Fatal(err)
+		}
+		return float64(time.Since(t0))
+	}
+	timed(base)
+	for _, v := range variants {
+		timed(v)
+	}
+	ratios := make([][]float64, len(variants))
+	for r := 0; r < rounds; r++ {
+		t := timed(base)
+		for i, v := range variants {
+			ratios[i] = append(ratios[i], timed(v)/t)
+		}
+	}
+	return ratios
+}
+
+// seedRatios summarizes an interleaved ratio over the statistical seeds:
+// each seed's median round ratio, reported by reportSeeds, and its
+// interquartile range, reported as <name>-iqr-s<seed>.
+type seedRatios struct{ median, iqr stats.Summary }
+
+func newSeedRatios(name string) *seedRatios {
+	return &seedRatios{median: stats.Summary{Name: name}, iqr: stats.Summary{Name: name + "-iqr"}}
+}
+
+// add records one seed's round ratios.
+func (r *seedRatios) add(seed int64, ratios []float64) {
+	r.median.Samples = append(r.median.Samples, stats.Sample{Seed: seed, Value: quartile(ratios, 2)})
+	r.iqr.Samples = append(r.iqr.Samples, stats.Sample{Seed: seed, Value: quartile(ratios, 3) - quartile(ratios, 1)})
+}
+
+func (r *seedRatios) report(b *testing.B) {
+	b.Helper()
+	reportSeeds(b, r.median)
+	for _, sm := range r.iqr.Samples {
+		b.ReportMetric(sm.Value, fmt.Sprintf("%s-s%d", r.iqr.Name, sm.Seed))
+	}
 }
 
 func mustRun(b *testing.B, al core.Algorithm, src *access.Source, t agg.Func, k int) *core.Result {
@@ -387,9 +440,9 @@ func BenchmarkE17MaxAndSchedulers(b *testing.B) {
 // BenchmarkShardedTA — the sharded concurrent engine vs single-shard TA
 // on the large uniform workload. Partitioning happens once per shard
 // count (outside the timed loop, as a production deployment would); each
-// iteration answers one top-10 query. Two untimed best-of-three baselines
+// iteration answers one top-10 query. Two untimed interleaved baselines
 // feed the custom metrics: speedup-vs-P1 divides the single-shard engine's
-// wall-clock by the sharded per-query time (intra-query parallelism), and
+// wall-clock by the sharded query's (intra-query parallelism), and
 // speedup-vs-seq divides the true sequential core.TA run's wall-clock the
 // same way — exposing the full coordination overhead a P1-relative ratio
 // hides. With GOMAXPROCS ≥ P both reflect parallel speedup. On a
@@ -397,14 +450,17 @@ func BenchmarkE17MaxAndSchedulers(b *testing.B) {
 // is purely structural: the shard path batches sorted access (StepN) and
 // recycles pooled sources. Both paths answer random access from the same
 // dense grade-by-object column.
-// The speedup metrics are multi-seed statistics: the untimed
-// best-of-three protocol runs once per seed in stats.Seeds, and every
-// metric is reported as mean (historical key), -min/-max (the gate keys —
-// bench.sh holds P8's speedup-vs-seq-min at ≥ 1.0, so one seed slower
-// than sequential TA fails the floor) and per-seed -s<seed> values.
+// The speedup metrics are multi-seed statistics: once per seed in
+// stats.Seeds, the sharded query, sequential TA and the P1 engine run in
+// interleaved rounds (interleavedRatios), and the seed's speedup is the
+// median of its rounds' ratios, its interquartile range printed as
+// -iqr-s<seed>. Every metric is reported as mean (historical key),
+// -min/-max (the gate keys — bench.sh holds P8's speedup-vs-seq-min at
+// ≥ 1.0, so one seed slower than sequential TA fails the floor) and
+// per-seed -s<seed> values.
 func BenchmarkShardedTA(b *testing.B) {
 	tf := agg.Avg(3)
-	const k = 10
+	const k, rounds = 10, 15
 	dbs := seedDBs(b, func(seed int64) (*repro.Database, error) {
 		return workload.IndependentUniform(workload.Spec{N: 200000, M: 3, Seed: seed})
 	})
@@ -422,34 +478,32 @@ func BenchmarkShardedTA(b *testing.B) {
 			b.Fatal(err)
 		}
 		// The speedup protocol, once per seed and outside the timed
-		// closure (the summaries do not depend on b.N): best-of-three
-		// wall-clocks for the P1 engine, the sequential core.TA run, and a
-		// single query on the P-shard engine.
-		var vsP1, vsSeq stats.Summary
-		vsP1.Name, vsSeq.Name = "speedup-vs-P1", "speedup-vs-seq"
+		// closure (the summaries do not depend on b.N).
+		vsP1, vsSeq := newSeedRatios("speedup-vs-P1"), newSeedRatios("speedup-vs-seq")
 		for _, seed := range stats.Seeds {
 			db := dbs[seed]
 			engS, err := shard.New(db, p)
 			if err != nil {
 				b.Fatal(err)
 			}
-			baseline := bestOfThree(b, func() error {
-				_, err := singles[seed].Query(tf, k, shard.Options{})
-				return err
-			})
-			seqBaseline := bestOfThree(b, func() error {
-				_, err := (&core.TA{}).Run(access.New(db, access.AllowAll), tf, k)
-				return err
-			})
-			per := bestOfThree(b, func() error {
-				res, err := engS.Query(tf, k, shard.Options{})
-				if err == nil && len(res.Items) != k {
-					return fmt.Errorf("got %d items", len(res.Items))
-				}
-				return err
-			})
-			vsP1.Samples = append(vsP1.Samples, stats.Sample{Seed: seed, Value: float64(baseline) / float64(per)})
-			vsSeq.Samples = append(vsSeq.Samples, stats.Sample{Seed: seed, Value: float64(seqBaseline) / float64(per)})
+			ratios := interleavedRatios(b, rounds,
+				func() error {
+					res, err := engS.Query(tf, k, shard.Options{})
+					if err == nil && len(res.Items) != k {
+						return fmt.Errorf("got %d items", len(res.Items))
+					}
+					return err
+				},
+				func() error {
+					_, err := (&core.TA{}).Run(access.New(db, access.AllowAll), tf, k)
+					return err
+				},
+				func() error {
+					_, err := singles[seed].Query(tf, k, shard.Options{})
+					return err
+				})
+			vsSeq.add(seed, ratios[0])
+			vsP1.add(seed, ratios[1])
 		}
 		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -462,8 +516,8 @@ func BenchmarkShardedTA(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			reportSeeds(b, vsP1)
-			reportSeeds(b, vsSeq)
+			vsP1.report(b)
+			vsSeq.report(b)
 		})
 	}
 }
@@ -562,6 +616,15 @@ func BenchmarkShardedNRA(b *testing.B) {
 // Results and per-query accounting are asserted identical; the metrics
 // record the physical sorted accesses each path performs on the database
 // and their ratio (≈ Q for identical queries).
+//
+// An untimed, unguarded scaling record rides along: per seed, a batch
+// shaped like perfbench's scan-ta workload (8 TA and TAθ queries of mixed
+// k and aggregation over uniform N = 50 000, m = 3) runs through
+// BatchQuery at 1 and 2 workers in interleaved rounds, and
+// batch-w1-over-w2 is the median ratio of the 1-worker time over the
+// 2-worker time (above 1: the second worker helps), with the runner's
+// core count beside it as nproc. It reads at most the gain independent
+// queries get from a second core on the same host.
 func BenchmarkSharedScan(b *testing.B) {
 	dbs := seedDBs(b, func(seed int64) (*repro.Database, error) {
 		return workload.IndependentUniform(workload.Spec{N: 100000, M: 3, Seed: seed})
@@ -622,12 +685,48 @@ func BenchmarkSharedScan(b *testing.B) {
 		zipfCold.Samples = append(zipfCold.Samples, stats.Sample{Seed: seed, Value: float64(zs.ColdHits) / ztotal})
 		zipfCost.Samples = append(zipfCost.Samples, stats.Sample{Seed: seed, Value: charged})
 	}
+	scaling := newSeedRatios("batch-w1-over-w2")
+	for _, seed := range stats.Seeds {
+		scaling.add(seed, batchScaling(b, seed))
+	}
 	b.ReportMetric(float64(indSorted), "independent-sorted")
 	b.ReportMetric(float64(sharedSorted), "shared-sorted")
 	b.ReportMetric(float64(indSorted)/float64(sharedSorted), "scan-sharing")
 	reportSeeds(b, zipfHit)
 	reportSeeds(b, zipfCold)
 	reportSeeds(b, zipfCost)
+	scaling.report(b)
+	b.ReportMetric(float64(runtime.NumCPU()), "nproc")
+}
+
+// batchScaling times a scan-ta-shaped batch through BatchQuery at 2 and 1
+// workers in interleaved rounds and returns the rounds' 1-worker over
+// 2-worker time ratios.
+func batchScaling(b *testing.B, seed int64) []float64 {
+	b.Helper()
+	db, err := workload.IndependentUniform(workload.Spec{N: 50000, M: 3, Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	aggs, ks := []repro.AggFunc{repro.Avg(3), repro.Min(3), repro.Sum(3)}, []int{5, 10, 20}
+	specs := make([]repro.QuerySpec, 8)
+	for i := range specs {
+		specs[i] = repro.QuerySpec{Agg: aggs[i%3], K: ks[(i+i/3)%3]}
+		if i >= 6 {
+			specs[i].Opts.Theta = 1.5 // the crawlers' TAθ
+		}
+	}
+	run := func(workers int) func() error {
+		return func() error {
+			for _, oc := range repro.BatchQuery(db, specs, workers).Outcomes {
+				if oc.Err != nil {
+					return oc.Err
+				}
+			}
+			return nil
+		}
+	}
+	return interleavedRatios(b, 15, run(2), run(1))[0]
 }
 
 // zipfTierProfile replays the deterministic u⁶-skewed probe stream against
@@ -1148,12 +1247,12 @@ func BenchmarkAlgoNaive(b *testing.B) { benchAlgo(b, core.Naive{}, access.AllowA
 // inherent to injection) is reported separately as injector-overhead,
 // unguarded.
 //
-// The sides are interleaved — idle, armed, injector, idle, … — and each
-// round's armed and injector scans are divided by the idle scan timed just
-// before them, so drift or steal on the host lands on every side of a
-// ratio alike instead of on whichever side ran last. A seed's ratio is the
-// median over rounds; its interquartile range is reported per seed as
-// -iqr-s<seed>.
+// The sides are interleaved (interleavedRatios) — idle, armed, injector,
+// idle, … — and each round's armed and injector scans are divided by the
+// idle scan timed just before them, so drift or steal on the host lands on
+// every side of a ratio alike instead of on whichever side ran last. A
+// seed's ratio is the median over rounds; its interquartile range is
+// reported per seed as -iqr-s<seed>.
 func BenchmarkFallibleOverhead(b *testing.B) {
 	dbs := seedDBs(b, func(seed int64) (*repro.Database, error) {
 		return workload.IndependentUniform(workload.Spec{N: 100000, M: 2, Seed: seed})
@@ -1180,13 +1279,6 @@ func BenchmarkFallibleOverhead(b *testing.B) {
 		}
 		return nil
 	}
-	timeScan := func(src *access.Source, armed bool) float64 {
-		t0 := time.Now()
-		if err := scan(src, armed); err != nil {
-			b.Fatal(err)
-		}
-		return float64(time.Since(t0))
-	}
 	sources := func(db *repro.Database) (plain, faulty *access.Source) {
 		injected := make([]access.ListSource, db.M())
 		for i := range injected {
@@ -1195,30 +1287,18 @@ func BenchmarkFallibleOverhead(b *testing.B) {
 		return access.New(db, pol), access.FromLists(injected, pol)
 	}
 	const rounds = 25
-	overhead := stats.Summary{Name: "fallible-overhead"}
-	injector := stats.Summary{Name: "injector-overhead"}
-	overheadIQR := stats.Summary{Name: "fallible-overhead-iqr"}
-	injectorIQR := stats.Summary{Name: "injector-overhead-iqr"}
+	overhead, injector := newSeedRatios("fallible-overhead"), newSeedRatios("injector-overhead")
 	for _, seed := range stats.Seeds {
 		plain, faulty := sources(dbs[seed])
-		// One warm-up pass per variant precedes the measured rounds.
-		timeScan(plain, false)
-		timeScan(plain, true)
-		timeScan(faulty, false)
-		armedRatios := make([]float64, rounds)
-		injectorRatios := make([]float64, rounds)
-		for r := 0; r < rounds; r++ {
-			idle := timeScan(plain, false)
-			armedRatios[r] = timeScan(plain, true) / idle
-			injectorRatios[r] = timeScan(faulty, false) / idle
-		}
+		ratios := interleavedRatios(b, rounds,
+			func() error { return scan(plain, false) },
+			func() error { return scan(plain, true) },
+			func() error { return scan(faulty, false) })
 		if st := faulty.Stats(); st.Faults != 0 || st.Retries != 0 {
 			b.Fatalf("seed %d: zero-plan injector faulted: %+v", seed, st)
 		}
-		overhead.Samples = append(overhead.Samples, stats.Sample{Seed: seed, Value: quartile(armedRatios, 2)})
-		injector.Samples = append(injector.Samples, stats.Sample{Seed: seed, Value: quartile(injectorRatios, 2)})
-		overheadIQR.Samples = append(overheadIQR.Samples, stats.Sample{Seed: seed, Value: quartile(armedRatios, 3) - quartile(armedRatios, 1)})
-		injectorIQR.Samples = append(injectorIQR.Samples, stats.Sample{Seed: seed, Value: quartile(injectorRatios, 3) - quartile(injectorRatios, 1)})
+		overhead.add(seed, ratios[0])
+		injector.add(seed, ratios[1])
 	}
 	timed, _ := sources(timedDB(dbs))
 	b.ResetTimer()
@@ -1228,13 +1308,8 @@ func BenchmarkFallibleOverhead(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	reportSeeds(b, overhead)
-	reportSeeds(b, injector)
-	for _, spread := range []stats.Summary{overheadIQR, injectorIQR} {
-		for _, sm := range spread.Samples {
-			b.ReportMetric(sm.Value, fmt.Sprintf("%s-s%d", spread.Name, sm.Seed))
-		}
-	}
+	overhead.report(b)
+	injector.report(b)
 }
 
 // quartile returns the q-th quartile (q = 1, 2, 3; 2 is the median) of xs
