@@ -623,8 +623,7 @@ func BenchmarkShardedNRA(b *testing.B) {
 // BatchQuery at 1 and 2 workers in interleaved rounds, and
 // batch-w1-over-w2 is the median ratio of the 1-worker time over the
 // 2-worker time (above 1: the second worker helps), with the runner's
-// core count beside it as nproc. It reads at most the gain independent
-// queries get from a second core on the same host.
+// core count beside it as nproc: no ratio can exceed it.
 func BenchmarkSharedScan(b *testing.B) {
 	dbs := seedDBs(b, func(seed int64) (*repro.Database, error) {
 		return workload.IndependentUniform(workload.Spec{N: 100000, M: 3, Seed: seed})

@@ -240,11 +240,6 @@ func (l *sharedList) read(v *consumerView, pos int, dst []model.Entry) (int, err
 	l.readLocks++
 	next := int(v.next.Load())
 	v.run = nil
-	if pos < next {
-		// A re-read behind v's own position (its Source was reset): slide
-		// so the below-window test sees the window an eager slide leaves.
-		l.slideLocked()
-	}
 	for i := range dst {
 		p := pos + i
 		if p < l.base {
@@ -329,7 +324,8 @@ func (l *sharedList) counts() (fetched, random int64, peak int) {
 // the consumer; the list's lock holder reads next when it slides the
 // window and Stats reads random. The read-ahead fields are the consumer's
 // own: its locked reads refill them and its other reads consume them. The
-// padding keeps two views off one cache line pair.
+// padding makes a view 128 bytes, an allocation size class, so no two
+// views share a pair of cache lines.
 type consumerView struct {
 	next   atomic.Int64 // next unread position, published after every read
 	random atomic.Int64 // pass-through random probes
