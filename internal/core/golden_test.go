@@ -52,18 +52,27 @@ func goldenDBs(t *testing.T) []struct {
 }
 
 // goldenCase is one algorithm configuration. faulty marks the
-// failure-aware algorithms, which also run on the faulty stack.
+// failure-aware algorithms, which also run on the faulty stack. A case with
+// sameAs has no file of its own: its record must equal that case's.
 type goldenCase struct {
 	name   string
 	alg    func() Algorithm
 	agg    func(m int) agg.Func
 	policy access.Policy
 	faulty bool
+	sameAs string
 }
+
+// avgAlias is Avg behind a type agg did not construct, under Avg's own
+// name: a bound table must evaluate it through Apply, and its runs must
+// match Avg's to the bit.
+type avgAlias struct{ agg.Func }
+
+func newAvgAlias(m int) agg.Func { return avgAlias{agg.Avg(m)} }
 
 func goldenCases() []goldenCase {
 	costs := access.CostModel{CS: 1, CR: 4}
-	return []goldenCase{
+	cases := []goldenCase{
 		{name: "TA-avg", alg: func() Algorithm { return &TA{} }, agg: agg.Avg, faulty: true},
 		{name: "TA-min", alg: func() Algorithm { return &TA{} }, agg: agg.Min, faulty: true},
 		{name: "TA-theta1.5", alg: func() Algorithm { return &TA{Theta: 1.5} }, agg: agg.Avg, faulty: true},
@@ -78,6 +87,29 @@ func goldenCases() []goldenCase {
 		{name: "Naive", alg: func() Algorithm { return Naive{} }, agg: agg.Avg},
 		{name: "MaxTopK", alg: func() Algorithm { return MaxTopK{} }, agg: agg.Max},
 	}
+	// The bound-table owners under every aggregation agg constructs for
+	// them by kind, under Median (evaluated through Apply) and under
+	// avgAlias.
+	tables := []goldenCase{
+		{name: "NRA", alg: func() Algorithm { return &NRA{} }},
+		{name: "CA", alg: func() Algorithm { return &CA{Costs: costs} }},
+		{name: "TA-cost-aware", alg: func() Algorithm { return &CostAwareTA{Costs: costs} }},
+	}
+	aggs := []struct {
+		name string
+		agg  func(m int) agg.Func
+	}{{"min", agg.Min}, {"sum", agg.Sum}, {"max", agg.Max}, {"median", agg.Median}, {"avgalias", newAvgAlias}}
+	for _, a := range aggs {
+		for _, c := range tables {
+			c.agg, c.faulty = a.agg, true
+			if a.name == "avgalias" {
+				c.sameAs = c.name
+			}
+			c.name += "-" + a.name
+			cases = append(cases, c)
+		}
+	}
+	return cases
 }
 
 // faultyStack builds Remote(cS 1, cR 4) → Faulty(rate 0.05, seeded per
@@ -147,7 +179,11 @@ func TestGoldenAccessTraces(t *testing.T) {
 					trace := src.StartTrace()
 					res, err := c.alg().Run(src, c.agg(d.db.M()), k)
 					got := goldenRecord(res, err, cache, trace)
-					path := filepath.Join(goldenDir, name+".txt")
+					file := name
+					if c.sameAs != "" {
+						file = fmt.Sprintf("%s-%s-%s", d.name, stack, c.sameAs)
+					}
+					path := filepath.Join(goldenDir, file+".txt")
 					want, rerr := os.ReadFile(path)
 					if os.IsNotExist(rerr) {
 						if werr := os.MkdirAll(goldenDir, 0o755); werr != nil {
