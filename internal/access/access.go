@@ -188,7 +188,7 @@ type Source struct {
 	first  model.ObjectID
 	stride uint64
 
-	seen    seenSet        // objects returned by sorted access (wild-guess detection)
+	seen    seenSet        // objects returned by sorted access (wild-guess detection; empty under NoRandom)
 	costBuf []float64      // scratch for per-entry charged costs
 	one     [1]model.Entry // SortedNext's one-entry buffer
 	trace   *Trace         // optional access recorder
@@ -431,8 +431,11 @@ func (s *Source) SortedNextN(i int, buf []model.Entry) (int, error) {
 		s.pos[i] += n
 		s.stats.Sorted += int64(n)
 		s.stats.PerList[i] += int64(n)
-		for _, e := range buf[filled : filled+n] {
-			s.seen.add(e.Object)
+		if !s.policy.NoRandom {
+			// Only Random reads the seen set, and the policy forbids it.
+			for _, e := range buf[filled : filled+n] {
+				s.seen.add(e.Object)
+			}
 		}
 		if s.trace != nil {
 			for _, e := range buf[filled : filled+n] {

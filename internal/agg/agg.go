@@ -37,6 +37,37 @@ type Func interface {
 	StrictlyMonotoneEach() bool
 }
 
+// Kind tells which of Min, Max, Sum and Avg built a Func, so a caller
+// that evaluates one function very many times over vectors it assembles
+// itself (the NRA family's bound table) can fold the grades inline instead
+// of filling a vector and calling Apply. An inline fold must perform
+// exactly the floating-point operations, in the order, that Apply
+// performs:
+//
+//   - KindMin and KindMax start from grade 0 and compare each later grade
+//     in turn (v = g when g < v, resp. g > v);
+//   - KindSum adds the grades from 0.0 in list order (v += g);
+//   - KindAvg is KindSum's fold followed by one division by the arity.
+type Kind uint8
+
+const (
+	KindOther Kind = iota // any other Func: evaluate it through Apply
+	KindMin
+	KindMax
+	KindSum
+	KindAvg
+)
+
+// KindOf reports which of Min, Max, Sum and Avg built t, and KindOther for
+// every other Func — another constructor's, or a caller's own type,
+// whatever its Name.
+func KindOf(t Func) Kind {
+	if p, ok := t.(*props); ok {
+		return p.kind
+	}
+	return KindOther
+}
+
 // props carries the declared property flags shared by all implementations.
 type props struct {
 	name       string
@@ -44,6 +75,7 @@ type props struct {
 	strict     bool
 	sm         bool // strictly monotone
 	smEach     bool // strictly monotone in each argument
+	kind       Kind
 	applyFunc  func([]model.Grade) model.Grade
 	checkArity bool
 }
@@ -78,7 +110,7 @@ func sorted(gs, buf []model.Grade) []model.Grade {
 // and strictly monotone, but not strictly monotone in each argument.
 func Min(m int) Func {
 	return &props{
-		name: "min", arity: m, strict: true, sm: true, smEach: false,
+		name: "min", arity: m, strict: true, sm: true, smEach: false, kind: KindMin,
 		applyFunc: func(gs []model.Grade) model.Grade {
 			v := gs[0]
 			for _, g := range gs[1:] {
@@ -97,7 +129,7 @@ func Min(m int) Func {
 // instance optimal with ratio m.
 func Max(m int) Func {
 	return &props{
-		name: "max", arity: m, strict: false, sm: true, smEach: false,
+		name: "max", arity: m, strict: false, sm: true, smEach: false, kind: KindMax,
 		applyFunc: func(gs []model.Grade) model.Grade {
 			v := gs[0]
 			for _, g := range gs[1:] {
@@ -116,7 +148,7 @@ func Max(m int) Func {
 // strict under the [0,1]-valued convention (t=1 does not force all xᵢ=1).
 func Sum(m int) Func {
 	return &props{
-		name: "sum", arity: m, strict: false, sm: true, smEach: true,
+		name: "sum", arity: m, strict: false, sm: true, smEach: true, kind: KindSum,
 		applyFunc: func(gs []model.Grade) model.Grade {
 			var v model.Grade
 			for _, g := range gs {
@@ -131,7 +163,7 @@ func Sum(m int) Func {
 // in each argument.
 func Avg(m int) Func {
 	return &props{
-		name: "avg", arity: m, strict: true, sm: true, smEach: true,
+		name: "avg", arity: m, strict: true, sm: true, smEach: true, kind: KindAvg,
 		applyFunc: func(gs []model.Grade) model.Grade {
 			var v model.Grade
 			for _, g := range gs {

@@ -179,6 +179,7 @@ type candFIFO struct {
 // table is the candidate bookkeeping shared by NRA, CA and Intermittent.
 type table struct {
 	t    agg.Func
+	kind agg.Kind // which of agg's folds evaluates t; KindOther: t.Apply
 	m, k int
 	src  *access.Source
 	lazy bool
@@ -250,7 +251,7 @@ var tablePool = sync.Pool{New: func() any {
 func newTable(src *access.Source, t agg.Func, k int, lazy bool) *table {
 	tb := tablePool.Get().(*table)
 	m := src.M()
-	tb.t, tb.m, tb.k, tb.src, tb.lazy = t, m, k, src, lazy
+	tb.t, tb.kind, tb.m, tb.k, tb.src, tb.lazy = t, agg.KindOf(t), m, k, src, lazy
 	tb.depth, tb.observed, tb.released = 0, 0, false
 	tb.trackPins, tb.pinsGen = false, 0
 	tb.bottoms = resize(tb.bottoms, m)
@@ -376,30 +377,146 @@ func (tb *table) newPartial(obj model.ObjectID) *partial {
 	return p
 }
 
-// computeW evaluates W(p) (missing fields ← 0).
-func (tb *table) computeW(p *partial) model.Grade {
-	for j := 0; j < tb.m; j++ {
-		if p.known&(uint64(1)<<uint(j)) != 0 {
-			tb.scratch[j] = p.grades[j]
-		} else {
-			tb.scratch[j] = 0
-		}
+// Evaluating t. For the four aggregations agg folds inline (agg.Kind),
+// the table folds p's known grades and the bottoms (or 0s) straight into
+// the result, performing exactly Apply's floating-point operations in
+// Apply's order; every other Func gets the filled vector through Apply.
+// Each W or B counts one BoundRecompute, whichever way it is evaluated.
+
+// computeBounds evaluates W(p) (missing fields ← 0) and a fresh B(p)
+// (missing fields ← current bottoms) in one walk over the fields.
+func (tb *table) computeBounds(p *partial) (w, b model.Grade) {
+	tb.src.CountBoundRecompute(2)
+	if tb.kind == agg.KindOther {
+		return tb.apply(p.known, p.grades, nil), tb.apply(p.known, p.grades, tb.bottoms)
 	}
-	tb.src.CountBoundRecompute(1)
-	return tb.t.Apply(tb.scratch)
+	w, b = foldBounds(tb.kind, p.known, p.grades, tb.bottoms)
+	if invariantsEnabled {
+		tb.checkFold(p.known, p.grades, nil, w)
+		tb.checkFold(p.known, p.grades, tb.bottoms, b)
+	}
+	return w, b
 }
 
 // computeB evaluates a fresh B(p) (missing fields ← current bottoms).
 func (tb *table) computeB(p *partial) model.Grade {
-	for j := 0; j < tb.m; j++ {
-		if p.known&(uint64(1)<<uint(j)) != 0 {
-			tb.scratch[j] = p.grades[j]
-		} else {
-			tb.scratch[j] = tb.bottoms[j]
+	return tb.upper(p.known, p.grades)
+}
+
+// upper evaluates t over the known grades with the current bottoms in the
+// missing fields: B of an object, or τ when nothing is known.
+func (tb *table) upper(known uint64, grades []model.Grade) model.Grade {
+	tb.src.CountBoundRecompute(1)
+	if tb.kind == agg.KindOther {
+		return tb.apply(known, grades, tb.bottoms)
+	}
+	b := foldUpper(tb.kind, known, grades, tb.bottoms)
+	if invariantsEnabled {
+		tb.checkFold(known, grades, tb.bottoms, b)
+	}
+	return b
+}
+
+// apply evaluates t through Apply on the known grades, with fill (0s when
+// nil) in the missing fields.
+func (tb *table) apply(known uint64, grades, fill []model.Grade) model.Grade {
+	for j := range tb.scratch {
+		switch {
+		case known&(uint64(1)<<uint(j)) != 0:
+			tb.scratch[j] = grades[j]
+		case fill != nil:
+			tb.scratch[j] = fill[j]
+		default:
+			tb.scratch[j] = 0
 		}
 	}
-	tb.src.CountBoundRecompute(1)
 	return tb.t.Apply(tb.scratch)
+}
+
+// checkFold is the invariants build's audit of one inline fold: Apply on
+// the same filled vector must return the same bits.
+func (tb *table) checkFold(known uint64, grades, fill []model.Grade, got model.Grade) {
+	if want := tb.apply(known, grades, fill); math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+		invariantViolated("%s fold over known fields %b gives %v, Apply %v", tb.t.Name(), known, got, want)
+	}
+}
+
+// foldUpper is agg's inline fold of kind over the known grades, bottoms
+// in the missing fields.
+func foldUpper(kind agg.Kind, known uint64, grades, bottoms []model.Grade) model.Grade {
+	if kind == agg.KindSum || kind == agg.KindAvg {
+		var v model.Grade
+		for j, x := range bottoms {
+			if known&(uint64(1)<<uint(j)) != 0 {
+				x = grades[j]
+			}
+			v += x
+		}
+		if kind == agg.KindAvg {
+			v /= model.Grade(len(bottoms))
+		}
+		return v
+	}
+	v := bottoms[0]
+	if known&1 != 0 {
+		v = grades[0]
+	}
+	for j := 1; j < len(bottoms); j++ {
+		x := bottoms[j]
+		if known&(uint64(1)<<uint(j)) != 0 {
+			x = grades[j]
+		}
+		if kind == agg.KindMin && x < v || kind == agg.KindMax && x > v {
+			v = x
+		}
+	}
+	return v
+}
+
+// foldBounds is foldUpper twice in one walk: w with 0 in the missing
+// fields, b with bottoms there.
+func foldBounds(kind agg.Kind, known uint64, grades, bottoms []model.Grade) (w, b model.Grade) {
+	if kind == agg.KindSum || kind == agg.KindAvg {
+		for j, x := range bottoms {
+			var xw model.Grade
+			if known&(uint64(1)<<uint(j)) != 0 {
+				xw, x = grades[j], grades[j]
+			}
+			w += xw
+			b += x
+		}
+		if kind == agg.KindAvg {
+			w /= model.Grade(len(bottoms))
+			b /= model.Grade(len(bottoms))
+		}
+		return w, b
+	}
+	b = bottoms[0]
+	if known&1 != 0 {
+		w, b = grades[0], grades[0]
+	}
+	for j := 1; j < len(bottoms); j++ {
+		xw, xb := model.Grade(0), bottoms[j]
+		if known&(uint64(1)<<uint(j)) != 0 {
+			xw, xb = grades[j], grades[j]
+		}
+		if kind == agg.KindMin {
+			if xw < w {
+				w = xw
+			}
+			if xb < b {
+				b = xb
+			}
+		} else {
+			if xw > w {
+				w = xw
+			}
+			if xb > b {
+				b = xb
+			}
+		}
+	}
+	return w, b
 }
 
 // refreshB makes p's cached B fresh for the current depth.
@@ -494,10 +611,7 @@ func (tb *table) openTop() *partial {
 }
 
 // threshold evaluates τ = t(x̄₁,…,x̄ₘ), the B value of every unseen object.
-func (tb *table) threshold() model.Grade {
-	tb.src.CountBoundRecompute(1)
-	return tb.t.Apply(tb.bottoms)
-}
+func (tb *table) threshold() model.Grade { return tb.upper(0, nil) }
 
 // mk returns the current M_k, or -Inf while fewer than k objects are held.
 func (tb *table) mk() model.Grade {
@@ -551,8 +665,7 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 	p.known |= bit
 	p.nKnown++
 	p.grades[list] = g
-	p.w = tb.computeW(p)
-	p.b = tb.computeB(p)
+	p.w, p.b = tb.computeBounds(p)
 	p.bDepth = tb.depth
 	if invariantsEnabled && !(p.w <= p.b) {
 		invariantViolated("object %d has W=%v > B=%v (Propositions 8.1/8.2)", p.obj, p.w, p.b)

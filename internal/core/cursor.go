@@ -30,10 +30,13 @@ type NRACursor struct {
 	k   int
 	tb  *table
 
-	exhausted   bool
-	err         error            // sticky backend failure; StepN returns 0 once set
-	encountered []model.ObjectID // objects seen during the latest StepN call
-	viewItems   []Scored         // reusable backing for View().TopK
+	exhausted bool
+	err       error    // sticky backend failure; StepN returns 0 once set
+	viewItems []Scored // reusable backing for View().TopK
+	// encountered holds the objects seen during the latest StepN call,
+	// recorded only when recordEncounters is set (Intermittent's cursor).
+	recordEncounters bool
+	encountered      []model.ObjectID
 
 	stepBuf    []model.Entry // reusable batch buffer (m × budget entries)
 	stepCounts []int         // reusable per-list batch counts
@@ -93,7 +96,7 @@ func NewNRACursor(src *access.Source, t agg.Func, k int, engine Engine) (*NRACur
 // failure stops the fill: no further list is read, the entries already
 // delivered are still applied (bounds only tighten), the call returns 0
 // and Err reports the failure. Buffer occupancy is reported once per call;
-// encounteredObjects accumulates across all applied rounds.
+// encounteredObjects, when recorded, accumulates across all applied rounds.
 func (c *NRACursor) StepN(budget int) int {
 	if c.exhausted || c.err != nil || budget <= 0 {
 		return 0
@@ -137,7 +140,9 @@ func (c *NRACursor) StepN(budget int) int {
 			}
 			e := c.stepBuf[i*budget+r]
 			c.tb.observeSorted(i, e)
-			c.encountered = append(c.encountered, e.Object)
+			if c.recordEncounters {
+				c.encountered = append(c.encountered, e.Object)
+			}
 		}
 	}
 	c.src.ReportBuffer(c.tb.seen)
@@ -242,7 +247,8 @@ func (c *NRACursor) Release() {
 
 // encounteredObjects returns the objects seen during the latest StepN call
 // in (round, list) order (Intermittent queues these for its delayed random
-// phase). The slice is reused by the next StepN.
+// phase); it is empty unless recordEncounters is set. The slice is reused
+// by the next StepN.
 func (c *NRACursor) encounteredObjects() []model.ObjectID { return c.encountered }
 
 // randomPhase performs one CA Step-2 phase (Section 8.2); see

@@ -46,6 +46,7 @@ func (a *Intermittent) Run(src *access.Source, t agg.Func, k int) (*Result, erro
 		return nil, err
 	}
 	defer c.Release()
+	c.recordEncounters = true
 	var queue []model.ObjectID // encounters in TA time order
 	for {
 		if c.StepN(1) == 0 {
