@@ -182,10 +182,11 @@ func (a *CostAwareTA) Run(src *access.Source, t agg.Func, k int) (*Result, error
 				tb.checkReport(pinBuf, ceil)
 			}
 			p := Progress{
-				TopK:      pinBuf,
-				Threshold: ceil,
-				Guarantee: math.Inf(1),
-				Depth:     maxInt(view.Depth),
+				TopK:        pinBuf,
+				Threshold:   ceil,
+				Guarantee:   math.Inf(1),
+				Depth:       maxInt(view.Depth),
+				TopKChanges: tb.pinsGen,
 			}
 			p.Sorted, p.Random = src.Counts()
 			if len(pinBuf) == k && pinBuf[k-1].Grade > 0 {

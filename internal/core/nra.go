@@ -93,12 +93,13 @@ func (a *NRA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 			res.Theta = math.Inf(1)
 			sorted, random := src.Counts()
 			if !a.OnProgress(Progress{
-				TopK:      res.Items,
-				Threshold: c.Threshold(),
-				Guarantee: res.Theta,
-				Depth:     c.Depth(),
-				Sorted:    sorted,
-				Random:    random,
+				TopK:        res.Items,
+				Threshold:   c.Threshold(),
+				Guarantee:   res.Theta,
+				Depth:       c.Depth(),
+				Sorted:      sorted,
+				Random:      random,
+				TopKChanges: c.Depth(),
 			}) {
 				return res, nil
 			}

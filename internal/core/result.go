@@ -130,8 +130,9 @@ func sortScoredDesc(items []Scored) { slices.SortFunc(items, compareScored) }
 // the items it outranks; it never allocates once the buffer holds its
 // k-item backing array.
 type TopKBuffer struct {
-	k     int
-	items []Scored // kept in canonical order; k is small (constant)
+	k       int
+	items   []Scored // kept in canonical order; k is small (constant)
+	changes int      // accepted offers so far (TA's Progress.TopKChanges)
 }
 
 // NewTopKBuffer returns an empty buffer retaining the k best candidates.
@@ -164,12 +165,14 @@ func (h *TopKBuffer) Offer(s Scored) {
 	}
 	if !full {
 		h.items = slices.Insert(h.items, i, s)
+		h.changes++
 		return
 	}
 	if i < h.k {
 		// Drop the worst and shift the items s outranks down one slot.
 		copy(h.items[i+1:], h.items[i:h.k-1])
 		h.items[i] = s
+		h.changes++
 	}
 }
 

@@ -26,6 +26,12 @@ type Progress struct {
 	Depth     int
 	Sorted    int64
 	Random    int64
+	// TopKChanges counts the changes to TopK since the run began: two
+	// reports of one run with equal counts carry equal TopK lists, so a
+	// consumer that took in the earlier one can skip the later. The count
+	// never falls, and it may move without a visible change (NRA's moves
+	// every round, as its intervals do).
+	TopKChanges int
 }
 
 // TA is the threshold algorithm (Section 4), including its TAθ
@@ -296,10 +302,11 @@ func (a *TA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 					if a.OnProgress != nil {
 						progressBuf = heap.AppendSnapshot(progressBuf[:0])
 						p := Progress{
-							TopK:      progressBuf,
-							Threshold: tau,
-							Guarantee: math.Inf(1),
-							Depth:     maxInt(view.Depth),
+							TopK:        progressBuf,
+							Threshold:   tau,
+							Guarantee:   math.Inf(1),
+							Depth:       maxInt(view.Depth),
+							TopKChanges: heap.changes,
 						}
 						p.Sorted, p.Random = src.Counts()
 						if heap.Full() && heap.Kth() > 0 {

@@ -479,14 +479,20 @@ func (e *Engine) queryTA(ctx context.Context, t agg.Func, k int, opts Options) (
 	results := make([]*core.Result, len(e.shards))
 	work := func(s int) error {
 		var last, delta []core.Scored
+		lastChanges := 0
 		onProgress := func(pr core.Progress) bool {
 			if f.cancelled() {
 				return false
 			}
 			// Only what the worker has not merged before takes the lock.
-			if delta = unmerged(delta[:0], last, pr.TopK); len(delta) > 0 {
-				last = append(last[:0], pr.TopK...)
-				coord.merge(delta)
+			// A TopK that did not change since the last report holds
+			// nothing new, so the walk is skipped.
+			if pr.TopKChanges != lastChanges {
+				lastChanges = pr.TopKChanges
+				if delta = unmerged(delta[:0], last, pr.TopK); len(delta) > 0 {
+					last = append(last[:0], pr.TopK...)
+					coord.merge(delta)
+				}
 			}
 			// Keep running while an unseen object could still reach
 			// the answer: τ_s below the global kth grade means every

@@ -53,7 +53,9 @@ type (
 	CostModel = access.CostModel
 	// Stats is the per-run access accounting.
 	Stats = access.Stats
-	// ProgressView is the early-stopping callback view.
+	// ProgressView is the early-stopping callback view. Its TopKChanges
+	// counts the changes to TopK: equal counts in two reports of one run
+	// mean equal TopK lists, so a consumer may skip the later one.
 	ProgressView = core.Progress
 	// Retry is the per-query retry policy for transient backend failures.
 	Retry = access.Retry
