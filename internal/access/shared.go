@@ -104,13 +104,18 @@ func (ss *SharedScan) Attach(policy Policy) (*Source, func()) {
 // different times, so the sum is an upper bound on — not necessarily equal
 // to — the largest number of entries simultaneously held, the same
 // summation semantics the sharded engine uses for per-worker buffers.
+//
+// Read Stats after the attached consumers finish: each counts its probes
+// in a plain field that only it writes, so a Stats call racing a live
+// consumer's probe is a data race. BatchQuery reads it once its workers
+// have joined.
 func (ss *SharedScan) Stats() Stats {
 	st := Stats{PerList: make([]int64, len(ss.shared))}
 	for i, l := range ss.shared {
-		fetched, random, peak := l.counts()
+		fetched, peak := l.counts()
 		st.PerList[i] = fetched
 		st.Sorted += fetched
-		st.Random += random
+		st.Random += l.probes()
 		st.MaxBuffered += peak
 	}
 	return st
@@ -122,7 +127,7 @@ func (ss *SharedScan) Stats() Stats {
 func (ss *SharedScan) PeakWindow() int {
 	peak := 0
 	for _, l := range ss.shared {
-		_, _, p := l.counts()
+		_, p := l.counts()
 		peak = max(peak, p)
 	}
 	return peak
@@ -310,25 +315,36 @@ func (l *sharedList) refillLocked(v *consumerView, from int) {
 	v.runPos = from
 }
 
-func (l *sharedList) counts() (fetched, random int64, peak int) {
+func (l *sharedList) counts() (fetched int64, peak int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.fetched, l.peak
+}
+
+// probes sums the random probes of every consumer ever attached. The
+// consumers count them without synchronization: call it only after they
+// finish.
+func (l *sharedList) probes() (random int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, v := range l.views {
-		random += v.random.Load()
+		random += v.random
 	}
-	return l.fetched, random, l.peak
+	return random
 }
 
 // consumerView is one consumer's handle on a sharedList; it is what the
 // consumer's Source reads through. next and random are written only by
 // the consumer; the list's lock holder reads next when it slides the
-// window and Stats reads random. The read-ahead fields are the consumer's
+// window, and Stats reads random once the consumers have finished, so
+// random needs no atomic (on amd64 even an atomic store is a locked
+// exchange, paid on every probe). The read-ahead fields are the consumer's
 // own: its locked reads refill them and its other reads consume them. The
 // padding makes a view 128 bytes, an allocation size class, so no two
 // views share a pair of cache lines.
 type consumerView struct {
 	next   atomic.Int64 // next unread position, published after every read
-	random atomic.Int64 // pass-through random probes
+	random int64        // pass-through random probes
 	l      *sharedList
 	src    ListSource // l.src and l.n, copied so reads stay off l's cache lines
 	n      int
@@ -360,7 +376,7 @@ func (v *consumerView) AtN(pos int, dst []model.Entry) int { return must(v.AtNEr
 func (v *consumerView) GradeOf(obj model.ObjectID) (model.Grade, bool) {
 	g, ok := v.src.GradeOf(obj)
 	if ok {
-		v.random.Add(1)
+		v.random++
 	}
 	return g, ok
 }
@@ -407,7 +423,7 @@ func (v *consumerView) AtNErr(pos int, dst []model.Entry) (int, error) {
 func (v *consumerView) GradeOfErr(obj model.ObjectID) (model.Grade, bool, error) {
 	g, ok, err := gradeOfErr(v.src, obj)
 	if err == nil && ok {
-		v.random.Add(1)
+		v.random++
 	}
 	return g, ok, err
 }
