@@ -44,8 +44,8 @@ type Func interface {
 // exactly the floating-point operations, in the order, that Apply
 // performs:
 //
-//   - KindMin and KindMax start from grade 0 and compare each later grade
-//     in turn (v = g when g < v, resp. g > v);
+//   - KindMin and KindMax start from the first grade and compare each
+//     later one in turn (v = g when g < v, resp. g > v);
 //   - KindSum adds the grades from 0.0 in list order (v += g);
 //   - KindAvg is KindSum's fold followed by one division by the arity.
 type Kind uint8

@@ -398,13 +398,8 @@ func (tb *table) computeBounds(p *partial) (w, b model.Grade) {
 	return w, b
 }
 
-// computeB evaluates a fresh B(p) (missing fields ← current bottoms).
-func (tb *table) computeB(p *partial) model.Grade {
-	return tb.upper(p.known, p.grades)
-}
-
 // upper evaluates t over the known grades with the current bottoms in the
-// missing fields: B of an object, or τ when nothing is known.
+// missing fields: a fresh B of an object, or τ when nothing is known.
 func (tb *table) upper(known uint64, grades []model.Grade) model.Grade {
 	tb.src.CountBoundRecompute(1)
 	if tb.kind == agg.KindOther {
@@ -500,20 +495,11 @@ func foldBounds(kind agg.Kind, known uint64, grades, bottoms []model.Grade) (w, 
 		if known&(uint64(1)<<uint(j)) != 0 {
 			xw, xb = grades[j], grades[j]
 		}
-		if kind == agg.KindMin {
-			if xw < w {
-				w = xw
-			}
-			if xb < b {
-				b = xb
-			}
-		} else {
-			if xw > w {
-				w = xw
-			}
-			if xb > b {
-				b = xb
-			}
+		if kind == agg.KindMin && xw < w || kind == agg.KindMax && xw > w {
+			w = xw
+		}
+		if kind == agg.KindMin && xb < b || kind == agg.KindMax && xb > b {
+			b = xb
 		}
 	}
 	return w, b
@@ -529,7 +515,7 @@ func (tb *table) refreshB(p *partial) {
 // recomputeB is refreshB's stale case, kept out of line so the fresh case
 // inlines.
 func (tb *table) recomputeB(p *partial) {
-	p.b = tb.computeB(p)
+	p.b = tb.upper(p.known, p.grades)
 	p.bDepth = tb.depth
 	if invariantsEnabled && !(p.w <= p.b) {
 		invariantViolated("object %d has W=%v > B=%v after refresh (Propositions 8.1/8.2)", p.obj, p.w, p.b)
@@ -793,7 +779,7 @@ func (tb *table) drainTop(mk model.Grade) *partial {
 			tb.cands.remove(0)
 			continue
 		}
-		c.b = tb.computeB(c)
+		c.b = tb.upper(c.known, c.grades)
 		c.bDepth = tb.depth
 		tb.cands.fix(0)
 	}
@@ -868,7 +854,7 @@ func (tb *table) maxBOutsideRescan() model.Grade {
 	maxB := model.Grade(math.Inf(-1))
 	for q := 0; q < tb.seen; q++ {
 		p := tb.at(q)
-		p.b = tb.computeB(p)
+		p.b = tb.upper(p.known, p.grades)
 		p.bDepth = tb.depth
 		if !p.inTopK && p.b > maxB {
 			maxB = p.b

@@ -284,16 +284,7 @@ func (a *CostAwareTA) stopEarly(tb *table, view *SchedView, guarantee float64) *
 // fresh B of every candidate, in the heap or a FIFO, still viable against
 // M_k — that touches no cached bound and counts no recompute.
 func (tb *table) checkReport(items []Scored, ceil model.Grade) {
-	fresh := func(p *partial) model.Grade {
-		for j := 0; j < tb.m; j++ {
-			if p.known&(uint64(1)<<uint(j)) != 0 {
-				tb.scratch[j] = p.grades[j]
-			} else {
-				tb.scratch[j] = tb.bottoms[j]
-			}
-		}
-		return tb.t.Apply(tb.scratch)
-	}
+	fresh := func(p *partial) model.Grade { return tb.apply(p.known, p.grades, tb.bottoms) }
 	for _, it := range items {
 		p, _ := tb.get(it.Object)
 		if !(p != nil && p.inTopK && p.pinned) {
