@@ -41,8 +41,11 @@ var (
 		nil, {SortedCost: 1, RandomCost: 4}, {StragglerShards: 1}, {BatchRTT: true},
 		{SortedCost: nan, RandomCost: 1}, {Jitter: 2}, {RandomCost: 8},
 	}
+	// The last two cache specs are bounds a cache once sized itself from.
 	fuzzCaches = []*repro.CacheSpec{
 		nil, {}, {PageSize: 4, Pages: 2, Memo: 8}, {ColdPages: -1, ColdHitCost: -1}, {Pages: -5}, {ColdHitCost: nan},
+		{Pages: 1 << 60},
+		{PageSize: math.MaxInt, Pages: math.MaxInt, ColdPages: math.MaxInt, ColdHitCost: math.MaxInt, Memo: math.MaxInt},
 	}
 	fuzzFaults = []*repro.FaultSpec{
 		nil, {Rate: 0.05, BurstEvery: 40, Seed: 3}, {DeadList: 1, Seed: 9}, {Rate: 1.5}, {DeadList: 7},
@@ -61,8 +64,8 @@ type fuzzQuery struct {
 // decodeFuzzQuery reads one byte per field, in the order the tables are
 // declared, and picks that field's value from its table modulo the table's
 // length; bytes past the end of data read as 0. A fifth byte's bits set
-// NoRandomAccess, Memoize, CostAwareTA and an OnProgress hook that stops
-// the run after 20 reports.
+// NoRandomAccess (bit 1), CostAwareTA (bit 4) and an OnProgress hook that
+// stops the run after 20 reports (bit 8); bit 2 is unused.
 func decodeFuzzQuery(data []byte) fuzzQuery {
 	next := func(n int) int {
 		if len(data) == 0 {
@@ -78,7 +81,6 @@ func decodeFuzzQuery(data []byte) fuzzQuery {
 	o.Theta = fuzzThetas[next(len(fuzzThetas))]
 	flags := next(16)
 	o.NoRandomAccess = flags&1 != 0
-	o.Memoize = flags&2 != 0
 	o.CostAwareTA = flags&4 != 0
 	if flags&8 != 0 {
 		reports := 0

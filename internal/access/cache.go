@@ -1,17 +1,21 @@
 package access
 
 import (
+	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/model"
 )
 
-// CacheConfig sizes a Cache. Zero fields take the documented defaults.
+// CacheConfig bounds a Cache. Zero fields take the documented defaults.
+// Every field is a bound, not a size: the page store and the memo grow with
+// what they hold, so a bound far beyond what a workload reads costs nothing.
 type CacheConfig struct {
 	// PageSize is the number of consecutive sorted positions one cached
-	// page covers (default 64). Pages fill on demand and only within the
-	// span a read asked for, so caching never performs a physical access a
-	// consumer did not ask for.
+	// page covers (default 64, at most maxPageEntries). Pages fill on
+	// demand and only within the span a read asked for, so caching never
+	// performs a physical access a consumer did not ask for.
 	PageSize int
 	// Pages bounds the hot tier: the LRU of (list, prefix-page) pages
 	// whose hits cost nothing (default 256).
@@ -20,8 +24,8 @@ type CacheConfig struct {
 	// from the hot tier is demoted into the cold tier subject to TinyLFU
 	// frequency admission; a cold hit promotes the page back to hot and
 	// charges ColdHitCost of the backend's declared cost. Zero defaults
-	// to 4× Pages; negative disables the cold tier entirely, restoring
-	// the flat single-LRU cache.
+	// to 4× Pages, saturating below math.MaxInt; negative disables the
+	// cold tier entirely, restoring the flat single-LRU cache.
 	ColdPages int
 	// ColdHitCost is the fraction of the wrapped backend's declared
 	// per-access cost charged when an access is served from the cold
@@ -29,22 +33,31 @@ type CacheConfig struct {
 	// 1 are clamped — a cold hit never costs more than a miss).
 	ColdHitCost float64
 	// Memo bounds the random-access memo: the number of (list, object)
-	// grades retained across queries (default 4096). The memo grows as
-	// probes arrive, so a bound far beyond what a workload probes costs
-	// nothing.
+	// grades retained across queries (default 4096).
 	Memo int
 }
+
+// The caps on what a Cache sizes up front; below them a configuration is
+// sized as configured (the largest in use is 256 + 1 024 pages of 64).
+const (
+	// maxSketchPages caps the Pages + ColdPages the admission sketch is
+	// sized for (a 5 MiB sketch). The sketch does not grow with the
+	// resident pages instead: its collisions, so admission, would change.
+	maxSketchPages = 1 << 20
+	maxPageEntries = 1 << 16 // caps PageSize: a page's slots take about 1 MiB
+)
 
 func (c CacheConfig) withDefaults() CacheConfig {
 	if c.PageSize <= 0 {
 		c.PageSize = 64
 	}
+	c.PageSize = min(c.PageSize, maxPageEntries)
 	if c.Pages <= 0 {
 		c.Pages = 256
 	}
 	switch {
 	case c.ColdPages == 0:
-		c.ColdPages = 4 * c.Pages
+		c.ColdPages = 4 * min(c.Pages, math.MaxInt/4)
 	case c.ColdPages < 0:
 		c.ColdPages = 0 // flat: no cold tier
 	}
@@ -60,6 +73,12 @@ func (c CacheConfig) withDefaults() CacheConfig {
 		c.Memo = 4096
 	}
 	return c
+}
+
+// sketchPages is Pages + ColdPages capped at maxSketchPages, summed
+// without overflow.
+func (c CacheConfig) sketchPages() int {
+	return min(min(c.Pages, maxSketchPages)+min(c.ColdPages, maxSketchPages), maxSketchPages)
 }
 
 // CacheStats is a Cache's accounting snapshot. Misses and ProbeMisses are
@@ -127,6 +146,10 @@ func (s CacheStats) HitRate() float64 {
 // the request — which pins the correctness property the tests assert: a
 // cached run's physical accesses never exceed an uncached run's.
 //
+// One map indexes every resident page, and each page records its tier, so
+// a lookup is one map probe, a promotion or demotion edits the chain and
+// the pool but no map, and a page is in at most one tier by construction.
+//
 // Both recency orders are kept without per-access allocation: the hot
 // tier chains its pages through their own prev/next links, the memo is a
 // flat open-addressed table (memoTable), and a page that leaves the cache
@@ -141,34 +164,16 @@ func (s CacheStats) HitRate() float64 {
 type Cache struct {
 	mu       sync.Mutex
 	cfg      CacheConfig
-	hot      cacheTier
-	cold     coldTier
-	sketch   *admitSketch // nil when the cold tier is disabled
+	pages    map[pageKey]*cachePage // every resident page, hot or cold
+	hot      cachePage              // the hot chain's sentinel: next is the MRU page, prev the demotion victim
+	hotLen   int                    // pages on the hot chain
+	cold     []*cachePage           // the cold pool, unordered: admission samples it by index
+	sketch   *admitSketch           // nil when the cold tier is disabled
 	coldFrac float64
 	rngState uint64     // deterministic victim-sampling stream
 	free     *cachePage // pages that left the cache, linked through next
 	memo     memoTable
 	stats    CacheStats
-}
-
-// cacheTier is the hot tier: a bounded LRU segment of the page store. Its
-// pages are chained in recency order through their prev/next links around
-// the sentinel head: head.next is the most recently used page, head.prev
-// the demotion victim.
-type cacheTier struct {
-	pages map[pageKey]*cachePage
-	head  cachePage
-	cap   int
-}
-
-// coldTier is the frequency-managed segment behind the hot tier. It keeps
-// no recency order — eviction picks the minimum-frequency page of a small
-// random sample — so residents live in a flat pool with an index map for
-// O(1) lookup, swap-removal and uniform sampling.
-type coldTier struct {
-	pages map[pageKey]int // page key → index into pool
-	pool  []*cachePage
-	cap   int
 }
 
 type pageKey struct {
@@ -180,6 +185,7 @@ type cachePage struct {
 	key     pageKey
 	entries []model.Entry // PageSize slots
 	have    []bool        // which slots are filled
+	tier    int           // index in the cold pool, or −1 on the hot chain
 	// prev and next chain a hot page into the tier's recency order; next
 	// also links the free list. Both are nil while the page is cold.
 	prev, next *cachePage
@@ -190,14 +196,13 @@ func NewCache(cfg CacheConfig) *Cache {
 	cfg = cfg.withDefaults()
 	c := &Cache{
 		cfg:      cfg,
-		hot:      cacheTier{pages: make(map[pageKey]*cachePage, cfg.Pages), cap: cfg.Pages},
-		cold:     coldTier{pages: make(map[pageKey]int, cfg.ColdPages), cap: cfg.ColdPages},
+		pages:    map[pageKey]*cachePage{},
 		coldFrac: cfg.ColdHitCost,
 		memo:     newMemoTable(cfg.Memo),
 	}
-	c.hot.head.prev, c.hot.head.next = &c.hot.head, &c.hot.head
+	c.hot.prev, c.hot.next = &c.hot, &c.hot
 	if cfg.ColdPages > 0 {
-		c.sketch = newAdmitSketch(cfg.Pages+cfg.ColdPages, cfg.PageSize)
+		c.sketch = newAdmitSketch(cfg.sketchPages(), cfg.PageSize)
 	}
 	return c
 }
@@ -243,16 +248,15 @@ func (c *Cache) touchLocked(key pageKey) {
 // fraction for the entry that found it there).
 func (c *Cache) pageForLocked(key pageKey) (pg *cachePage, fromCold bool) {
 	c.touchLocked(key)
-	if pg, ok := c.hot.pages[key]; ok {
-		if c.hot.head.next != pg {
-			pg.unlink()
-			c.hot.pushFront(pg)
+	if pg, ok := c.pages[key]; ok {
+		if pg.tier < 0 {
+			if c.hot.next != pg {
+				pg.unlink()
+				c.pushFront(pg)
+			}
+			return pg, false
 		}
-		return pg, false
-	}
-	if idx, ok := c.cold.pages[key]; ok {
-		pg = c.cold.pool[idx]
-		c.coldRemoveLocked(idx)
+		c.coldRemoveLocked(pg.tier)
 		c.insertHotLocked(pg)
 		return pg, true
 	}
@@ -267,6 +271,7 @@ func (c *Cache) pageForLocked(key pageKey) (pg *cachePage, fromCold bool) {
 			have:    make([]bool, c.cfg.PageSize),
 		}
 	}
+	c.pages[key] = pg
 	c.insertHotLocked(pg)
 	return pg, false
 }
@@ -277,31 +282,33 @@ func (pg *cachePage) unlink() {
 	pg.prev, pg.next = nil, nil
 }
 
-// pushFront links the unlinked page pg in as the tier's most recently
+// pushFront links the unlinked page pg in as the hot tier's most recently
 // used page.
-func (t *cacheTier) pushFront(pg *cachePage) {
-	pg.prev, pg.next = &t.head, t.head.next
-	t.head.next.prev = pg
-	t.head.next = pg
+func (c *Cache) pushFront(pg *cachePage) {
+	pg.prev, pg.next = &c.hot, c.hot.next
+	c.hot.next.prev = pg
+	c.hot.next = pg
 }
 
 // insertHotLocked puts pg at the front of the hot tier, demoting the hot
 // LRU victim when the tier overflows.
 func (c *Cache) insertHotLocked(pg *cachePage) {
-	c.hot.pages[pg.key] = pg
-	c.hot.pushFront(pg)
-	if len(c.hot.pages) > c.hot.cap {
-		victim := c.hot.head.prev
+	pg.tier = -1
+	c.pushFront(pg)
+	if c.hotLen++; c.hotLen > c.cfg.Pages {
+		victim := c.hot.prev
 		victim.unlink()
-		delete(c.hot.pages, victim.key)
+		c.hotLen--
 		c.stats.HotEvictions++
 		c.demoteLocked(victim)
 	}
-	c.checkTiersLocked(pg.key)
+	c.checkTiersLocked(pg)
 }
 
-// releaseLocked puts a page that left the cache entirely on the free list.
-func (c *Cache) releaseLocked(pg *cachePage) {
+// dropLocked takes a page that leaves the cache entirely out of the index
+// and puts it on the free list.
+func (c *Cache) dropLocked(pg *cachePage) {
+	delete(c.pages, pg.key)
 	pg.next = c.free
 	c.free = pg
 }
@@ -325,79 +332,71 @@ const admitSampleSize = 5
 // Either losing page leaves the cache entirely, counts as an Eviction and
 // goes on the free list.
 func (c *Cache) demoteLocked(pg *cachePage) {
-	if c.cold.cap <= 0 {
+	if c.cfg.ColdPages <= 0 {
 		c.stats.Evictions++
-		c.releaseLocked(pg)
+		c.dropLocked(pg)
 		return
 	}
-	if len(c.cold.pool) >= c.cold.cap {
-		minIdx, minEst := -1, int(^uint(0)>>1)
+	if len(c.cold) >= c.cfg.ColdPages {
+		minIdx, minEst := -1, math.MaxInt
 		for s := 0; s < admitSampleSize; s++ {
 			c.rngState++
-			idx := int(splitmix64(c.rngState) % uint64(len(c.cold.pool)))
-			if est := c.sketch.estimate(pageHash(c.cold.pool[idx].key)); est < minEst {
+			idx := int(splitmix64(c.rngState) % uint64(len(c.cold)))
+			if est := c.sketch.estimate(pageHash(c.cold[idx].key)); est < minEst {
 				minIdx, minEst = idx, est
 			}
 		}
 		if c.sketch.estimate(pageHash(pg.key)) <= minEst {
 			c.stats.AdmissionRejects++
 			c.stats.Evictions++
-			c.releaseLocked(pg)
+			c.dropLocked(pg)
 			return
 		}
-		c.releaseLocked(c.cold.pool[minIdx])
+		c.dropLocked(c.cold[minIdx])
 		c.coldRemoveLocked(minIdx)
 		c.stats.ColdEvictions++
 		c.stats.Evictions++
 	}
-	c.cold.pages[pg.key] = len(c.cold.pool)
-	c.cold.pool = append(c.cold.pool, pg)
-	c.checkTiersLocked(pg.key)
+	pg.tier = len(c.cold)
+	c.cold = append(c.cold, pg)
+	c.checkTiersLocked(pg)
 }
 
-// coldRemoveLocked deletes the cold resident at pool index idx by
-// swapping the last resident into its slot.
+// coldRemoveLocked takes the cold page at pool index idx out of the pool
+// by moving the last cold page into its slot.
 func (c *Cache) coldRemoveLocked(idx int) {
-	pool := c.cold.pool
-	delete(c.cold.pages, pool[idx].key)
-	last := len(pool) - 1
+	last := len(c.cold) - 1
 	if idx != last {
-		pool[idx] = pool[last]
-		c.cold.pages[pool[idx].key] = idx
+		c.cold[idx] = c.cold[last]
+		c.cold[idx].tier = idx
 	}
-	pool[last] = nil
-	c.cold.pool = pool[:last]
+	c.cold[last] = nil
+	c.cold = c.cold[:last]
 }
 
-// checkTiersLocked asserts the tier invariants for the just-moved key:
-// occupancies within capacity and the key resident in at most one tier.
-// Compiled to a no-op without the invariants build tag.
-func (c *Cache) checkTiersLocked(key pageKey) {
+// checkTiersLocked asserts the page index's invariants after pg moved:
+// both tiers within their bounds, their counts adding up to the index, pg
+// indexed under its key, and pg linked into the hot chain or sitting at
+// its cold pool index. Compiled to a no-op without the invariants build
+// tag.
+func (c *Cache) checkTiersLocked(pg *cachePage) {
 	if !invariantsEnabled {
 		return
 	}
-	if len(c.hot.pages) > c.hot.cap {
-		invariantViolated("hot tier over capacity: %d > %d", len(c.hot.pages), c.hot.cap)
+	if c.hotLen > c.cfg.Pages || len(c.cold) > c.cfg.ColdPages {
+		invariantViolated("tiers over their bounds: %d of %d hot, %d of %d cold", c.hotLen, c.cfg.Pages, len(c.cold), c.cfg.ColdPages)
 	}
-	if len(c.cold.pool) > c.cold.cap && c.cold.cap > 0 {
-		invariantViolated("cold tier over capacity: %d > %d", len(c.cold.pool), c.cold.cap)
+	if c.hotLen+len(c.cold) != len(c.pages) {
+		invariantViolated("index holds %d pages, the tiers %d hot and %d cold", len(c.pages), c.hotLen, len(c.cold))
 	}
-	pg, inHot := c.hot.pages[key]
-	_, inCold := c.cold.pages[key]
-	if inHot && inCold {
-		invariantViolated("page %v resident in both tiers", key)
+	if c.pages[pg.key] != pg {
+		invariantViolated("page %v not indexed under its key", pg.key)
 	}
-	if inHot && !(pg.key == key && pg.prev != nil && pg.prev.next == pg && pg.next.prev == pg) {
-		invariantViolated("hot tier map/chain out of sync for page %v", key)
+	if pg.tier < 0 && !(pg.prev != nil && pg.prev.next == pg && pg.next.prev == pg) {
+		invariantViolated("hot page %v not linked into the chain", pg.key)
 	}
-	if len(c.cold.pages) != len(c.cold.pool) {
-		invariantViolated("cold tier map/pool out of sync: %d != %d", len(c.cold.pages), len(c.cold.pool))
-	}
-	if inCold {
-		idx := c.cold.pages[key]
-		if !(idx >= 0 && idx < len(c.cold.pool) && c.cold.pool[idx].key == key) {
-			invariantViolated("cold tier index map broken for page %v", key)
-		}
+	if pg.tier >= 0 && !(pg.tier < len(c.cold) && c.cold[pg.tier] == pg) {
+		invariantViolated("cold page %v not at its pool index %d", pg.key, pg.tier)
 	}
 }
 
@@ -481,32 +480,19 @@ func (l *cachedList) AtNErr(pos int, dst []model.Entry) (int, error) {
 	return l.AtCostNErr(pos, dst, make([]float64, len(dst)))
 }
 
-// AtCostErr implements FallibleCostedList: a hot hit costs 0, a cold hit
-// costs ColdHitCost × CS (and promotes the page), a miss fetches exactly
-// one entry from the backend, caches it in its (list, page) slot and costs
-// CS. A failed backend fetch leaves the page slot unfilled and the
-// hit/miss accounting untouched — the next read retries the fetch, and a
-// fault can never poison a page or the tier bookkeeping (the page's tier
-// placement stands; only the slot stays empty).
+// AtCostErr implements FallibleCostedList as AtCostNErr of one entry: a
+// hot hit costs 0, a cold hit costs ColdHitCost × CS (and promotes the
+// page), a miss fetches the entry from the backend, caches it in its
+// (list, page) slot and costs CS. A position past the list's end panics,
+// as the backend's own read would.
 func (l *cachedList) AtCostErr(pos int) (model.Entry, float64, error) {
-	c := l.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := pageKey{list: l.list, page: pos / c.cfg.PageSize}
-	off := pos % c.cfg.PageSize
-	pg, fromCold := c.pageForLocked(key)
-	if pg.have[off] {
-		return pg.entries[off], l.hitCostLocked(fromCold), nil
+	var e [1]model.Entry
+	var cost [1]float64
+	n, err := l.AtCostNErr(pos, e[:], cost[:])
+	if n == 0 && err == nil {
+		panic(fmt.Sprintf("access: position %d beyond the cached list's %d entries", pos, l.n))
 	}
-	//lint:lockheld single-flight: concurrent readers of a missing entry must not fetch it twice
-	e, err := atErr(l.src, pos)
-	if err != nil {
-		return model.Entry{}, 0, err
-	}
-	pg.entries[off] = e
-	pg.have[off] = true
-	c.stats.Misses++
-	return e, l.costs.CS, nil
+	return e[0], cost[0], err
 }
 
 // AtCostNErr implements FallibleCostedBatchList: one lock acquisition per
@@ -517,10 +503,13 @@ func (l *cachedList) AtCostErr(pos int) (model.Entry, float64, error) {
 // per miss, not entry-by-entry. The fill never extends past the requested
 // range, so the cached run's physical accesses still never exceed an
 // uncached run's, and the per-entry hit/miss charging, stats, sketch and
-// LRU state are exactly what len(dst) AtCostErr calls would leave. A miss
+// LRU state are exactly what len(dst) one-entry reads would leave. A miss
 // run that fails mid-fetch caches and accounts only the entries the
 // backend actually delivered; the delivered prefix of dst is valid and the
-// error is returned for the caller's retry policy.
+// error is returned for the caller's retry policy: a failed fetch leaves
+// its slots unfilled and the hit/miss accounting untouched, so the next
+// read retries it, and a fault can never poison a page or the tier
+// bookkeeping (the page's tier placement stands).
 func (l *cachedList) AtCostNErr(pos int, dst []model.Entry, costs []float64) (int, error) {
 	n := l.n - pos
 	if n <= 0 {

@@ -96,14 +96,14 @@ func checkMemoTable(t *testing.T, m *memoTable, want []memoModelKey) {
 // keys in the same order.
 func checkHotChain(t *testing.T, c *Cache, want []pageKey) {
 	t.Helper()
-	pg := c.hot.head.next
+	pg := c.hot.next
 	for i, k := range want {
-		if pg == &c.hot.head || pg.key != k {
+		if pg == &c.hot || pg.key != k {
 			t.Fatalf("hot chain position %d diverges from the model's page %v", i, k)
 		}
 		pg = pg.next
 	}
-	if pg != &c.hot.head {
+	if pg != &c.hot {
 		t.Fatalf("hot chain continues past the model's %d pages", len(want))
 	}
 }
@@ -239,6 +239,51 @@ func TestCacheMemoGrowsLazily(t *testing.T) {
 	probes := int64(db.N() * db.M())
 	if st := cache.Stats(); st.ProbeMisses != probes || st.ProbeHits != probes {
 		t.Fatalf("stats %+v, want %d probe misses then %d hits", st, probes, probes)
+	}
+}
+
+// TestCachePageBoundsAreBounds pins that the page store's bounds are
+// bounds, not sizes: a cache whose tiers may hold 2^16 hot and 2^18 cold
+// pages builds in its admission sketch's bytes alone, and a flat one at
+// that bound, which has no sketch, in under 1 KB.
+func TestCachePageBoundsAreBounds(t *testing.T) {
+	cfg := CacheConfig{Pages: 1 << 16}
+	r := cfg.withDefaults()
+	s := newAdmitSketch(r.sketchPages(), r.PageSize)
+	sketch := uint64(len(s.counters) + 8*len(s.door))
+	if got := constructionBytes(cfg); got > sketch+1<<10 {
+		t.Fatalf("building a cache with bounds %+v allocated %d bytes, its sketch %d", cfg, got, sketch)
+	}
+	flat := CacheConfig{Pages: 1 << 16, ColdPages: -1}
+	if got := constructionBytes(flat); got >= 1<<10 {
+		t.Fatalf("building a flat cache with bounds %+v allocated %d bytes", flat, got)
+	}
+}
+
+// TestCacheSizingCaps pins the caps on what NewCache sizes up front, on
+// the sizing it resolves rather than on a built cache: at Pages, ColdPages
+// and PageSize of 2^40, 2^60 and math.MaxInt a page covers at most
+// maxPageEntries positions, the cold tier is at least as large as the hot
+// one up to 2^61 pages (the default 4 × Pages must not wrap around), and
+// the sketch is sized for at most maxSketchPages pages. At both caps the
+// sketch's aging period stays positive, and below them the sizing is the
+// configured one.
+func TestCacheSizingCaps(t *testing.T) {
+	for _, v := range []int{1 << 40, 1 << 60, math.MaxInt} {
+		for _, cfg := range []CacheConfig{{Pages: v}, {ColdPages: v}, {PageSize: v}, {PageSize: v, Pages: v, ColdPages: v}} {
+			r := cfg.withDefaults()
+			p := r.sketchPages()
+			if r.PageSize < 1 || r.PageSize > maxPageEntries || r.Pages < 1 || r.ColdPages < min(r.Pages, 1<<61) || p < 1 || p > maxSketchPages {
+				t.Fatalf("%+v resolves to %+v with a sketch for %d pages", cfg, r, p)
+			}
+		}
+	}
+	if s := newAdmitSketch(maxSketchPages, maxPageEntries); s.sample <= 0 || len(s.counters) != 4*maxSketchPages {
+		t.Fatalf("a sketch at both caps has %d counter bytes and aging period %d", len(s.counters), s.sample)
+	}
+	r := CacheConfig{}.withDefaults()
+	if r.PageSize != 64 || r.Pages != 256 || r.ColdPages != 1024 || r.sketchPages() != 1280 {
+		t.Fatalf("the default configuration resolves to %+v with a sketch for %d pages", r, r.sketchPages())
 	}
 }
 

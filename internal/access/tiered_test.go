@@ -18,47 +18,37 @@ func scanDB(t *testing.T, n int) *model.Database {
 	return b.MustBuild()
 }
 
-// checkTierConsistency asserts the structural tier invariants the
-// invariants build tag checks online: occupancies within capacity, the
-// hot tier's map and recency chain and the cold tier's map and pool in
-// sync, and no page resident in both tiers.
+// checkTierConsistency asserts the page index's structure, which the
+// invariants build checks online one moved page at a time: both tiers
+// within their bounds, every page on the hot chain and in the cold pool
+// indexed under its key and recording its tier, and the index holding
+// exactly those pages.
 func checkTierConsistency(t *testing.T, c *Cache) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.hot.pages) > c.hot.cap {
-		t.Fatalf("hot tier holds %d pages, capacity %d", len(c.hot.pages), c.hot.cap)
-	}
-	if c.cold.cap > 0 && len(c.cold.pages) > c.cold.cap {
-		t.Fatalf("cold tier holds %d pages, capacity %d", len(c.cold.pages), c.cold.cap)
-	}
-	if c.cold.cap <= 0 && len(c.cold.pages) != 0 {
-		t.Fatalf("disabled cold tier holds %d pages", len(c.cold.pages))
+	if c.hotLen > c.cfg.Pages || len(c.cold) > c.cfg.ColdPages {
+		t.Fatalf("tiers over their bounds: %d of %d hot, %d of %d cold", c.hotLen, c.cfg.Pages, len(c.cold), c.cfg.ColdPages)
 	}
 	chained := 0
-	for pg := c.hot.head.next; pg != &c.hot.head; pg = pg.next {
-		if pg.next.prev != pg || c.hot.pages[pg.key] != pg {
-			t.Fatalf("hot tier chain broken at page %v", pg.key)
+	for pg := c.hot.next; pg != &c.hot; pg = pg.next {
+		if pg.next.prev != pg || pg.tier != -1 || c.pages[pg.key] != pg {
+			t.Fatalf("hot chain broken at page %v", pg.key)
 		}
-		if chained++; chained > len(c.hot.pages) {
+		if chained++; chained > c.hotLen {
 			break
 		}
 	}
-	if len(c.hot.pages) != chained {
-		t.Fatalf("hot tier map/chain out of sync: %d vs %d", len(c.hot.pages), chained)
+	if chained != c.hotLen {
+		t.Fatalf("hot chain links %d pages, the tier counts %d", chained, c.hotLen)
 	}
-	if len(c.cold.pages) != len(c.cold.pool) {
-		t.Fatalf("cold tier map/pool out of sync: %d vs %d", len(c.cold.pages), len(c.cold.pool))
-	}
-	for k, idx := range c.cold.pages {
-		if idx < 0 || idx >= len(c.cold.pool) || c.cold.pool[idx].key != k {
-			t.Fatalf("cold tier index map broken for page %v", k)
+	for i, pg := range c.cold {
+		if pg.tier != i || c.pages[pg.key] != pg {
+			t.Fatalf("cold page %v at pool index %d records tier %d", pg.key, i, pg.tier)
 		}
 	}
-	for k := range c.hot.pages {
-		if _, dup := c.cold.pages[k]; dup {
-			t.Fatalf("page %v resident in both tiers", k)
-		}
+	if len(c.pages) != c.hotLen+len(c.cold) {
+		t.Fatalf("index holds %d pages, the tiers %d hot and %d cold", len(c.pages), c.hotLen, len(c.cold))
 	}
 }
 

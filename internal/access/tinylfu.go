@@ -4,17 +4,17 @@ package access
 // sketch with periodic halving (aging) behind a doorkeeper bloom filter.
 // The cache consults it on every page touch and uses it at cold-tier
 // admission time: a page demoted from the hot tier only displaces the
-// cold tier's LRU victim when the sketch estimates the newcomer's access
-// frequency at or above the victim's. One-shot scan pages never
-// accumulate frequency, so a deep scan cannot flush the repeat-heavy
-// working set out of the cold tier.
+// minimum-frequency page of a sampled few cold residents when the sketch
+// estimates the newcomer's access frequency above it. One-shot scan pages
+// never accumulate frequency, so a deep scan cannot flush the
+// repeat-heavy working set out of the cold tier.
 //
 // The doorkeeper absorbs one-hit wonders: an item's first occurrence in
 // an epoch only sets a bloom bit, and only repeat occurrences reach the
 // counters, so the 4-bit counters spend their tiny range on items seen
 // at least twice. Aging halves every counter and clears the doorkeeper
-// once the number of recorded touches reaches the sample period (~10×
-// the cache's page capacity), keeping estimates a sliding window of
+// once the number of recorded touches reaches the sample period (10× the
+// cache's entry capacity), keeping estimates a sliding window of
 // recent popularity rather than an all-time count.
 //
 // The sketch is not internally synchronised; the owning Cache calls it
@@ -35,7 +35,8 @@ type admitSketch struct {
 // cache touches once per entry read — not per page — so it scales with
 // the entry capacity (10 × pages × pageSize): one epoch spans several
 // full re-reads of the cached data, and a single deep scan cannot age
-// the working set's frequency away before the scan ends.
+// the working set's frequency away before the scan ends. The caps
+// (maxSketchPages, maxPageEntries) keep both from overflowing.
 func newAdmitSketch(capacity, pageSize int) *admitSketch {
 	if capacity < 16 {
 		capacity = 16
