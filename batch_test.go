@@ -81,7 +81,7 @@ func TestBatchQueryMatchesParallelQueries(t *testing.T) {
 			{Agg: repro.Avg(3), K: 3, Opts: repro.Options{Algorithm: repro.AlgoCA, Costs: repro.CostModel{CS: 1, CR: 8}}},
 			{Agg: repro.Min(3), K: 4, Opts: repro.Options{Algorithm: repro.AlgoFA}},
 			{Agg: repro.Max(3), K: 2, Opts: repro.Options{Algorithm: repro.AlgoMaxTopK}},
-			{Agg: repro.Avg(3), K: 6, Opts: repro.Options{Memoize: true}},
+			{Agg: repro.Avg(3), K: 6},
 			{Agg: repro.Avg(3), K: 1, Opts: repro.Options{Theta: 1.5}},
 		}
 		want := repro.ParallelQueries(db, specs, 1)

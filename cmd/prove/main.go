@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	t, err := aggByName(*aggName, db.M())
+	t, err := agg.ByName(*aggName, db.M())
 	if err != nil {
 		fatal(err)
 	}
@@ -109,26 +109,6 @@ func algoByName(name string, theta float64, costs access.CostModel) (core.Algori
 		return &core.Intermittent{Costs: costs}, access.AllowAll, nil
 	}
 	return nil, access.Policy{}, fmt.Errorf("unknown algorithm %q", name)
-}
-
-func aggByName(name string, m int) (agg.Func, error) {
-	switch strings.ToLower(name) {
-	case "min":
-		return agg.Min(m), nil
-	case "max":
-		return agg.Max(m), nil
-	case "sum":
-		return agg.Sum(m), nil
-	case "avg", "average":
-		return agg.Avg(m), nil
-	case "product":
-		return agg.Product(m), nil
-	case "median":
-		return agg.Median(m), nil
-	case "geomean":
-		return agg.GeometricMean(m), nil
-	}
-	return nil, fmt.Errorf("unknown aggregation %q", name)
 }
 
 func fatal(err error) {

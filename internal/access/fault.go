@@ -169,9 +169,6 @@ type FaultPlan struct {
 	BurstLen   int
 	// Dead makes every access fail permanently with ErrListDown.
 	Dead bool
-	// DeadAfter kills the list permanently after that many accesses have
-	// been served (0: never). Models a backend that works, then dies.
-	DeadAfter int
 	// Hang stalls each injected failure for this long before returning it,
 	// simulating a hung backend whose caller eventually times out.
 	Hang time.Duration
@@ -221,7 +218,7 @@ func (f *Faulty) fault() error {
 	n := f.seq.Add(1)
 	var err error
 	switch {
-	case f.plan.Dead || (f.plan.DeadAfter > 0 && n > uint64(f.plan.DeadAfter)):
+	case f.plan.Dead:
 		err = fmt.Errorf("access %d: %w", n, ErrListDown)
 	case f.plan.BurstEvery > 0 && n%uint64(f.plan.BurstEvery) < uint64(f.plan.BurstLen):
 		err = fmt.Errorf("injected burst failure at access %d: %w", n, ErrBackend)

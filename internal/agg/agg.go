@@ -70,14 +70,13 @@ func KindOf(t Func) Kind {
 
 // props carries the declared property flags shared by all implementations.
 type props struct {
-	name       string
-	arity      int
-	strict     bool
-	sm         bool // strictly monotone
-	smEach     bool // strictly monotone in each argument
-	kind       Kind
-	applyFunc  func([]model.Grade) model.Grade
-	checkArity bool
+	name      string
+	arity     int
+	strict    bool
+	sm        bool // strictly monotone
+	smEach    bool // strictly monotone in each argument
+	kind      Kind
+	applyFunc func([]model.Grade) model.Grade
 }
 
 func (p *props) Name() string               { return p.name }

@@ -93,3 +93,21 @@ func validate(src *access.Source, t agg.Func, k int) error {
 	}
 	return ValidateQueryShape(src.M(), src.N(), t, k)
 }
+
+// validateAccess is validate plus the access every algorithm but TA
+// needs: sorted access to every list and, when random is set and there
+// is more than one list, random access. name heads the rejection.
+func validateAccess(src *access.Source, t agg.Func, k int, name string, random bool) error {
+	if err := validate(src, t, k); err != nil {
+		return err
+	}
+	for i := 0; i < src.M(); i++ {
+		if !src.CanSorted(i) {
+			return fmt.Errorf("%w: %s needs sorted access to every list", ErrBadQuery, name)
+		}
+	}
+	if random && src.M() > 1 && !src.CanRandom(0) {
+		return fmt.Errorf("%w: %s needs random access; use NRA when random access is impossible", ErrBadQuery, name)
+	}
+	return nil
+}

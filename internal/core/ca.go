@@ -43,23 +43,11 @@ func resolveH(h int, costs access.CostModel) int {
 
 // Run implements Algorithm.
 func (a *CA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
-	if err := validate(src, t, k); err != nil {
+	if err := validateAccess(src, t, k, "CA", true); err != nil {
 		return nil, err
-	}
-	m := src.M()
-	for i := 0; i < m; i++ {
-		if !src.CanSorted(i) {
-			return nil, fmt.Errorf("%w: CA needs sorted access to every list", ErrBadQuery)
-		}
-	}
-	if m > 1 && !src.CanRandom(0) {
-		return nil, fmt.Errorf("%w: CA needs random access; use NRA when random access is impossible", ErrBadQuery)
 	}
 	h := resolveH(a.H, a.Costs)
-	c, err := NewNRACursor(src, t, k, LazyEngine)
-	if err != nil {
-		return nil, err
-	}
+	c := newNRACursor(src, t, k, LazyEngine)
 	defer c.Release()
 	for {
 		if c.StepN(1) == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -296,13 +297,21 @@ func TestMaxTopK(t *testing.T) {
 				if res.Stats.Random != 0 {
 					t.Errorf("m=%d %s k=%d: made random accesses", m, dbName, k)
 				}
-				if _, err := (MaxTopK{}).Run(access.New(db, access.AllowAll), agg.Min(m), k); err == nil {
-					t.Errorf("MaxTopK accepted non-max aggregation")
+				for _, bad := range []agg.Func{agg.Min(m), maxNamed{agg.Avg(m)}} {
+					if _, err := (MaxTopK{}).Run(access.New(db, access.AllowAll), bad, k); !errors.Is(err, ErrBadQuery) {
+						t.Errorf("MaxTopK on %T named %s: err %v, want ErrBadQuery", bad, bad.Name(), err)
+					}
 				}
 			}
 		}
 	}
 }
+
+// maxNamed is a Func that is not max under max's name: MaxTopK, which is
+// sound only for max, must go by what built a Func, not by its name.
+type maxNamed struct{ agg.Func }
+
+func (maxNamed) Name() string { return "max" }
 
 // TestQueryValidation covers the shared argument checks.
 func TestQueryValidation(t *testing.T) {

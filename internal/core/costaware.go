@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/access"
@@ -112,18 +111,10 @@ func (a *CostAwareTA) ceiling(tb *table) model.Grade {
 
 // Run implements Algorithm.
 func (a *CostAwareTA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
-	if err := validate(src, t, k); err != nil {
+	if err := validateAccess(src, t, k, "cost-aware TA", true); err != nil {
 		return nil, err
 	}
 	m := src.M()
-	for i := 0; i < m; i++ {
-		if !src.CanSorted(i) {
-			return nil, fmt.Errorf("%w: cost-aware TA needs sorted access to every list", ErrBadQuery)
-		}
-	}
-	if m > 1 && !src.CanRandom(0) {
-		return nil, fmt.Errorf("%w: cost-aware TA needs random access; use NRA when random access is impossible", ErrBadQuery)
-	}
 	h := a.phasePeriod(src)
 	view := newSchedView(src)
 	tb := newTable(src, t, k, true)

@@ -72,15 +72,15 @@ type CursorView struct {
 // source must permit sorted access on every list (random access is never
 // used by StepN; CA and Intermittent layer their random phases on top).
 func NewNRACursor(src *access.Source, t agg.Func, k int, engine Engine) (*NRACursor, error) {
-	if err := validate(src, t, k); err != nil {
+	if err := validateAccess(src, t, k, "NRA", false); err != nil {
 		return nil, err
 	}
-	for i := 0; i < src.M(); i++ {
-		if !src.CanSorted(i) {
-			return nil, fmt.Errorf("%w: bound-maintaining runs need sorted access to every list", ErrBadQuery)
-		}
-	}
-	return &NRACursor{src: src, t: t, k: k, tb: newTable(src, t, k, engine == LazyEngine)}, nil
+	return newNRACursor(src, t, k, engine), nil
+}
+
+// newNRACursor opens a cursor on a query its caller has validated.
+func newNRACursor(src *access.Source, t agg.Func, k int, engine Engine) *NRACursor {
+	return &NRACursor{src: src, t: t, k: k, tb: newTable(src, t, k, engine == LazyEngine)}
 }
 
 // StepN performs up to budget parallel sorted-access rounds in one call and

@@ -27,18 +27,10 @@ type faState struct {
 
 // Run implements Algorithm.
 func (FA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
-	if err := validate(src, t, k); err != nil {
+	if err := validateAccess(src, t, k, "FA", true); err != nil {
 		return nil, err
 	}
 	m := src.M()
-	for i := 0; i < m; i++ {
-		if !src.CanSorted(i) {
-			return nil, fmt.Errorf("%w: FA needs sorted access to every list", ErrBadQuery)
-		}
-	}
-	if m > 1 && !src.CanRandom(0) {
-		return nil, fmt.Errorf("%w: FA needs random access", ErrBadQuery)
-	}
 
 	seen := make(map[model.ObjectID]*faState)
 	var order []model.ObjectID // discovery order: keeps phases 2 and 3 deterministic

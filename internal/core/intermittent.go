@@ -28,23 +28,11 @@ func (a *Intermittent) Name() string { return "Intermittent" }
 
 // Run implements Algorithm.
 func (a *Intermittent) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
-	if err := validate(src, t, k); err != nil {
+	if err := validateAccess(src, t, k, "Intermittent", true); err != nil {
 		return nil, err
-	}
-	m := src.M()
-	for i := 0; i < m; i++ {
-		if !src.CanSorted(i) {
-			return nil, fmt.Errorf("%w: Intermittent needs sorted access to every list", ErrBadQuery)
-		}
-	}
-	if m > 1 && !src.CanRandom(0) {
-		return nil, fmt.Errorf("%w: Intermittent needs random access", ErrBadQuery)
 	}
 	h := resolveH(a.H, a.Costs)
-	c, err := NewNRACursor(src, t, k, LazyEngine)
-	if err != nil {
-		return nil, err
-	}
+	c := newNRACursor(src, t, k, LazyEngine)
 	defer c.Release()
 	c.recordEncounters = true
 	var queue []model.ObjectID // encounters in TA time order

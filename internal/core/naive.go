@@ -20,15 +20,10 @@ func (Naive) Name() string { return "Naive" }
 
 // Run implements Algorithm.
 func (Naive) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
-	if err := validate(src, t, k); err != nil {
+	if err := validateAccess(src, t, k, "Naive", false); err != nil {
 		return nil, err
 	}
 	m := src.M()
-	for i := 0; i < m; i++ {
-		if !src.CanSorted(i) {
-			return nil, fmt.Errorf("%w: Naive needs sorted access to every list", ErrBadQuery)
-		}
-	}
 	grades := make(map[model.ObjectID][]model.Grade, src.N())
 	for i := 0; i < m; i++ {
 		for {
@@ -77,21 +72,16 @@ type MaxTopK struct{}
 // Name implements Algorithm.
 func (MaxTopK) Name() string { return "MaxTopK" }
 
-// Run implements Algorithm. It requires t to be max (it is unsound for any
-// other aggregation) and rejects other functions.
+// Run implements Algorithm. It requires t to be agg.Max (it is unsound for
+// any other aggregation) and rejects every other Func, whatever its name.
 func (MaxTopK) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
-	if err := validate(src, t, k); err != nil {
+	if err := validateAccess(src, t, k, "MaxTopK", false); err != nil {
 		return nil, err
 	}
-	if t.Name() != "max" {
-		return nil, fmt.Errorf("%w: MaxTopK applies only to the max aggregation, got %s", ErrBadQuery, t.Name())
+	if agg.KindOf(t) != agg.KindMax {
+		return nil, fmt.Errorf("%w: MaxTopK applies only to agg.Max, got %s", ErrBadQuery, t.Name())
 	}
 	m := src.M()
-	for i := 0; i < m; i++ {
-		if !src.CanSorted(i) {
-			return nil, fmt.Errorf("%w: MaxTopK needs sorted access to every list", ErrBadQuery)
-		}
-	}
 	best := make(map[model.ObjectID]model.Grade)
 	for round := 0; round < k; round++ {
 		for i := 0; i < m; i++ {

@@ -59,14 +59,6 @@ func (a *NRA) Name() string { return "NRA" }
 // run past its halting point (the sharded no-random-access engine) hold a
 // cursor directly instead.
 func (a *NRA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
-	if err := validate(src, t, k); err != nil {
-		return nil, err
-	}
-	for i := 0; i < src.M(); i++ {
-		if !src.CanSorted(i) {
-			return nil, fmt.Errorf("%w: NRA needs sorted access to every list", ErrBadQuery)
-		}
-	}
 	c, err := NewNRACursor(src, t, k, a.Engine)
 	if err != nil {
 		return nil, err

@@ -33,6 +33,9 @@ import (
 // another object in that list).
 const Epsilon = 1e-9
 
+// tolerance absorbs floating-point noise in the certificate's comparison.
+const tolerance = 1e-12
+
 // Options configures a verification.
 type Options struct {
 	// Theta is the approximation parameter; 0 or 1 means exact top-k.
@@ -42,8 +45,6 @@ type Options struct {
 	// (an unknown grade cannot equal a grade already observed in that
 	// list).
 	Distinct bool
-	// Tolerance absorbs floating-point noise in the comparison.
-	Tolerance float64
 }
 
 // knowledge is the information state reconstructed from a trace.
@@ -179,10 +180,6 @@ func Verify(trace *access.Trace, t agg.Func, n int, answer []model.ObjectID, opt
 	if theta < 1 {
 		return nil, fmt.Errorf("instopt: θ=%g below 1", theta)
 	}
-	tol := opts.Tolerance
-	if tol == 0 {
-		tol = 1e-12
-	}
 	k := replay(trace, t, n)
 
 	inAnswer := make(map[model.ObjectID]bool, len(answer))
@@ -203,7 +200,7 @@ func Verify(trace *access.Trace, t agg.Func, n int, answer []model.ObjectID, opt
 		if b > rep.Ceiling {
 			rep.Ceiling = b
 		}
-		if rep.Valid && b > floor+tol {
+		if rep.Valid && b > floor+tolerance {
 			rep.Valid = false
 			rep.Reason = fmt.Sprintf("%s has possible grade %.9g above the answer floor %.9g", label, b, floor)
 		}

@@ -89,11 +89,6 @@ type Options struct {
 	// 0 means one goroutine per shard, and negative values are rejected
 	// with ErrBadQuery.
 	Workers int
-	// Memoize lets each shard's TA worker cache computed grades
-	// (unbounded per-shard buffer, fewer repeat random accesses). It has
-	// no effect in the no-random-access mode, which performs no random
-	// accesses to cache.
-	Memoize bool
 	// CostAwareTA replaces the TA-mode workers with core.CostAwareTA: each
 	// shard allocates sorted accesses cheapest-threshold-drop-first
 	// (core.CAPlanner) and spends random access at the CA cadence h ≈
@@ -508,11 +503,9 @@ func (e *Engine) queryTA(ctx context.Context, t agg.Func, k int, opts Options) (
 		}
 		var al core.Algorithm
 		if opts.CostAwareTA {
-			// CostAwareTA memoizes inherently (its bound bookkeeping keeps
-			// every seen object), so Options.Memoize has nothing to add.
 			al = &core.CostAwareTA{Costs: opts.Costs, OnProgress: onProgress}
 		} else {
-			al = &core.TA{StrictStop: true, Memoize: opts.Memoize, OnProgress: onProgress, Batch: taBatchRounds}
+			al = &core.TA{StrictStop: true, OnProgress: onProgress, Batch: taBatchRounds}
 		}
 		// A worker whose backend died keeps whatever partial evidence it
 		// salvaged: its items carry exact grades, so the fold below merges

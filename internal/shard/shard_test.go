@@ -190,31 +190,6 @@ func TestShardedStatsMerge(t *testing.T) {
 	}
 }
 
-// TestShardedMemoize checks the memoized variant returns the same answer.
-func TestShardedMemoize(t *testing.T) {
-	db, err := workload.Zipf(workload.Spec{N: 300, M: 3, Seed: 22}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := shard.New(db, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := eng.Query(agg.Min(3), 7, shard.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	memo, err := eng.Query(agg.Min(3), 7, shard.Options{Memoize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertItemsEqual(t, "memoize", memo.Items, plain.Items)
-	if memo.Stats.Random > plain.Stats.Random {
-		t.Fatalf("memoized run made more random accesses (%d) than plain (%d)",
-			memo.Stats.Random, plain.Stats.Random)
-	}
-}
-
 // TestShardedContextCancel checks that a cancelled context stops the run
 // with the context's error.
 func TestShardedContextCancel(t *testing.T) {

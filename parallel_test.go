@@ -117,7 +117,7 @@ func TestParallelQueriesOutcomeEquality(t *testing.T) {
 		specs = append(specs,
 			repro.QuerySpec{Agg: tf, K: 5},
 			repro.QuerySpec{Agg: tf, K: 3, Opts: repro.Options{NoRandomAccess: true}},
-			repro.QuerySpec{Agg: tf, K: 7, Opts: repro.Options{Memoize: true}},
+			repro.QuerySpec{Agg: tf, K: 7},
 			repro.QuerySpec{Agg: tf, K: 2, Opts: repro.Options{Shards: 3}},
 		)
 	}

@@ -150,9 +150,6 @@ type Options struct {
 	// SortedLists, when non-empty, restricts sorted access to these
 	// list indices (Section 7's Z); TA then behaves as TAz.
 	SortedLists []int
-	// Memoize lets TA cache grades (unbounded buffer, fewer repeat
-	// random accesses).
-	Memoize bool
 	// CostAwareTA makes the TA engine cost-adaptive (the paper's CA
 	// argument applied to TA's contract): sorted accesses are allocated
 	// cheapest-threshold-drop-first (core.CAPlanner) and random accesses
@@ -322,14 +319,21 @@ type BackendSpec struct {
 // fields take access.CacheConfig's defaults (64-entry pages, 256 hot
 // pages, a cold tier of 4× the hot pages charging 0.1 of the declared
 // cost per hit, 4096 memoized grades). A negative PageSize, Pages or Memo
-// is rejected with ErrBadQuery.
+// is rejected with ErrBadQuery. Every field is a bound, not a size: the
+// cache grows with what it holds, so a bound far beyond what a query
+// reads costs nothing. Two caps bound what the cache sizes up front: its
+// admission sketch is sized for at most 2^20 pages of Pages + ColdPages,
+// and a PageSize above 2^16 entries is taken as 2^16.
 type CacheSpec struct {
+	// PageSize is the number of consecutive sorted positions one cached
+	// page covers.
 	PageSize int
 	// Pages bounds the hot tier (hits free). ColdPages bounds the
 	// TinyLFU-admission-controlled cold tier behind it: zero means 4×
-	// Pages, negative disables the cold tier (flat single-LRU cache).
-	// ColdHitCost is the fraction of the backend's declared cost a
-	// cold-tier hit charges (zero means 0.1, negative means free).
+	// Pages, saturating below math.MaxInt, negative disables the cold tier
+	// (flat single-LRU cache). ColdHitCost is the fraction of the
+	// backend's declared cost a cold-tier hit charges (zero means 0.1,
+	// negative means free). Memo bounds the random-access memo.
 	Pages       int
 	ColdPages   int
 	ColdHitCost float64

@@ -116,7 +116,6 @@ func resolve(on target, opts Options) (plan, error) {
 	pl := plan{shards: shards, costs: costs, retry: opts.Retry.Resolve()}
 	pl.shard = shard.Options{
 		Workers:        opts.ShardWorkers,
-		Memoize:        opts.Memoize,
 		CostAwareTA:    opts.CostAwareTA,
 		Costs:          costs,
 		NoRandomAccess: opts.NoRandomAccess || name == AlgoNRA,
@@ -191,7 +190,7 @@ func sequential(m int, name AlgorithmName, costs CostModel, opts Options) (core.
 		if opts.CostAwareTA {
 			return &core.CostAwareTA{Costs: costs, OnProgress: opts.OnProgress}, policy, nil
 		}
-		return &core.TA{Theta: opts.Theta, Memoize: opts.Memoize, OnProgress: opts.OnProgress}, policy, nil
+		return &core.TA{Theta: opts.Theta, OnProgress: opts.OnProgress}, policy, nil
 	case AlgoFA:
 		return core.FA{}, policy, nil
 	case AlgoNRA:

@@ -131,9 +131,9 @@ func TestShardedOptionCompatibility(t *testing.T) {
 	if res.Items[0].Object != 1 {
 		t.Fatalf("top object %d, want 1", res.Items[0].Object)
 	}
-	// TA explicit + memoize + workers cap + single shard are supported.
+	// TA explicit + workers cap + single shard are supported.
 	if _, err := repro.Query(db, repro.Avg(3), 2, repro.Options{
-		Shards: 2, ShardWorkers: 1, Algorithm: repro.AlgoTA, Memoize: true,
+		Shards: 2, ShardWorkers: 1, Algorithm: repro.AlgoTA,
 	}); err != nil {
 		t.Fatal(err)
 	}
