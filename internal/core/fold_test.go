@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -150,5 +151,107 @@ func TestBoundTableDispatchesOnConstructor(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: impostor avg ran as\n%+v\nmax runs as\n%+v", alg().Name(), got, want)
 		}
+	}
+}
+
+// TestFoldedTableLockstepWithApplyTwin steps a table that folds a kind
+// inline and a twin that evaluates the same function through Apply side by
+// side: Max against impostorAvg (Max through Apply), and Avg against
+// avgAlias. Both see the same sorted accesses, under NRA's clock (one depth
+// per round of m accesses) or cost-aware TA's (one depth per access), and
+// the same random learns. After every step drainTop and openTop must
+// return the same object with the same B bits on both sides, so the two
+// evaluation paths rank candidates and open members identically.
+func TestFoldedTableLockstepWithApplyTwin(t *testing.T) {
+	const m = 3
+	uniform, err := workload.IndependentUniform(workload.Spec{N: 200, M: m, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plateau, err := workload.Plateau(workload.Spec{N: 150, M: m, Seed: 32}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := []struct{ folded, twin agg.Func }{
+		{agg.Max(m), impostorAvg{agg.Max(m)}},
+		{agg.Avg(m), newAvgAlias(m)},
+	}
+	for dbName, db := range map[string]*model.Database{"uniform": uniform, "plateau": plateau} {
+		for _, pair := range pairs {
+			for _, k := range []int{1, 5, 20} {
+				for _, perAccess := range []bool{false, true} {
+					label := fmt.Sprintf("%s/%s/k=%d/perAccess=%v", dbName, pair.folded.Name(), k, perAccess)
+					lockstepTables(t, label, db, pair.folded, pair.twin, k, perAccess, rand.New(rand.NewSource(int64(k))))
+				}
+			}
+		}
+	}
+}
+
+func lockstepTables(t *testing.T, label string, db *model.Database, folded, twin agg.Func, k int, perAccess bool, rng *rand.Rand) {
+	t.Helper()
+	m := db.M()
+	srcs := []*access.Source{access.New(db, access.AllowAll), access.New(db, access.AllowAll)}
+	tbs := []*table{newTable(srcs[0], folded, k, true), newTable(srcs[1], twin, k, true)}
+	for _, tb := range tbs {
+		tb.trackPins = true
+		defer tb.release()
+	}
+	if tbs[0].kind == agg.KindOther || tbs[1].kind != agg.KindOther {
+		t.Fatalf("%s: kinds %v and %v, want a folded kind and KindOther", label, tbs[0].kind, tbs[1].kind)
+	}
+	same := func(step string, a, b *partial) {
+		t.Helper()
+		switch {
+		case (a == nil) != (b == nil):
+			t.Fatalf("%s, %s: folded returned %v, twin %v", label, step, a, b)
+		case a != nil && (a.obj != b.obj || math.Float64bits(float64(a.b)) != math.Float64bits(float64(b.b))):
+			t.Fatalf("%s, %s: folded returned object %d at B %v, twin object %d at B %v", label, step, a.obj, a.b, b.obj, b.b)
+		}
+	}
+	check := func(step string) {
+		t.Helper()
+		same(step+" drainTop", tbs[0].drainTop(tbs[0].mk()), tbs[1].drainTop(tbs[1].mk()))
+		same(step+" openTop", tbs[0].openTop(), tbs[1].openTop())
+	}
+	for {
+		if !perAccess {
+			for _, tb := range tbs {
+				tb.depth++
+			}
+		}
+		read := false
+		for i := 0; i < m; i++ {
+			var e model.Entry
+			for j, tb := range tbs {
+				got, ok, err := srcs[j].SortedNext(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					continue
+				}
+				read, e = true, got
+				if perAccess {
+					tb.depth++
+				}
+				tb.observeSorted(i, got)
+			}
+			if perAccess && read {
+				check(fmt.Sprintf("access to list %d (object %d)", i, e.Object))
+			}
+		}
+		if !read {
+			return
+		}
+		check("round")
+		for n := rng.Intn(3); n > 0; n-- {
+			p := tbs[0].at(rng.Intn(tbs[0].seen))
+			j := rng.Intn(m)
+			for _, tb := range tbs {
+				tb.learn(p.obj, j, db.Grades(p.obj)[j])
+			}
+		}
+		check("random learns")
 	}
 }

@@ -1,14 +1,17 @@
 package shard_test
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/access"
 	"repro/internal/agg"
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/shard"
 	"repro/internal/workload"
@@ -118,8 +121,11 @@ func TestGoldenShardedNRA(t *testing.T) {
 
 // shardGoldenTARun renders one TA-mode query: the answer with its grades,
 // rounds, the summed sorted and random accesses, and each shard's sorted
-// and random accesses.
-func shardGoldenTARun(eng *shard.Engine, tf agg.Func, k int, costAware bool) string {
+// and random accesses. An exact answer's grades must also equal best, the
+// k largest grades of the database (Naive's top-k grade multiset), so a
+// record that swaps objects tied at the k-th grade cannot hide a wrong one.
+func shardGoldenTARun(t *testing.T, eng *shard.Engine, tf agg.Func, k int, costAware bool, best []model.Grade) string {
+	t.Helper()
 	var per []shard.ShardStat
 	opts := shard.Options{
 		Workers:      1,
@@ -132,6 +138,16 @@ func shardGoldenTARun(eng *shard.Engine, tf agg.Func, k int, costAware bool) str
 	res, err := eng.Query(tf, k, opts)
 	if err != nil {
 		return fmt.Sprintf("err: %v\n", err)
+	}
+	if res.GradesExact {
+		got := make([]model.Grade, len(res.Items))
+		for i, it := range res.Items {
+			got[i] = it.Grade
+		}
+		slices.SortFunc(got, func(a, b model.Grade) int { return cmp.Compare(b, a) })
+		if !slices.Equal(got, best[:min(k, len(best))]) {
+			t.Errorf("%s k=%d cost-aware=%v: grades %v, Naive's top-k %v", tf.Name(), k, costAware, got, best[:min(k, len(best))])
+		}
 	}
 	var b strings.Builder
 	b.WriteString("items:")
@@ -148,7 +164,8 @@ func shardGoldenTARun(eng *shard.Engine, tf agg.Func, k int, costAware bool) str
 
 // TestGoldenShardedTA runs the matrix in the TA mode, plain TA and
 // cost-aware TA (h = 4), one golden file per database and seed, and
-// compares each with the committed record.
+// compares each with the committed record. Every exact answer's grades are
+// also checked against Naive's top-k grade multiset.
 func TestGoldenShardedTA(t *testing.T) {
 	const m = 3
 	for _, seed := range []int64{42, 123, 456} {
@@ -162,6 +179,7 @@ func TestGoldenShardedTA(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, tf := range []agg.Func{agg.Min(m), agg.Avg(m), agg.Sum(m)} {
+						best := naiveTopGrades(t, d.db, tf, 50)
 						for _, k := range []int{5, 20, 50} {
 							for _, costAware := range []bool{false, true} {
 								alg := "ta"
@@ -169,7 +187,7 @@ func TestGoldenShardedTA(t *testing.T) {
 									alg = "cost-aware-ta"
 								}
 								fmt.Fprintf(&b, "== P=%d %s k=%d %s\n", p, tf.Name(), k, alg)
-								b.WriteString(shardGoldenTARun(eng, tf, k, costAware))
+								b.WriteString(shardGoldenTARun(t, eng, tf, k, costAware, best))
 							}
 						}
 					}
@@ -178,6 +196,21 @@ func TestGoldenShardedTA(t *testing.T) {
 			})
 		}
 	}
+}
+
+// naiveTopGrades returns the k largest overall grades of db under tf,
+// largest first, as Naive computes them.
+func naiveTopGrades(t *testing.T, db *model.Database, tf agg.Func, k int) []model.Grade {
+	t.Helper()
+	res, err := core.Naive{}.Run(access.New(db, access.AllowAll), tf, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]model.Grade, len(res.Items))
+	for i, it := range res.Items {
+		out[i] = it.Grade
+	}
+	return out
 }
 
 // shardGoldenCachedDir holds the cached-stack record: one file per seed.
