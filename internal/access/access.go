@@ -19,6 +19,8 @@ package access
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/model"
 )
@@ -184,9 +186,14 @@ type Source struct {
 	stats  Stats
 
 	// first and stride are the id layout every list reported (stride 0:
-	// none), so Slot maps an id to a slot in [0, n) without a lookup.
+	// none), so Slot maps an id to a slot in [0, n) without a lookup. span
+	// is n·stride (saturated): an id of the layout is first + d for some
+	// d < span. recip, when nonzero, is ⌈2⁶⁴/stride⌉, which divides by the
+	// stride without a divide instruction (setLayout).
 	first  model.ObjectID
 	stride uint64
+	span   uint64
+	recip  uint64
 
 	seen    seenSet        // objects returned by sorted access (wild-guess detection; empty under NoRandom)
 	costBuf []float64      // scratch for per-entry charged costs
@@ -304,8 +311,29 @@ func FromLists(lists []ListSource, policy Policy) *Source {
 			s.unitOnly = false
 		}
 	}
-	s.first, s.stride = idLayout(lists)
+	s.setLayout(idLayout(lists))
 	return s
+}
+
+// setLayout records the id layout first, first + stride, … over the
+// Source's n slots (stride 0: none) and precomputes what Slot divides by.
+// For a stride above 1 whose layout spans at most 2³² ids, recip is
+// c = ⌈2⁶⁴/stride⌉: for every d < 2³², d is a multiple of the stride iff
+// the low 64 bits of c·d are below c, and then d/stride is the high 64
+// bits of c·d (Lemire, Kaser and Kurz, "Faster remainder by direct
+// computation", 2019). Wider layouts divide.
+func (s *Source) setLayout(first model.ObjectID, stride uint64) {
+	s.first, s.stride, s.span, s.recip = first, stride, 0, 0
+	if stride == 0 {
+		return
+	}
+	s.span = math.MaxUint64
+	if hi, lo := bits.Mul64(uint64(s.n), stride); hi == 0 {
+		s.span = lo
+	}
+	if stride > 1 && s.span <= 1<<32 {
+		s.recip = math.MaxUint64/stride + 1
+	}
 }
 
 // layoutList is a list that knows its ids form an arithmetic progression:
@@ -351,17 +379,24 @@ func (s *Source) Slot(obj model.ObjectID) (int, bool) {
 	}
 	// Unsigned, so an id below first wraps past the last slot.
 	d := uint64(obj) - uint64(s.first)
-	if s.stride > 1 {
-		q, r := d/s.stride, d%s.stride
-		if r != 0 {
+	switch {
+	case d >= s.span:
+		return 0, false
+	case s.stride == 1:
+		return int(d), true
+	case s.recip != 0:
+		// d < span ≤ 2³²: the direct-remainder test and quotient.
+		if s.recip*d >= s.recip {
 			return 0, false
 		}
-		d = q
+		q, _ := bits.Mul64(s.recip, d)
+		return int(q), true
 	}
-	if d >= uint64(s.n) {
+	q, r := d/s.stride, d%s.stride
+	if r != 0 {
 		return 0, false
 	}
-	return int(d), true
+	return int(q), true
 }
 
 // CanSorted reports whether the policy permits sorted access on list i.

@@ -1,6 +1,8 @@
 package access
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/model"
@@ -233,6 +235,48 @@ func TestSourceSlotOverPartition(t *testing.T) {
 		for _, obj := range shards[1].Objects() {
 			if _, ok := src.Slot(obj); ok {
 				t.Errorf("a Source over %s maps object %d to a slot", name, obj)
+			}
+		}
+	}
+}
+
+// TestSourceSlotMatchesDivision checks Slot's divide-free lookup against
+// plain division, for strides 1–64 over layouts of a few sizes — spans
+// at most 2³² ids, which take the reciprocal, and wider ones, which
+// divide — starting at 0, at small and negative ids and so that the last
+// id is math.MaxInt64. The ids probed are the layout's first and last,
+// its neighbours below the first and past the last, ids off the stride,
+// math.MaxInt64, math.MinInt64 and random ids in and around the span.
+func TestSourceSlotMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for stride := uint64(1); stride <= 64; stride++ {
+		for _, n := range []int{1, 7, 1000, int(uint64(1<<32) / stride), 1 << 30} {
+			span := uint64(n) * stride // at most 2³⁶: no overflow here
+			for _, first := range []int64{0, 5, -1000, math.MaxInt64 - int64(span-stride)} {
+				s := &Source{n: n}
+				s.setLayout(model.ObjectID(first), stride)
+				if fast := s.recip != 0; fast != (stride > 1 && span <= 1<<32) {
+					t.Fatalf("stride %d, n %d: reciprocal set %v", stride, n, fast)
+				}
+				want := func(obj model.ObjectID) (int, bool) {
+					d := uint64(obj) - uint64(first)
+					if d%stride != 0 || d/stride >= uint64(n) {
+						return 0, false
+					}
+					return int(d / stride), true
+				}
+				id := func(d uint64) model.ObjectID { return model.ObjectID(uint64(first) + d) }
+				probes := []model.ObjectID{math.MaxInt64, math.MinInt64, id(0), id(span - stride), id(span - stride + 1), id(span), id(span + stride), id(1), id(stride - 1), id(stride + 1), id(^uint64(0)), id(-stride)}
+				for range 200 {
+					probes = append(probes, id(rng.Uint64()%(2*span+2*stride)-stride), id(rng.Uint64()))
+				}
+				for _, obj := range probes {
+					gotSlot, gotOK := s.Slot(obj)
+					wantSlot, wantOK := want(obj)
+					if gotSlot != wantSlot || gotOK != wantOK {
+						t.Fatalf("stride %d, n %d, first %d: Slot(%d) = (%d, %v), division gives (%d, %v)", stride, n, first, obj, gotSlot, gotOK, wantSlot, wantOK)
+					}
+				}
 			}
 		}
 	}
