@@ -183,7 +183,7 @@ type pageKey struct {
 
 type cachePage struct {
 	key     pageKey
-	entries []model.Entry // PageSize slots
+	entries []model.Entry // min(PageSize, the list's length) slots
 	have    []bool        // which slots are filled
 	tier    int           // index in the cold pool, or −1 on the hot chain
 	// prev and next chain a hot page into the tier's recency order; next
@@ -242,11 +242,14 @@ func (c *Cache) touchLocked(key pageKey) {
 }
 
 // pageForLocked records the access in the admission sketch and resolves
-// key to its page, creating an empty page on a full miss. fromCold
-// reports that the page was found in the cold tier (it has been promoted
-// to hot by the time the call returns — the caller charges the cold-hit
-// fraction for the entry that found it there).
-func (c *Cache) pageForLocked(key pageKey) (pg *cachePage, fromCold bool) {
+// key to its page, creating an empty page of size slots on a full miss:
+// min(PageSize, the list's length), so a short list does not pay for a
+// page it can never fill. A page from the free list is reused when it
+// holds that many slots. fromCold reports that the page was found in the
+// cold tier (it has been promoted to hot by the time the call returns —
+// the caller charges the cold-hit fraction for the entry that found it
+// there).
+func (c *Cache) pageForLocked(key pageKey, size int) (pg *cachePage, fromCold bool) {
 	c.touchLocked(key)
 	if pg, ok := c.pages[key]; ok {
 		if pg.tier < 0 {
@@ -261,14 +264,23 @@ func (c *Cache) pageForLocked(key pageKey) (pg *cachePage, fromCold bool) {
 		return pg, true
 	}
 	if pg = c.free; pg != nil {
+		// A page too small for this list is left to the collector; a
+		// shard's lists all have one length, so that happens only when
+		// one cache serves lists of several lengths.
 		c.free, pg.next = pg.next, nil
+		if cap(pg.entries) < size {
+			pg = nil
+		}
+	}
+	if pg != nil {
 		pg.key = key
+		pg.entries, pg.have = pg.entries[:size], pg.have[:size]
 		clear(pg.have)
 	} else {
 		pg = &cachePage{
 			key:     key,
-			entries: make([]model.Entry, c.cfg.PageSize),
-			have:    make([]bool, c.cfg.PageSize),
+			entries: make([]model.Entry, size),
+			have:    make([]bool, size),
 		}
 	}
 	c.pages[key] = pg
@@ -528,7 +540,7 @@ func (l *cachedList) AtCostNErr(pos int, dst []model.Entry, costs []float64) (in
 		if span > n-i {
 			span = n - i
 		}
-		pg, fromCold := c.pageForLocked(key)
+		pg, fromCold := c.pageForLocked(key, min(c.cfg.PageSize, l.n))
 		for j := 0; j < span; {
 			if j > 0 {
 				c.touchLocked(key)

@@ -214,6 +214,33 @@ func constructionBytes(cfg CacheConfig) uint64 {
 	return best
 }
 
+// TestCacheShortListPageSizedByList pins that a page is no larger than its
+// list: with PageSize 2^16 the first read of a 64-entry list allocates a
+// page of 64 slots (1 114 416 bytes were a full-size page), the best of
+// three fresh caches staying under 4 KiB, and the page then serves the
+// whole list.
+func TestCacheShortListPageSizedByList(t *testing.T) {
+	const n = 64
+	db := sharedScanDB(t, n, 1)
+	best := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		view := NewCache(CacheConfig{PageSize: 1 << 16}).Wrap(0, db.List(0)).(CostedList)
+		runtime.ReadMemStats(&before)
+		view.AtCost(0)
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+		for pos := 0; pos < n; pos++ {
+			if e, _ := view.AtCost(pos); e != db.List(0).At(pos) {
+				t.Fatalf("position %d served %+v, list holds %+v", pos, e, db.List(0).At(pos))
+			}
+		}
+	}
+	if best >= 4<<10 {
+		t.Fatalf("the first read of a %d-entry list allocated %d bytes", n, best)
+	}
+}
+
 // TestCacheMemoGrowsLazily pins that the memo bound is a bound, not a size:
 // a cache whose memo may hold math.MaxInt probes costs no more to build
 // than the default one, answers every probe, and serves the second pass
