@@ -362,8 +362,10 @@ func BenchmarkE15CAvsTA(b *testing.B) {
 // the lazy engine's bookkeeping on its hardest case: CA under min at
 // cR/cS = 4 on uniform N = 50 000, k = 10, where thousands of objects seen
 // in one list wait as candidates. CA-min reports bound recomputes per
-// sorted access on every statistical seed and fails above 20 on any
-// (one heap keyed by stale B cost 150–200; per-list FIFOs cost under 10).
+// sorted access on every statistical seed and fails above 4 on any (one
+// heap keyed by stale B cost 150–200, per-list FIFOs beside a refreshing
+// heap 7–10; groups ordered by K measure 3.1–3.2, and 4 is that maximum
+// plus 25%).
 func BenchmarkE16NRABookkeeping(b *testing.B) {
 	db, err := workload.IndependentUniform(workload.Spec{N: 10000, M: 3, Seed: 16})
 	if err != nil {
@@ -390,8 +392,8 @@ func BenchmarkE16NRABookkeeping(b *testing.B) {
 		for _, seed := range stats.Seeds {
 			res := mustRun(b, ca(), access.New(dbs[seed], access.AllowAll), agg.Min(3), 10)
 			v := float64(res.Stats.BoundRecomputes) / float64(res.Stats.Sorted)
-			if v > 20 {
-				b.Fatalf("seed %d: %.1f bound recomputes per sorted access, ceiling 20", seed, v)
+			if v > 4 {
+				b.Fatalf("seed %d: %.1f bound recomputes per sorted access, ceiling 4", seed, v)
 			}
 			per.Samples = append(per.Samples, stats.Sample{Seed: seed, Value: v})
 		}
@@ -1018,8 +1020,10 @@ func scanChargeStream(b *testing.B, db *repro.Database, seed int64, cfg access.C
 // progress-recomputes-per-sorted is the bookkeeping a progress report
 // costs at the crawlers' k: bound recomputes per sorted access of a
 // hooked run (always-true hook, k = 250, cR/cS = 4, avg) over Zipf(1.2)
-// N = 20 000, a deterministic count. Any seed above 20 fails the
-// benchmark: refreshing every top-k member on every report reads about 90.
+// N = 20 000, a deterministic count. Any seed above 10 fails the
+// benchmark: refreshing every top-k member on every report read about 90,
+// and the groups, read one best per group, measure 7.3–8.0 (10 is that
+// maximum plus 25%).
 func BenchmarkCostAwareTA(b *testing.B) {
 	dbs := seedDBs(b, func(seed int64) (*repro.Database, error) {
 		return workload.IndependentUniform(workload.Spec{N: 20000, M: 3, Seed: seed})
@@ -1045,8 +1049,8 @@ func BenchmarkCostAwareTA(b *testing.B) {
 		hooked := &core.CostAwareTA{Costs: access.CostModel{CS: 1, CR: 4}, OnProgress: func(core.Progress) bool { return true }}
 		res := mustRun(b, hooked, access.New(zipfDBs[seed], access.AllowAll), tf, 250)
 		per := float64(res.Stats.BoundRecomputes) / float64(res.Stats.Sorted)
-		if per > 20 {
-			b.Fatalf("seed %d: %.1f bound recomputes per sorted access in a hooked k=250 run, ceiling 20", seed, per)
+		if per > 10 {
+			b.Fatalf("seed %d: %.1f bound recomputes per sorted access in a hooked k=250 run, ceiling 10", seed, per)
 		}
 		recomputes.Samples = append(recomputes.Samples, stats.Sample{Seed: seed, Value: per})
 	}

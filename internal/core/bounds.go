@@ -27,25 +27,41 @@ import (
 //
 //   - rescan: every depth recomputes B for every seen object — the paper's
 //     Ω(d²m) straightforward bookkeeping.
-//   - lazy: B values are cached and only refreshed on demand. Sound
-//     because bottom values only decrease, so a cached B is always an
-//     upper bound on the fresh B, and M_k never decreases, so an object
-//     that once becomes non-viable stays non-viable and can be retired.
+//   - lazy: B values are cached and only refreshed on demand. A cached B is
+//     fresh while no bottom has moved since it was computed (the table
+//     counts moves), so it always equals B at the current bottoms, as the
+//     paper defines it. Retiring is sound because bottoms only decrease, so
+//     B only falls, and M_k never decreases: an object that once becomes
+//     non-viable stays non-viable.
 //
-// Among candidates the lazy engine ranks by (B descending, first-seen
-// ascending): every object carries the order in which the table first
-// learned of it, so which of several equal-B candidates drainTop returns,
-// or which it retires first, is a property of the data and not of a
-// heap's slot layout.
+// The canonical candidate order is (fresh B descending, K descending,
+// first-seen ascending). K is fixed while an object's known-field set is:
+// for agg's Min, Max, Sum and Avg it is that fold over the known grades
+// alone (their smallest, largest, sum, or sum over m); for every Func
+// evaluated through Apply it is W. Every object carries the order in which
+// the table first learned of it, so which of several tied candidates
+// drainTop returns, or which it retires first, is a property of the data
+// and not of a heap's slot layout.
+//
+// The lazy engine keeps candidates, and cost-aware TA's open members, in
+// groups by known-field set. Within one set the missing bottoms are common,
+// so for the four folded kinds B is a function of K that never falls as K
+// rises: under min B = min(K, smallest missing bottom) and under max
+// B = max(K, largest missing bottom), both exact, and under sum and avg B is
+// K plus the missing bottoms up to rounding. A group heap ordered by
+// (K descending, first-seen ascending) therefore never goes stale: its top
+// is its best under min and max, and under sum and avg its best is among
+// the members whose K lies within δ of the top's (window). Funcs evaluated
+// through Apply get no such order: their group heaps key on the cached B
+// first and refresh their top until it is fresh, which finds the same best
+// because a cached B bounds the fresh one from above. drainTop and openTop
+// thus read one best per group, and a group whose best is not viable
+// (B ≤ M_k) retires every member at once.
 //
 // Most candidates are objects seen once, under sorted access on one list.
-// The lazy engine keeps those in a FIFO per list instead of in the heap:
-// list i delivers grades in descending order, and a candidate whose only
-// known field is gᵢ has B = t(x̄ with gᵢ in place i), so along FIFO i B
-// never rises and first-seen only rises. The largest candidate is
-// therefore the heap's top or a FIFO head (or a FIFO tail learned in the
-// current round; see drainTop), and drainTop refreshes heads instead of
-// sifting every seen object through the heap.
+// Those wait in a FIFO per list, the one-field groups: list i delivers
+// grades in descending order, so along FIFO i K never rises and first-seen
+// only rises, which is the canonical order for every Func.
 type partial struct {
 	obj    model.ObjectID
 	seq    int // first-seen order within the query
@@ -53,71 +69,84 @@ type partial struct {
 	nKnown int
 	grades []model.Grade
 
-	w      model.Grade // exact lower bound, updated on every learned field
-	b      model.Grade // cached upper bound; fresh iff bDepth == table.depth
-	bDepth int
+	w   model.Grade // exact lower bound, updated on every learned field
+	key model.Grade // K, the canonical order's second key; fixed while known is
+	b   model.Grade // cached upper bound; fresh iff bMove ≥ table.moves
+	// bMove is the table's move count when b was computed; an object with
+	// every field known has b = W for good and never goes stale.
+	bMove int
 
 	retired bool // proven non-viable forever (lazy engine)
 	inTopK  bool
 	queued  bool // waiting in the FIFO of its one known field's list
 	pinned  bool // tracked T_k member with W = B: its grade is exact for good
-	// heapIdx is the position in the candidate heap, or — for a tracked
-	// T_k member not yet pinned — in the open-member heap; -1 if in
+	// grp is the group of p's known-field set (an index into table.groups).
+	// heapIdx is p's position in that group's candidate heap, or — for a
+	// tracked T_k member not yet pinned — in its open heap; -1 if in
 	// neither. A member is never a candidate, so one index serves both.
+	grp     int
 	heapIdx int
+	// at is the slot-index entry that files p, nil when parts files it.
+	at *int32
 }
 
-// candSlot is one candidate-heap slot. It carries the candidate's cached B
-// and first-seen sequence inline, so a sift compares slots without
-// dereferencing the candidates; the B copy equals the candidate's b
-// whenever the heap is ordered (fix re-reads it after the candidate's B
-// changes).
-type candSlot struct {
+// slot is one group-heap slot. It carries the member's order keys inline,
+// so a sift compares slots without dereferencing members: b is the cached
+// B under the lazy discipline (Funcs evaluated through Apply) and 0 under
+// the static one (agg's four folded kinds), where K alone orders a group;
+// key and seq are the member's K and first-seen sequence.
+type slot struct {
 	b   model.Grade
+	key model.Grade
 	seq int
 	p   *partial
 }
 
-// before is the candidate order: larger cached B first, then earlier
+// before is the group order: larger b first, then larger K, then earlier
 // first-seen. Sequences are unique within a table, so the order is total
 // and the heap's top does not depend on how its slots are laid out.
-func (s candSlot) before(o candSlot) bool {
-	return s.b > o.b || s.b == o.b && s.seq < o.seq
+func (s slot) before(o slot) bool {
+	if s.b != o.b {
+		return s.b > o.b
+	}
+	if s.key != o.key {
+		return s.key > o.key
+	}
+	return s.seq < o.seq
 }
 
-// ahead is the before order on candidates themselves.
+// ahead is the canonical candidate order on members with fresh B.
 func ahead(p, q *partial) bool {
-	return candSlot{b: p.b, seq: p.seq}.before(candSlot{b: q.b, seq: q.seq})
+	return slot{b: p.b, key: p.key, seq: p.seq}.before(slot{b: q.b, key: q.key, seq: q.seq})
 }
 
-// candHeap is a max-heap of candidates in the before order, keyed by cached
-// (possibly stale) B. It applies container/heap's sift rules with before as
-// Less.
-type candHeap []candSlot
+// groupHeap is a max-heap of one group's members in the before order. It
+// applies container/heap's sift rules with before as Less.
+type groupHeap []slot
 
-// push adds p (container/heap.Push).
-func (h *candHeap) push(p *partial) {
-	*h = append(*h, candSlot{b: p.b, seq: p.seq, p: p})
+// push adds s (container/heap.Push).
+func (h *groupHeap) push(s slot) {
+	*h = append(*h, s)
 	h.up(len(*h) - 1)
 }
 
-// remove drops the candidate at slot i (container/heap.Remove; Pop is
+// remove drops the member at slot i (container/heap.Remove; Pop is
 // remove(0)).
-func (h *candHeap) remove(i int) {
+func (h *groupHeap) remove(i int) {
 	s := *h
 	n := len(s) - 1
 	s[i].p.heapIdx = -1
 	s[i] = s[n]
-	s[n] = candSlot{}
+	s[n] = slot{}
 	*h = s[:n]
 	if i != n && !h.down(i) {
 		h.up(i)
 	}
 }
 
-// fix restores the order after the B of the candidate at slot i changed
-// (container/heap.Fix).
-func (h candHeap) fix(i int) {
+// fix restores the order after the cached B of the member at slot i
+// changed (container/heap.Fix). Lazy discipline only.
+func (h groupHeap) fix(i int) {
 	h[i].b = h[i].p.b
 	if !h.down(i) {
 		h.up(i)
@@ -125,7 +154,7 @@ func (h candHeap) fix(i int) {
 }
 
 // up sifts slot j toward the root while it beats its parent.
-func (h candHeap) up(j int) {
+func (h groupHeap) up(j int) {
 	s := h[j]
 	for j > 0 {
 		i := (j - 1) / 2
@@ -143,7 +172,7 @@ func (h candHeap) up(j int) {
 // down sifts slot i0 toward the leaves while a child beats it, preferring
 // the right child only when it strictly beats the left; it reports whether
 // the slot moved.
-func (h candHeap) down(i0 int) bool {
+func (h groupHeap) down(i0 int) bool {
 	s := h[i0]
 	n := len(h)
 	i := i0
@@ -167,6 +196,13 @@ func (h candHeap) down(i0 int) bool {
 	return i > i0
 }
 
+// group holds the candidates and the open members of one known-field set.
+type group struct {
+	mask  uint64
+	cands groupHeap
+	open  groupHeap
+}
+
 // candFIFO holds one list's single-field candidates in arrival order, from
 // q[head] on. Entries leave lazily: a candidate that learns a second field,
 // enters T_k or is retired clears its queued flag and is dropped when it
@@ -183,11 +219,17 @@ type table struct {
 	m, k int
 	src  *access.Source
 	lazy bool
+	// static selects the group discipline: K orders each group for agg's
+	// four folded kinds; groups of a Func evaluated through Apply order by
+	// cached B first.
+	static bool
 
-	depth    int
+	depth    int // sorted-access rounds (NRA's clock, behind Rounds and Depth)
+	moves    int // bottom moves so far; a cached B is fresh iff computed after the last
 	bottoms  []model.Grade
-	observed uint64     // invariants build: lists that produced ≥1 sorted entry
-	topk     []*partial // ≤ k entries, ordered best-first by (w, b, id)
+	mag      model.Grade // largest |x| of every grade learned and every bottom (≥ 1)
+	observed uint64      // invariants build: lists that produced ≥1 sorted entry
+	topk     []*partial  // ≤ k entries, ordered best-first by (w, b, id)
 
 	// Seen objects. seen counts them and is the next first-seen sequence;
 	// the partial of sequence q is at(q). An id the Source maps to a slot
@@ -198,18 +240,26 @@ type table struct {
 	seen  int
 	pages [][]int32
 	parts map[model.ObjectID]*partial
+
+	// Groups, one per known-field set met so far; groups[0] is the empty
+	// set. next[g*m+i] is the group of groups[g]'s set with list i added
+	// (-1 until first needed), so learning a field moves an object between
+	// groups without a lookup; byMask resolves a set on that first need.
 	// Lazy engine: every seen object outside topk and not retired is in
-	// exactly one of cands and fifos[i] (the FIFO of its one known field).
-	cands candHeap
-	fifos []candFIFO
+	// exactly one of its group's cands and fifos[i] (the FIFO of its one
+	// known field, for an object seen once under sorted access).
+	groups []group
+	next   []int
+	byMask map[uint64]int
+	fifos  []candFIFO
+	walk   []int // scratch stack of window's heap walk
 
 	// Pin tracking (lazy engine, cost-aware TA): every T_k member is either
 	// pinned — W = B, its exact grade in pins, kept in canonical order — or
-	// open, in a lazy max-heap by cached B whose slots are re-fixed on every
-	// change of a member's B. A progress report then reads the pinned set
-	// and the largest open B without refreshing every member.
+	// open, in its group's open heap. A progress report then reads the
+	// pinned set and the best open B, one per group, without refreshing
+	// every member.
 	trackPins bool
-	open      candHeap
 	pins      []Scored
 	pinsGen   int // bumped whenever pins changes
 
@@ -239,11 +289,11 @@ const partSlabSize = 128
 const slotPageSize = 4096
 
 // tablePool recycles bound tables across queries. A released table keeps
-// its slot-index pages, the map's buckets, its slab chunks and its heap,
+// its slot-index pages, the map's buckets, its slab chunks and its group,
 // FIFO and top-k backing arrays, so a warm query's bookkeeping allocates
 // almost nothing.
 var tablePool = sync.Pool{New: func() any {
-	return &table{parts: make(map[model.ObjectID]*partial)}
+	return &table{parts: make(map[model.ObjectID]*partial), byMask: make(map[uint64]int)}
 }}
 
 // newTable takes a table from tablePool and resets it for one query. The
@@ -252,7 +302,8 @@ func newTable(src *access.Source, t agg.Func, k int, lazy bool) *table {
 	tb := tablePool.Get().(*table)
 	m := src.M()
 	tb.t, tb.kind, tb.m, tb.k, tb.src, tb.lazy = t, agg.KindOf(t), m, k, src, lazy
-	tb.depth, tb.observed, tb.released = 0, 0, false
+	tb.static = tb.kind != agg.KindOther
+	tb.depth, tb.moves, tb.mag, tb.observed, tb.released = 0, 0, 1, 0, false
 	tb.trackPins, tb.pinsGen = false, 0
 	tb.bottoms = resize(tb.bottoms, m)
 	for i := range tb.bottoms {
@@ -263,6 +314,15 @@ func newTable(src *access.Source, t agg.Func, k int, lazy bool) *table {
 		tb.fifos = make([]candFIFO, m)
 	}
 	tb.fifos = tb.fifos[:m]
+	if cap(tb.groups) == 0 {
+		tb.groups = make([]group, 1, 8)
+	}
+	tb.groups = tb.groups[:1] // the empty set, which never holds an object
+	tb.next = tb.next[:0]
+	for range m {
+		tb.next = append(tb.next, -1)
+	}
+	tb.byMask[0] = 0
 	// Pages past the current length stay in the backing array, so a table
 	// that served a larger N keeps them for the next one.
 	np := (src.N() + slotPageSize - 1) / slotPageSize
@@ -300,22 +360,29 @@ func (tb *table) release() {
 		tb.released = true
 	}
 	if len(tb.parts) < tb.seen {
-		// Zero only the slots this query filled, found by walking its
-		// partials in sequence order.
+		// Zero only the slots this query filled, through the entries
+		// learn kept.
 		for q := 0; q < tb.seen; q++ {
-			if slot, ok := tb.src.Slot(tb.at(q).obj); ok {
-				tb.pages[slot/slotPageSize][slot%slotPageSize] = 0
+			if at := tb.at(q).at; at != nil {
+				*at = 0
 			}
 		}
 	}
 	clear(tb.parts)
+	clear(tb.byMask)
 	tb.seen = 0
 	tb.topk = tb.topk[:0]
-	tb.cands = tb.cands[:0]
+	// Each group keeps its heaps' backing arrays for the next query that
+	// reaches as many groups.
+	for g := range tb.groups {
+		gr := &tb.groups[g]
+		clear(gr.cands)
+		clear(gr.open)
+		gr.cands, gr.open = gr.cands[:0], gr.open[:0]
+	}
 	for i := range tb.fifos {
 		tb.fifos[i] = candFIFO{q: tb.fifos[i].q[:0]}
 	}
-	tb.open = tb.open[:0]
 	tb.pins = tb.pins[:0]
 	tb.src, tb.t = nil, nil // a pooled table must not keep a database alive
 	tablePool.Put(tb)
@@ -370,11 +437,37 @@ func (tb *table) newPartial(obj model.ObjectID) *partial {
 	p.obj, p.seq = obj, tb.seen
 	p.known, p.nKnown = 0, 0
 	p.grades = s.grades[lo : lo+tb.m : lo+tb.m]
-	p.w, p.b, p.bDepth = 0, 0, -1
+	p.w, p.key, p.b, p.bMove = 0, 0, 0, -1
 	p.retired, p.inTopK, p.queued, p.pinned = false, false, false, false
-	p.heapIdx = -1
+	p.grp, p.heapIdx, p.at = 0, -1, nil
 	tb.seen++
 	return p
+}
+
+// groupWith returns the group of groups[g]'s known-field set with list i
+// added, creating it on first need.
+func (tb *table) groupWith(g, i int) int {
+	at := g*tb.m + i
+	if n := tb.next[at]; n >= 0 {
+		return n
+	}
+	mask := tb.groups[g].mask | uint64(1)<<uint(i)
+	n, ok := tb.byMask[mask]
+	if !ok {
+		n = len(tb.groups)
+		if n < cap(tb.groups) {
+			tb.groups = tb.groups[:n+1]
+			tb.groups[n].mask = mask
+		} else {
+			tb.groups = append(tb.groups, group{mask: mask})
+		}
+		tb.byMask[mask] = n
+		for range tb.m {
+			tb.next = append(tb.next, -1)
+		}
+	}
+	tb.next[at] = n
+	return n
 }
 
 // Evaluating t. For the four aggregations agg folds inline (agg.Kind),
@@ -505,39 +598,63 @@ func foldBounds(kind agg.Kind, known uint64, grades, bottoms []model.Grade) (w, 
 	return w, b
 }
 
-// refreshB makes p's cached B fresh for the current depth.
-func (tb *table) refreshB(p *partial) {
-	if p.bDepth != tb.depth {
-		tb.recomputeB(p)
+// freshen recomputes p's cached B if a bottom moved since it was computed,
+// keeping p's slot in step under the lazy discipline, and reports whether
+// it did. It pins nothing; refreshB does.
+func (tb *table) freshen(p *partial) bool {
+	if p.bMove >= tb.moves {
+		return false
 	}
-}
-
-// recomputeB is refreshB's stale case, kept out of line so the fresh case
-// inlines.
-func (tb *table) recomputeB(p *partial) {
 	p.b = tb.upper(p.known, p.grades)
-	p.bDepth = tb.depth
+	p.bMove = tb.moves
 	if invariantsEnabled && !(p.w <= p.b) {
 		invariantViolated("object %d has W=%v > B=%v after refresh (Propositions 8.1/8.2)", p.obj, p.w, p.b)
 	}
-	if tb.trackPins && p.inTopK {
+	if !tb.static && p.heapIdx >= 0 {
+		tb.heapOf(p).fix(p.heapIdx)
+	}
+	return true
+}
+
+// refreshB makes p's cached B fresh, pinning a tracked member whose B
+// collapsed onto W.
+func (tb *table) refreshB(p *partial) {
+	if tb.freshen(p) && tb.trackPins && p.inTopK {
 		tb.settle(p)
 	}
 }
 
-// admit files a member that just entered T_k (with a fresh B) as pinned or
-// open. Pin tracking only.
+// heapOf returns the heap p's slot is in: its group's open heap for a
+// member, its candidate heap otherwise.
+func (tb *table) heapOf(p *partial) *groupHeap {
+	if p.inTopK {
+		return &tb.groups[p.grp].open
+	}
+	return &tb.groups[p.grp].cands
+}
+
+// file puts p in its group's candidate heap, or its open heap for a member.
+func (tb *table) file(p *partial) {
+	s := slot{key: p.key, seq: p.seq, p: p}
+	if !tb.static {
+		s.b = p.b
+	}
+	tb.heapOf(p).push(s)
+}
+
+// admit files a member that just entered T_k, or just learned a field, as
+// pinned or open. Pin tracking only.
 func (tb *table) admit(p *partial) {
 	if p.w == p.b {
 		tb.pin(p)
 		return
 	}
-	tb.open.push(p)
+	tb.file(p)
 }
 
-// settle re-files a member whose bounds just changed: a B collapsed onto W
-// pins it (W only rises and B only falls, so it stays pinned); otherwise
-// its open-heap slot takes the new B. Pin tracking only.
+// settle re-files a member whose B was just refreshed: a B collapsed onto
+// W pins it (W only rises and B only falls, so it stays pinned). Pin
+// tracking only.
 func (tb *table) settle(p *partial) {
 	switch {
 	case p.pinned:
@@ -545,17 +662,15 @@ func (tb *table) settle(p *partial) {
 			invariantViolated("pinned member %d has W=%v < B=%v", p.obj, p.w, p.b)
 		}
 	case p.w == p.b:
-		tb.open.remove(p.heapIdx)
+		tb.groups[p.grp].open.remove(p.heapIdx)
 		tb.pin(p)
-	default:
-		tb.open.fix(p.heapIdx)
 	}
 }
 
 // evict unfiles a member that just left T_k. Pin tracking only.
 func (tb *table) evict(p *partial) {
 	if !p.pinned {
-		tb.open.remove(p.heapIdx)
+		tb.groups[p.grp].open.remove(p.heapIdx)
 		return
 	}
 	p.pinned = false
@@ -581,19 +696,90 @@ func pinnedItem(p *partial) Scored {
 	return Scored{Object: p.obj, Grade: p.w, Lower: p.w, Upper: p.w}
 }
 
-// openTop returns the open member with the largest fresh B, refreshing
-// only the heap's top: cached Bs bound fresh ones from above, so a fresh
-// top outranks every member below it. Tops whose B collapses onto W are
-// pinned on the way. Nil when every member is pinned. Pin tracking only.
-func (tb *table) openTop() *partial {
-	for len(tb.open) > 0 {
-		p := tb.open[0].p
-		if p.bDepth == tb.depth {
-			return p
-		}
-		tb.refreshB(p)
+// window is δ, the width of the K window the best of a sum or avg group
+// lies in. With u = 2⁻⁵³ and G = mag bounding every grade and bottom,
+// recursive summation of m terms errs by at most γ₍ₘ₋₁₎·m·G, where
+// γₙ = n·u/(1−n·u) < 1.01·n·u, so under sum each of K (the known grades)
+// and B (those with the missing bottoms) lies within 1.01·m(m−1)·u·G of its
+// exact value, and the exact values differ between two members of one
+// group by exactly their Ks' difference. A member whose K is below the
+// top's by more than four such errors therefore has a smaller B than the
+// top. Under avg the division by m divides the sum's error by m and adds
+// u·G, so each value errs by at most 1.01·m·u·G. δ = 8·m²·u·G (sum) and
+// 8·m·u·G (avg) cover those four errors with room for the rounding of the
+// window's own floor, K − δ; grades outside [0, 1] raise G with them.
+func (tb *table) window() model.Grade {
+	d := 8 * model.Grade(tb.m) * 0x1p-53 * tb.mag
+	if tb.kind == agg.KindSum {
+		d *= model.Grade(tb.m)
 	}
-	return nil
+	return d
+}
+
+// best returns the member of the non-empty heap h that ranks first in the
+// canonical order, with a fresh B. Under the static discipline that is the
+// top for min and max, and the best of the window of Ks within δ of the
+// top's for sum and avg, found by a walk of the heap that prunes every
+// subtree whose root is below the window (a child's K never exceeds its
+// parent's). Under the lazy discipline it refreshes the top until the top
+// is fresh: a cached B bounds the fresh one from above, so a fresh top
+// outranks every member below it. It pins nothing.
+func (tb *table) best(h *groupHeap) *partial {
+	if !tb.static {
+		for {
+			if p := (*h)[0].p; !tb.freshen(p) {
+				return p
+			}
+		}
+	}
+	top := (*h)[0].p
+	tb.freshen(top)
+	if tb.kind == agg.KindMin || tb.kind == agg.KindMax {
+		return top
+	}
+	best, floor := top, top.key-tb.window()
+	stack := append(tb.walk[:0], 1, 2)
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if i >= len(*h) {
+			continue
+		}
+		p := (*h)[i].p
+		if p.key < floor {
+			continue
+		}
+		tb.freshen(p)
+		if ahead(p, best) {
+			best = p
+		}
+		stack = append(stack, 2*i+1, 2*i+2)
+	}
+	tb.walk = stack
+	return best
+}
+
+// openTop returns the open member that ranks first in the canonical order,
+// with a fresh B, reading one best per group; a best whose B collapsed onto
+// W is pinned on the way. Nil when every member is pinned. Pin tracking
+// only.
+func (tb *table) openTop() *partial {
+	var top *partial
+	for g := range tb.groups {
+		h := &tb.groups[g].open
+		for len(*h) > 0 {
+			p := tb.best(h)
+			if p.w != p.b {
+				if top == nil || ahead(p, top) {
+					top = p
+				}
+				break
+			}
+			h.remove(p.heapIdx)
+			tb.pin(p)
+		}
+	}
+	return top
 }
 
 // threshold evaluates τ = t(x̄₁,…,x̄ₘ), the B value of every unseen object.
@@ -640,6 +826,7 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 		p = tb.newPartial(obj)
 		if at != nil {
 			*at = int32(p.seq + 1)
+			p.at = at
 		} else {
 			tb.parts[obj] = p
 		}
@@ -648,11 +835,34 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 	if p.known&bit != 0 {
 		return p // already known; nothing changes
 	}
+	// A new field moves p to the group of its new known-field set.
+	if p.heapIdx >= 0 {
+		tb.heapOf(p).remove(p.heapIdx)
+	}
 	p.known |= bit
 	p.nKnown++
 	p.grades[list] = g
+	p.grp = tb.groupWith(p.grp, list)
 	p.w, p.b = tb.computeBounds(p)
-	p.bDepth = tb.depth
+	p.bMove = tb.moves
+	if p.nKnown == tb.m {
+		p.bMove = math.MaxInt // B = W for good
+	}
+	switch {
+	case tb.kind == agg.KindMin:
+		if p.nKnown == 1 || g < p.key {
+			p.key = g
+		}
+	case tb.kind == agg.KindMax:
+		if p.nKnown == 1 || g > p.key {
+			p.key = g
+		}
+	default:
+		p.key = p.w // Sum and Avg: the known grades' fold is W to the bit
+	}
+	if a := model.Grade(math.Abs(float64(g))); a > tb.mag {
+		tb.mag = a
+	}
 	if invariantsEnabled && !(p.w <= p.b) {
 		invariantViolated("object %d has W=%v > B=%v (Propositions 8.1/8.2)", p.obj, p.w, p.b)
 	}
@@ -665,8 +875,12 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 	}
 	if p.inTopK {
 		tb.resortTopK()
-		if tb.trackPins {
+		switch {
+		case !tb.trackPins:
+		case p.pinned:
 			tb.settle(p)
+		default:
+			tb.admit(p)
 		}
 		return p
 	}
@@ -674,9 +888,6 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 	p.queued = false
 	// Try to promote p into T_k.
 	if len(tb.topk) < tb.k {
-		if p.heapIdx >= 0 {
-			tb.cands.remove(p.heapIdx)
-		}
 		p.inTopK = true
 		tb.topk = append(tb.topk, p)
 		tb.resortTopK()
@@ -690,15 +901,9 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 		// Non-viable against M_k: retire it now, as drainTop would, so
 		// an exact W = B = M_k tie never promotes it over the incumbent.
 		p.retired = true
-		if p.heapIdx >= 0 {
-			tb.cands.remove(p.heapIdx)
-		}
 		return p
 	}
 	if better(p, worst) {
-		if p.heapIdx >= 0 {
-			tb.cands.remove(p.heapIdx)
-		}
 		p.inTopK = true
 		worst.inTopK = false
 		if tb.trackPins {
@@ -708,18 +913,15 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 		tb.topk[tb.k-1] = p
 		tb.resortTopK()
 		if tb.lazy {
-			tb.cands.push(worst)
+			tb.file(worst)
 		}
 		return p
 	}
 	if tb.lazy {
-		switch {
-		case p.heapIdx >= 0:
-			tb.cands.fix(p.heapIdx)
-		case p.nKnown == 1:
+		if p.nKnown == 1 {
 			tb.enqueue(list, p)
-		default:
-			tb.cands.push(p)
+		} else {
+			tb.file(p)
 		}
 	}
 	return p
@@ -741,7 +943,8 @@ func (tb *table) enqueue(list int, p *partial) {
 	f.q = append(f.q, p)
 }
 
-// observeSorted processes one sorted-access result on list i.
+// observeSorted processes one sorted-access result on list i. A grade
+// below the list's bottom moves it, which ages every cached B.
 func (tb *table) observeSorted(i int, e model.Entry) {
 	if invariantsEnabled {
 		if !(tb.observed&(uint64(1)<<uint(i)) == 0 || e.Grade <= tb.bottoms[i]) {
@@ -749,70 +952,64 @@ func (tb *table) observeSorted(i int, e model.Entry) {
 		}
 		tb.observed |= uint64(1) << uint(i)
 	}
+	if e.Grade != tb.bottoms[i] {
+		tb.moves++
+	}
 	tb.bottoms[i] = e.Grade
 	tb.learn(e.Object, i, e.Grade)
 }
 
-// drainTop returns the viable candidate outside T_k that ranks first by
-// (fresh B descending, first-seen ascending), retiring every candidate it
-// finds with fresh B ≤ M_k along the way (sound: B only decreases, M_k
-// only increases). It returns nil when no viable candidate remains. A B
-// computed at the current depth counts as fresh, including one learned
-// earlier in the current round. Lazy engine only.
+// drainTop returns the viable candidate outside T_k that ranks first in the
+// canonical order (fresh B descending, K descending, first-seen ascending),
+// reading one best per group and per FIFO. A group or FIFO whose best has
+// B ≤ M_k retires every member at once: none of them can beat its best,
+// and B only decreases while M_k only increases. It returns nil when no
+// viable candidate remains. Lazy engine only.
 func (tb *table) drainTop(mk model.Grade) *partial {
 	if invariantsEnabled && tb.released {
 		invariantViolated("drainTop on a released bound table")
 	}
-	var best *partial
-	for len(tb.cands) > 0 {
-		c := tb.cands[0].p
-		if c.retired || c.inTopK {
-			tb.cands.remove(0)
+	var top *partial
+	for g := range tb.groups {
+		h := &tb.groups[g].cands
+		if len(*h) == 0 {
 			continue
 		}
-		if c.bDepth == tb.depth {
-			if c.b > mk {
-				best = c
-				break
+		if c := tb.best(h); c.b > mk {
+			if top == nil || ahead(c, top) {
+				top = c
 			}
-			c.retired = true
-			tb.cands.remove(0)
 			continue
 		}
-		c.b = tb.upper(c.known, c.grades)
-		c.bDepth = tb.depth
-		tb.cands.fix(0)
+		for _, s := range *h {
+			s.p.retired, s.p.heapIdx = true, -1
+		}
+		clear(*h)
+		*h = (*h)[:0]
 	}
 	for i := range tb.fifos {
 		f := &tb.fifos[i]
-		for f.head < len(f.q) {
-			c := f.q[f.head]
-			if c.queued {
-				tb.refreshB(c)
-				if c.b > mk {
-					break
-				}
-				c.retired, c.queued = true, false
-			}
+		for f.head < len(f.q) && !f.q[f.head].queued {
 			f.head++
 		}
-		if f.head == len(f.q) {
-			f.q, f.head = f.q[:0], 0
-			continue
+		if f.head < len(f.q) {
+			c := f.q[f.head]
+			tb.freshen(c)
+			if c.b > mk {
+				if top == nil || ahead(c, top) {
+					top = c
+				}
+				continue
+			}
+			for _, p := range f.q[f.head:] {
+				if p.queued {
+					p.retired, p.queued = true, false
+				}
+			}
 		}
-		if c := f.q[f.head]; best == nil || ahead(c, best) {
-			best = c
-		}
-		// Entries behind the head have lower grades and later sequences,
-		// so their fresh Bs rank below the head's. The exception is a
-		// tail learned in the current round: its B, computed before the
-		// round's later lists lowered their bottoms, counts as fresh as
-		// it stands and may exceed the refreshed head's.
-		if c := f.q[len(f.q)-1]; c.queued && c.bDepth == tb.depth && c.b > mk && ahead(c, best) {
-			best = c
-		}
+		f.q, f.head = f.q[:0], 0
 	}
-	return best
+	return top
 }
 
 // resolveAll performs the random accesses for every missing field of p
@@ -855,7 +1052,7 @@ func (tb *table) maxBOutsideRescan() model.Grade {
 	for q := 0; q < tb.seen; q++ {
 		p := tb.at(q)
 		p.b = tb.upper(p.known, p.grades)
-		p.bDepth = tb.depth
+		p.bMove = tb.moves
 		if !p.inTopK && p.b > maxB {
 			maxB = p.b
 		}

@@ -69,22 +69,29 @@ func (a *CA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 
 // pickPhaseTarget returns the seen, viable object with missing fields whose
 // fresh B is largest, considering both T_k members and outside candidates.
+// Under pin tracking (cost-aware TA) the members considered are the open
+// ones, read one best per group: a pinned member's grade is already exact.
+// CA tracks no pins and walks every member with missing fields.
 func (tb *table) pickPhaseTarget() *partial {
 	mk := tb.mk()
 	var best *partial
-	for _, p := range tb.topk {
-		if p.nKnown == tb.m {
-			continue
-		}
-		tb.refreshB(p)
-		// A T_k member is worth resolving while its value is not yet
-		// pinned; when B has collapsed onto W (= M_k for the k-th)
-		// nothing can change, matching the paper's viability cut.
-		if p.b <= mk && p.b == p.w {
-			continue
-		}
-		if best == nil || p.b > best.b {
-			best = p
+	if tb.trackPins {
+		best = tb.openTop()
+	} else {
+		for _, p := range tb.topk {
+			if p.nKnown == tb.m {
+				continue
+			}
+			tb.refreshB(p)
+			// A T_k member is worth resolving while its value is not yet
+			// pinned; when B has collapsed onto W (= M_k for the k-th)
+			// nothing can change, matching the paper's viability cut.
+			if p.b <= mk && p.b == p.w {
+				continue
+			}
+			if best == nil || p.b > best.b {
+				best = p
+			}
 		}
 	}
 	if c := tb.drainTop(mk); c != nil {

@@ -204,9 +204,12 @@ func TestCADerivesHFromCosts(t *testing.T) {
 // TestCABookkeepingRecomputeBudget bounds the lazy engine's bookkeeping on
 // the run that stresses it most: CA under min at cR/cS = 4 on uniform
 // N = 50 000, k = 10, where thousands of objects seen in one list wait as
-// candidates. Keeping them in one heap keyed by stale B costs 150–200 bound
-// recomputes per sorted access; per-list FIFOs refresh only their heads
-// and cost under 10. The budget is 20 on every seed.
+// candidates. Keeping them in one heap keyed by stale B cost 150–200 bound
+// recomputes per sorted access, and per-list FIFOs beside a heap that
+// refreshed every stale top cost 7–10; with groups ordered by K, which
+// read one best per group and retire a non-viable group whole, the seeds
+// measure 3.1–3.2. The budget is 4 on every seed (the measured maximum
+// plus 25%).
 func TestCABookkeepingRecomputeBudget(t *testing.T) {
 	for _, seed := range []int64{42, 123, 456} {
 		db, err := workload.IndependentUniform(workload.Spec{N: 50000, M: 3, Seed: seed})
@@ -219,8 +222,8 @@ func TestCABookkeepingRecomputeBudget(t *testing.T) {
 		}
 		per := float64(res.Stats.BoundRecomputes) / float64(res.Stats.Sorted)
 		t.Logf("seed %d: %d bound recomputes over %d sorted accesses (%.1f per access)", seed, res.Stats.BoundRecomputes, res.Stats.Sorted, per)
-		if per > 20 {
-			t.Errorf("seed %d: %.1f bound recomputes per sorted access, budget 20", seed, per)
+		if per > 4 {
+			t.Errorf("seed %d: %.1f bound recomputes per sorted access, budget 4", seed, per)
 		}
 	}
 }

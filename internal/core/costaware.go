@@ -49,11 +49,11 @@ type CostAwareTA struct {
 	// Threshold carries the run's B-ceiling: the largest possible grade of
 	// any object not in TopK — unseen, partially seen, or a top-k member
 	// not yet pinned. A report costs what changed since the last one: a
-	// member with every field known is never refreshed again, and only the
-	// largest B among the other members is refreshed, so a member whose B
-	// collapses onto W before every field is known (possible under min or
-	// max, not under avg or sum over positive grades) may join TopK a few
-	// reports late; until then the ceiling covers it. Returning false
+	// member with every field known is never refreshed again, and the
+	// other members are read one best per known-field set, so a member
+	// whose B collapses onto W before every field is known (possible under
+	// min or max, not under avg or sum over positive grades) may join TopK
+	// a few reports late; until then the ceiling covers it. Returning false
 	// stops the run with the pinned candidates; the sharded engine cancels
 	// workers through this hook once their ceiling falls below the global
 	// k-th grade.
@@ -92,9 +92,10 @@ func (a *CostAwareTA) phasePeriod(src *access.Source) int {
 // ceiling returns the largest possible overall grade of any object whose
 // exact grade is not yet known: the unseen-object threshold τ (while
 // unseen objects remain), the largest fresh B among unpinned top-k members
-// (pinning the ones it finds collapsed onto W), and the largest fresh B
-// among viable candidates outside the top-k. Computing it retires
-// non-viable candidates, which is sound (B only falls, M_k only rises).
+// (openTop, which pins the group bests it finds collapsed onto W), and the
+// largest fresh B among viable candidates outside the top-k (drainTop).
+// Computing it retires non-viable candidates, which is sound (B only
+// falls, M_k only rises).
 func (a *CostAwareTA) ceiling(tb *table) model.Grade {
 	ceil := model.Grade(math.Inf(-1))
 	if tb.seen < tb.src.N() {
@@ -144,9 +145,6 @@ func (a *CostAwareTA) Run(src *access.Source, t agg.Func, k int) (*Result, error
 		if !ok {
 			continue
 		}
-		// Bounds age per access here (not per parallel round): any access
-		// lowers a bottom, so cached B values must refresh against it.
-		tb.depth++
 		view.age(i, i+1)
 		view.observe(i, e.Grade)
 		tb.observeSorted(i, e)
@@ -251,7 +249,7 @@ func (a *CostAwareTA) finish(tb *table, view *SchedView) (*Result, error) {
 // grades, because the coordinator merges them into an exact global heap.
 func (a *CostAwareTA) stopEarly(tb *table, view *SchedView, guarantee float64) *Result {
 	// Refreshing every unpinned member pins the ones whose B collapsed onto
-	// W below the open heap's top.
+	// W below their group's best.
 	for _, p := range tb.topk {
 		if !p.pinned {
 			tb.refreshB(p)
@@ -269,11 +267,12 @@ func (a *CostAwareTA) stopEarly(tb *table, view *SchedView, guarantee float64) *
 
 // checkReport is the invariants build's audit of one progress report:
 // every reported item is a pinned member whose fresh B equals its W and
-// its grade, every open-heap slot caches its member's current B, and the
-// ceiling equals a brute-force recomputation — τ while
-// unseen objects remain, the fresh B of every unpinned member, and the
-// fresh B of every candidate, in the heap or a FIFO, still viable against
-// M_k — that touches no cached bound and counts no recompute.
+// its grade, every group-heap slot holds its member's keys (the current B
+// under the lazy discipline, 0 under the static one), and the ceiling
+// equals a brute-force recomputation — τ while unseen objects remain, the
+// fresh B of every unpinned member, and the fresh B of every candidate, in
+// a group or a FIFO, still viable against M_k — that touches no cached
+// bound and counts no recompute.
 func (tb *table) checkReport(items []Scored, ceil model.Grade) {
 	fresh := func(p *partial) model.Grade { return tb.apply(p.known, p.grades, tb.bottoms) }
 	for _, it := range items {
@@ -294,15 +293,33 @@ func (tb *table) checkReport(items []Scored, ceil model.Grade) {
 			want = b
 		}
 	}
-	for i, s := range tb.open {
-		if !(s.p.inTopK && !s.p.pinned && s.p.heapIdx == i && s.b == s.p.b) {
-			invariantViolated("open slot %d of object %d (index %d) caches B=%v, member has %v", i, s.p.obj, s.p.heapIdx, s.b, s.p.b)
-		}
-	}
 	mk := tb.mk()
-	for _, c := range tb.cands {
-		if b := fresh(c.p); !c.p.retired && !c.p.inTopK && b > mk && b > want {
-			want = b
+	for g := range tb.groups {
+		gr := &tb.groups[g]
+		for _, h := range []groupHeap{gr.open, gr.cands} {
+			for i, s := range h {
+				p := s.p
+				b := p.b
+				if tb.static {
+					b = 0
+				}
+				if !(p.grp == g && p.known == gr.mask && p.heapIdx == i && s.b == b && s.key == p.key && s.seq == p.seq) {
+					invariantViolated("group %d slot %d of object %d (group %d, index %d) holds B=%v K=%v, member has %v and %v", g, i, p.obj, p.grp, p.heapIdx, s.b, s.key, p.b, p.key)
+				}
+			}
+		}
+		for _, s := range gr.open {
+			if !(s.p.inTopK && !s.p.pinned) {
+				invariantViolated("open slot of object %d holds no open member", s.p.obj)
+			}
+		}
+		for _, s := range gr.cands {
+			if s.p.retired || s.p.inTopK {
+				invariantViolated("candidate slot of object %d holds a retired object or a member", s.p.obj)
+			}
+			if b := fresh(s.p); b > mk && b > want {
+				want = b
+			}
 		}
 	}
 	for _, f := range tb.fifos {

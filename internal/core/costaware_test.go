@@ -229,9 +229,11 @@ func TestCostAwareTAValidation(t *testing.T) {
 
 // TestCostAwareTAProgressRecomputeBudget bounds the bookkeeping a progress
 // report costs at crawler-sized k: with a hook on every report, bound
-// recomputes per sorted access stay at most 20. Refreshing every top-k
-// member on every report costs about 90 per sorted access here; refreshing
-// only what changed costs about 13.
+// recomputes per sorted access stay at most 9. Refreshing every top-k
+// member on every report cost about 90 per sorted access here, refreshing
+// only what changed about 13, and the groups, which read one best per
+// group of candidates and of open members, measure 7.3 under avg and sum
+// (the budget is that plus 25%).
 func TestCostAwareTAProgressRecomputeBudget(t *testing.T) {
 	db, err := workload.Zipf(workload.Spec{N: 20000, M: 3, Seed: 42}, 1.2)
 	if err != nil {
@@ -245,8 +247,8 @@ func TestCostAwareTAProgressRecomputeBudget(t *testing.T) {
 		}
 		per := float64(res.Stats.BoundRecomputes) / float64(res.Stats.Sorted)
 		t.Logf("%s: %d bound recomputes over %d sorted accesses (%.1f per access)", tf.Name(), res.Stats.BoundRecomputes, res.Stats.Sorted, per)
-		if per > 20 {
-			t.Errorf("%s: %.1f bound recomputes per sorted access, budget 20", tf.Name(), per)
+		if per > 9 {
+			t.Errorf("%s: %.1f bound recomputes per sorted access, budget 9", tf.Name(), per)
 		}
 	}
 }

@@ -207,9 +207,10 @@ func (c *NRACursor) OutsideB() model.Grade {
 }
 
 // View assembles the current interval evidence. Top-k B values are
-// refreshed to the current depth; OutsideB is the fresh maximum outside the
-// top-k (computing it retires lazily-discovered non-viable candidates,
-// which is sound: B only falls and M_k only rises).
+// refreshed against the current bottoms; OutsideB is the fresh maximum
+// outside the top-k, one read per group of candidates (computing it
+// retires lazily-discovered non-viable candidates, which is sound: B only
+// falls and M_k only rises).
 func (c *NRACursor) View() CursorView {
 	tb := c.tb
 	items := c.viewItems[:0]

@@ -123,8 +123,12 @@ type impostorAvg struct{ agg.Func }
 func (impostorAvg) Name() string { return "avg" }
 
 // TestBoundTableDispatchesOnConstructor runs NRA, CA and cost-aware TA
-// with impostorAvg and with agg.Max and demands identical results: a table
-// that picked its fold by Name would fold impostorAvg as an average.
+// with impostorAvg and with agg.Max and demands identical results, every
+// field but Stats.BoundRecomputes: a table that picked its fold by Name
+// would fold impostorAvg as an average. The recompute counts differ by
+// design, since the folded table orders its groups by K and the Apply twin
+// refreshes its groups lazily by cached B; TestFoldedTableLockstepWithApplyTwin
+// checks that both pick the same objects at the same bounds.
 func TestBoundTableDispatchesOnConstructor(t *testing.T) {
 	db, err := workload.IndependentUniform(workload.Spec{N: 300, M: 3, Seed: 5})
 	if err != nil {
@@ -148,6 +152,7 @@ func TestBoundTableDispatchesOnConstructor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		got.Stats.BoundRecomputes, want.Stats.BoundRecomputes = 0, 0
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: impostor avg ran as\n%+v\nmax runs as\n%+v", alg().Name(), got, want)
 		}

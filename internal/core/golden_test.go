@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -53,7 +54,10 @@ func goldenDBs(t *testing.T) []struct {
 
 // goldenCase is one algorithm configuration. faulty marks the
 // failure-aware algorithms, which also run on the faulty stack. A case with
-// sameAs has no file of its own: its record must equal that case's.
+// sameAs has no file of its own: its record must equal that case's in
+// everything but Stats.BoundRecomputes, which counts a different
+// evaluation discipline on each side (a folded table orders its groups by
+// K, an Apply twin refreshes its groups lazily by cached B).
 type goldenCase struct {
 	name   string
 	alg    func() Algorithm
@@ -197,6 +201,9 @@ func TestGoldenAccessTraces(t *testing.T) {
 					if rerr != nil {
 						t.Fatal(rerr)
 					}
+					if c.sameAs != "" {
+						got, want = maskRecomputes(got), []byte(maskRecomputes(string(want)))
+					}
 					if got != string(want) {
 						t.Errorf("%s differs from the golden record\n%s", path, firstDiff(string(want), got))
 					}
@@ -204,6 +211,14 @@ func TestGoldenAccessTraces(t *testing.T) {
 			}
 		}
 	}
+}
+
+// recomputesField matches the BoundRecomputes field of a record's stats.
+var recomputesField = regexp.MustCompile(`BoundRecomputes:\d+`)
+
+// maskRecomputes blanks the BoundRecomputes field of a record.
+func maskRecomputes(record string) string {
+	return recomputesField.ReplaceAllString(record, "BoundRecomputes:-")
 }
 
 // firstDiff describes the first line on which want and got differ, with

@@ -8,14 +8,20 @@ import (
 	"repro/internal/model"
 )
 
-// refHeap is the container/heap adapter candHeap replaced, in the
-// candidate order (B descending, first-seen ascending), kept as the
-// reference whose layout candHeap must reproduce.
+// refHeap is a container/heap adapter in the group order (cached B
+// descending, K descending, first-seen ascending), kept as the reference
+// whose layout groupHeap must reproduce.
 type refHeap []*partial
 
 func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
-	return h[i].b > h[j].b || h[i].b == h[j].b && h[i].seq < h[j].seq
+	if h[i].b != h[j].b {
+		return h[i].b > h[j].b
+	}
+	if h[i].key != h[j].key {
+		return h[i].key > h[j].key
+	}
+	return h[i].seq < h[j].seq
 }
 func (h refHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
@@ -33,14 +39,15 @@ func (h *refHeap) Pop() any {
 	return p
 }
 
-// TestCandHeapMatchesContainerHeap drives candHeap and the container/heap
-// reference through the same random Push/Fix/Remove/Pop sequences over a
-// handful of distinct B values, so most comparisons fall through to the
-// first-seen sequences (a random permutation of the objects, as a table
-// hands them out in arrival order). After every operation both heaps must
-// hold the same objects in the same slots, with the same heapIdx on every
-// object, and every inline B and sequence must equal its candidate's.
-func TestCandHeapMatchesContainerHeap(t *testing.T) {
+// TestGroupHeapMatchesContainerHeap drives groupHeap and the
+// container/heap reference through the same random Push/Fix/Remove/Pop
+// sequences over a handful of distinct B and K values, so most comparisons
+// fall through to K or to the first-seen sequences (a random permutation
+// of the objects, as a table hands them out in arrival order). After every
+// operation both heaps must hold the same objects in the same slots, with
+// the same heapIdx on every object, and every inline B, K and sequence
+// must equal its member's.
+func TestGroupHeapMatchesContainerHeap(t *testing.T) {
 	const objects = 48
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -50,9 +57,9 @@ func TestCandHeapMatchesContainerHeap(t *testing.T) {
 			mine[i] = partial{obj: model.ObjectID(i), seq: seq, heapIdx: -1}
 			ref[i] = mine[i]
 		}
-		var h candHeap
+		var h groupHeap
 		var r refHeap
-		key := func() model.Grade { return model.Grade(rng.Intn(4)) / 4 }
+		grade := func() model.Grade { return model.Grade(rng.Intn(4)) / 4 }
 		for step := 0; step < 3000; step++ {
 			op := rng.Intn(8)
 			switch {
@@ -61,13 +68,14 @@ func TestCandHeapMatchesContainerHeap(t *testing.T) {
 				if mine[j].heapIdx >= 0 {
 					continue
 				}
-				b := key()
+				b, key := grade(), grade()
 				mine[j].b, ref[j].b = b, b
-				h.push(&mine[j])
+				mine[j].key, ref[j].key = key, key
+				h.push(slot{b: b, key: key, seq: mine[j].seq, p: &mine[j]})
 				heap.Push(&r, &ref[j])
 			case op < 6:
 				i := rng.Intn(len(h))
-				b := key()
+				b := grade()
 				h[i].p.b, r[i].b = b, b
 				h.fix(i)
 				heap.Fix(&r, i)
@@ -86,8 +94,8 @@ func TestCandHeapMatchesContainerHeap(t *testing.T) {
 				if h[i].p.obj != r[i].obj {
 					t.Fatalf("seed %d step %d: slot %d holds object %d, reference %d", seed, step, i, h[i].p.obj, r[i].obj)
 				}
-				if h[i].b != h[i].p.b || h[i].seq != h[i].p.seq {
-					t.Fatalf("seed %d step %d: slot %d caches B=%v seq %d, candidate has %v and %d", seed, step, i, h[i].b, h[i].seq, h[i].p.b, h[i].p.seq)
+				if h[i].b != h[i].p.b || h[i].key != h[i].p.key || h[i].seq != h[i].p.seq {
+					t.Fatalf("seed %d step %d: slot %d caches B=%v K=%v seq %d, member has %v, %v and %d", seed, step, i, h[i].b, h[i].key, h[i].seq, h[i].p.b, h[i].p.key, h[i].p.seq)
 				}
 			}
 			for j := range mine {
