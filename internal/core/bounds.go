@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -64,9 +65,7 @@ import (
 // only rises, which is the canonical order for every Func.
 type partial struct {
 	obj    model.ObjectID
-	seq    int // first-seen order within the query
 	known  uint64
-	nKnown int
 	grades []model.Grade
 
 	w   model.Grade // exact lower bound, updated on every learned field
@@ -75,20 +74,23 @@ type partial struct {
 	// bMove is the table's move count when b was computed; an object with
 	// every field known has b = W for good and never goes stale.
 	bMove int
+	// heapIdx is p's position in its group's candidate heap, or — for a
+	// tracked T_k member not yet pinned — in its open heap; -1 if in
+	// neither. A member is never a candidate, so one index serves both.
+	heapIdx int
+	seq     int32 // first-seen order within the query
+	grp     int32 // the group of p's known-field set (an index into table.groups)
+	// slot is p's slot in the slot index + 1, or 0 when parts files it.
+	slot int32
 
 	retired bool // proven non-viable forever (lazy engine)
 	inTopK  bool
 	queued  bool // waiting in the FIFO of its one known field's list
 	pinned  bool // tracked T_k member with W = B: its grade is exact for good
-	// grp is the group of p's known-field set (an index into table.groups).
-	// heapIdx is p's position in that group's candidate heap, or — for a
-	// tracked T_k member not yet pinned — in its open heap; -1 if in
-	// neither. A member is never a candidate, so one index serves both.
-	grp     int
-	heapIdx int
-	// at is the slot-index entry that files p, nil when parts files it.
-	at *int32
 }
+
+// fields returns the number of p's known fields.
+func (p *partial) fields() int { return bits.OnesCount64(p.known) }
 
 // slot is one group-heap slot. It carries the member's order keys inline,
 // so a sift compares slots without dereferencing members: b is the cached
@@ -98,7 +100,7 @@ type partial struct {
 type slot struct {
 	b   model.Grade
 	key model.Grade
-	seq int
+	seq int32
 	p   *partial
 }
 
@@ -249,8 +251,8 @@ type table struct {
 	// exactly one of its group's cands and fifos[i] (the FIFO of its one
 	// known field, for an object seen once under sorted access).
 	groups []group
-	next   []int
-	byMask map[uint64]int
+	next   []int32
+	byMask map[uint64]int32
 	fifos  []candFIFO
 	walk   []int // scratch stack of window's heap walk
 
@@ -293,7 +295,7 @@ const slotPageSize = 4096
 // FIFO and top-k backing arrays, so a warm query's bookkeeping allocates
 // almost nothing.
 var tablePool = sync.Pool{New: func() any {
-	return &table{parts: make(map[model.ObjectID]*partial), byMask: make(map[uint64]int)}
+	return &table{parts: make(map[model.ObjectID]*partial), byMask: make(map[uint64]int32)}
 }}
 
 // newTable takes a table from tablePool and resets it for one query. The
@@ -360,11 +362,11 @@ func (tb *table) release() {
 		tb.released = true
 	}
 	if len(tb.parts) < tb.seen {
-		// Zero only the slots this query filled, through the entries
-		// learn kept.
+		// Zero only the slots this query filled, through the slots learn
+		// kept.
 		for q := 0; q < tb.seen; q++ {
-			if at := tb.at(q).at; at != nil {
-				*at = 0
+			if s := int(tb.at(q).slot) - 1; s >= 0 {
+				tb.pages[s/slotPageSize][s%slotPageSize] = 0
 			}
 		}
 	}
@@ -393,29 +395,28 @@ func (tb *table) at(q int) *partial {
 	return &tb.slabs[q/partSlabSize].parts[q%partSlabSize]
 }
 
-// get returns obj's partial, or nil if the table has not seen obj, and the
-// slot-index entry that files obj: nil when the Source maps obj to no slot
-// and parts files it instead. The entry's page is allocated on first touch.
-func (tb *table) get(obj model.ObjectID) (*partial, *int32) {
+// get returns obj's partial, or nil if the table has not seen obj, and
+// obj's slot in the slot index: -1 when the Source maps obj to no slot and
+// parts files it instead. The slot's page is allocated on first touch.
+func (tb *table) get(obj model.ObjectID) (*partial, int) {
 	var p *partial
-	var at *int32
-	if slot, ok := tb.src.Slot(obj); ok {
+	slot, ok := tb.src.Slot(obj)
+	if ok {
 		pg := tb.pages[slot/slotPageSize]
 		if pg == nil {
 			pg = make([]int32, slotPageSize)
 			tb.pages[slot/slotPageSize] = pg
 		}
-		at = &pg[slot%slotPageSize]
-		if *at != 0 {
-			p = tb.at(int(*at) - 1)
+		if q := pg[slot%slotPageSize]; q != 0 {
+			p = tb.at(int(q) - 1)
 		}
 	} else {
-		p = tb.parts[obj]
+		p, slot = tb.parts[obj], -1
 	}
 	if invariantsEnabled && p != nil && p.obj != obj {
 		invariantViolated("bound-table entry for object %d holds object %d", obj, p.obj)
 	}
-	return p, at
+	return p, slot
 }
 
 // newPartial carves a zero-knowledge entry for obj, with the next
@@ -434,28 +435,27 @@ func (tb *table) newPartial(obj model.ObjectID) *partial {
 	s := &tb.slabs[c]
 	lo := i * tb.m
 	p := &s.parts[i]
-	p.obj, p.seq = obj, tb.seen
-	p.known, p.nKnown = 0, 0
+	p.obj, p.seq, p.known = obj, int32(tb.seen), 0
 	p.grades = s.grades[lo : lo+tb.m : lo+tb.m]
 	p.w, p.key, p.b, p.bMove = 0, 0, 0, -1
 	p.retired, p.inTopK, p.queued, p.pinned = false, false, false, false
-	p.grp, p.heapIdx, p.at = 0, -1, nil
+	p.grp, p.heapIdx, p.slot = 0, -1, 0
 	tb.seen++
 	return p
 }
 
 // groupWith returns the group of groups[g]'s known-field set with list i
 // added, creating it on first need.
-func (tb *table) groupWith(g, i int) int {
-	at := g*tb.m + i
+func (tb *table) groupWith(g int32, i int) int32 {
+	at := int(g)*tb.m + i
 	if n := tb.next[at]; n >= 0 {
 		return n
 	}
 	mask := tb.groups[g].mask | uint64(1)<<uint(i)
 	n, ok := tb.byMask[mask]
 	if !ok {
-		n = len(tb.groups)
-		if n < cap(tb.groups) {
+		n = int32(len(tb.groups))
+		if int(n) < cap(tb.groups) {
 			tb.groups = tb.groups[:n+1]
 			tb.groups[n].mask = mask
 		} else {
@@ -821,12 +821,12 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 	if invariantsEnabled && tb.released {
 		invariantViolated("learn on a released bound table")
 	}
-	p, at := tb.get(obj)
+	p, slot := tb.get(obj)
 	if p == nil {
 		p = tb.newPartial(obj)
-		if at != nil {
-			*at = int32(p.seq + 1)
-			p.at = at
+		if slot >= 0 {
+			tb.pages[slot/slotPageSize][slot%slotPageSize] = p.seq + 1
+			p.slot = int32(slot + 1)
 		} else {
 			tb.parts[obj] = p
 		}
@@ -839,22 +839,22 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 	if p.heapIdx >= 0 {
 		tb.heapOf(p).remove(p.heapIdx)
 	}
+	first := p.known == 0
 	p.known |= bit
-	p.nKnown++
 	p.grades[list] = g
 	p.grp = tb.groupWith(p.grp, list)
 	p.w, p.b = tb.computeBounds(p)
 	p.bMove = tb.moves
-	if p.nKnown == tb.m {
+	if p.fields() == tb.m {
 		p.bMove = math.MaxInt // B = W for good
 	}
 	switch {
 	case tb.kind == agg.KindMin:
-		if p.nKnown == 1 || g < p.key {
+		if first || g < p.key {
 			p.key = g
 		}
 	case tb.kind == agg.KindMax:
-		if p.nKnown == 1 || g > p.key {
+		if first || g > p.key {
 			p.key = g
 		}
 	default:
@@ -918,7 +918,7 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 		return p
 	}
 	if tb.lazy {
-		if p.nKnown == 1 {
+		if first {
 			tb.enqueue(list, p)
 		} else {
 			tb.file(p)

@@ -51,7 +51,7 @@ func TestTableLearnIsIdempotent(t *testing.T) {
 	p1 := tb.learn(1, 0, 0.9)
 	w1, b1 := p1.w, p1.b
 	p2 := tb.learn(1, 0, 0.9) // same field again
-	if p1 != p2 || p2.w != w1 || p2.b != b1 || p2.nKnown != 1 {
+	if p1 != p2 || p2.w != w1 || p2.b != b1 || p2.fields() != 1 {
 		t.Fatalf("relearning a known field changed state: %+v", p2)
 	}
 }
@@ -78,7 +78,7 @@ func TestTableWIncreasesBDecreases(t *testing.T) {
 	if p.w < w0 {
 		t.Fatalf("W fell from %v to %v after learning a field", w0, p.w)
 	}
-	if p.nKnown != 2 || math.Abs(float64(p.w-p.b)) > 1e-12 {
+	if p.fields() != 2 || math.Abs(float64(p.w-p.b)) > 1e-12 {
 		t.Fatalf("fully known object must have W=B, got W=%v B=%v", p.w, p.b)
 	}
 }

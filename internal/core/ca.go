@@ -79,7 +79,7 @@ func (tb *table) pickPhaseTarget() *partial {
 		best = tb.openTop()
 	} else {
 		for _, p := range tb.topk {
-			if p.nKnown == tb.m {
+			if p.fields() == tb.m {
 				continue
 			}
 			tb.refreshB(p)
@@ -95,7 +95,7 @@ func (tb *table) pickPhaseTarget() *partial {
 		}
 	}
 	if c := tb.drainTop(mk); c != nil {
-		if c.nKnown < tb.m && (best == nil || c.b > best.b) {
+		if c.fields() < tb.m && (best == nil || c.b > best.b) {
 			best = c
 		}
 	}

@@ -217,7 +217,7 @@ func (a *CostAwareTA) finish(tb *table, view *SchedView) (*Result, error) {
 	for {
 		var target *partial
 		for _, p := range tb.topk {
-			if p.nKnown < tb.m {
+			if p.fields() < tb.m {
 				target = p
 				break
 			}
@@ -303,7 +303,7 @@ func (tb *table) checkReport(items []Scored, ceil model.Grade) {
 				if tb.static {
 					b = 0
 				}
-				if !(p.grp == g && p.known == gr.mask && p.heapIdx == i && s.b == b && s.key == p.key && s.seq == p.seq) {
+				if !(p.grp == int32(g) && p.known == gr.mask && p.heapIdx == i && s.b == b && s.key == p.key && s.seq == p.seq) {
 					invariantViolated("group %d slot %d of object %d (group %d, index %d) holds B=%v K=%v, member has %v and %v", g, i, p.obj, p.grp, p.heapIdx, s.b, s.key, p.b, p.key)
 				}
 			}

@@ -283,7 +283,7 @@ func (c *NRACursor) resolve(obj model.ObjectID) error {
 // fieldsKnown reports how many of obj's fields are known (0 if never seen).
 func (c *NRACursor) fieldsKnown(obj model.ObjectID) int {
 	if p, _ := c.tb.get(obj); p != nil {
-		return p.nKnown
+		return p.fields()
 	}
 	return 0
 }

@@ -54,7 +54,7 @@ func TestGroupHeapMatchesContainerHeap(t *testing.T) {
 		mine := make([]partial, objects)
 		ref := make([]partial, objects)
 		for i, seq := range rng.Perm(objects) {
-			mine[i] = partial{obj: model.ObjectID(i), seq: seq, heapIdx: -1}
+			mine[i] = partial{obj: model.ObjectID(i), seq: int32(seq), heapIdx: -1}
 			ref[i] = mine[i]
 		}
 		var h groupHeap
