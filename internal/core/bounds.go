@@ -254,7 +254,7 @@ type table struct {
 	next   []int32
 	byMask map[uint64]int32
 	fifos  []candFIFO
-	walk   []int // scratch stack of window's heap walk
+	walk   []int // scratch stack of best's window walk
 
 	// Pin tracking (lazy engine, cost-aware TA): every T_k member is either
 	// pinned — W = B, its exact grade in pins, kept in canonical order — or
