@@ -109,3 +109,19 @@ func answerLines(out string) []string {
 	}
 	return lines
 }
+
+// TestGradesOutsideUnitRangeRejected: the paper's algorithms are sound only
+// for grades in [0, 1] (TA's initial bottom of 1, NRA's 0-fill), so a CSV
+// with any other grade must fail to load rather than run. On this database
+// sequential TA under sum would stop at once on object 1 (3.5), while the
+// true top object is 2 (3.9).
+func TestGradesOutsideUnitRangeRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wide.csv")
+	if err := os.WriteFile(path, []byte("object,attr1,attr2\n1,2,1.5\n2,1.9,2\n3,0.1,0.1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out := runTopK(t, "-data", path, "-agg", "sum", "-k", "1")
+	if code != 1 || !strings.Contains(out, "object 1 has grade 2, outside [0, 1]") {
+		t.Fatalf("exit %d, want 1 with an error naming object 1's grade 2\n%s", code, out)
+	}
+}

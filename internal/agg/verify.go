@@ -132,8 +132,8 @@ func Bottom(t Func) model.Grade {
 	return t.Apply(zeros)
 }
 
-// TopValue returns t(1,…,1), the largest overall grade any object can have
-// under the [0,1] grade convention.
+// TopValue returns t(1,…,1), the largest overall grade any object can have:
+// every list holds grades in [0,1] (model.List rejects any other).
 func TopValue(t Func) model.Grade {
 	ones := make([]model.Grade, t.Arity())
 	for i := range ones {

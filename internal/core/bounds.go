@@ -226,12 +226,10 @@ type table struct {
 	// cached B first.
 	static bool
 
-	depth    int // sorted-access rounds (NRA's clock, behind Rounds and Depth)
-	moves    int // bottom moves so far; a cached B is fresh iff computed after the last
-	bottoms  []model.Grade
-	mag      model.Grade // largest |x| of every grade learned and every bottom (≥ 1)
-	observed uint64      // invariants build: lists that produced ≥1 sorted entry
-	topk     []*partial  // ≤ k entries, ordered best-first by (w, b, id)
+	depth   int // sorted-access rounds (NRA's clock, behind Rounds and Depth)
+	moves   int // bottom moves so far; a cached B is fresh iff computed after the last
+	bottoms []model.Grade
+	topk    []*partial // ≤ k entries, ordered best-first by (w, b, id)
 
 	// Seen objects. seen counts them and is the next first-seen sequence;
 	// the partial of sequence q is at(q). An id the Source maps to a slot
@@ -305,7 +303,7 @@ func newTable(src *access.Source, t agg.Func, k int, lazy bool) *table {
 	m := src.M()
 	tb.t, tb.kind, tb.m, tb.k, tb.src, tb.lazy = t, agg.KindOf(t), m, k, src, lazy
 	tb.static = tb.kind != agg.KindOther
-	tb.depth, tb.moves, tb.mag, tb.observed, tb.released = 0, 0, 1, 0, false
+	tb.depth, tb.moves, tb.released = 0, 0, false
 	tb.trackPins, tb.pinsGen = false, 0
 	tb.bottoms = resize(tb.bottoms, m)
 	for i := range tb.bottoms {
@@ -697,19 +695,19 @@ func pinnedItem(p *partial) Scored {
 }
 
 // window is δ, the width of the K window the best of a sum or avg group
-// lies in. With u = 2⁻⁵³ and G = mag bounding every grade and bottom,
-// recursive summation of m terms errs by at most γ₍ₘ₋₁₎·m·G, where
+// lies in. With u = 2⁻⁵³ and every grade and bottom in [0, 1], recursive
+// summation of m terms errs by at most γ₍ₘ₋₁₎·m, where
 // γₙ = n·u/(1−n·u) < 1.01·n·u, so under sum each of K (the known grades)
-// and B (those with the missing bottoms) lies within 1.01·m(m−1)·u·G of its
+// and B (those with the missing bottoms) lies within 1.01·m(m−1)·u of its
 // exact value, and the exact values differ between two members of one
 // group by exactly their Ks' difference. A member whose K is below the
 // top's by more than four such errors therefore has a smaller B than the
 // top. Under avg the division by m divides the sum's error by m and adds
-// u·G, so each value errs by at most 1.01·m·u·G. δ = 8·m²·u·G (sum) and
-// 8·m·u·G (avg) cover those four errors with room for the rounding of the
-// window's own floor, K − δ; grades outside [0, 1] raise G with them.
+// u, so each value errs by at most 1.01·m·u. δ = 8·m²·u (sum) and 8·m·u
+// (avg) cover those four errors with room for the rounding of the
+// window's own floor, K − δ.
 func (tb *table) window() model.Grade {
-	d := 8 * model.Grade(tb.m) * 0x1p-53 * tb.mag
+	d := 8 * model.Grade(tb.m) * 0x1p-53
 	if tb.kind == agg.KindSum {
 		d *= model.Grade(tb.m)
 	}
@@ -860,9 +858,6 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 	default:
 		p.key = p.w // Sum and Avg: the known grades' fold is W to the bit
 	}
-	if a := model.Grade(math.Abs(float64(g))); a > tb.mag {
-		tb.mag = a
-	}
 	if invariantsEnabled && !(p.w <= p.b) {
 		invariantViolated("object %d has W=%v > B=%v (Propositions 8.1/8.2)", p.obj, p.w, p.b)
 	}
@@ -946,11 +941,8 @@ func (tb *table) enqueue(list int, p *partial) {
 // observeSorted processes one sorted-access result on list i. A grade
 // below the list's bottom moves it, which ages every cached B.
 func (tb *table) observeSorted(i int, e model.Entry) {
-	if invariantsEnabled {
-		if !(tb.observed&(uint64(1)<<uint(i)) == 0 || e.Grade <= tb.bottoms[i]) {
-			invariantViolated("sorted list %d produced increasing grades: %v after bottom %v", i, e.Grade, tb.bottoms[i])
-		}
-		tb.observed |= uint64(1) << uint(i)
+	if invariantsEnabled && !(e.Grade <= tb.bottoms[i]) {
+		invariantViolated("sorted list %d produced increasing grades: %v after bottom %v", i, e.Grade, tb.bottoms[i])
 	}
 	if e.Grade != tb.bottoms[i] {
 		tb.moves++

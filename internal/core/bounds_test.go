@@ -277,8 +277,9 @@ func TestPooledTableServesNextQueryClean(t *testing.T) {
 }
 
 // TestDrainTopMatchesCanonicalArgmax checks drainTop and openTop against
-// the canonical order computed by brute force, on tie-heavy plateau data,
-// on uniform data and on a wide-grade database (grades up to 5), under avg, min, sum, max, Median and avgAlias, at m = 2, 3 and 5.
+// the canonical order computed by brute force, on tie-heavy plateau data
+// and on uniform data, under avg, min, sum, max, Median and avgAlias, at
+// m = 2, 3 and 5.
 // Lazy tables run random rounds of sorted access under NRA's clock (one
 // depth per round of m accesses, pins untracked) or cost-aware TA's (one
 // depth per access, pins tracked), with random-access learns of random
@@ -310,42 +311,15 @@ func TestDrainTopMatchesCanonicalArgmax(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wide := wideDB(t, m, 150, int64(m))
 		for _, tf := range funcs(m) {
 			for _, k := range []int{1, 10} {
 				for _, perAccess := range []bool{false, true} {
 					label := fmt.Sprintf("m=%d/uniform/%s/k=%d/perAccess=%v", m, tf.Name(), k, perAccess)
 					checkTops(t, label, db, tf, k, perAccess, rand.New(rand.NewSource(int64(k))))
-					label = fmt.Sprintf("m=%d/wide/%s/k=%d/perAccess=%v", m, tf.Name(), k, perAccess)
-					checkTops(t, label, wide, tf, k, perAccess, rand.New(rand.NewSource(int64(k))))
 				}
 			}
 		}
 	}
-}
-
-// wideDB builds n objects over m lists with grades in [0, 5], drawn from
-// a few levels so that ties are common. It has no grade below 0: W =
-// t(known, 0, …) bounds t from below only while every grade is at least 0
-// (Proposition 8.1), so a negative grade learned for a T_k member would
-// lower its W and M_k with it, and retirement against M_k would no longer
-// be sound.
-func wideDB(t testing.TB, m, n int, seed int64) *model.Database {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	levels := []model.Grade{0, 0.3, 0.5, 1, 1.7, 2.25, 3, 4.5}
-	b := model.NewBuilder(m).AllowWideGrades()
-	for id := 0; id < n; id++ {
-		g := make([]model.Grade, m)
-		for j := range g {
-			g[j] = levels[rng.Intn(len(levels))]
-			if rng.Intn(3) == 0 {
-				g[j] = model.Grade(rng.Float64() * 5)
-			}
-		}
-		b.MustAdd(model.ObjectID(id), g...)
-	}
-	return b.MustBuild()
 }
 
 // refKey is K computed from scratch: the fold of t's kind over the known
@@ -382,8 +356,6 @@ func refKey(t agg.Func, known uint64, grades, buf []model.Grade) model.Grade {
 // openTop that touches no cached bound: the fresh B of every object at
 // the current bottoms through Apply, and K from refKey. Under cost-aware
 // TA's clock (perAccess) the table tracks pins, as cost-aware TA's does.
-// On a wide-grade database the bottoms start at each list's top grade:
-// the table's own initial bottom of 1 bounds only grades up to 1.
 type topsChecker struct {
 	t     testing.TB
 	label string
@@ -398,10 +370,6 @@ func newTopsChecker(t testing.TB, label string, db *model.Database, tf agg.Func,
 	src := access.New(db, access.AllowAll)
 	tb := newTable(src, tf, k, true)
 	tb.trackPins = perAccess
-	for i := range tb.bottoms {
-		tb.bottoms[i] = max(1, db.List(i).At(0).Grade)
-		tb.mag = max(tb.mag, tb.bottoms[i]) // mag bounds every bottom
-	}
 	return &topsChecker{t: t, label: label, db: db, tf: tf, src: src, tb: tb, buf: make([]model.Grade, db.M())}
 }
 
@@ -577,13 +545,14 @@ func TestGroupWindowCoversRoundingInversions(t *testing.T) {
 
 // FuzzCandidateOrder runs topsChecker on arbitrary small databases and
 // access sequences. The input selects the Func (min, max, sum, avg, Median
-// or avgAlias), NRA's clock or cost-aware TA's, wide grades or grades in
-// [0, 1], m ∈ {2, 3, 4}, n ≤ 12 objects, k ≤ 6, the grades (8-byte floats,
+// or avgAlias; cfg bits 0–2), NRA's clock or cost-aware TA's (bit 3),
+// m ∈ {2, 3, 4}, n ≤ 12 objects, k ≤ 6, the grades (8-byte floats,
 // object by object; magnitudes are taken, NaN and ±Inf read as 0, and
-// grades are capped at 1, or at 1000 when wide) and up to 64 steps: a
-// byte below 128 is a sorted access on list b mod m, and any other byte,
-// with the next one, a random learn of a seen object's grade on a list.
-// drainTop and openTop must match the brute force after every step.
+// grades are capped at 1) and up to 64 steps: a byte below 128 is a sorted
+// access on list b mod m, and any other byte, with the next one, a random
+// learn of a seen object's grade on a list. drainTop and openTop must
+// match the brute force after every step. Bit 4 of cfg is ignored, so
+// corpus entries that set it still decode.
 func FuzzCandidateOrder(f *testing.F) {
 	le := func(xs ...float64) []byte {
 		var b []byte
@@ -608,14 +577,9 @@ func FuzzCandidateOrder(f *testing.F) {
 	f.Add(uint8(0b1011), uint8(1), uint8(5), uint8(2), le(slices.Concat([]float64{0.01, 0.7, 0}, a, b, []float64{0.005, 0.005, 0.005, 0.005, 0.005, 0.005})...), []byte{0, 0, 2, 2, 1})
 	f.Fuzz(func(t *testing.T, cfg, mb, nb, kb uint8, grades, ops []byte) {
 		m, n, k := 2+int(mb%3), 1+int(nb%12), 1+int(kb%6)
-		wide, perAccess := cfg&0b10000 != 0, cfg&0b1000 != 0
+		perAccess := cfg&0b1000 != 0
 		tf := []func(int) agg.Func{agg.Min, agg.Max, agg.Sum, agg.Avg, agg.Median, newAvgAlias}[int(cfg&0b111)%6](m)
 		b := model.NewBuilder(m)
-		top := model.Grade(1)
-		if wide {
-			b.AllowWideGrades()
-			top = 1000
-		}
 		for id := 0; id < n; id++ {
 			g := make([]model.Grade, m)
 			for j := range g {
@@ -623,14 +587,14 @@ func FuzzCandidateOrder(f *testing.F) {
 					x := math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(grades)))
 					grades = grades[8:]
 					if !math.IsNaN(x) && !math.IsInf(x, 0) {
-						g[j] = min(model.Grade(x), top)
+						g[j] = min(model.Grade(x), 1)
 					}
 				}
 			}
 			b.MustAdd(model.ObjectID(id), g...)
 		}
 		db := b.MustBuild()
-		c := newTopsChecker(t, fmt.Sprintf("%s m=%d n=%d k=%d wide=%v perAccess=%v", tf.Name(), m, n, k, wide, perAccess), db, tf, k, perAccess)
+		c := newTopsChecker(t, fmt.Sprintf("%s m=%d n=%d k=%d perAccess=%v", tf.Name(), m, n, k, perAccess), db, tf, k, perAccess)
 		defer c.tb.release()
 		accesses := 0
 		for step := 0; step < len(ops) && step < 64; step++ {

@@ -15,7 +15,7 @@ import (
 // optimality's practical edge when cR ≫ cS (the reason Section 8.2
 // introduces CA). CostAwareTA instead:
 //
-//   - allocates sorted accesses with CAPlanner, deepening the list whose
+//   - allocates sorted accesses with Delta, deepening the list whose
 //     next access buys the largest expected threshold drop per unit of
 //     declared charged cost (cheap lists first on heterogeneous backends);
 //   - spends random access at the paper's CA cadence — one resolution
@@ -25,8 +25,9 @@ import (
 //   - maintains NRA's [W, B] bound bookkeeping in between, so halting
 //     needs no per-object resolution at all;
 //   - and, once the stopping rule fires, pins the answer exactly: every
-//     top-k member with missing fields is resolved by random access (at
-//     most k·(m−1) accesses), so GradesExact is always true.
+//     top-k member whose grade is not yet exact (W < B) is resolved by
+//     random access (at most k·(m−1) accesses, none for a member whose
+//     fresh B already equals W), so GradesExact is always true.
 //
 // The answer therefore carries exact grades like TA's while the charged
 // middleware cost tracks CA's. Ties at the k-th grade are broken
@@ -131,7 +132,7 @@ func (a *CostAwareTA) Run(src *access.Source, t agg.Func, k int) (*Result, error
 	var pinBuf []Scored
 	pinGen := 0
 	for {
-		i := CAPlanner{}.Next(view)
+		i := Delta{}.Next(view)
 		if i == -1 {
 			// Every list exhausted: all grades are known, every bound is
 			// pinned, and the top-k is exact as it stands.
@@ -205,19 +206,25 @@ func (a *CostAwareTA) die(tb *table, view *SchedView, err error) (*Result, error
 	return a.stopEarly(tb, view, math.Inf(1)), &AccessError{Ceiling: ceil, Err: err}
 }
 
-// finish pins the answer: every top-k member with missing fields is
-// resolved by random access. Sound because the stopping rule already
-// proved no outside object viable — resolution only raises member W values
-// (and therefore M_k), so the member set cannot change. A backend failure
+// finish pins the answer: every top-k member whose fresh B still exceeds
+// its W is resolved by random access. A member with missing fields whose
+// fresh B equals W is skipped: W = B bounds its grade from both sides, so
+// it is already exact. Sound because the stopping rule already proved no
+// outside object viable — resolution only raises member W values (and
+// therefore M_k), so the member set cannot change. A backend failure
 // during pinning degrades like a mid-run death: the members already pinned
 // are returned with the death ceiling.
 func (a *CostAwareTA) finish(tb *table, view *SchedView) (*Result, error) {
-	// Each resolution re-sorts the member list, so scan afresh until no
-	// member has missing fields (≤ k resolutions: each pins one object).
+	// Each resolution re-sorts the member list, so scan afresh until every
+	// member is exact (≤ k resolutions: each pins one object). Random
+	// accesses move no bottom, so a refreshed B stays fresh.
 	for {
 		var target *partial
 		for _, p := range tb.topk {
-			if p.fields() < tb.m {
+			if p.fields() == tb.m {
+				continue
+			}
+			if tb.refreshB(p); p.w < p.b {
 				target = p
 				break
 			}

@@ -93,13 +93,8 @@ func (FA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 	for _, obj := range order {
 		heap.Offer(Scored{Object: obj, Grade: t.Apply(seen[obj].grades)})
 	}
-	items := heap.Snapshot()
-	for i := range items {
-		items[i].Lower = items[i].Grade
-		items[i].Upper = items[i].Grade
-	}
 	return &Result{
-		Items:       items,
+		Items:       heap.Exact(),
 		GradesExact: true,
 		Theta:       1,
 		Rounds:      rounds,

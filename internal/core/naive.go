@@ -48,13 +48,8 @@ func (Naive) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 	for obj, gs := range grades {
 		heap.Offer(Scored{Object: obj, Grade: t.Apply(gs)})
 	}
-	items := heap.Snapshot()
-	for i := range items {
-		items[i].Lower = items[i].Grade
-		items[i].Upper = items[i].Grade
-	}
 	return &Result{
-		Items:       items,
+		Items:       heap.Exact(),
 		GradesExact: true,
 		Theta:       1,
 		Rounds:      src.N(),
@@ -103,13 +98,8 @@ func (MaxTopK) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 	for obj, g := range best {
 		heap.Offer(Scored{Object: obj, Grade: g})
 	}
-	items := heap.Snapshot()
-	for i := range items {
-		items[i].Lower = items[i].Grade
-		items[i].Upper = items[i].Grade
-	}
 	return &Result{
-		Items:       items,
+		Items:       heap.Exact(),
 		GradesExact: true,
 		Theta:       1,
 		Rounds:      k,

@@ -118,7 +118,12 @@ func TestTopKHeapSemantics(t *testing.T) {
 	if len(h.items) != 2 || h.Kth() != 0.7 {
 		t.Fatalf("heap accepted a worse candidate: %+v", h.items)
 	}
-	snap := h.Snapshot()
+	snap := h.Exact()
+	for _, it := range snap {
+		if it.Lower != it.Grade || it.Upper != it.Grade {
+			t.Fatalf("Exact item %+v: want Lower = Upper = Grade", it)
+		}
+	}
 	snap[0].Grade = 0
 	if h.items[0].Grade == 0 {
 		t.Fatal("snapshot aliases the heap")

@@ -185,16 +185,20 @@ func (h *TopKBuffer) Len() int { return len(h.items) }
 // Kth returns the grade of the worst retained item; call only when full.
 func (h *TopKBuffer) Kth() model.Grade { return h.items[len(h.items)-1].Grade }
 
-// Snapshot returns a copy of the current items, best first.
-func (h *TopKBuffer) Snapshot() []Scored {
+// Exact returns a copy of the current items, best first, as answers whose
+// grades are exact: Lower = Upper = Grade.
+func (h *TopKBuffer) Exact() []Scored {
 	out := make([]Scored, len(h.items))
-	copy(out, h.items)
+	for i, it := range h.items {
+		it.Lower, it.Upper = it.Grade, it.Grade
+		out[i] = it
+	}
 	return out
 }
 
 // AppendSnapshot appends the current items, best first, to dst and returns
-// the extended slice — Snapshot without the allocation, for hot paths that
-// reuse a scratch buffer (pass dst[:0] to overwrite it).
+// the extended slice, for hot paths that reuse a scratch buffer (pass
+// dst[:0] to overwrite it).
 func (h *TopKBuffer) AppendSnapshot(dst []Scored) []Scored {
 	return append(dst, h.items...)
 }

@@ -121,11 +121,18 @@ func (Lockstep) Next(v *SchedView) int {
 
 // Delta is a Quick-Combine-style heuristic schedule (Güntzer, Balke,
 // Kiessling, discussed in the paper's Section 10): it prefers the list whose
-// grades are currently falling fastest, which drives the threshold down
-// sooner on skewed data. Unmodified, the heuristic loses instance
-// optimality (the paper gives a family of counterexamples); the Fairness
-// bound implements the paper's fix — "each list is accessed under sorted
-// access at least every u steps, for some constant u" — which restores it.
+// grades are currently falling fastest per unit of declared sorted-access
+// cost, which drives the threshold down sooner on skewed data and buys it
+// where it is cheapest against heterogeneous backends (a cheap local index
+// next to an expensive web subsystem) — the sorted-access half of the
+// paper's CA argument that accesses should be spent at their exchange
+// rate. A list's expected drop is its most recent observed descent
+// (PrevBottom − Bottom); at unit costs the weighting changes nothing.
+// Unmodified, the heuristic loses instance optimality (the paper gives a
+// family of counterexamples); the Fairness bound implements the paper's
+// fix — "each list is accessed under sorted access at least every u steps,
+// for some constant u" — which restores it. Cost-aware TA allocates its
+// sorted accesses with Delta{}.
 type Delta struct {
 	// Fairness is the paper's u: no eligible list goes more than u
 	// scheduling steps without being accessed. Zero means u = 2m.
@@ -144,23 +151,31 @@ func (d Delta) Next(v *SchedView) int {
 	if starved := starvedList(v, u); starved != -1 {
 		return starved
 	}
-	// Otherwise pick the steepest recent grade drop; break ties toward
-	// the shallowest list so untouched lists get sampled early.
 	best := -1
-	var bestDrop model.Grade = -1
+	bestValue := -1.0
 	for i := range v.Depth {
 		if !v.eligible(i) {
 			continue
 		}
-		drop := v.PrevBottom[i] - v.Bottom[i]
+		drop := float64(v.PrevBottom[i] - v.Bottom[i])
 		if v.Depth[i] == 0 {
-			// Unread list: maximal optimism so every list is
-			// touched before the heuristic takes over.
+			// Unread list: maximal optimism (grades live in [0,1], so 2
+			// beats any observed descent) — every list gets probed before
+			// the estimates decide.
 			drop = 2
 		}
-		if best == -1 || drop > bestDrop || (drop == bestDrop && v.Depth[i] < v.Depth[best]) {
+		value := drop / v.sortedCost(i)
+		better := best == -1 || value > bestValue
+		if !better && value == bestValue {
+			// Ties: the cheaper list first, then the shallower one, so
+			// untouched lists get sampled early and equal descent rates
+			// degrade to cheapest-first lockstep.
+			better = v.sortedCost(i) < v.sortedCost(best) ||
+				(v.sortedCost(i) == v.sortedCost(best) && v.Depth[i] < v.Depth[best])
+		}
+		if better {
 			best = i
-			bestDrop = drop
+			bestValue = value
 		}
 	}
 	return best
@@ -181,56 +196,4 @@ func starvedList(v *SchedView, u int) int {
 		}
 	}
 	return starved
-}
-
-// CAPlanner is the cost-aware sorted-access allocator: it deepens the list
-// whose next sorted access is expected to buy the largest threshold drop
-// per unit of declared charged cost. The threshold τ = t(x̄₁,…,x̄ₘ) falls
-// only when some bottom grade x̄ᵢ falls, and one sorted access on list i
-// costs that list's declared cS — so against heterogeneous backends (a
-// cheap local index next to an expensive web subsystem) the planner buys
-// its bound-tightening where it is cheapest, the sorted-access half of the
-// paper's CA argument that random accesses should be spent at the cR/cS
-// exchange rate. The expected drop of list i is estimated from its most
-// recent observed descent (PrevBottom − Bottom), with untouched lists
-// maximally optimistic so every list is sampled before the estimates take
-// over. Like Delta, the heuristic alone loses instance optimality, and the
-// same fairness bound, at u = 2m, restores it.
-type CAPlanner struct{}
-
-// Name implements Scheduler.
-func (CAPlanner) Name() string { return "ca-planner" }
-
-// Next implements Scheduler.
-func (CAPlanner) Next(v *SchedView) int {
-	if starved := starvedList(v, 2*len(v.Depth)); starved != -1 {
-		return starved
-	}
-	best := -1
-	bestValue := -1.0
-	for i := range v.Depth {
-		if !v.eligible(i) {
-			continue
-		}
-		drop := float64(v.PrevBottom[i] - v.Bottom[i])
-		if v.Depth[i] == 0 {
-			// Unread list: maximal optimism (grades live in [0,1], so 2
-			// beats any observed descent) — every list gets probed before
-			// the cost-per-drop estimates decide.
-			drop = 2
-		}
-		value := drop / v.sortedCost(i)
-		better := best == -1 || value > bestValue
-		if !better && value == bestValue {
-			// Ties: cheaper list first, then the shallower one, so equal
-			// descent rates degrade to cheapest-first lockstep.
-			better = v.sortedCost(i) < v.sortedCost(best) ||
-				(v.sortedCost(i) == v.sortedCost(best) && v.Depth[i] < v.Depth[best])
-		}
-		if better {
-			best = i
-			bestValue = value
-		}
-	}
-	return best
 }

@@ -164,16 +164,10 @@ func (a *TA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 	counts := make([]int, m)
 	var progressBuf []Scored
 
-	// Invariants build: τ must never increase once every sorted-capable
-	// list has reported its first (largest) grade — before that, unseeded
-	// bottoms still sit at the default 1, which wide grades can exceed.
+	// Invariants build: τ must never increase. Every bottom starts at 1,
+	// at least every grade, so this holds from the first access on.
 	prevTau := model.Grade(math.Inf(1))
 	checkTau := func(tau model.Grade) {
-		for j := 0; j < m; j++ {
-			if view.Depth[j] == 0 && !view.Exhausted[j] && src.CanSorted(j) {
-				return
-			}
-		}
 		if !(tau <= prevTau) {
 			invariantViolated("TA threshold increased from %v to %v at depth %v", prevTau, tau, view.Depth)
 		}
@@ -181,11 +175,7 @@ func (a *TA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 	}
 
 	finish := func(exact bool, tau model.Grade) *Result {
-		items := heap.Snapshot()
-		for i := range items {
-			items[i].Lower = items[i].Grade
-			items[i].Upper = items[i].Grade
-		}
+		items := heap.Exact()
 		guarantee := 1.0
 		if !exact {
 			if len(items) == k && items[k-1].Grade > 0 {

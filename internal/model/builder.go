@@ -2,19 +2,18 @@ package model
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
 // Builder assembles a Database row by row: one call per object with its full
 // grade vector. It is the convenient construction path for examples, tests
 // and generators; adversarial constructions that need exact within-tie list
-// order use NewListPresorted directly.
+// order use NewListPresorted directly. Build rejects a grade outside
+// [0, 1], as every list constructor does.
 type Builder struct {
 	m          int
 	rows       map[ObjectID][]Grade
 	order      []ObjectID
-	allowWide  bool // permit grades outside [0,1]
 	catalog    map[ObjectID]string
 	nextAnonID ObjectID
 }
@@ -28,30 +27,14 @@ func NewBuilder(m int) *Builder {
 	}
 }
 
-// AllowWideGrades disables the [0,1] grade range check (useful when the
-// aggregation is sum and overall grades may exceed 1; the paper permits
-// this interpretation for sum).
-func (b *Builder) AllowWideGrades() *Builder {
-	b.allowWide = true
-	return b
-}
-
 // Add records object obj with the given grade vector. It returns an error
-// on arity mismatch, duplicate object, or out-of-range grade.
+// on arity mismatch or duplicate object; Build checks the grades.
 func (b *Builder) Add(obj ObjectID, grades ...Grade) error {
 	if len(grades) != b.m {
 		return fmt.Errorf("model: object %d has %d grades, want %d", obj, len(grades), b.m)
 	}
 	if _, dup := b.rows[obj]; dup {
 		return fmt.Errorf("model: object %d added twice", obj)
-	}
-	if !b.allowWide {
-		for i, g := range grades {
-			f := float64(g)
-			if math.IsNaN(f) || f < 0 || f > 1 {
-				return fmt.Errorf("model: object %d grade %d is %v, outside [0,1]", obj, i, g)
-			}
-		}
 	}
 	gs := make([]Grade, len(grades))
 	copy(gs, grades)

@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 )
 
@@ -36,7 +35,8 @@ func WriteCSV(w io.Writer, db *Database) error {
 }
 
 // ReadCSV parses a database in the WriteCSV format. The header row is
-// required; m is inferred from it.
+// required; m is inferred from it. Every grade must lie in [0, 1], the
+// paper's grade domain: building the database rejects any other.
 func ReadCSV(r io.Reader) (*Database, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -47,7 +47,7 @@ func ReadCSV(r io.Reader) (*Database, error) {
 		return nil, fmt.Errorf("model: CSV needs an object column and at least one attribute column")
 	}
 	m := len(header) - 1
-	b := NewBuilder(m).AllowWideGrades()
+	b := NewBuilder(m)
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -68,9 +68,6 @@ func ReadCSV(r io.Reader) (*Database, error) {
 			f, err := strconv.ParseFloat(rec[i+1], 64)
 			if err != nil {
 				return nil, fmt.Errorf("model: CSV line %d grade %d %q: %w", line, i+1, rec[i+1], err)
-			}
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				return nil, fmt.Errorf("model: CSV line %d grade %d is %v; grades must be finite", line, i+1, f)
 			}
 			grades[i] = Grade(f)
 		}

@@ -8,10 +8,10 @@ import (
 
 // FuzzReadCSV drives the CSV parser and the builder behind it with
 // arbitrary input. Inputs the parser accepts must yield a structurally
-// sound database (finite grades, non-increasing sorted lists, a random
-// access index that agrees with sorted access) that round-trips through
-// WriteCSV byte-stably at the value level. Dense ids exercise the grade
-// column and sparse or extreme ids the rank map.
+// sound database (every grade in [0, 1], non-increasing sorted lists, a
+// random access index that agrees with sorted access) that round-trips
+// through WriteCSV byte-stably at the value level. Dense ids exercise the
+// grade column and sparse or extreme ids the rank map.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("object,attr1\n1,0.5\n")
 	f.Add("object,attr1,attr2\n1,0.9,0.1\n2,0.3,0.8\n3,0.5,0.5\n")
@@ -38,6 +38,9 @@ func FuzzReadCSV(f *testing.F) {
 			}
 			for pos := 0; pos < l.Len(); pos++ {
 				e := l.At(pos)
+				if !(e.Grade >= 0 && e.Grade <= 1) {
+					t.Fatalf("list %d holds object %d at grade %v, outside [0, 1]", i, e.Object, e.Grade)
+				}
 				if pos > 0 && e.Grade > l.At(pos-1).Grade {
 					t.Fatalf("list %d increases at position %d: %v after %v",
 						i, pos, e.Grade, l.At(pos-1).Grade)

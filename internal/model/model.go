@@ -7,7 +7,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 )
@@ -16,8 +15,10 @@ import (
 // integers; human-readable names, when present, live in a Catalog.
 type ObjectID int
 
-// Grade is an attribute grade. The paper restricts grades to [0,1]; builders
-// validate that range unless explicitly told not to.
+// Grade is an attribute grade. The paper restricts grades to [0,1], and
+// every List holds only such grades: its constructors reject NaN, ±Inf and
+// any other grade outside the range. Overall grades, which an aggregation
+// computes from them, may exceed 1 (sum over m lists reaches m).
 type Grade float64
 
 // Entry is one row of a sorted list: an object and its grade in that list.
@@ -64,10 +65,18 @@ type randomIndex struct {
 func (ra *randomIndex) full() bool { return ra != nil && ra.p == 1 }
 
 // listColumns builds the List around pre-sorted parallel columns; callers
-// guarantee descending grade order. Dense ids get a grade column, filled
-// in one pass that also catches duplicates; sparse ids get a rank map. It
-// returns an error on duplicate objects.
+// guarantee descending grade order. Every constructor reaches it, so it
+// holds the grade rule: a grade outside [0, 1], NaN and ±Inf included, is
+// an error naming the object and the grade (Partition cuts shard lists out
+// of lists that passed it). Dense ids get a grade column, filled in one
+// pass that also catches duplicates; sparse ids get a rank map. It returns
+// an error on duplicate objects.
 func listColumns(objs []ObjectID, grades []Grade) (*List, error) {
+	for i, g := range grades {
+		if !(g >= 0 && g <= 1) {
+			return nil, fmt.Errorf("model: object %d has grade %v, outside [0, 1]", objs[i], g)
+		}
+	}
 	l := &List{objs: objs, grades: grades}
 	if len(objs) == 0 {
 		return l, nil
@@ -133,7 +142,8 @@ func newListFromColumns(objs []ObjectID, grades []Grade) (*List, error) {
 
 // NewList builds a List from entries, sorting them descending by grade.
 // Ties are ordered by ascending ObjectID so list layout is deterministic.
-// It returns an error if an object appears twice.
+// It returns an error if an object appears twice or a grade lies outside
+// [0, 1].
 func NewList(entries []Entry) (*List, error) {
 	objs := make([]ObjectID, len(entries))
 	grades := make([]Grade, len(entries))
@@ -148,7 +158,7 @@ func NewList(entries []Entry) (*List, error) {
 // already sorted descending by grade; the order is preserved exactly. This
 // is needed for the paper's adversarial constructions, which place specific
 // objects below all others of equal grade. It returns an error if a grade
-// inversion or duplicate object is found.
+// inversion, a duplicate object or a grade outside [0, 1] is found.
 func NewListPresorted(entries []Entry) (*List, error) {
 	objs := make([]ObjectID, len(entries))
 	grades := make([]Grade, len(entries))
@@ -329,17 +339,4 @@ func (d *Database) Distinct() bool {
 		}
 	}
 	return true
-}
-
-// ValidateGrades returns an error if any grade lies outside [0,1] or is NaN.
-func (d *Database) ValidateGrades() error {
-	for i, l := range d.lists {
-		for pos, g := range l.grades {
-			f := float64(g)
-			if math.IsNaN(f) || f < 0 || f > 1 {
-				return fmt.Errorf("model: list %d object %d has grade %v outside [0,1]", i, l.objs[pos], g)
-			}
-		}
-	}
-	return nil
 }

@@ -2,10 +2,12 @@ package model
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -161,18 +163,12 @@ func TestBuilderRoundTrip(t *testing.T) {
 	if db.List(0).At(0).Object != 20 {
 		t.Fatalf("list 0 top is %d, want 20", db.List(0).At(0).Object)
 	}
-	if err := db.ValidateGrades(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestBuilderErrors(t *testing.T) {
 	b := NewBuilder(2)
 	if err := b.Add(1, 0.5); err == nil {
 		t.Error("expected arity error")
-	}
-	if err := b.Add(1, 0.5, 1.5); err == nil {
-		t.Error("expected range error")
 	}
 	if err := b.Add(1, 0.5, 0.5); err != nil {
 		t.Fatal(err)
@@ -183,9 +179,58 @@ func TestBuilderErrors(t *testing.T) {
 	if _, err := NewBuilder(2).Build(); err == nil {
 		t.Error("expected empty-builder error")
 	}
-	wide := NewBuilder(1).AllowWideGrades()
-	if err := wide.Add(1, 3.5); err != nil {
-		t.Errorf("AllowWideGrades rejected 3.5: %v", err)
+	if err := b.Add(2, 0.5, 1.5); err != nil {
+		t.Fatalf("Add rejected grade 1.5, which Build checks: %v", err)
+	}
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "outside [0, 1]") {
+		t.Errorf("Build with grade 1.5: got %v, want a range error", err)
+	}
+}
+
+// TestGradeDomain checks that every list constructor, and the builders and
+// the CSV reader that reach one, rejects NaN, ±Inf and every grade outside
+// [0, 1] with an error naming the object and the grade, and accepts the
+// range's ends and a grade inside it.
+func TestGradeDomain(t *testing.T) {
+	build := map[string]func(g Grade) error{
+		"NewList": func(g Grade) error {
+			_, err := NewList([]Entry{{Object: 7, Grade: 0.25}, {Object: 3, Grade: g}})
+			return err
+		},
+		"NewListPresorted": func(g Grade) error {
+			_, err := NewListPresorted([]Entry{{Object: 3, Grade: g}})
+			return err
+		},
+		"Builder.Build": func(g Grade) error {
+			b := NewBuilder(2)
+			b.MustAdd(7, 0.25, 0.25)
+			b.MustAdd(3, 0.25, g)
+			_, err := b.Build()
+			return err
+		},
+		"FromRows": func(g Grade) error {
+			_, err := FromRows(2, []ObjectID{7, 3}, [][]Grade{{0.25, 0.25}, {g, 0.25}})
+			return err
+		},
+		"ReadCSV": func(g Grade) error {
+			in := "object,attr1\n7,0.25\n3," + strconv.FormatFloat(float64(g), 'g', -1, 64) + "\n"
+			_, err := ReadCSV(strings.NewReader(in))
+			return err
+		},
+	}
+	for name, f := range build {
+		for _, g := range []Grade{Grade(math.NaN()), Grade(math.Inf(1)), Grade(math.Inf(-1)), -0.25, 1.5} {
+			err := f(g)
+			want := fmt.Sprintf("object 3 has grade %v, outside [0, 1]", g)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s with grade %v: got %v, want an error containing %q", name, g, err, want)
+			}
+		}
+		for _, g := range []Grade{0, 0.5, 1} {
+			if err := f(g); err != nil {
+				t.Errorf("%s with grade %v: %v", name, g, err)
+			}
+		}
 	}
 }
 
@@ -297,11 +342,11 @@ func TestListSortedInvariantQuick(t *testing.T) {
 		}
 		entries := make([]Entry, len(raw))
 		for i, g := range raw {
-			// Map arbitrary floats into [0,1] deterministically.
-			if g < 0 {
-				g = -g
+			// Map arbitrary floats into [0,1) deterministically.
+			g = math.Mod(math.Abs(g), 1)
+			if math.IsNaN(g) {
+				g = 0
 			}
-			g -= float64(int(g))
 			entries[i] = Entry{Object: ObjectID(i), Grade: Grade(g)}
 		}
 		l, err := NewList(entries)

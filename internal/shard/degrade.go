@@ -50,16 +50,6 @@ func shardFatal(ctx context.Context, s int, err error) error {
 	return fmt.Errorf("shard: shard %d: %w", s, err)
 }
 
-// maxOverall returns t(1,…,1), the aggregation's grade ceiling; every
-// per-shard death ceiling is capped by it.
-func maxOverall(t agg.Func, m int) model.Grade {
-	ones := make([]model.Grade, m)
-	for i := range ones {
-		ones[i] = 1
-	}
-	return t.Apply(ones)
-}
-
 // degraded records the shards a query lost permanently: which, each one's
 // certified death ceiling (an upper bound on the overall grade of every
 // object the shard did not merge before dying), and the first underlying
@@ -126,8 +116,8 @@ func (d *degraded) theta(floor float64, cap model.Grade) (float64, bool) {
 // answer keeps the surviving shards' merged items, Theta reports the
 // certified guarantee, GradesExact drops to false to flag the degraded
 // answer, and MinTheta rejects a guarantee weaker than the caller's floor.
-func (d *degraded) degradeResult(res *core.Result, opts Options, t agg.Func, m int, floor float64, p int) (*core.Result, error) {
-	th, ok := d.theta(floor, maxOverall(t, m))
+func (d *degraded) degradeResult(res *core.Result, opts Options, t agg.Func, floor float64, p int) (*core.Result, error) {
+	th, ok := d.theta(floor, agg.TopValue(t))
 	if !ok {
 		return nil, fmt.Errorf("shard: %d of %d shards lost and the survivors certify no finite θ: %w", d.count, p, d.firstErr)
 	}

@@ -494,6 +494,6 @@ func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) 
 	// Every answer's W is a valid lower bound, so with shards lost the
 	// final global M_k is the θ floor; finalize evaluates each dead
 	// shard's ceiling against the final merge under the coordinator lock.
-	floor := func() float64 { return coord.finalize(maxOverall(t, e.m)) }
+	floor := func() float64 { return coord.finalize(agg.TopValue(t)) }
 	return f.finish(items, exact, rounds, coord.peak, floor)
 }

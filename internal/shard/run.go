@@ -101,7 +101,7 @@ func (f *frame) wave(batch []int, work func(s int) error) error {
 		// Everything the shard did not merge is bounded by t(1,…,1), or by
 		// the tighter ceiling a failed TA worker reports; the NRA mode
 		// re-evaluates each dead shard's ceiling against its final merge.
-		ceil := maxOverall(f.t, f.e.m)
+		ceil := agg.TopValue(f.t)
 		var ae *core.AccessError
 		if errors.As(err, &ae) && ae.Ceiling < ceil {
 			ceil = ae.Ceiling
@@ -140,7 +140,7 @@ func (f *frame) finish(items []core.Scored, exact bool, rounds, buffered int, fl
 	res := &core.Result{Items: items, GradesExact: exact, Theta: 1, Rounds: rounds, Stats: stats}
 	if f.deg.count > 0 {
 		var err error
-		if res, err = f.deg.degradeResult(res, f.opts, f.t, f.e.m, floor(), len(f.srcs)); err != nil {
+		if res, err = f.deg.degradeResult(res, f.opts, f.t, floor(), len(f.srcs)); err != nil {
 			return nil, err
 		}
 	}

@@ -91,7 +91,7 @@ type Options struct {
 	Workers int
 	// CostAwareTA replaces the TA-mode workers with core.CostAwareTA: each
 	// shard allocates sorted accesses cheapest-threshold-drop-first
-	// (core.CAPlanner) and spends random access at the CA cadence h ≈
+	// (core.Delta) and spends random access at the CA cadence h ≈
 	// cR/cS derived from its backends' declared costs, instead of
 	// resolving every encountered object immediately. Answers carry exact
 	// grades and the same true-grade multiset as the plain TA mode, but
@@ -531,15 +531,10 @@ func (e *Engine) queryTA(ctx context.Context, t agg.Func, k int, opts Options) (
 			rounds = max(rounds, res.Rounds)
 		}
 	}
-	items := coord.top.Snapshot()
-	for i := range items {
-		items[i].Lower = items[i].Grade
-		items[i].Upper = items[i].Grade
-	}
 	// The global heap holds k items of its own on top of whatever the
 	// workers buffered. Every grade in it is exact and everything a live
 	// shard did not merge is bounded by the final kth grade (TA's
 	// cancellation argument), so with shards lost the merged kth grade is
 	// the θ floor.
-	return f.finish(items, true, rounds, k, coord.kth)
+	return f.finish(coord.top.Exact(), true, rounds, k, coord.kth)
 }

@@ -152,7 +152,7 @@ type Options struct {
 	SortedLists []int
 	// CostAwareTA makes the TA engine cost-adaptive (the paper's CA
 	// argument applied to TA's contract): sorted accesses are allocated
-	// cheapest-threshold-drop-first (core.CAPlanner) and random accesses
+	// cheapest-threshold-drop-first (core.Delta) and random accesses
 	// are spent one resolution phase every h ≈ cR/cS sorted-access
 	// rounds instead of on every encountered object, with h derived from
 	// the backends' declared cost models (Options.Costs when the lists
