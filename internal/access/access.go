@@ -209,8 +209,9 @@ type Source struct {
 	retrySeq  uint64
 
 	// unitOnly marks a source whose every list bills exactly UnitCosts
-	// (no cost-reporting backends), so the invariants build can assert the
-	// middleware-cost identity Charged == Accesses at halt.
+	// (none declares other costs or is read through its priced path), so
+	// the invariants build can assert the middleware-cost identity
+	// Charged == Accesses at halt.
 	unitOnly bool
 }
 
@@ -307,7 +308,7 @@ func FromLists(lists []ListSource, policy Policy) *Source {
 	for i, l := range lists {
 		s.costs[i] = BackendCosts(l)
 		s.paths[i] = resolvePath(l, s.costs[i])
-		if _, costed := l.(CostedList); costed || s.costs[i] != UnitCosts {
+		if s.paths[i].priced || s.costs[i] != UnitCosts {
 			s.unitOnly = false
 		}
 	}

@@ -153,35 +153,16 @@ func NewRemote(src ListSource, costs CostModel, lat Latency) *Remote {
 // neither charged nor delayed.
 func (r *Remote) Len() int { return r.src.Len() }
 
-// At implements ListSource, sleeping per the sorted-access latency.
-func (r *Remote) At(pos int) model.Entry {
-	r.delay(r.lat.Sorted)
-	return r.src.At(pos)
-}
+// At implements ListSource through AtErr, sleeping per the sorted-access
+// latency.
+func (r *Remote) At(pos int) model.Entry { return must(r.AtErr(pos)) }
 
-// GradeOf implements ListSource, sleeping per the random-access latency.
-func (r *Remote) GradeOf(obj model.ObjectID) (model.Grade, bool) {
-	r.delay(r.lat.Random)
-	return r.src.GradeOf(obj)
-}
+// GradeOf implements ListSource through GradeOfErr, sleeping per the
+// random-access latency.
+func (r *Remote) GradeOf(obj model.ObjectID) (model.Grade, bool) { return must2(r.GradeOfErr(obj)) }
 
-// AtN implements BatchList. By default each entry pays its own simulated
-// latency (the same jitter/straggler sequence n single At calls would
-// consume), so batching changes call overhead, not the modeled access
-// cost. With Latency.BatchRTT set the batch instead pays one round-trip
-// draw plus the per-entry marginal — the model of a real batch RPC, where
-// n entries share one wire round trip.
-func (r *Remote) AtN(pos int, dst []model.Entry) int {
-	n := r.src.Len() - pos
-	if n <= 0 {
-		return 0
-	}
-	if n > len(dst) {
-		n = len(dst)
-	}
-	r.delayBatch(r.lat.Sorted, n)
-	return fetchInto(r.src, pos, dst[:n])
-}
+// AtN implements BatchList through AtNErr.
+func (r *Remote) AtN(pos int, dst []model.Entry) int { return must(r.AtNErr(pos, dst)) }
 
 // AccessCosts implements Backend.
 func (r *Remote) AccessCosts() CostModel { return r.costs }
@@ -204,11 +185,15 @@ func (r *Remote) GradeOfErr(obj model.ObjectID) (model.Grade, bool, error) {
 	return gradeOfErr(r.src, obj)
 }
 
-// AtNErr implements FallibleBatchList: like AtN, the batch pays per-entry
-// draws by default and one round trip plus per-entry marginals under
-// BatchRTT; entries past the first failure were neither delivered nor
-// delayed (under BatchRTT the round trip itself was still paid — a failed
-// batch RPC travelled the wire).
+// AtNErr implements FallibleBatchList. By default each entry pays its own
+// simulated latency (the same jitter/straggler sequence n single AtErr
+// calls would consume), so batching changes call overhead, not the modeled
+// access cost. With Latency.BatchRTT set the batch instead pays one
+// round-trip draw plus the per-entry marginal — the model of a real batch
+// RPC, where n entries share one wire round trip. Over a source that can
+// fail, entries past the first failure were neither delivered nor delayed
+// (under BatchRTT the round trip itself was still paid — a failed batch RPC
+// travelled the wire).
 func (r *Remote) AtNErr(pos int, dst []model.Entry) (int, error) {
 	n := r.src.Len() - pos
 	if n <= 0 {
@@ -218,7 +203,8 @@ func (r *Remote) AtNErr(pos int, dst []model.Entry) (int, error) {
 		n = len(dst)
 	}
 	if !IsFallible(r.src) {
-		return r.AtN(pos, dst), nil
+		r.delayBatch(r.lat.Sorted, n)
+		return fetchInto(r.src, pos, dst[:n]), nil
 	}
 	batched := r.lat.BatchRTT && n > 1
 	if batched {

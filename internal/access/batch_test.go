@@ -1,9 +1,10 @@
 package access
 
 import (
-	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 )
@@ -69,6 +70,31 @@ func batchStack(t *testing.T, db *model.Database, kind string) (*Source, func() 
 			lists[i] = NewMisdeclared(NewRemote(raw[i], CostModel{CS: 3, CR: 7}, Latency{}), CostModel{CS: 1, CR: 1})
 		}
 		return FromLists(lists, AllowAll), noCache
+	case "faulty-misdeclared", "faulty-cache", "flaky-misdeclared", "flaky-cache":
+		// Faulty over a list that prices its accesses, so its reads take
+		// the priced path. The faulty kinds inject nothing; the flaky ones
+		// fail a fifth of the accesses transiently under armed retries, so
+		// a fault splits a batch and the retry resumes it.
+		lists := make([]ListSource, len(raw))
+		stats := noCache
+		if strings.HasSuffix(kind, "-cache") {
+			c := NewCache(CacheConfig{PageSize: 8, Pages: 4})
+			lists, stats = WrapLists(c, raw), c.Stats
+		} else {
+			for i := range raw {
+				lists[i] = NewMisdeclared(NewRemote(raw[i], CostModel{CS: 3, CR: 7}, Latency{}), UnitCosts)
+			}
+		}
+		for i := range lists {
+			var plan FaultPlan
+			if strings.HasPrefix(kind, "flaky-") {
+				plan = FaultPlan{Seed: uint64(11 + i), Rate: 0.2}
+			}
+			lists[i] = NewFaulty(lists[i], plan)
+		}
+		src := FromLists(lists, AllowAll)
+		src.SetRetry(Retry{MaxAttempts: 64, Budget: 1 << 20, Base: time.Nanosecond, Max: time.Nanosecond})
+		return src, stats
 	default:
 		t.Fatalf("unknown stack %q", kind)
 		return nil, nil
@@ -152,7 +178,8 @@ func TestSortedNextNMatchesSingleStep(t *testing.T) {
 	const n, m = 40, 3
 	db := batchTestDB(t, n, m)
 	ops := batchScript(n, m)
-	for _, kind := range []string{"plain", "remote", "cache", "tiered", "flatcache", "sharedscan", "misdeclared"} {
+	for _, kind := range []string{"plain", "remote", "cache", "tiered", "flatcache", "sharedscan", "misdeclared",
+		"faulty-misdeclared", "faulty-cache", "flaky-misdeclared", "flaky-cache"} {
 		t.Run(kind, func(t *testing.T) {
 			single, singleCache := batchStack(t, db, kind)
 			batched, batchedCache := batchStack(t, db, kind)
@@ -174,6 +201,9 @@ func TestSortedNextNMatchesSingleStep(t *testing.T) {
 			if !reflect.DeepEqual(singleTrace.Entries, batchedTrace.Entries) {
 				t.Fatalf("traces diverged: single has %d entries, batch %d", len(singleTrace.Entries), len(batchedTrace.Entries))
 			}
+			if strings.HasPrefix(kind, "flaky-") && batched.Stats().Faults == 0 {
+				t.Fatal("the transient plan injected no fault")
+			}
 			if kind == "plain" {
 				st := batched.Stats()
 				if st.Charged() != float64(st.Accesses()) {
@@ -186,39 +216,47 @@ func TestSortedNextNMatchesSingleStep(t *testing.T) {
 
 // TestSortedNextNBatchSizeInvariance checks that the split of one logical
 // scan into batches is unobservable: draining a list in batches of 1, 3, 7
-// and 64 yields identical entries and Stats for every batch size.
+// and 64 yields identical entries, Stats and cache accounting for every
+// batch size, over plain lists and over Faulty above a pricing list.
 func TestSortedNextNBatchSizeInvariance(t *testing.T) {
 	const n, m = 40, 2
 	db := batchTestDB(t, n, m)
-	var want []model.Entry
-	var wantStats Stats
-	for si, size := range []int{1, 3, 7, 64} {
-		src := FromLists([]ListSource{db.List(0), db.List(1)}, AllowAll)
-		buf := make([]model.Entry, size)
-		var got []model.Entry
-		for {
-			c, _ := src.SortedNextN(0, buf)
-			got = append(got, buf[:c]...)
-			if c < size {
-				break
+	for _, kind := range []string{"plain", "faulty-misdeclared", "faulty-cache", "flaky-misdeclared", "flaky-cache"} {
+		t.Run(kind, func(t *testing.T) {
+			var want []model.Entry
+			var wantStats Stats
+			var wantCache CacheStats
+			for si, size := range []int{1, 3, 7, 64} {
+				src, cache := batchStack(t, db, kind)
+				buf := make([]model.Entry, size)
+				var got []model.Entry
+				for {
+					c, _ := src.SortedNextN(0, buf)
+					got = append(got, buf[:c]...)
+					if c < size {
+						break
+					}
+				}
+				if si == 0 {
+					want, wantStats, wantCache = got, src.Stats(), cache()
+					continue
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("batch size %d changed the observed entries", size)
+				}
+				// The final probe count differs by batching (a size-1 drain
+				// ends with one failed single probe, as does any batch
+				// drain), so the full Stats must be equal outright.
+				if st := src.Stats(); !reflect.DeepEqual(wantStats, st) {
+					t.Fatalf("batch size %d changed stats: %+v vs %+v", size, wantStats, st)
+				}
+				if cs := cache(); !reflect.DeepEqual(wantCache, cs) {
+					t.Fatalf("batch size %d changed cache stats: %+v vs %+v", size, wantCache, cs)
+				}
 			}
-		}
-		if si == 0 {
-			want, wantStats = got, src.Stats()
-			continue
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("batch size %d changed the observed entries", size)
-		}
-		st := src.Stats()
-		// The final probe count differs by batching (a size-1 drain ends
-		// with one failed single probe, as does any batch drain), so the
-		// full Stats must be equal outright.
-		if !reflect.DeepEqual(wantStats, st) {
-			t.Fatalf("batch size %d changed stats: %+v vs %+v", size, wantStats, st)
-		}
-	}
-	if fmt.Sprint(want) == "" {
-		t.Fatal("drained nothing")
+			if len(want) != n {
+				t.Fatalf("drained %d entries, want %d", len(want), n)
+			}
+		})
 	}
 }

@@ -177,13 +177,17 @@ type FaultPlan struct {
 // Faulty wraps a ListSource with an injected, deterministic fault schedule.
 // It implements the full fallible contract; its infallible At/GradeOf/AtN
 // panic with the injected error so a fault can never be mistaken for an
-// exhausted list by a caller that ignored the error path. It composes with
-// Remote, Misdeclared and the cache (costed reads delegate to the inner
-// CostedList when there is one and bill the declared flat cost otherwise),
-// and is safe for concurrent use whenever the wrapped source is.
+// exhausted list by a caller that ignored the error path. Every read is
+// AtCostNErr and every probe GradeOfCostErr; the other access methods are
+// views of those two. It reaches the wrapped list through its error-aware
+// methods, and through its priced ones when the list prices its accesses
+// (a cache, Misdeclared), so it composes with Remote, Misdeclared and the
+// cache in any order; over a list that does not price, it bills the
+// declared flat cost. It is safe for concurrent use whenever the wrapped
+// source is.
 type Faulty struct {
 	src    ListSource
-	costed CostedList // non-nil when src prices accesses individually
+	priced FallibleCostedBatchList // non-nil when src prices accesses individually
 	costs  CostModel
 	plan   FaultPlan
 
@@ -199,11 +203,8 @@ func NewFaulty(src ListSource, plan FaultPlan) *Faulty {
 	if plan.BurstEvery > 0 && plan.BurstLen <= 0 {
 		plan.BurstLen = 4
 	}
-	f := &Faulty{src: src, costs: BackendCosts(src), plan: plan}
-	if cl, ok := src.(CostedList); ok {
-		f.costed = cl
-	}
-	return f
+	priced, _ := src.(FallibleCostedBatchList)
+	return &Faulty{src: src, priced: priced, costs: BackendCosts(src), plan: plan}
 }
 
 // Injected returns how many failures the wrapper has injected so far.
@@ -250,110 +251,85 @@ func (f *Faulty) AtN(pos int, dst []model.Entry) int { return must(f.AtNErr(pos,
 // AccessCosts implements Backend, passing through the wrapped declaration.
 func (f *Faulty) AccessCosts() CostModel { return f.costs }
 
-// AtErr implements FallibleList.
+// AtErr implements FallibleList as a one-entry read.
 func (f *Faulty) AtErr(pos int) (model.Entry, error) {
-	if err := f.fault(); err != nil {
-		return model.Entry{}, err
-	}
-	return atErr(f.src, pos)
+	e, _, err := f.AtCostErr(pos)
+	return e, err
 }
 
-// GradeOfErr implements FallibleList.
+// GradeOfErr implements FallibleList through GradeOfCostErr.
 func (f *Faulty) GradeOfErr(obj model.ObjectID) (model.Grade, bool, error) {
-	if err := f.fault(); err != nil {
-		return 0, false, err
-	}
-	return gradeOfErr(f.src, obj)
+	g, ok, _, err := f.GradeOfCostErr(obj)
+	return g, ok, err
 }
 
-// faultWindow consumes the fault schedule for up to n entries and returns
-// how many lead the first injected fault (n and a nil error when the whole
-// window goes through). The schedule advances exactly as n AtErr calls
-// would, so batching never changes which accesses fail.
-func (f *Faulty) faultWindow(n int) (int, error) {
-	for i := 0; i < n; i++ {
-		if err := f.fault(); err != nil {
-			return i, err
+// AtNErr implements FallibleBatchList as AtCostNErr billing nothing.
+func (f *Faulty) AtNErr(pos int, dst []model.Entry) (int, error) {
+	return f.AtCostNErr(pos, dst, nil)
+}
+
+// AtCostErr implements FallibleCostedList as AtCostNErr of one entry. A
+// position past the end still takes its slot of the fault schedule, then
+// fails as the wrapped list does.
+func (f *Faulty) AtCostErr(pos int) (model.Entry, float64, error) {
+	var e [1]model.Entry
+	var cost [1]float64
+	n, err := f.AtCostNErr(pos, e[:], cost[:])
+	if n == 0 && err == nil {
+		if err = f.fault(); err == nil {
+			e[0], err = atErr(f.src, pos)
 		}
 	}
-	return n, nil
+	return e[0], cost[0], err
 }
 
-// AtNErr implements FallibleBatchList: each entry of the batch consumes one
-// position of the fault schedule, exactly as the equivalent AtErr calls
-// would, and the prefix delivered before the first fault is valid.
-func (f *Faulty) AtNErr(pos int, dst []model.Entry) (int, error) {
-	n := f.src.Len() - pos
-	if n <= 0 {
-		return 0, nil
+// AtCostNErr implements FallibleCostedBatchList: each entry of the batch
+// consumes one slot of the fault schedule, in order, exactly as the
+// equivalent AtCostErr calls would, and the prefix delivered before the
+// first fault is valid. The prefix comes from the wrapped list's priced
+// read when it prices its accesses and costs are asked for, so per-entry
+// billing survives the wrapper; otherwise each delivered entry bills the
+// declared cS. A nil costs bills nothing.
+func (f *Faulty) AtCostNErr(pos int, dst []model.Entry, costs []float64) (int, error) {
+	n := min(f.src.Len()-pos, len(dst))
+	var ferr error
+	allowed := 0
+	for ; allowed < n; allowed++ {
+		if ferr = f.fault(); ferr != nil {
+			break
+		}
 	}
-	if n > len(dst) {
-		n = len(dst)
-	}
-	allowed, ferr := f.faultWindow(n)
 	if allowed == 0 {
 		return 0, ferr
 	}
-	got, err := fetchIntoErr(f.src, pos, dst[:allowed])
-	if err != nil {
-		return got, err
+	var got int
+	var err error
+	if f.priced != nil && costs != nil {
+		got, err = f.priced.AtCostNErr(pos, dst[:allowed], costs[:allowed])
+	} else {
+		got, err = fetchIntoErr(f.src, pos, dst[:allowed])
+		if costs != nil {
+			for i := range got {
+				costs[i] = f.costs.CS
+			}
+		}
 	}
-	return got, ferr
+	if err == nil {
+		err = ferr
+	}
+	return got, err
 }
 
-// AtCostErr implements FallibleCostedList, delegating to the inner costed
-// list when there is one and billing the declared flat cost otherwise. A
-// failed access charges nothing.
-func (f *Faulty) AtCostErr(pos int) (model.Entry, float64, error) {
-	if err := f.fault(); err != nil {
-		return model.Entry{}, 0, err
-	}
-	if f.costed != nil {
-		e, c := f.costed.AtCost(pos)
-		return e, c, nil
-	}
-	e, err := atErr(f.src, pos)
-	return e, f.costs.CS, err
-}
-
-// GradeOfCostErr implements FallibleCostedList.
+// GradeOfCostErr implements FallibleCostedList: the probe takes one slot of
+// the fault schedule, then goes to the wrapped list's priced probe when it
+// prices its accesses and bills the declared cR otherwise.
 func (f *Faulty) GradeOfCostErr(obj model.ObjectID) (model.Grade, bool, float64, error) {
 	if err := f.fault(); err != nil {
 		return 0, false, 0, err
 	}
-	if f.costed != nil {
-		g, ok, c := f.costed.GradeOfCost(obj)
-		return g, ok, c, nil
+	if f.priced != nil {
+		return f.priced.GradeOfCostErr(obj)
 	}
 	g, ok, err := gradeOfErr(f.src, obj)
 	return g, ok, f.costs.CR, err
-}
-
-// AtCostNErr implements FallibleCostedBatchList, delegating the delivered
-// prefix to the inner costed batch when there is one (so per-entry billing
-// survives the wrapper) and billing the declared flat cost otherwise.
-func (f *Faulty) AtCostNErr(pos int, dst []model.Entry, costs []float64) (int, error) {
-	n := f.src.Len() - pos
-	if n <= 0 {
-		return 0, nil
-	}
-	if n > len(dst) {
-		n = len(dst)
-	}
-	allowed, ferr := f.faultWindow(n)
-	if allowed == 0 {
-		return 0, ferr
-	}
-	if cbl, ok := f.src.(CostedBatchList); ok {
-		got := cbl.AtCostN(pos, dst[:allowed], costs[:allowed])
-		return got, ferr
-	}
-	got, err := fetchIntoErr(f.src, pos, dst[:allowed])
-	for i := 0; i < got; i++ {
-		costs[i] = f.costs.CS
-	}
-	if err != nil {
-		return got, err
-	}
-	return got, ferr
 }

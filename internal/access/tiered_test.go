@@ -1,6 +1,7 @@
 package access
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -299,6 +300,35 @@ func TestFaultyTieredCacheBookkeeping(t *testing.T) {
 		t.Fatalf("cached entry failed to serve over a dead backend: %v", err)
 	}
 	checkTierConsistency(t, c)
+}
+
+// TestFaultyOverDeadPricingList: a Faulty layer over a list that prices
+// its accesses — here a cache over a dead backend — reaches that list
+// through its error-aware priced methods, so every read and probe through
+// it, directly or through a Source, returns ErrListDown instead of
+// panicking.
+func TestFaultyOverDeadPricingList(t *testing.T) {
+	db := scanDB(t, 8)
+	top := NewFaulty(NewCache(CacheConfig{}).Wrap(0, NewFaulty(db.List(0), FaultPlan{Dead: true})), FaultPlan{})
+	check := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrListDown) {
+			t.Errorf("%s: error %v, want ErrListDown", what, err)
+		}
+	}
+	var dst [4]model.Entry
+	var costs [4]float64
+	_, err := top.AtCostNErr(0, dst[:], costs[:])
+	check("AtCostNErr", err)
+	_, _, err = top.AtCostErr(0)
+	check("AtCostErr", err)
+	_, _, _, err = top.GradeOfCostErr(1)
+	check("GradeOfCostErr", err)
+	src := FromLists([]ListSource{top}, AllowAll)
+	_, _, err = src.SortedNext(0)
+	check("Source.SortedNext", err)
+	_, _, err = src.Random(0, 1)
+	check("Source.Random", err)
 }
 
 // TestRemoteBatchRTT pins the batched latency model: a batch pays one

@@ -255,13 +255,11 @@ type table struct {
 	walk   []int // scratch stack of best's window walk
 
 	// Pin tracking (lazy engine, cost-aware TA): every T_k member is either
-	// pinned — W = B, its exact grade in pins, kept in canonical order — or
-	// open, in its group's open heap. A progress report then reads the
-	// pinned set and the best open B, one per group, without refreshing
-	// every member.
+	// pinned — W = B, its exact grade in pins — or open, in its group's
+	// open heap. A progress report then reads the pinned set and the best
+	// open B, one per group, without refreshing every member.
 	trackPins bool
-	pins      []Scored
-	pinsGen   int // bumped whenever pins changes
+	pins      TopKBuffer
 
 	scratch []model.Grade
 
@@ -304,7 +302,8 @@ func newTable(src *access.Source, t agg.Func, k int, lazy bool) *table {
 	tb.t, tb.kind, tb.m, tb.k, tb.src, tb.lazy = t, agg.KindOf(t), m, k, src, lazy
 	tb.static = tb.kind != agg.KindOther
 	tb.depth, tb.moves, tb.released = 0, 0, false
-	tb.trackPins, tb.pinsGen = false, 0
+	tb.trackPins = false
+	tb.pins = TopKBuffer{k: k, items: tb.pins.items[:0]}
 	tb.bottoms = resize(tb.bottoms, m)
 	for i := range tb.bottoms {
 		tb.bottoms[i] = 1 // x̄ᵢ = 1 before any sorted access
@@ -383,7 +382,6 @@ func (tb *table) release() {
 	for i := range tb.fifos {
 		tb.fifos[i] = candFIFO{q: tb.fifos[i].q[:0]}
 	}
-	tb.pins = tb.pins[:0]
 	tb.src, tb.t = nil, nil // a pooled table must not keep a database alive
 	tablePool.Put(tb)
 }
@@ -672,26 +670,13 @@ func (tb *table) evict(p *partial) {
 		return
 	}
 	p.pinned = false
-	i, found := slices.BinarySearchFunc(tb.pins, pinnedItem(p), compareScored)
-	if invariantsEnabled && !found {
-		invariantViolated("pinned member %d missing from the pinned list", p.obj)
-	}
-	tb.pins = slices.Delete(tb.pins, i, i+1)
-	tb.pinsGen++
+	tb.pins.remove(Scored{Object: p.obj, Grade: p.w})
 }
 
-// pin records a member's exact grade in the canonical pinned list.
+// pin records a member's exact grade in the pinned list.
 func (tb *table) pin(p *partial) {
 	p.pinned = true
-	s := pinnedItem(p)
-	i, _ := slices.BinarySearchFunc(tb.pins, s, compareScored)
-	tb.pins = slices.Insert(tb.pins, i, s)
-	tb.pinsGen++
-}
-
-// pinnedItem is a pinned member as an answer item.
-func pinnedItem(p *partial) Scored {
-	return Scored{Object: p.obj, Grade: p.w, Lower: p.w, Upper: p.w}
+	tb.pins.Offer(Scored{Object: p.obj, Grade: p.w})
 }
 
 // window is δ, the width of the K window the best of a sum or avg group

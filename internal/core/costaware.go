@@ -128,7 +128,7 @@ func (a *CostAwareTA) Run(src *access.Source, t agg.Func, k int) (*Result, error
 	sincePhase := 0
 	sinceProgress := 0
 	// pinBuf is the reported copy of the pinned list, refreshed only when
-	// the list changed (pinGen trails tb.pinsGen).
+	// the list changed (pinGen trails tb.pins.changes).
 	var pinBuf []Scored
 	pinGen := 0
 	for {
@@ -164,9 +164,9 @@ func (a *CostAwareTA) Run(src *access.Source, t agg.Func, k int) (*Result, error
 			// The ceiling first: it may pin members, and whatever it
 			// leaves out of its maximum must be in TopK.
 			ceil := a.ceiling(tb)
-			if pinGen != tb.pinsGen {
-				pinGen = tb.pinsGen
-				pinBuf = append(pinBuf[:0], tb.pins...)
+			if pinGen != tb.pins.changes {
+				pinGen = tb.pins.changes
+				pinBuf = tb.pins.AppendSnapshot(pinBuf[:0])
 			}
 			if invariantsEnabled {
 				tb.checkReport(pinBuf, ceil)
@@ -176,7 +176,7 @@ func (a *CostAwareTA) Run(src *access.Source, t agg.Func, k int) (*Result, error
 				Threshold:   ceil,
 				Guarantee:   math.Inf(1),
 				Depth:       maxInt(view.Depth),
-				TopKChanges: tb.pinsGen,
+				TopKChanges: tb.pins.changes,
 			}
 			p.Sorted, p.Random = src.Counts()
 			if len(pinBuf) == k && pinBuf[k-1].Grade > 0 {
@@ -236,24 +236,15 @@ func (a *CostAwareTA) finish(tb *table, view *SchedView) (*Result, error) {
 			return a.die(tb, view, err)
 		}
 	}
-	items := make([]Scored, len(tb.topk))
-	for i, p := range tb.topk {
-		items[i] = Scored{Object: p.obj, Grade: p.w, Lower: p.w, Upper: p.w}
-	}
-	sortScoredDesc(items)
-	return &Result{
-		Items:       items,
-		GradesExact: true,
-		Theta:       1,
-		Rounds:      maxInt(view.Depth),
-		Stats:       tb.src.Stats(),
-	}, nil
+	// Every member is pinned now, and the pinned list is the answer.
+	return a.stopEarly(tb, view, 1), nil
 }
 
-// stopEarly assembles the result of a cancelled run: the candidates whose
-// exact grades are already known (possibly fewer than k). The sharded
-// engine relies on this — a cancelled worker's items must all carry exact
-// grades, because the coordinator merges them into an exact global heap.
+// stopEarly assembles a result from the pinned list: the candidates whose
+// exact grades are already known — every member after finish, possibly
+// fewer than k in a cancelled run. The sharded engine relies on this — a
+// cancelled worker's items must all carry exact grades, because the
+// coordinator merges them into an exact global heap.
 func (a *CostAwareTA) stopEarly(tb *table, view *SchedView, guarantee float64) *Result {
 	// Refreshing every unpinned member pins the ones whose B collapsed onto
 	// W below their group's best.
@@ -262,7 +253,7 @@ func (a *CostAwareTA) stopEarly(tb *table, view *SchedView, guarantee float64) *
 			tb.refreshB(p)
 		}
 	}
-	items := append([]Scored(nil), tb.pins...)
+	items := tb.pins.AppendSnapshot(nil)
 	return &Result{
 		Items:       items,
 		GradesExact: true,

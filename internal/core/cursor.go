@@ -33,10 +33,6 @@ type NRACursor struct {
 	exhausted bool
 	err       error    // sticky backend failure; StepN returns 0 once set
 	viewItems []Scored // reusable backing for View().TopK
-	// encountered holds the objects seen during the latest StepN call,
-	// recorded only when recordEncounters is set (Intermittent's cursor).
-	recordEncounters bool
-	encountered      []model.ObjectID
 
 	stepBuf    []model.Entry // reusable batch buffer (m × budget entries)
 	stepCounts []int         // reusable per-list batch counts
@@ -95,8 +91,7 @@ func newNRACursor(src *access.Source, t agg.Func, k int, engine Engine) *NRACurs
 // known and every interval is pinned) or the cursor failed. A backend
 // failure stops the fill: no further list is read, the entries already
 // delivered are still applied (bounds only tighten), the call returns 0
-// and Err reports the failure. Buffer occupancy is reported once per call;
-// encounteredObjects, when recorded, accumulates across all applied rounds.
+// and Err reports the failure. Buffer occupancy is reported once per call.
 func (c *NRACursor) StepN(budget int) int {
 	if c.exhausted || c.err != nil || budget <= 0 {
 		return 0
@@ -131,18 +126,13 @@ func (c *NRACursor) StepN(budget int) int {
 		}
 		return 0
 	}
-	c.encountered = c.encountered[:0]
 	for r := 0; r < rounds; r++ {
 		c.tb.depth++
 		for i := 0; i < m; i++ {
 			if r >= counts[i] {
 				continue
 			}
-			e := c.stepBuf[i*budget+r]
-			c.tb.observeSorted(i, e)
-			if c.recordEncounters {
-				c.encountered = append(c.encountered, e.Object)
-			}
+			c.tb.observeSorted(i, c.stepBuf[i*budget+r])
 		}
 	}
 	c.src.ReportBuffer(c.tb.seen)
@@ -245,12 +235,6 @@ func (c *NRACursor) Release() {
 		c.tb = nil
 	}
 }
-
-// encounteredObjects returns the objects seen during the latest StepN call
-// in (round, list) order (Intermittent queues these for its delayed random
-// phase); it is empty unless recordEncounters is set. The slice is reused
-// by the next StepN.
-func (c *NRACursor) encounteredObjects() []model.ObjectID { return c.encountered }
 
 // randomPhase performs one CA Step-2 phase (Section 8.2); see
 // table.randomPhase. A backend failure goes sticky, like a failed StepN.

@@ -3,6 +3,7 @@ package core
 import (
 	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -108,10 +109,12 @@ func TestGroupHeapMatchesContainerHeap(t *testing.T) {
 }
 
 // refTopK is the scan-and-sort TopKBuffer.Offer the binary-search insert
-// replaced, kept as the reference it must reproduce.
+// replaced, kept as the reference it must reproduce, with a scan-and-delete
+// remove. changes counts accepted offers and removes.
 type refTopK struct {
-	k     int
-	items []Scored
+	k       int
+	items   []Scored
+	changes int
 }
 
 func (h *refTopK) Offer(s Scored) {
@@ -123,24 +126,35 @@ func (h *refTopK) Offer(s Scored) {
 			return
 		}
 	}
+	s.Lower, s.Upper = s.Grade, s.Grade
 	if len(h.items) < h.k {
 		h.items = append(h.items, s)
-		sortScoredDesc(h.items)
+		slices.SortFunc(h.items, compareScored)
+		h.changes++
 		return
 	}
 	last := len(h.items) - 1
 	worst := h.items[last]
 	if s.Grade > worst.Grade || (s.Grade == worst.Grade && s.Object < worst.Object) {
 		h.items[last] = s
-		sortScoredDesc(h.items)
+		slices.SortFunc(h.items, compareScored)
+		h.changes++
 	}
+}
+
+func (h *refTopK) remove(obj model.ObjectID) {
+	h.items = slices.DeleteFunc(h.items, func(s Scored) bool { return s.Object == obj })
+	h.changes++
 }
 
 // TestTopKBufferMatchesScanAndSort offers random streams to TopKBuffer and
 // the scan-and-sort reference: few distinct grades, so ties at the k-th
 // grade are common, and objects re-offered (with their one grade) as TA
-// re-encounters them in other lists. After every offer both must hold the
-// same items in the same order.
+// re-encounters them in other lists. About one step in eight removes a held
+// item instead, as the bound table's pinned list does when a pinned member
+// leaves the top k. After every step both must hold the same items in the
+// same order, each with Lower = Upper = Grade, after the same number of
+// changes.
 func TestTopKBufferMatchesScanAndSort(t *testing.T) {
 	for _, k := range []int{1, 5, 300} {
 		for seed := int64(1); seed <= 20; seed++ {
@@ -153,10 +167,16 @@ func TestTopKBufferMatchesScanAndSort(t *testing.T) {
 			h := NewTopKBuffer(k)
 			ref := &refTopK{k: k}
 			for step := 0; step < 6*objects; step++ {
-				obj := model.ObjectID(rng.Intn(objects))
-				s := Scored{Object: obj, Grade: grade[obj], Lower: grade[obj], Upper: grade[obj]}
-				h.Offer(s)
-				ref.Offer(s)
+				if rng.Intn(8) == 0 && len(ref.items) > 0 {
+					s := ref.items[rng.Intn(len(ref.items))]
+					h.remove(Scored{Object: s.Object, Grade: s.Grade})
+					ref.remove(s.Object)
+				} else {
+					obj := model.ObjectID(rng.Intn(objects))
+					s := Scored{Object: obj, Grade: grade[obj]}
+					h.Offer(s)
+					ref.Offer(s)
+				}
 				got := h.AppendSnapshot(nil)
 				if len(got) != len(ref.items) {
 					t.Fatalf("k=%d seed %d step %d: %d items, reference %d", k, seed, step, len(got), len(ref.items))
@@ -165,6 +185,9 @@ func TestTopKBufferMatchesScanAndSort(t *testing.T) {
 					if got[i] != ref.items[i] {
 						t.Fatalf("k=%d seed %d step %d: item %d = %+v, reference %+v", k, seed, step, i, got[i], ref.items[i])
 					}
+				}
+				if h.changes != ref.changes {
+					t.Fatalf("k=%d seed %d step %d: %d changes, reference %d", k, seed, step, h.changes, ref.changes)
 				}
 			}
 		}

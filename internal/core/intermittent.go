@@ -34,7 +34,6 @@ func (a *Intermittent) Run(src *access.Source, t agg.Func, k int) (*Result, erro
 	h := resolveH(a.H, a.Costs)
 	c := newNRACursor(src, t, k, LazyEngine)
 	defer c.Release()
-	c.recordEncounters = true
 	var queue []model.ObjectID // encounters in TA time order
 	for {
 		if c.StepN(1) == 0 {
@@ -43,7 +42,13 @@ func (a *Intermittent) Run(src *access.Source, t agg.Func, k int) (*Result, erro
 			}
 			return nil, fmt.Errorf("core: Intermittent exhausted all lists without satisfying the stopping rule")
 		}
-		queue = append(queue, c.encounteredObjects()...)
+		// StepN(1) left list i's entry at stepBuf[i] when the list had
+		// one; in list order these are the round's encounters.
+		for i, n := range c.stepCounts[:c.tb.m] {
+			if n > 0 {
+				queue = append(queue, c.stepBuf[i].Object)
+			}
+		}
 		if c.Depth()%h == 0 {
 			halt, err := a.drainQueue(c, &queue)
 			if err != nil {

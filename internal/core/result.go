@@ -115,16 +115,14 @@ func compareScored(a, b Scored) int {
 	return 0
 }
 
-// sortScoredDesc orders items canonically (compareScored).
-func sortScoredDesc(items []Scored) { slices.SortFunc(items, compareScored) }
-
 // TopKBuffer is a fixed-capacity collection of the k best (grade, object)
 // pairs seen so far; ties are broken toward smaller object ids (arbitrary
 // per the paper, deterministic for tests). It is TA's entire object buffer:
 // Theorem 4.2's bounded-buffer property is visible in that nothing else
 // about previously seen objects is retained. The sharded engine reuses it
 // as the coordinator's global heap, so shard merges follow exactly the
-// same canonical (grade descending, ObjectID ascending) order.
+// same canonical (grade descending, ObjectID ascending) order, and
+// cost-aware TA's bound table as its pinned list.
 //
 // An offer costs one binary search plus, when it is accepted, a shift of
 // the items it outranks; it never allocates once the buffer holds its
@@ -140,10 +138,11 @@ func NewTopKBuffer(k int) *TopKBuffer {
 	return &TopKBuffer{k: k, items: make([]Scored, 0, k)}
 }
 
-// Offer inserts the candidate if it belongs in the top k. An object already
-// present is left untouched rather than duplicated (TA can see the same
-// object in several lists; callers must re-offer an object only with the
-// same grade, which is what lets the binary search find it).
+// Offer inserts the candidate if it belongs in the top k, as an item whose
+// grade is exact: Lower = Upper = Grade. An object already present is left
+// untouched rather than duplicated (TA can see the same object in several
+// lists; callers must re-offer an object only with the same grade, which
+// is what lets the binary search find it).
 func (h *TopKBuffer) Offer(s Scored) {
 	full := len(h.items) == h.k
 	// Fast path: a full buffer rejects anything strictly below the current
@@ -152,6 +151,7 @@ func (h *TopKBuffer) Offer(s Scored) {
 	if full && (h.k == 0 || s.Grade < h.items[h.k-1].Grade) {
 		return
 	}
+	s.Lower, s.Upper = s.Grade, s.Grade
 	i, found := slices.BinarySearchFunc(h.items, s, compareScored)
 	if found {
 		return // same object re-encountered with its (identical) grade
@@ -176,6 +176,16 @@ func (h *TopKBuffer) Offer(s Scored) {
 	}
 }
 
+// remove takes out the held item s (same object, same grade).
+func (h *TopKBuffer) remove(s Scored) {
+	i, found := slices.BinarySearchFunc(h.items, s, compareScored)
+	if invariantsEnabled && !found {
+		invariantViolated("object %d at grade %v removed but not held", s.Object, s.Grade)
+	}
+	h.items = slices.Delete(h.items, i, i+1)
+	h.changes++
+}
+
 // Full reports whether k items are held.
 func (h *TopKBuffer) Full() bool { return len(h.items) == h.k }
 
@@ -187,14 +197,7 @@ func (h *TopKBuffer) Kth() model.Grade { return h.items[len(h.items)-1].Grade }
 
 // Exact returns a copy of the current items, best first, as answers whose
 // grades are exact: Lower = Upper = Grade.
-func (h *TopKBuffer) Exact() []Scored {
-	out := make([]Scored, len(h.items))
-	for i, it := range h.items {
-		it.Lower, it.Upper = it.Grade, it.Grade
-		out[i] = it
-	}
-	return out
-}
+func (h *TopKBuffer) Exact() []Scored { return slices.Clone(h.items) }
 
 // AppendSnapshot appends the current items, best first, to dst and returns
 // the extended slice, for hot paths that reuse a scratch buffer (pass

@@ -155,6 +155,33 @@ func TestTAProgressGuaranteeSound(t *testing.T) {
 	}
 }
 
+// TestTAProgressItemsExact: every item a TA progress report carries is an
+// exact answer item, Lower = Upper = Grade, at the object's true grade —
+// what Scored promises for TA and what repro.ProgressView hands out.
+func TestTAProgressItemsExact(t *testing.T) {
+	db, err := workload.IndependentUniform(workload.Spec{N: 200, M: 3, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf := agg.Avg(3)
+	reported := 0
+	_, err = (&TA{OnProgress: func(p Progress) bool {
+		for _, it := range p.TopK {
+			reported++
+			if it.Lower != it.Grade || it.Upper != it.Grade || it.Grade != tf.Apply(db.Grades(it.Object)) {
+				t.Fatalf("depth %d: reported item %+v, want Lower = Upper = Grade = %v", p.Depth, it, tf.Apply(db.Grades(it.Object)))
+			}
+		}
+		return true
+	}}).Run(access.New(db, access.AllowAll), tf, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reported == 0 {
+		t.Fatal("no progress report carried an item")
+	}
+}
+
 // TestTAThetaEqualsOneMatchesExact ensures θ=1 is the exact algorithm.
 func TestTAThetaEqualsOneMatchesExact(t *testing.T) {
 	db, err := workload.Zipf(workload.Spec{N: 300, M: 2, Seed: 22}, 2)

@@ -84,7 +84,7 @@ func TestFinalizeReevaluatesCeilings(t *testing.T) {
 	if c.deg.ceil[2] != 0.7 {
 		t.Fatalf("dead ceiling = %g, want capped 0.7", c.deg.ceil[2])
 	}
-	th, ok := c.deg.theta(floor, model.Grade(0.7))
+	th, ok := c.deg.theta(floor)
 	if !ok || math.Abs(th-0.7/0.2) > 1e-12 {
 		t.Fatalf("theta = %g ok=%v, want %g", th, ok, 0.7/0.2)
 	}

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"repro/internal/access"
-	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/model"
 )
@@ -81,13 +80,15 @@ func (d *degraded) mark(s int, ceil model.Grade, err error) {
 }
 
 // theta computes the best θ the surviving shards certify: every non-answer
-// object of a dead shard s has overall grade at most min(ceil[s], cap), and
-// every answer has grade at least floor (the merged global kth grade in TA
-// mode, the global M_k in the no-random-access mode), so
-// θ = max(1, max_s ceil[s] / floor) satisfies θ·t(y) ≥ t(z) for every
-// answer y and non-answer z — Section 6.2's θ-approximation. ok is false
-// when no finite θ exists (floor not positive, or fewer than k answers).
-func (d *degraded) theta(floor float64, cap model.Grade) (float64, bool) {
+// object of a dead shard s has overall grade at most ceil[s] (capped at
+// t(1,…,1) wherever it is recorded: the wave that marks the shard, the NRA
+// mode's finalize), and every answer has grade at least floor (the merged
+// global kth grade in TA mode, the global M_k in the no-random-access
+// mode), so θ = max(1, max_s ceil[s] / floor) satisfies θ·t(y) ≥ t(z) for
+// every answer y and non-answer z — Section 6.2's θ-approximation. ok is
+// false when no finite θ exists (floor not positive, or fewer than k
+// answers).
+func (d *degraded) theta(floor float64) (float64, bool) {
 	if floor <= 0 || math.IsInf(floor, -1) {
 		return 0, false
 	}
@@ -97,11 +98,7 @@ func (d *degraded) theta(floor float64, cap model.Grade) (float64, bool) {
 		if !isDead {
 			continue
 		}
-		c := d.ceil[s]
-		if c > cap {
-			c = cap
-		}
-		if v := float64(c) / floor; v > th {
+		if v := float64(d.ceil[s]) / floor; v > th {
 			th = v
 		}
 	}
@@ -116,8 +113,8 @@ func (d *degraded) theta(floor float64, cap model.Grade) (float64, bool) {
 // answer keeps the surviving shards' merged items, Theta reports the
 // certified guarantee, GradesExact drops to false to flag the degraded
 // answer, and MinTheta rejects a guarantee weaker than the caller's floor.
-func (d *degraded) degradeResult(res *core.Result, opts Options, t agg.Func, floor float64, p int) (*core.Result, error) {
-	th, ok := d.theta(floor, agg.TopValue(t))
+func (d *degraded) degradeResult(res *core.Result, opts Options, floor float64, p int) (*core.Result, error) {
+	th, ok := d.theta(floor)
 	if !ok {
 		return nil, fmt.Errorf("shard: %d of %d shards lost and the survivors certify no finite θ: %w", d.count, p, d.firstErr)
 	}

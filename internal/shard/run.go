@@ -140,7 +140,7 @@ func (f *frame) finish(items []core.Scored, exact bool, rounds, buffered int, fl
 	res := &core.Result{Items: items, GradesExact: exact, Theta: 1, Rounds: rounds, Stats: stats}
 	if f.deg.count > 0 {
 		var err error
-		if res, err = f.deg.degradeResult(res, f.opts, f.t, floor(), len(f.srcs)); err != nil {
+		if res, err = f.deg.degradeResult(res, f.opts, floor(), len(f.srcs)); err != nil {
 			return nil, err
 		}
 	}
