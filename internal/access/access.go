@@ -209,9 +209,9 @@ type Source struct {
 	retrySeq  uint64
 
 	// unitOnly marks a source whose every list bills exactly UnitCosts
-	// (none declares other costs or is read through its priced path), so
-	// the invariants build can assert the middleware-cost identity
-	// Charged == Accesses at halt.
+	// (none declares other costs or bills per access), so the invariants
+	// build can assert the middleware-cost identity Charged == Accesses at
+	// halt.
 	unitOnly bool
 }
 
@@ -308,12 +308,24 @@ func FromLists(lists []ListSource, policy Policy) *Source {
 	for i, l := range lists {
 		s.costs[i] = BackendCosts(l)
 		s.paths[i] = resolvePath(l, s.costs[i])
-		if s.paths[i].priced || s.costs[i] != UnitCosts {
+		if billsPerAccess(l) || s.costs[i] != UnitCosts {
 			s.unitOnly = false
 		}
 	}
 	s.setLayout(idLayout(lists))
 	return s
+}
+
+// billsPerAccess reports whether l's charged costs can differ from its
+// declared ones: it prices each access itself (a CostedList: a cache,
+// Misdeclared), or it is a Faulty that passes such a list's prices
+// through. A Faulty over any other list bills the declared costs.
+func billsPerAccess(l ListSource) bool {
+	if f, ok := l.(*Faulty); ok {
+		return f.priced != nil && billsPerAccess(f.src)
+	}
+	_, costed := l.(CostedList)
+	return costed
 }
 
 // setLayout records the id layout first, first + stride, … over the

@@ -331,6 +331,67 @@ func TestFaultyOverDeadPricingList(t *testing.T) {
 	check("Source.Random", err)
 }
 
+// TestFaultyReadPastEnd pins a single read past the end of the list: it
+// takes its slot of the fault schedule first, and when that slot does not
+// fault it fails as the wrapped list does. A batch read past the end takes
+// no slot.
+func TestFaultyReadPastEnd(t *testing.T) {
+	db := scanDB(t, 8)
+	end := db.List(0).Len()
+	dead := NewFaulty(db.List(0), FaultPlan{Dead: true})
+	top := NewFaulty(dead, FaultPlan{})
+	if _, _, err := top.AtCostErr(end); !errors.Is(err, ErrListDown) {
+		t.Fatalf("AtCostErr past the end over a dead list: error %v, want ErrListDown", err)
+	}
+	if got := top.seq.Load(); got != 1 {
+		t.Errorf("AtCostErr past the end took %d fault slots, want 1", got)
+	}
+	if got := dead.Injected(); got != 1 {
+		t.Errorf("the dead list failed %d reads, want 1", got)
+	}
+	flaky := NewFaulty(dead, FaultPlan{Rate: 1})
+	if _, err := flaky.AtErr(end); !errors.Is(err, ErrBackend) || errors.Is(err, ErrListDown) {
+		t.Fatalf("AtErr past the end with a faulting slot: error %v, want a transient ErrBackend", err)
+	}
+	if flaky.Injected() != 1 || dead.Injected() != 1 {
+		t.Errorf("a faulting slot reached the wrapped list: injected %d above, %d below", flaky.Injected(), dead.Injected())
+	}
+	var dst [4]model.Entry
+	if n, err := flaky.AtNErr(end, dst[:]); n != 0 || err != nil || flaky.seq.Load() != 1 {
+		t.Errorf("AtNErr past the end = (%d, %v) after %d slots, want (0, nil) after 1", n, err, flaky.seq.Load())
+	}
+}
+
+// TestBillsPerAccess pins which lists the invariants build leaves out of
+// the unit-cost identity: those that can bill other than their declared
+// costs. A Faulty keeps the check unless a list below it prices its
+// accesses.
+func TestBillsPerAccess(t *testing.T) {
+	db := scanDB(t, 8)
+	plain := db.List(0)
+	cached := func(src ListSource) ListSource { return NewCache(CacheConfig{}).Wrap(0, src) }
+	faulty := func(src ListSource) ListSource { return NewFaulty(src, FaultPlan{}) }
+	for _, tc := range []struct {
+		name string
+		l    ListSource
+		want bool
+	}{
+		{"plain", plain, false},
+		{"faulty", faulty(plain), false},
+		{"faulty-faulty", faulty(faulty(plain)), false},
+		{"faulty-remote", faulty(NewRemote(plain, UnitCosts, Latency{})), false},
+		{"cache", cached(plain), true},
+		{"misdeclared", NewMisdeclared(NewRemote(plain, UnitCosts, Latency{}), UnitCosts), true},
+		{"faulty-cache", faulty(cached(plain)), true},
+		{"faulty-faulty-cache", faulty(faulty(cached(plain))), true},
+		{"faulty-cache-faulty", faulty(cached(faulty(plain))), true},
+	} {
+		if got := billsPerAccess(tc.l); got != tc.want {
+			t.Errorf("%s: billsPerAccess = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestRemoteBatchRTT pins the batched latency model: a batch pays one
 // round-trip draw plus a deterministic per-entry marginal, consumes
 // exactly one slot of the jitter/straggler schedule, and leaves the

@@ -128,9 +128,12 @@ func compareScored(a, b Scored) int {
 // the items it outranks; it never allocates once the buffer holds its
 // k-item backing array.
 type TopKBuffer struct {
-	k       int
-	items   []Scored // kept in canonical order; k is small (constant)
-	changes int      // accepted offers so far (TA's Progress.TopKChanges)
+	k     int
+	items []Scored // kept in canonical order; k is small (constant)
+	// changes counts accepted offers and removals so far. It is
+	// Progress.TopKChanges for TA's top k and for cost-aware TA's pinned
+	// list.
+	changes int
 }
 
 // NewTopKBuffer returns an empty buffer retaining the k best candidates.
